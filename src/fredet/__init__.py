@@ -12,7 +12,7 @@ from .determinants import (DetSeries, DetValue, det_from_eigs, det_p,
 from .discretize import (NCC, NGL, RECT, SINGULAR_SCHEME, DiscreteOperator,
                          assemble_ncc, assemble_nystrom, assemble_singular)
 from .kernels import KernelSpec, from_config, load_kernel_file, registry
-from .linalg import as_complex_matrix, det_shifted, eigenvalues, trace_powers
+from .linalg import as_complex_matrix, eigenvalues, trace_powers
 from .quadrature import (QuadRule, SpectralOps, gauss_legendre, rectangle,
                          singular_moments, spectral_ops)
 from .spectra import (EigenEstimate, OrderFit, count_zeros, fit_order,

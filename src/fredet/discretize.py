@@ -1,7 +1,7 @@
 """Assembly of discrete operators: plain Nystrom, spectral split-kernel, product quadrature."""
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class DiscreteOperator:
     scheme: str
     domain: Tuple[float, float]
     zero_diag: bool = False
-    rule: Optional[object] = None
 
     @property
     def n(self) -> int:
@@ -76,7 +75,7 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     if zero_diag:
         np.fill_diagonal(matrix, 0.0)
     scheme = _SCHEME_BY_RULE.get(rule.kind, NGL)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, scheme, (spec.a, spec.b), zero_diag, rule)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes, scheme, (spec.a, spec.b), zero_diag)
 
 
 def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
@@ -104,7 +103,7 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     k1_vals = np.asarray(spec.k1(x, y), dtype=float)
     k2_vals = np.asarray(k2(x, y), dtype=float)
     matrix = half * (lower_int * k1_vals + upper_int * k2_vals)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, NCC, (a, b), False, ops)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes, NCC, (a, b))
 
 
 def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
@@ -127,4 +126,4 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     weights = moments @ ops.Cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     matrix = weights * np.asarray(spec.h(x, y), dtype=float)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, SINGULAR_SCHEME, (a, b), False, ops)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes, SINGULAR_SCHEME, (a, b))

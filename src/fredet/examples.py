@@ -119,7 +119,8 @@ def _example1(outdir):
 
 
 def _example2(outdir):
-    # periodic Bernoulli kernel: double eigenvalues 1/(2n pi)^2, d(z) = (2-2cos sqrt z)/z
+    # periodic Bernoulli kernel: double eigenvalues 1/(2n pi)^2, d(z) = (2-2cos sqrt z)/z;
+    # the N = 128 matrix splits the first double into two close roots, 39.46450 and 39.46646
     spec = registry("bernoulli")
     ns = [10, 20, 40, 80, 160, 320]
     ngl = lambda n: assemble_nystrom(spec, gauss_legendre(n, 0.0, 1.0))

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: shifted determinants, trace powers, eigenvalues."""
+"""Dense complex linear algebra: matrix validation, trace powers, eigenvalues."""
 
 import numpy as np
 
@@ -27,26 +27,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def det_shifted(a, z) -> complex:
-    """det(I + z*A) via LU with partial pivoting.
-
-    The determinant is accumulated as log-magnitude plus phase so that
-    intermediate products cannot overflow; only a final value outside the
-    double range raises DetOverflowError.  det_shifted(a, 0) == 1 exactly.
-    """
-    m = as_complex_matrix(a)
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    shifted = np.eye(m.shape[0], dtype=np.complex128) + z * m
-    phase, logabs = np.linalg.slogdet(shifted)
-    if phase == 0:
-        return 0.0 + 0.0j
-    if logabs > _LOG_HUGE:
-        raise DetOverflowError(f"|det| ~ exp({logabs:.4g}) is out of double range")
-    return complex(phase * np.exp(logabs))
-
-
 def trace_powers(a, jmax: int) -> np.ndarray:
     """[tr(A), tr(A^2), ..., tr(A^jmax)] by repeated multiplication."""
     m = as_complex_matrix(a)
@@ -67,7 +47,7 @@ def eigenvalues(a) -> np.ndarray:
     Backed by LAPACK's balanced Hessenberg reduction with shifted QR;
     non-convergence surfaces as LinAlgError rather than silent garbage.
     The contract is solver-agnostic: eigenvalue sums must reproduce
-    trace_powers and the product must reproduce det_shifted.
+    trace_powers and the product must reproduce det_p(a, 1, z).
     """
     m = as_complex_matrix(a)
     lam = np.linalg.eigvals(m)

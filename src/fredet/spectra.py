@@ -1,4 +1,4 @@
-"""Eigenvalue location from determinant zeros: contour counting plus Newton."""
+"""Eigenvalue location from determinant zeros: contour moments plus an Aberth polish."""
 
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -9,6 +9,12 @@ from .determinants import det_p
 from .linalg import as_complex_matrix
 
 MAX_CONTOUR_SAMPLES = 2**16
+TAIL_TOL = 1e-12          # settled contour: top-half Fourier coefficients of the de-wound log
+MAX_DISC_ROOTS = 8        # a disc holding more zeros splits into seven half-radius discs,
+MIN_SPLIT_RADIUS = 1e-3   # unless its radius is below this, relative to 1 + |center|
+CLUSTER_TOL = 1e-6        # polished zeros this close (relative) are one estimate
+_LOG_GUARD = np.log(1e-13)
+_POLISH_STEPS = 30
 
 
 class ZeroOnContourError(RuntimeError):
@@ -43,51 +49,74 @@ class OrderFit:
     points: Tuple[Tuple[float, float], ...]
 
 
-def _winding(vals: np.ndarray) -> int:
-    ratios = np.roll(vals, -1) / vals
-    total = np.sum(np.angle(ratios))
-    return int(np.rint(total / (2.0 * np.pi)))
+def _log_samples(logfun, center, radius, fractions):
+    return np.array([logfun(center + radius * np.exp(2j * np.pi * t)) for t in fractions],
+                    dtype=np.complex128)
+
+
+def _dewound_spectrum(logs):
+    """Winding number n and Fourier coefficients of g(theta) = log f - n i theta.
+
+    The phase is unwrapped from its increments between neighbouring samples,
+    so g is periodic; coeffs[q] / coeffs[m - q] hold frequencies +q / -q.
+    """
+    m = logs.size
+    steps = np.angle(np.exp(1j * np.diff(logs.imag, append=logs.imag[0])))
+    n = int(np.rint(np.sum(steps) / (2.0 * np.pi)))
+    phase = logs.imag[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return n, np.fft.fft(logs.real + 1j * (phase - n * theta)) / m
+
+
+def _sample_circle(logfun, center, radius: float, samples: int):
+    """Winding number of f on a circle and the spectrum of its de-wound log.
+
+    logfun(z) is log f(z) on any branch.  The m = samples points double, the
+    odd points added, until the winding number agrees with the previous level
+    and the top half of the spectrum (|q| > m/4) has decayed to TAIL_TOL of
+    the largest nonconstant coefficient (or of 1).  A sample with |f| within
+    1e-13 of the largest raises ZeroOnContourError; no settled level by
+    MAX_CONTOUR_SAMPLES raises RefinementError.
+    """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if samples < 64:
+        raise ValueError(f"need at least 64 samples, got {samples}")
+    m = int(samples)
+    logs = _log_samples(logfun, center, radius, np.arange(m) / m)
+    prev = None
+    while True:
+        if not logs.real.min() > logs.real.max() + _LOG_GUARD:
+            raise ZeroOnContourError(f"|f| falls to {np.exp(logs.real.min() - logs.real.max()):.3g}"
+                                     f" of its maximum on contour radius {radius:.3g}")
+        n, coeffs = _dewound_spectrum(logs)
+        mags = np.abs(coeffs)
+        tail = mags[m // 4 + 1: m - m // 4].max()
+        if n == prev and tail <= TAIL_TOL * max(1.0, mags[1:].max()):
+            return n, coeffs
+        if 2 * m > MAX_CONTOUR_SAMPLES:
+            raise RefinementError(f"contour did not settle within {MAX_CONTOUR_SAMPLES} samples")
+        new = np.empty(2 * m, dtype=np.complex128)
+        new[0::2] = logs
+        new[1::2] = _log_samples(logfun, center, radius, (np.arange(m) + 0.5) / m)
+        logs, m, prev = new, 2 * m, n
 
 
 def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> int:
     """Number of zeros (with multiplicity) of detfun inside a disc.
 
-    The winding number is the sum of phase increments along the sampled
-    circle; the sample count doubles until two consecutive counts agree.
-    A contour value within 1e-13 of zero relative to the largest sample
-    raises ZeroOnContourError, and disagreement past 2^16 samples raises
+    The winding number of detfun on the circle, from the sampler that
+    locate_eigs uses: the sample count doubles until two consecutive counts
+    agree and the Fourier tail of the de-wound log has decayed.  A contour
+    value within 1e-13 of zero relative to the largest sample raises
+    ZeroOnContourError, and no settled count within 2^16 samples raises
     RefinementError.
     """
-    center = complex(center)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
+    def logfun(z):
+        v = complex(detfun(z))
+        return complex(np.log(abs(v)), np.angle(v)) if v != 0 else complex(-np.inf, 0.0)
 
-    m = int(samples)
-    angles = 2.0 * np.pi * np.arange(m) / m
-    vals = np.array([detfun(center + radius * np.exp(1j * t)) for t in angles], dtype=np.complex128)
-
-    def guard(v):
-        mags = np.abs(v)
-        if mags.min() <= 1e-13 * mags.max():
-            raise ZeroOnContourError(f"|det| ~ {mags.min():.3g} on contour radius {radius:.3g}")
-
-    guard(vals)
-    count = _winding(vals)
-    while True:
-        m *= 2
-        if m > MAX_CONTOUR_SAMPLES:
-            raise RefinementError(f"winding number did not settle within {MAX_CONTOUR_SAMPLES} samples")
-        odd = 2.0 * np.pi * (np.arange(m // 2) + 0.5) / (m // 2)
-        new = np.empty(m, dtype=np.complex128)
-        new[0::2] = vals
-        new[1::2] = [detfun(center + radius * np.exp(1j * t)) for t in odd]
-        guard(new)
-        refined = _winding(new)
-        if refined == count:
-            return refined
-        count, vals = refined, new
+    return _sample_circle(logfun, complex(center), radius, samples)[0]
 
 
 def refine_zero(detfun: Callable, z0, tol: float = 1e-10) -> EigenEstimate:
@@ -127,25 +156,122 @@ def refine_zero(detfun: Callable, z0, tol: float = 1e-10) -> EigenEstimate:
     raise RefinementError("iteration cap reached", last=_estimate(z, fz))
 
 
-def _estimate(z: complex, fz: complex, mult: int = 1) -> EigenEstimate:
+def _estimate(z: complex, fz: complex) -> EigenEstimate:
     lam = 1.0 / z if z != 0 else complex("inf")
-    return EigenEstimate(z, lam, abs(fz), mult)
+    return EigenEstimate(z, lam, abs(fz))
 
 
 # hexagonal half-radius covering: the six offsets at distance sqrt(3)/2 * r
 # plus the center disc cover the parent disc exactly
 _HEX = np.sqrt(3.0) / 2.0 * np.exp(2j * np.pi * np.arange(6) / 6.0)
 
+# outward-only contour retries, so the nominal disc stays covered
+_BUMPS = (1.0, 1.0093, 1.0217, 1.0341)
+
+
+def _roots_from_moments(coeffs, n: int) -> np.ndarray:
+    """Roots w_j (scaled to the unit disc) from the de-wound log spectrum.
+
+    The coefficient at frequency -k is -s_k / k with s_k = sum_j w_j^k;
+    Newton's identities turn s_1..s_n into the monic polynomial with roots w_j.
+    """
+    k = np.arange(1, n + 1)
+    s = -k * coeffs[coeffs.size - k]
+    e = np.zeros(n + 1, dtype=np.complex128)
+    e[0] = 1.0
+    for j in range(1, n + 1):
+        e[j] = np.sum((-1.0) ** np.arange(j) * e[j - 1::-1] * s[:j]) / j
+    return np.roots(e * (-1.0) ** np.arange(n + 1))
+
+
+def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Simultaneous Newton (Aberth) steps on all zeros of det(I + zB) at once.
+
+    f'/f = tr((I + zB)^{-1} B) by Jacobi's formula; subtracting the pull of
+    the other iterates, sum_{j != k} 1 / (z_k - z_j), keeps near-coincident
+    zeros from collapsing onto one another.  An exactly singular I + z_k B
+    means z_k is a zero and it stays put.
+    """
+    eye = np.eye(b.shape[0], dtype=np.complex128)
+    for _ in range(_POLISH_STEPS):
+        steps = np.zeros_like(z)
+        for k, zk in enumerate(z):
+            try:
+                dlog = np.trace(np.linalg.solve(eye + zk * b, b))
+            except np.linalg.LinAlgError:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                denom = dlog - np.sum(1.0 / (zk - np.delete(z, k)))
+                step = 1.0 / denom
+            if np.isfinite(step):
+                steps[k] = step
+        z = z - steps
+        if np.all(np.abs(steps) <= 1e-12 * (1.0 + np.abs(z))):
+            break
+    return z
+
+
+def _disc_zeros(b: np.ndarray, center: complex, radius: float, samples: int) -> np.ndarray:
+    """Polished zeros of det(I + zB) with |z - center| <= radius (1 + 1e-9)."""
+    eye = np.eye(b.shape[0], dtype=np.complex128)
+
+    def logdet(z):
+        phase, logabs = np.linalg.slogdet(eye + z * b)
+        return complex(logabs, np.angle(phase)) if phase != 0 else complex(-np.inf, 0.0)
+
+    for bump in _BUMPS:
+        try:
+            n, coeffs = _sample_circle(logdet, center, radius * bump, samples)
+            break
+        except ZeroOnContourError:
+            continue
+    else:
+        raise ZeroOnContourError(f"determinant vanishes near every contour tried at {center}")
+
+    if n > MAX_DISC_ROOTS and radius > MIN_SPLIT_RADIUS * (1.0 + abs(center)):
+        # each child keeps the zeros nearest its own center (lowest index on ties),
+        # so a zero in the overlap of two children is reported once
+        centers = center + radius * np.concatenate(([0.0], _HEX))
+        kept = []
+        for i, c in enumerate(centers):
+            for z in _disc_zeros(b, c, 0.5 * radius, samples):
+                d = np.abs(z - centers)
+                if np.flatnonzero(d <= d.min() + 1e-9 * radius)[0] == i:
+                    kept.append(z)
+        zeros = np.array(kept, dtype=np.complex128)
+    else:
+        zeros = _aberth(b, center + radius * bump * _roots_from_moments(coeffs, n))
+        if not np.all(np.abs(zeros - center) <= radius * bump * (1.0 + 1e-9)):
+            raise RefinementError(f"polished zeros left the contour of radius {radius * bump:.3g}"
+                                  f" around {center}")
+    return zeros[np.abs(zeros - center) <= radius * (1.0 + 1e-9)]
+
+
+def _clusters(zeros) -> list:
+    groups = []
+    for z in sorted(zeros, key=abs):
+        for g in groups:
+            if any(abs(z - w) <= CLUSTER_TOL * (1.0 + abs(z)) for w in g):
+                g.append(z)
+                break
+        else:
+            groups.append([z])
+    return groups
+
 
 def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
-                samples: int = 64, resolution: float = None) -> list:
+                samples: int = 64) -> list:
     """All zeros of z -> det_p(I + sign*z*K_N) in a disc, as EigenEstimates.
 
-    Recursive subdivision: a disc whose winding number is positive splits
-    into seven half-radius discs until the search resolution is reached,
-    then Newton refinement runs from the disc center.  The winding number of
-    the final disc is kept as the multiplicity estimate, and with the default
-    sign = -1 the reported eigenvalue is lam = 1/z_root.
+    The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
+    factor has none.  One sampled circle gives the count n and the power sums
+    of the zeros (contour moments, Delves & Lyness 1967); Newton's identities
+    turn these into starting values, and simultaneous Newton steps polish them.
+    Only a disc holding more than MAX_DISC_ROOTS zeros splits into seven
+    half-radius discs.  Zeros still within CLUSTER_TOL of each other after
+    the polish form one estimate whose mult_estimate is the cluster size, and
+    residual is |det_p| there.  With the default sign = -1 the reported
+    eigenvalue is lam = 1/z_root.
     """
     m = as_complex_matrix(getattr(op, "matrix", op))
     if sign not in (-1, 1):
@@ -153,58 +279,13 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
     center = complex(center)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if resolution is None:
-        resolution = 1e-2 * radius
 
-    def detfun(z):
-        return det_p(m, p, sign * z).value
-
-    found = []
-
-    def count_robust(c, r):
-        # only grow the contour on retry so the nominal disc stays covered
-        for bump in (1.0, 1.0093, 1.0217, 1.0341):
-            try:
-                return count_zeros(detfun, c, r * bump, samples)
-            except ZeroOnContourError:
-                continue
-        raise ZeroOnContourError(f"determinant vanishes near every contour tried at {c}")
-
-    def search(c, r):
-        k = count_robust(c, r)
-        if k == 0:
-            return
-        if r <= resolution:
-            try:
-                est = refine_zero(detfun, c, tol=1e-10)
-            except RefinementError as exc:
-                # multiple roots stall Newton at the residual noise floor;
-                # the last iterate is still the best available estimate
-                if exc.last is None:
-                    raise
-                est = exc.last
-            if abs(est.z_root - center) <= radius * (1.0 + 1e-9):
-                found.append(EigenEstimate(est.z_root, est.lam, est.residual, max(k, 1)))
-            return
-        for off in np.concatenate(([0.0 + 0.0j], _HEX * r)):
-            search(c + off, 0.5 * r)
-
-    search(center, radius)
-
-    dedup = []
-    for est in sorted(found, key=lambda e: abs(e.z_root)):
-        tol = 1e-6 * (1.0 + abs(est.z_root))
-        match = next((d for d in dedup if abs(d.z_root - est.z_root) <= tol), None)
-        if match is None:
-            dedup.append(est)
-        elif est.residual < match.residual:
-            dedup[dedup.index(match)] = EigenEstimate(
-                est.z_root, est.lam, est.residual, max(est.mult_estimate, match.mult_estimate)
-            )
-    # negative sign flips the root-to-eigenvalue map: I + s z K singular at z = -1/(s lam)
-    if sign == -1:
-        return dedup
-    return [EigenEstimate(e.z_root, -e.lam, e.residual, e.mult_estimate) for e in dedup]
+    ests = []
+    for group in _clusters(_disc_zeros(sign * m, center, radius, samples)):
+        z = complex(np.mean(group))
+        # I + s z K is singular at z = -1/(s lam), so lam = -s / z
+        ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group)))
+    return sorted(ests, key=lambda e: abs(e.z_root))
 
 
 def fit_order(ns, errs) -> OrderFit:

@@ -4,7 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from fredet.discretize import assemble_nystrom
 from fredet.examples import run_example, write_csv, write_summary
+from fredet.kernels import registry
+from fredet.linalg import eigenvalues
+from fredet.quadrature import gauss_legendre
 
 
 def test_run_example_rejects_bad_id(tmp_path):
@@ -44,11 +48,18 @@ def test_example2_files_and_summary(ex2):
 
 
 def test_example2_locates_double_root(ex2):
+    # the discrete operator at N = 128 has two close roots near the double
+    # eigenvalue 1/(4 pi^2); both must be reported, each at its own 1/lam
     roots = ex2["summary"]["roots"]
-    assert len(roots) == 1
+    assert len(roots) == 2, roots
+    assert sum(r["mult_estimate"] for r in roots) == 2
     target = 4.0 * np.pi**2
-    assert abs(roots[0]["z_re"] - target) / target < 1e-2
-    assert roots[0]["mult_estimate"] == 2
+    op = assemble_nystrom(registry("bernoulli"), gauss_legendre(128, 0.0, 1.0))
+    own = sorted(1.0 / eigenvalues(op.matrix)[:2], key=lambda w: w.real)
+    got = sorted((complex(r["z_re"], r["z_im"]) for r in roots), key=lambda w: w.real)
+    for z, want in zip(got, own):
+        assert abs(z - target) / target < 1e-2
+        assert abs(z - want) / abs(want) < 1e-8, (z, want)
 
 
 def test_example3_files_and_summary(ex3):
