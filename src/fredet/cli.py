@@ -5,15 +5,14 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 """
 
 import argparse
-import io
-import json
 import sys
 
 import numpy as np
 
 from .determinants import identity_residuals, det_p
 from .discretize import assemble_ncc, assemble_nystrom, assemble_singular
-from .examples import run_example, write_csv, _json_default
+from .examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row, run_example,
+                       write_csv, write_summary)
 from .kernels import KERNEL_NAMES, has_diagonal_jump, load_kernel_file, registry
 from .linalg import DetOverflowError
 from .quadrature import gauss_legendre, rectangle
@@ -129,31 +128,16 @@ def _resolve_reference(args, spec):
 
 def _emit(args, header, rows, payload):
     if args.format == "csv":
-        if args.out:
-            write_csv(args.out, header, rows)
-        else:
-            buf = io.StringIO()
-            import csv as _csv
-            w = _csv.writer(buf)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-            sys.stdout.write(buf.getvalue())
+        write_csv(args.out or sys.stdout, header, rows)
+    elif args.out:
+        write_summary(args.out, payload)
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        sys.stdout.write(dump_json(payload))
 
 
-def _config_echo(args, spec, extra=None):
-    cfg = {"kernel": spec.name, "scheme": getattr(args, "scheme", None),
-           "p": getattr(args, "p", None), "sign": getattr(args, "sign", None),
-           "zero_diag": getattr(args, "zero_diag", False)}
-    cfg.update(extra or {})
-    return cfg
+def _config_echo(args, spec, extra):
+    return {"kernel": spec.name, "scheme": args.scheme, "p": args.p, "sign": args.sign,
+            "zero_diag": args.zero_diag, **extra}
 
 
 def cmd_det(args):
@@ -171,10 +155,10 @@ def cmd_det(args):
     for z in zs:
         val = det_p(op, args.p, s * z)
         rows.append((z.real, z.imag, val.value.real, val.value.imag, val.route))
+    header = ["z_re", "z_im", "value_re", "value_im", "route"]
     payload = {"command": "det", "config": _config_echo(args, spec, {"n": args.n}),
-               "rows": [dict(zip(("z_re", "z_im", "value_re", "value_im", "route"), r))
-                        for r in rows]}
-    _emit(args, ["z_re", "z_im", "value_re", "value_im", "route"], rows, payload)
+               "rows": [dict(zip(header, r)) for r in rows]}
+    _emit(args, header, rows, payload)
     return 0
 
 
@@ -187,12 +171,13 @@ def cmd_converge(args):
     s = -1 if args.sign == "-" else 1
     vals = [det_p(_assemble(spec, args.scheme, n, args.zero_diag), args.p, s * z).value
             for n in ns]
+    config = _config_echo(args, spec, {"n_values": ns, "z": [z.real, z.imag]})
     if ref is None:
+        header = ["n", "value_re", "value_im"]
         rows = [(n, v.real, v.imag) for n, v in zip(ns, vals)]
-        payload = {"command": "converge",
-                   "config": _config_echo(args, spec, {"n_values": ns, "z": [z.real, z.imag]}),
-                   "rows": [dict(zip(("n", "value_re", "value_im"), r)) for r in rows]}
-        _emit(args, ["n", "value_re", "value_im"], rows, payload)
+        payload = {"command": "converge", "config": config,
+                   "rows": [dict(zip(header, r)) for r in rows]}
+        _emit(args, header, rows, payload)
         return 0
     target = ref(-s * z)  # reference is in the det_p(I - zK) orientation
     errs = [abs(v - target) for v in vals]
@@ -200,8 +185,7 @@ def cmd_converge(args):
     rows = [(n, e) for n, e in zip(ns, errs)]
     if slope is not None:
         rows.append(("slope", slope))
-    payload = {"command": "converge",
-               "config": _config_echo(args, spec, {"n_values": ns, "z": [z.real, z.imag]}),
+    payload = {"command": "converge", "config": config,
                "rows": [{"n": n, "abs_err": e} for n, e in zip(ns, errs)],
                "slopes": {} if slope is None else {f"{args.scheme}@z={z:.6g}": slope}}
     _emit(args, ["n", "abs_err"], rows, payload)
@@ -215,15 +199,12 @@ def cmd_eigs(args):
     op = _assemble(spec, args.scheme, args.n, args.zero_diag)
     s = -1 if args.sign == "-" else 1
     ests = locate_eigs(op, args.p, center, radius, sign=s)
-    rows = [(e.z_root.real, e.z_root.imag, e.lam.real, e.lam.imag, e.mult_estimate, e.residual)
-            for e in ests]
+    rows = [root_row(e) for e in ests]
     payload = {"command": "eigs",
                "config": _config_echo(args, spec, {"n": args.n,
                                                    "region": [center.real, center.imag, radius]}),
-               "roots": [dict(zip(("z_re", "z_im", "lam_re", "lam_im", "mult_estimate",
-                                   "residual"), r)) for r in rows]}
-    _emit(args, ["z_root_re", "z_root_im", "lam_re", "lam_im", "mult_estimate", "residual"],
-          rows, payload)
+               "roots": [dict(zip(ROOT_JSON_KEYS, r)) for r in rows]}
+    _emit(args, ROOT_CSV_HEADER, rows, payload)
     return 0
 
 
@@ -268,7 +249,7 @@ def cmd_identity(args):
 
 def cmd_example(args):
     summary = run_example(args.id, args.out or ".")
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
+    sys.stdout.write(dump_json(summary))
     return 0
 
 

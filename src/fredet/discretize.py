@@ -72,8 +72,6 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     vals = _split_values(spec, x, y, skip_diag=zero_diag)
     matrix = vals * rule.weights[None, :]
-    if zero_diag:
-        np.fill_diagonal(matrix, 0.0)
     scheme = _SCHEME_BY_RULE.get(rule.kind, NGL)
     return DiscreteOperator(as_complex_matrix(matrix), nodes, scheme, (spec.a, spec.b), zero_diag)
 

@@ -118,15 +118,18 @@ def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
 
 KERNEL_NAMES = ("green", "bernoulli", "sign", "abs_pow", "abs_pow_iter2")
 
+# interior points at which has_diagonal_jump compares the two branches
+_JUMP_PROBES = 13
 
-def has_diagonal_jump(spec: KernelSpec, probes: int = 13) -> bool:
+
+def has_diagonal_jump(spec: KernelSpec) -> bool:
     """True if the kernel is discontinuous (or singular) across the diagonal."""
     if spec.form == SINGULAR:
         return spec.alpha > 0.0
     if spec.form == SMOOTH:
         return False
     eps = 1e-7 * (spec.b - spec.a)
-    xs = np.linspace(spec.a, spec.b, probes + 2)[1:-1]
+    xs = np.linspace(spec.a, spec.b, _JUMP_PROBES + 2)[1:-1]
     # a diverging branch value on the diagonal is an expected outcome here
     with np.errstate(divide="ignore", invalid="ignore"):
         for x in xs:

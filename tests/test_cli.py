@@ -71,6 +71,18 @@ def test_det_output_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_det_stdout_matches_out_file(fmt, tmp_path, capsys):
+    args = ["det", "--kernel", "sign", "--scheme", "rect", "--n", "20", "--p", "2",
+            "--zero-diag", "--grid=-1,1,-1,1,2", "--format", fmt]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    path = tmp_path / f"det.{fmt}"
+    assert main(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.encode("utf-8") == path.read_bytes()
+
+
 def test_converge_reports_slope(capsys):
     code, out, _ = run(["converge", "--kernel", "bernoulli", "--scheme", "ngl",
                         "--n-sweep", "10:160:geometric", "--z", "1,0"], capsys)
@@ -162,6 +174,12 @@ def test_example_runs_and_writes_files(tmp_path, capsys):
         assert (tmp_path / name).exists(), name
     payload = json.loads(out)
     assert "slopes" in payload and "residuals" in payload
+
+
+def test_example_stdout_matches_summary_file(tmp_path, capsys):
+    code, out, _ = run(["example", "--id", "1", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (tmp_path / "example1_summary.json").read_bytes()
 
 
 def test_kernel_file_flow(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -26,6 +27,17 @@ def test_write_csv_and_summary_formats(tmp_path):
     spath = tmp_path / "s.json"
     write_summary(str(spath), {"x": np.float64(1.5), "n": np.int64(3)})
     assert json.loads(spath.read_text()) == {"x": 1.5, "n": 3}
+
+
+def test_write_csv_stream_matches_path(tmp_path):
+    header, rows = ["scheme", "x", "n"], [("ngl", 0.1, 3), ("slope", -2.0, np.float64(1e-17))]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, rows)
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    assert buf.getvalue() == path.read_bytes().decode("utf-8")
+    assert buf.getvalue() == ("scheme,x,n\r\nngl,0.10000000000000001,3\r\n"
+                              "slope,-2,1.0000000000000001e-17\r\n")
 
 
 def test_example2_files_and_summary(ex2):
@@ -83,3 +95,12 @@ def test_example3_locates_imaginary_pair(ex3):
         assert abs(r["z_re"]) < 1e-3
         assert abs(abs(r["z_im"]) - target) / target < 2e-2
     assert {np.sign(r["z_im"]) for r in roots} == {1.0, -1.0}
+
+
+def test_example3_grid_reuses_largest_n_surface(ex3):
+    # the grid table is the N = 400 sweep, so its worst error is the last surface row
+    outdir = ex3["dir"]
+    grid = list(csv.DictReader((outdir / "example3_grid.csv").open()))
+    surface = list(csv.DictReader((outdir / "example3_surface.csv").open()))
+    assert surface[-1]["n"] == "400"
+    assert max(float(r["abs_err"]) for r in grid) == float(surface[-1]["max_abs_err"])
