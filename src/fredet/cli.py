@@ -45,6 +45,12 @@ def _parse_complex(text, field):
     return complex(re, im)
 
 
+def _parse_sign(text):
+    if text not in ("+", "-"):
+        raise argparse.ArgumentTypeError(f"expected + or -, got {text!r}")
+    return 1 if text == "+" else -1
+
+
 def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 5:
@@ -150,10 +156,9 @@ def cmd_det(args):
     else:
         raise ValueError("det needs --z or --grid")
     op = _assemble(spec, args.scheme, args.n, args.zero_diag)
-    s = -1 if args.sign == "-" else 1
     rows = []
     for z in zs:
-        val = det_p(op, args.p, s * z)
+        val = det_p(op, args.p, args.sign * z)
         rows.append((z.real, z.imag, val.value.real, val.value.imag, val.route))
     header = ["z_re", "z_im", "value_re", "value_im", "route"]
     payload = {"command": "det", "config": _config_echo(args, spec, {"n": args.n}),
@@ -168,8 +173,7 @@ def cmd_converge(args):
     ns = _parse_sweep(args.n_sweep)
     z = _parse_complex(args.z, "--z") if args.z else complex(1.0)
     ref = _resolve_reference(args, spec)
-    s = -1 if args.sign == "-" else 1
-    vals = [det_p(_assemble(spec, args.scheme, n, args.zero_diag), args.p, s * z).value
+    vals = [det_p(_assemble(spec, args.scheme, n, args.zero_diag), args.p, args.sign * z).value
             for n in ns]
     config = _config_echo(args, spec, {"n_values": ns, "z": [z.real, z.imag]})
     if ref is None:
@@ -179,7 +183,7 @@ def cmd_converge(args):
                    "rows": [dict(zip(header, r)) for r in rows]}
         _emit(args, header, rows, payload)
         return 0
-    target = ref(-s * z)  # reference is in the det_p(I - zK) orientation
+    target = ref(-args.sign * z)  # reference is in the det_p(I - zK) orientation
     errs = [abs(v - target) for v in vals]
     slope = fit_order(ns, errs).slope if len(ns) >= 4 and all(e > 0 for e in errs) else None
     rows = [(n, e) for n, e in zip(ns, errs)]
@@ -197,8 +201,7 @@ def cmd_eigs(args):
     _check_hilbert_trick(spec, args)
     center, radius = _parse_region(args.region)
     op = _assemble(spec, args.scheme, args.n, args.zero_diag)
-    s = -1 if args.sign == "-" else 1
-    ests = locate_eigs(op, args.p, center, radius, sign=s)
+    ests = locate_eigs(op, args.p, center, radius, sign=args.sign)
     rows = [root_row(e) for e in ests]
     payload = {"command": "eigs",
                "config": _config_echo(args, spec, {"n": args.n,
@@ -260,7 +263,8 @@ def _add_common(sub, kernel=True):
         grp.add_argument("--kernel-file", metavar="F")
         sub.add_argument("--scheme", choices=("ngl", "rect", "ncc", "singular"), required=True)
         sub.add_argument("--p", type=int, default=1)
-        sub.add_argument("--sign", choices=("+", "-"), default="-")
+        # parsed once into +1 or -1, the number every summary echoes
+        sub.add_argument("--sign", type=_parse_sign, default="-", metavar="{+,-}")
         sub.add_argument("--zero-diag", action="store_true")
     sub.add_argument("--out", metavar="PATH")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _LOG_HUGE, DetOverflowError, as_complex_matrix, trace_powers
+from .linalg import _LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matrix
 
 LU_TRACE = "LU_TRACE"
 SERIES = "SERIES"
@@ -53,13 +53,14 @@ def det_p(op, p: int, z) -> DetValue:
     z = complex(z)
     if z == 0:
         return DetValue(z, p, 1.0 + 0.0j, LU_TRACE)
-    shifted = np.eye(m.shape[0], dtype=np.complex128) + z * m
+    shifted = z * m
+    shifted.flat[::m.shape[0] + 1] += 1.0
     phase, logabs = np.linalg.slogdet(shifted)
     if phase == 0:
         return DetValue(z, p, 0.0 + 0.0j, LU_TRACE)
     corr = 0.0 + 0.0j
     if p > 1:
-        nu = trace_powers(m, p - 1)
+        nu = _trace_powers(m, p - 1)
         corr = sum((-z) ** j * nu[j - 1] / j for j in range(1, p))
     w = logabs + corr
     if w.real > _LOG_HUGE:
@@ -80,7 +81,7 @@ def plemelj_coeffs(op, p: int, n_max: int) -> DetSeries:
         raise ValueError("n_max must be nonnegative")
     nu = np.zeros(n_max, dtype=np.complex128)
     if n_max >= 1:
-        nu[:] = trace_powers(m, n_max)
+        nu[:] = _trace_powers(m, n_max)
         nu[: p - 1] = 0.0
     coeffs = np.zeros(n_max + 1, dtype=np.complex128)
     coeffs[0] = 1.0

@@ -46,9 +46,24 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def dump_json(obj) -> str:
-    """The JSON text of every summary and payload: sorted keys, indent 2, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """The JSON text of every summary and payload: sorted keys, indent 2, final newline.
+
+    Non-finite floats are written as null, so the text is strict (RFC 8259) JSON.
+    """
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def write_summary(path, summary):

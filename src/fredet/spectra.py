@@ -6,7 +6,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .determinants import det_p
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, hessenberg, hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 TAIL_TOL = 1e-12          # settled contour: top-half Fourier coefficients of the de-wound log
@@ -50,8 +50,7 @@ class OrderFit:
 
 
 def _log_samples(logfun, center, radius, fractions):
-    return np.array([logfun(center + radius * np.exp(2j * np.pi * t)) for t in fractions],
-                    dtype=np.complex128)
+    return logfun(center + radius * np.exp(2j * np.pi * fractions))
 
 
 def _dewound_spectrum(logs):
@@ -71,7 +70,8 @@ def _dewound_spectrum(logs):
 def _sample_circle(logfun, center, radius: float, samples: int):
     """Winding number of f on a circle and the spectrum of its de-wound log.
 
-    logfun(z) is log f(z) on any branch.  The m = samples points double, the
+    logfun(zs) is log f at every point of the array zs, each on any branch,
+    with real part -inf where f is zero.  The m = samples points double, the
     odd points added, until the winding number agrees with the previous level
     and the top half of the spectrum (|q| > m/4) has decayed to TAIL_TOL of
     the largest nonconstant coefficient (or of 1).  A sample with |f| within
@@ -112,9 +112,10 @@ def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> 
     ZeroOnContourError, and no settled count within 2^16 samples raises
     RefinementError.
     """
-    def logfun(z):
-        v = complex(detfun(z))
-        return complex(np.log(abs(v)), np.angle(v)) if v != 0 else complex(-np.inf, 0.0)
+    def logfun(zs):
+        vals = np.array([complex(detfun(z)) for z in zs])
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(vals)) + 1j * np.angle(vals)
 
     return _sample_circle(logfun, complex(center), radius, samples)[0]
 
@@ -211,14 +212,13 @@ def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _disc_zeros(b: np.ndarray, center: complex, radius: float, samples: int) -> np.ndarray:
-    """Polished zeros of det(I + zB) with |z - center| <= radius (1 + 1e-9)."""
-    eye = np.eye(b.shape[0], dtype=np.complex128)
+def _disc_zeros(b: np.ndarray, h: np.ndarray, center: complex, radius: float,
+                samples: int) -> np.ndarray:
+    """Polished zeros of det(I + zB) with |z - center| <= radius (1 + 1e-9).
 
-    def logdet(z):
-        phase, logabs = np.linalg.slogdet(eye + z * b)
-        return complex(logabs, np.angle(phase)) if phase != 0 else complex(-np.inf, 0.0)
-
+    The contour is sampled on h, a Hessenberg form of b; the polish uses b itself.
+    """
+    logdet = lambda zs: hessenberg_logdet(h, zs)
     for bump in _BUMPS:
         try:
             n, coeffs = _sample_circle(logdet, center, radius * bump, samples)
@@ -234,7 +234,7 @@ def _disc_zeros(b: np.ndarray, center: complex, radius: float, samples: int) -> 
         centers = center + radius * np.concatenate(([0.0], _HEX))
         kept = []
         for i, c in enumerate(centers):
-            for z in _disc_zeros(b, c, 0.5 * radius, samples):
+            for z in _disc_zeros(b, h, c, 0.5 * radius, samples):
                 d = np.abs(z - centers)
                 if np.flatnonzero(d <= d.min() + 1e-9 * radius)[0] == i:
                     kept.append(z)
@@ -264,9 +264,13 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
     """All zeros of z -> det_p(I + sign*z*K_N) in a disc, as EigenEstimates.
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
-    factor has none.  One sampled circle gives the count n and the power sums
-    of the zeros (contour moments, Delves & Lyness 1967); Newton's identities
-    turn these into starting values, and simultaneous Newton steps polish them.
+    factor has none.  K_N is reduced once to Hessenberg form H, and every
+    contour samples log det(I + sign*z*H) in batches at O(N^2) per point;
+    this is still an LU determinant, not the eigenvalue route, so the three
+    det_p routes stay independent.  One sampled circle gives the count n and
+    the power sums of the zeros (contour moments, Delves & Lyness 1967);
+    Newton's identities turn these into starting values, and simultaneous
+    Newton steps on the unreduced sign*K_N polish them.
     Only a disc holding more than MAX_DISC_ROOTS zeros splits into seven
     half-radius discs.  Zeros still within CLUSTER_TOL of each other after
     the polish form one estimate whose mult_estimate is the cluster size, and
@@ -281,7 +285,9 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
         raise ValueError(f"radius must be positive, got {radius}")
 
     ests = []
-    for group in _clusters(_disc_zeros(sign * m, center, radius, samples)):
+    # H(sign K) = sign H(K), and children of a split disc sample the same H
+    zeros = _disc_zeros(sign * m, sign * hessenberg(m), center, radius, samples)
+    for group in _clusters(zeros):
         z = complex(np.mean(group))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
         ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group)))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fredet.cli
 from fredet.cli import main
 
 BERN_AT_ONE = 2.0 - 2.0 * np.cos(1.0)
@@ -59,6 +60,46 @@ def test_sign_flag_flips_evaluation_point(capsys):
     v_plus = out_plus.strip().splitlines()[1].split(",")[2]
     assert float(v_minus) == float(v_plus)
     assert abs(float(v_minus) - np.sin(1.0)) < 1e-3
+
+
+@pytest.mark.parametrize("flag, sign", [([], -1), (["--sign", "-"], -1), (["--sign", "+"], 1)],
+                         ids=["default", "minus", "plus"])
+@pytest.mark.parametrize("argv", [
+    ["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "1,0"],
+    ["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "8:32:geometric",
+     "--z", "1,0", "--ref", "none"],
+    ["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "16", "--region", "12,0,8"],
+], ids=["det", "converge", "eigs"])
+def test_config_sign_is_a_number(argv, flag, sign, capsys):
+    code, out, _ = run(argv + flag + ["--format", "json"], capsys)
+    assert code == 0
+    echoed = json.loads(out)["config"]["sign"]
+    assert type(echoed) is int and echoed == sign
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_payloads_are_strict(ex4, monkeypatch, capsys):
+    for argv in (
+        ["det", "--kernel", "sign", "--scheme", "rect", "--n", "20", "--p", "2",
+         "--zero-diag", "--grid=-1,1,-1,1,2"],
+        ["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "8:64:geometric",
+         "--z", "1,0"],
+        ["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "16", "--region", "12,0,8"],
+        ["identity", "--trials", "2"],
+    ):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        _strict_json(out)
+    # example 4 reports NaN residuals for roots it did not search for
+    monkeypatch.setattr(fredet.cli, "run_example", lambda example_id, outdir: ex4["summary"])
+    code, out, _ = run(["example", "--id", "4"], capsys)
+    assert code == 0
+    assert all(r["residual"] is None for r in _strict_json(out)["roots"])
 
 
 def test_det_output_is_deterministic(tmp_path, capsys):

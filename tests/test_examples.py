@@ -40,6 +40,16 @@ def test_write_csv_stream_matches_path(tmp_path):
                               "slope,-2,1.0000000000000001e-17\r\n")
 
 
+def test_example_summaries_are_strict_json(ex1, ex2, ex3, ex4):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for example_id, ex in enumerate((ex1, ex2, ex3, ex4), start=1):
+        text = (ex["dir"] / f"example{example_id}_summary.json").read_text()
+        json.loads(text, parse_constant=reject)
+    assert "null" in text  # example 4's unsearched roots have no residual
+
+
 def test_example2_files_and_summary(ex2):
     outdir, summary = ex2["dir"], ex2["summary"]
     for name in ("example2_convergence.csv", "example2_eigs.csv",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredet.determinants import det_p
 from fredet.linalg import (MAX_DIM, DetOverflowError, as_complex_matrix, eigenvalues,
-                           trace_powers)
+                           hessenberg, hessenberg_logdet, trace_powers)
 
 
 def test_as_complex_matrix_coerces_nested_lists():
@@ -93,3 +95,71 @@ def test_eigenvalue_product_reproduces_determinant():
     lam = eigenvalues(a)
     expect = np.prod(1.0 + z * lam)
     assert abs(det_p(a, 1, z).value - expect) < 1e-12 * abs(expect)
+
+
+def _random_matrix(n, seed, cplx):
+    rng = np.random.default_rng(seed)
+    if cplx:
+        return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / (4.0 * np.sqrt(n))
+    return rng.normal(size=(n, n)) / (2.0 * np.sqrt(n))
+
+
+# real or complex matrices of spectral norm about 1: for |z| <= 1/2 the matrix
+# I + zA is well conditioned, so two LU routes agree to rounding
+_MATRICES = st.builds(_random_matrix, st.sampled_from([1, 2, 3, 17, 64]),
+                      st.integers(0, 2**32 - 1), st.booleans())
+_HALF_DISC = st.builds(lambda r, t: r * np.exp(2j * np.pi * t),
+                       st.floats(0.0, 0.5), st.floats(0.0, 1.0))
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _assert_logdet_matches(got, m):
+    """got is log det(m) on some branch: modulus and phase agree with slogdet to 1e-12."""
+    sign, logabs = np.linalg.slogdet(m)
+    if sign == 0:
+        assert got.real == -np.inf
+        return
+    assert abs(got.real - logabs) <= 1e-12 * max(1.0, abs(logabs))
+    assert abs(np.exp(1j * got.imag) - sign) <= 1e-12
+
+
+@_PROPERTY
+@given(a=_MATRICES)
+def test_hessenberg_is_hessenberg_and_similar(a):
+    h = hessenberg(a)
+    assert h.shape == a.shape
+    assert np.isrealobj(h) == np.isrealobj(a)
+    assert not np.tril(h, -2).any()
+    fro = np.linalg.norm(a)
+    assert abs(np.trace(h) - np.trace(a)) <= 1e-12 * fro
+    assert abs(np.linalg.norm(h) - fro) <= 1e-12 * fro
+
+
+@_PROPERTY
+@given(a=_MATRICES, z=_HALF_DISC)
+def test_hessenberg_logdet_matches_slogdet(a, z):
+    n = a.shape[0]
+    h = hessenberg(a)
+    at_zero, at_z = hessenberg_logdet(h, [0.0, z])
+    assert at_zero == 0.0
+    _assert_logdet_matches(at_z, np.eye(n) + z * a)
+    # a last row of I - H/2 that is exactly zero: still Hessenberg, exactly singular
+    h[-1] = 0.0
+    h[-1, -1] = 2.0
+    singular, = hessenberg_logdet(h, [-0.5])
+    assert singular.real == -np.inf
+    _assert_logdet_matches(singular, np.eye(n) - 0.5 * h)
+
+
+def test_hessenberg_logdet_zero_pivot_and_swap():
+    # an upper triangular matrix is already Hessenberg; I - H/2 has a zero pivot
+    # at step 1 with a zero below it, so the determinant is exactly zero
+    a = np.triu(np.random.default_rng(4).normal(size=(5, 5)))
+    a[1, 1] = 2.0
+    h = hessenberg(a)
+    assert np.array_equal(h, a)
+    assert hessenberg_logdet(h, [-0.5])[0].real == -np.inf
+    # I + H = [[0, 1], [1, 0]] needs the row swap: det = -1
+    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
+    assert abs(got.real) <= 1e-15
+    assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+import fredet.linalg
+from fredet.discretize import assemble_nystrom
+from fredet.kernels import registry
+from fredet.linalg import hessenberg, hessenberg_logdet
+from fredet.quadrature import gauss_legendre
 from fredet.spectra import (_HEX, MAX_DISC_ROOTS, OrderFit, RefinementError,
-                            ZeroOnContourError, count_zeros, fit_order, locate_eigs,
-                            refine_zero)
+                            ZeroOnContourError, _sample_circle, count_zeros, fit_order,
+                            locate_eigs, refine_zero)
 
 
 def test_count_zeros_cosh():
@@ -152,6 +157,34 @@ def test_locate_eigs_validation():
         locate_eigs(np.eye(2), 1, 0.0, -1.0)
     with pytest.raises(ValueError):
         locate_eigs(np.eye(2), 1, 0.0, 1.0, sign=2)
+
+
+def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
+    # the contours are sampled on the Hessenberg form; the only slogdet calls
+    # left are the residual det_p of each reported estimate
+    op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m.shape) or slogdet(m))
+    ests = locate_eigs(op, 1, 50.0, 49.0)
+    lam = np.linalg.eigvals(op.matrix)
+    expect = np.sort((1.0 / lam[np.abs(1.0 / lam - 50.0) < 49.0]).real)
+    assert np.allclose(sorted(e.z_root.real for e in ests), expect, rtol=1e-12, atol=0.0)
+    assert len(calls) == len(ests) == 3
+
+
+def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
+    # a zero near 0.95, just inside the unit circle, makes the sampler double
+    # well past one evaluation block; the block size must not change the samples
+    h = hessenberg(np.diag([-1.0 / 0.95, 0.3, -0.2]) + 0.01)
+    logfun = lambda zs: hessenberg_logdet(h, zs)
+    n, coeffs = _sample_circle(logfun, 0.0, 1.0, 64)
+    assert n == 1
+    assert coeffs.size > 4 * fredet.linalg._LOGDET_CHUNK
+    monkeypatch.setattr(fredet.linalg, "_LOGDET_CHUNK", 2**16)
+    n_whole, whole = _sample_circle(logfun, 0.0, 1.0, 64)
+    assert n_whole == n
+    assert np.allclose(whole, coeffs, rtol=0.0, atol=1e-15)
 
 
 def test_hex_covering_geometry():
