@@ -10,11 +10,9 @@ from .linalg import as_complex_matrix, hessenberg, hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 TAIL_TOL = 1e-12          # settled contour: top-half Fourier coefficients of the de-wound log
-MAX_DISC_ROOTS = 8        # a disc holding more zeros splits into seven half-radius discs,
-MIN_SPLIT_RADIUS = 1e-3   # unless its radius is below this, relative to 1 + |center|
 CLUSTER_TOL = 1e-6        # polished zeros this close (relative) are one estimate
 _LOG_GUARD = np.log(1e-13)
-_POLISH_STEPS = 30
+_POLISH_STEPS = 200       # an m-fold zero converges linearly, by (m - 1) / (m + 1) per step
 
 
 class ZeroOnContourError(RuntimeError):
@@ -67,7 +65,7 @@ def _dewound_spectrum(logs):
     return n, np.fft.fft(logs.real + 1j * (phase - n * theta)) / m
 
 
-def _sample_circle(logfun, center, radius: float, samples: int):
+def _sample_circle(logfun, center, radius: float, samples: int = 64):
     """Winding number of f on a circle and the spectrum of its de-wound log.
 
     logfun(zs) is log f at every point of the array zs, each on any branch,
@@ -162,10 +160,6 @@ def _estimate(z: complex, fz: complex) -> EigenEstimate:
     return EigenEstimate(z, lam, abs(fz))
 
 
-# hexagonal half-radius covering: the six offsets at distance sqrt(3)/2 * r
-# plus the center disc cover the parent disc exactly
-_HEX = np.sqrt(3.0) / 2.0 * np.exp(2j * np.pi * np.arange(6) / 6.0)
-
 # outward-only contour retries, so the nominal disc stays covered
 _BUMPS = (1.0, 1.0093, 1.0217, 1.0341)
 
@@ -191,7 +185,9 @@ def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     f'/f = tr((I + zB)^{-1} B) by Jacobi's formula; subtracting the pull of
     the other iterates, sum_{j != k} 1 / (z_k - z_j), keeps near-coincident
     zeros from collapsing onto one another.  An exactly singular I + z_k B
-    means z_k is a zero and it stays put.
+    means z_k is a zero and it stays put.  The polish ends once every step
+    is within 1e-12 (1 + |z_k|), and raises RefinementError when that has
+    not happened after _POLISH_STEPS steps.
     """
     eye = np.eye(b.shape[0], dtype=np.complex128)
     for _ in range(_POLISH_STEPS):
@@ -208,43 +204,9 @@ def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
                 steps[k] = step
         z = z - steps
         if np.all(np.abs(steps) <= 1e-12 * (1.0 + np.abs(z))):
-            break
-    return z
-
-
-def _disc_zeros(b: np.ndarray, h: np.ndarray, center: complex, radius: float,
-                samples: int) -> np.ndarray:
-    """Polished zeros of det(I + zB) with |z - center| <= radius (1 + 1e-9).
-
-    The contour is sampled on h, a Hessenberg form of b; the polish uses b itself.
-    """
-    logdet = lambda zs: hessenberg_logdet(h, zs)
-    for bump in _BUMPS:
-        try:
-            n, coeffs = _sample_circle(logdet, center, radius * bump, samples)
-            break
-        except ZeroOnContourError:
-            continue
-    else:
-        raise ZeroOnContourError(f"determinant vanishes near every contour tried at {center}")
-
-    if n > MAX_DISC_ROOTS and radius > MIN_SPLIT_RADIUS * (1.0 + abs(center)):
-        # each child keeps the zeros nearest its own center (lowest index on ties),
-        # so a zero in the overlap of two children is reported once
-        centers = center + radius * np.concatenate(([0.0], _HEX))
-        kept = []
-        for i, c in enumerate(centers):
-            for z in _disc_zeros(b, h, c, 0.5 * radius, samples):
-                d = np.abs(z - centers)
-                if np.flatnonzero(d <= d.min() + 1e-9 * radius)[0] == i:
-                    kept.append(z)
-        zeros = np.array(kept, dtype=np.complex128)
-    else:
-        zeros = _aberth(b, center + radius * bump * _roots_from_moments(coeffs, n))
-        if not np.all(np.abs(zeros - center) <= radius * bump * (1.0 + 1e-9)):
-            raise RefinementError(f"polished zeros left the contour of radius {radius * bump:.3g}"
-                                  f" around {center}")
-    return zeros[np.abs(zeros - center) <= radius * (1.0 + 1e-9)]
+            return z
+    raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
+                          f" steps (last step {np.abs(steps).max():.3g})")
 
 
 def _clusters(zeros) -> list:
@@ -259,23 +221,23 @@ def _clusters(zeros) -> list:
     return groups
 
 
-def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
-                samples: int = 64) -> list:
+def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     """All zeros of z -> det_p(I + sign*z*K_N) in a disc, as EigenEstimates.
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
-    factor has none.  K_N is reduced once to Hessenberg form H, and every
+    factor has none.  K_N is reduced once to Hessenberg form H, and the
     contour samples log det(I + sign*z*H) in batches at O(N^2) per point;
     this is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent.  One sampled circle gives the count n and
-    the power sums of the zeros (contour moments, Delves & Lyness 1967);
-    Newton's identities turn these into starting values, and simultaneous
-    Newton steps on the unreduced sign*K_N polish them.
-    Only a disc holding more than MAX_DISC_ROOTS zeros splits into seven
-    half-radius discs.  Zeros still within CLUSTER_TOL of each other after
-    the polish form one estimate whose mult_estimate is the cluster size, and
-    residual is |det_p| there.  With the default sign = -1 the reported
-    eigenvalue is lam = 1/z_root.
+    det_p routes stay independent.  Every disc is one sampled circle, moved
+    outward only when the determinant vanishes on it.  The circle gives the
+    count n and the power sums of the zeros (contour moments, Delves &
+    Lyness 1967); Newton's identities turn these into starting values for
+    all n zeros, and simultaneous Newton steps on the unreduced sign*K_N
+    polish them together.  The polish converges or raises RefinementError.
+    Zeros still within CLUSTER_TOL of each other after the polish form one
+    estimate whose mult_estimate is the cluster size, and residual is
+    |det_p| there.  With the default sign = -1 the reported eigenvalue is
+    lam = 1/z_root.
     """
     m = as_complex_matrix(getattr(op, "matrix", op))
     if sign not in (-1, 1):
@@ -284,10 +246,24 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1,
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
+    h = sign * hessenberg(m)   # H(sign K) = sign H(K)
+    logdet = lambda zs: hessenberg_logdet(h, zs)
+    for bump in _BUMPS:
+        contour = radius * bump
+        try:
+            n, coeffs = _sample_circle(logdet, center, contour)
+            break
+        except ZeroOnContourError:
+            continue
+    else:
+        raise ZeroOnContourError(f"determinant vanishes near every contour tried at {center}")
+    zeros = _aberth(sign * m, center + contour * _roots_from_moments(coeffs, n))
+    if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
+        raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"
+                              f" around {center}")
+
     ests = []
-    # H(sign K) = sign H(K), and children of a split disc sample the same H
-    zeros = _disc_zeros(sign * m, sign * hessenberg(m), center, radius, samples)
-    for group in _clusters(zeros):
+    for group in _clusters(zeros[np.abs(zeros - center) <= radius * (1.0 + 1e-9)]):
         z = complex(np.mean(group))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
         ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group)))

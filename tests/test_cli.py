@@ -103,13 +103,16 @@ def test_cli_json_payloads_are_strict(ex4, monkeypatch, capsys):
 
 
 def test_det_output_is_deterministic(tmp_path, capsys):
-    args = ["det", "--kernel", "bernoulli", "--scheme", "ncc", "--n", "20",
-            "--grid=0,2,0,1,2"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    for args in (["det", "--kernel", "bernoulli", "--scheme", "ncc", "--n", "20",
+                  "--grid=0,2,0,1,2"],
+                 # twelve zeros in one disc
+                 ["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "24",
+                  "--region", "500,0,499"]):
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -234,19 +237,22 @@ def test_kernel_file_flow(tmp_path, capsys):
     assert abs(value - 2.0 / 3.0) < 1e-10
 
 
-@pytest.mark.parametrize("argv", [
-    ["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"],
-    ["det", "--kernel", "green", "--scheme", "ngl", "--n", "1", "--z", "1,0"],
-    ["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "a,b"],
-    ["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "10-160",
-     "--z", "1,0"],
-    ["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8",
-     "--region", "1,0"],
-    ["example", "--id", "4", "--out", "/dev/null/sub"],
-])
-def test_validation_failures_exit_one(argv, capsys):
-    assert main(argv) in (1, 2)
-    assert capsys.readouterr().err != ""
+@pytest.mark.parametrize("argv, code, stage", [
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"], 1, "configuration"),
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "1", "--z", "1,0"], 1,
+     "configuration"),
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "a,b"], 1,
+     "configuration"),
+    (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "10-160",
+      "--z", "1,0"], 1, "configuration"),
+    (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8",
+      "--region", "1,0"], 1, "configuration"),
+    (["example", "--id", "4", "--out", "/dev/null/sub"], 2, "output"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_validation_failures_exit_one(argv, code, stage, capsys):
+    # configuration errors exit 1, output errors 2, each under its stage prefix
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"fredet: {stage}: ")
 
 
 def test_bad_usage_exits_one(capsys):

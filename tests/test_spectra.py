@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import fredet.linalg
+import fredet.spectra
 from fredet.discretize import assemble_nystrom
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
 from fredet.quadrature import gauss_legendre
-from fredet.spectra import (_HEX, MAX_DISC_ROOTS, OrderFit, RefinementError,
-                            ZeroOnContourError, _sample_circle, count_zeros, fit_order,
-                            locate_eigs, refine_zero)
+from fredet.spectra import (OrderFit, RefinementError, ZeroOnContourError, _sample_circle,
+                            count_zeros, fit_order, locate_eigs, refine_zero)
 
 
 def test_count_zeros_cosh():
@@ -91,28 +91,69 @@ def test_locate_eigs_separates_close_roots():
     assert all(e.mult_estimate == 1 for e in ests)
 
 
-def test_locate_eigs_splits_crowded_disc():
-    # 12 of 14 roots z = 1..14 lie in the disc, more than one disc resolves,
-    # so the search splits; each root is reported exactly once
-    lam = 1.0 / np.arange(1.0, 15.0)
-    assert count_zeros(lambda z: np.prod(1.0 - z * lam), 6.5, 6.0) == 12 > MAX_DISC_ROOTS
-    ests = locate_eigs(np.diag(lam), 1, 6.5, 6.0)
+@pytest.mark.parametrize("kmax, center, radius, inside", [
+    (14, 6.5, 6.0, 12),     # roots z = 1..12 of 1..14
+    (40, 20.5, 20.0, 40),   # every root z = 1..40
+], ids=["12", "40"])
+def test_locate_eigs_crowded_disc(kmax, center, radius, inside):
+    # one contour holds all the roots; each is reported exactly once
+    lam = 1.0 / np.arange(1.0, kmax + 1.0)
+    assert count_zeros(lambda z: np.prod(1.0 - z * lam), center, radius) == inside
+    ests = locate_eigs(np.diag(lam), 1, center, radius)
     roots = sorted(e.z_root.real for e in ests)
-    assert len(roots) == 12
-    assert np.allclose(roots, np.arange(1.0, 13.0), rtol=1e-12, atol=0.0)
+    assert len(roots) == inside
+    assert np.allclose(roots, np.arange(1.0, inside + 1.0), rtol=1e-12, atol=0.0)
     assert all(e.mult_estimate == 1 for e in ests)
     assert max(abs(e.z_root.imag) for e in ests) < 1e-12
 
 
+def test_locate_eigs_crowded_random_disc():
+    # 56 zeros of det(I + zA) in |z| < 3, each found once against -1/eigvals
+    a = np.random.default_rng(0).normal(size=(64, 64)) / 8.0
+    expect = -1.0 / np.linalg.eigvals(a)
+    expect = expect[np.abs(expect) < 3.0]
+    assert expect.size == 56
+    ests = locate_eigs(a, 1, 0.0, 3.0, sign=1)
+    assert len(ests) == expect.size
+    assert all(e.mult_estimate == 1 for e in ests)
+    for e in ests:
+        assert np.min(np.abs(expect - e.z_root)) <= 1e-12 * abs(e.z_root)
+    for z in expect:
+        assert min(abs(z - e.z_root) for e in ests) <= 1e-12 * abs(z)
+
+
+def test_locate_eigs_samples_one_contour(monkeypatch):
+    # the twelve zeros of this disc all come from a single circle
+    radii = []
+    sample = fredet.spectra._sample_circle
+    monkeypatch.setattr(fredet.spectra, "_sample_circle",
+                        lambda logfun, center, radius: radii.append(radius)
+                        or sample(logfun, center, radius))
+    ests = locate_eigs(np.diag(1.0 / np.arange(1.0, 15.0)), 1, 6.5, 6.0)
+    assert len(ests) == 12
+    assert radii == [6.0]
+
+
 def test_locate_eigs_ninefold_root_is_one_estimate():
-    # splitting cannot separate coincident roots; below MIN_SPLIT_RADIUS the
-    # disc takes all nine from its moments and the polish clusters them
+    # nine coincident roots come from one disc's moments; the polish converges
+    # on them linearly and the cluster rule makes them one estimate
     q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(12, 12)))
     a = q @ np.diag([0.5] * 9 + [0.3, 0.2, 0.1]) @ q.T
     ests = locate_eigs(a, 1, 2.0, 1.0)
     assert len(ests) == 1
     assert ests[0].mult_estimate == 9
     assert abs(ests[0].z_root - 2.0) < 1e-6
+
+
+def test_locate_eigs_defective_root_raises():
+    # a Jordan block J_3(0.5) has a triple zero at z = 2; in floating point
+    # det(I - zA) is flat to rounding within about eps^(1/3) of it, so the
+    # polish wanders there and must say so.  This similarity raises under
+    # 2-ulp perturbations of every entry, too
+    q, _ = np.linalg.qr(np.random.default_rng(15).normal(size=(3, 3)))
+    a = q @ (0.5 * np.eye(3) + np.eye(3, k=1)) @ q.T
+    with pytest.raises(RefinementError):
+        locate_eigs(a, 1, 2.0, 1.0)
 
 
 def test_locate_eigs_order_and_sign_agree():
@@ -185,16 +226,6 @@ def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
     n_whole, whole = _sample_circle(logfun, 0.0, 1.0, 64)
     assert n_whole == n
     assert np.allclose(whole, coeffs, rtol=0.0, atol=1e-15)
-
-
-def test_hex_covering_geometry():
-    # center disc plus six offset discs of half radius cover the unit disc
-    centers = np.concatenate(([0.0 + 0.0j], _HEX))
-    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    for r in (1.0, 0.9, 0.6):
-        pts = r * np.exp(1j * theta)
-        dist = np.min(np.abs(pts[:, None] - centers[None, :]), axis=1)
-        assert dist.max() <= 0.5 + 1e-12
 
 
 def test_fit_order_recovers_exact_power_law():
