@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import fredet.quadrature
+from fredet.discretize import assemble_singular
+from fredet.kernels import registry
 from fredet.quadrature import (MAX_NODES, gauss_legendre, rectangle,
                                singular_moments, spectral_ops)
 
@@ -139,3 +142,76 @@ def test_singular_moments_validation():
         singular_moments(0.5, 2.0, 4)
     with pytest.raises(ValueError):
         singular_moments(0.5, 0.0, 0)
+    for bad in (1.5, np.nan):  # one bad point in an array of rows
+        with pytest.raises(ValueError):
+            singular_moments(0.5, np.array([-0.5, 0.0, bad, 0.5]), 4)
+    with pytest.raises(ValueError):
+        singular_moments(0.5, np.zeros((2, 2)), 4)
+    with pytest.raises(ValueError, match="too close to 1"):
+        singular_moments(0.999, 0.0, 512)
+
+
+def test_singular_moments_shapes_and_rows():
+    assert singular_moments(0.5, np.array(0.2), 5).shape == (5,)
+    assert singular_moments(0.5, 0.2, 5).shape == (5,)
+    for alpha in (0.5, 0.3):
+        xs = spectral_ops(9).points
+        rows = singular_moments(alpha, xs, 7)
+        assert rows.shape == (9, 7)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, singular_moments(alpha, x, 7)), (alpha, x)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+@pytest.mark.parametrize("block", [1, 7000])
+def test_singular_assembly_blocks_match_one_block(monkeypatch, alpha, block):
+    # 7000 points is 2 blocks of rows for alpha = 1/2 and 32 for 0.3; 1 is a block per row
+    spec = registry("abs_pow", {"alpha": alpha})
+    monkeypatch.setattr(fredet.quadrature, "_MOMENT_BLOCK", 2**30)
+    whole = assemble_singular(spec, 64).matrix
+    monkeypatch.setattr(fredet.quadrature, "_MOMENT_BLOCK", block)
+    assert np.array_equal(assemble_singular(spec, 64).matrix, whole)
+
+
+def _oracle_moments(alpha, x, n, a, b, m=20):
+    """beta_j(x) for j < n by mpmath.quad at 30 digits, split at y = x.
+
+    Each side is integrated in v with |x - y| = v^m, so the weight
+    |x-y|^(-alpha) dy = m v^(m(1-alpha)-1) dv is bounded and tanh-sinh
+    needs no points inside the singularity.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        al, x, a, b = (mpmath.mpf(v) for v in (alpha, x, a, b))
+        beta = [mpmath.mpf(0)] * n
+        for side, length in ((-1, x - a), (1, b - x)):
+            if length == 0:
+                continue
+            cache = {}
+
+            def weighted_t(v):
+                if v not in cache:  # all n integrands share the tanh-sinh nodes
+                    yhat = (2 * (x + side * v**m) - a - b) / (b - a)
+                    w = m * v ** (m * (1 - al) - 1)
+                    t = [w, w * yhat]
+                    while len(t) < n:
+                        t.append(2 * yhat * t[-1] - t[-2])
+                    cache[v] = t
+                return cache[v]
+
+            for j in range(n):
+                beta[j] += mpmath.quad(lambda v: weighted_t(v)[j],
+                                       [0, length ** (mpmath.mpf(1) / m)])
+        return np.array([float(v) for v in beta])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.75, 0.9])
+def test_singular_moments_match_mpmath_oracle(alpha):
+    # q = 1/(1-alpha) is 1, 2 and 4 (one exact panel) or 1.43 and 10 (graded panels)
+    a, b = -1.0, 1.0
+    for x in (a, a + 1e-3, b - 1e-3, b):
+        ref = _oracle_moments(alpha, x, 17, a, b)
+        for n in (1, 2, 17):
+            got = singular_moments(alpha, x, n, a, b)
+            err = np.max(np.abs(got - ref[:n])) / np.max(np.abs(ref[:n]))
+            assert err < 1e-12, (x, n, err)

@@ -1,0 +1,145 @@
+"""Layer timings of the singular product-quadrature assembly, optionally against another checkout.
+
+Usage, from the repository root:
+
+    python3 tools/bench_assembly.py [--parent DIR] [--pairs K] [--seconds S] [--out FILE]
+
+Times three layers at N in {64, 256, 512} and alpha in {0.3, 0.5}, each tree in
+a fresh process with single-threaded BLAS:
+
+  singular_moments   the moments of all N rows of one matrix
+  assemble_singular  the whole product-quadrature matrix of abs_pow(alpha)
+  spectral_ops       the Chebyshev operators of size N
+
+Each layer is timed at least once and repeated, up to REPEATS times, while
+its total stays under BUDGET_S seconds; the best time is kept.  With --parent
+DIR (a checkout of another commit, holding src/ and bench/) the parent's
+layers are timed too, and K alternating pairs of
+``bench/run.py --workload converge --trace 0`` runs are recorded, the parent
+first in even pairs.  The JSON goes to --out, or to stdout.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+from run import _environment  # noqa: E402  the benchmark's record of numpy, BLAS and threads
+NS = (64, 256, 512)
+ALPHAS = (0.3, 0.5)
+REPEATS = 3
+BUDGET_S = 2.0
+END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
+              "peak_rss_mb": "lower"}
+
+# Run in the tree under test; older trees take one scalar x per singular_moments call.
+_LAYERS = r"""
+import json, sys, time
+import numpy as np
+from fredet import discretize, kernels, quadrature
+
+ns, alphas, repeats, budget = json.loads(sys.argv[1])
+
+def moments(alpha, nodes, n):
+    try:
+        return quadrature.singular_moments(alpha, nodes, n)
+    except (TypeError, ValueError):
+        return np.array([quadrature.singular_moments(alpha, x, n) for x in nodes])
+
+def best(fn):
+    times = []
+    while not times or (len(times) < repeats and sum(times) < budget):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+out = []
+for alpha in alphas:
+    spec = kernels.registry("abs_pow", {"alpha": alpha})
+    for n in ns:
+        nodes = quadrature.spectral_ops(n).points
+        out.append({"alpha": alpha, "n": n,
+                    "singular_moments_s": best(lambda: moments(alpha, nodes, n)),
+                    "assemble_singular_s": best(lambda: discretize.assemble_singular(spec, n)),
+                    "spectral_ops_s": best(lambda: quadrature.spectral_ops(n))})
+print(json.dumps(out))
+"""
+
+
+def _env(tree):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    env.setdefault("OMP_NUM_THREADS", "1")
+    return env
+
+
+def layer_times(tree):
+    args = json.dumps([NS, ALPHAS, REPEATS, BUDGET_S])
+    done = subprocess.run([sys.executable, "-c", _LAYERS, args], env=_env(tree), cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def converge_run(tree, seed, seconds):
+    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", "converge",
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, env=_env(tree), cwd=tree, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
+            **{k: result["metrics"][k]["value"] for k in END_TO_END}}
+
+
+def summarize(pairs):
+    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    out = {}
+    for key, better in END_TO_END.items():
+        sides = {tag: [p[tag][key] for p in pairs] for tag in ("parent", "change")}
+        won = sum((c < p) if better == "lower" else (c > p)
+                  for p, c in zip(sides["parent"], sides["change"]))
+        out[key] = {tag: {"median": statistics.median(v),
+                          "quartiles": statistics.quantiles(v, n=4)}
+                    for tag, v in sides.items()}
+        out[key]["change_won"] = f"{won}/{len(pairs)}"
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="checkout of the commit to compare against")
+    ap.add_argument("--pairs", type=int, default=0, help="alternating converge run pairs")
+    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each converge run")
+    ap.add_argument("--seed", type=int, default=401, help="seed of the first converge pair")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    if args.pairs and not args.parent:
+        ap.error("--pairs needs --parent")
+
+    report = {"machine": _environment(args.seed),
+              "layers": {"change": layer_times(ROOT)}}
+    if args.parent:
+        parent = os.path.abspath(args.parent)
+        report["layers"]["parent"] = layer_times(parent)
+        pairs = []
+        for i in range(args.pairs):
+            order = (("parent", parent), ("change", ROOT))
+            pairs.append({tag: converge_run(tree, args.seed + i, args.seconds)
+                          for tag, tree in (order if i % 2 == 0 else order[::-1])})
+        report["converge_pairs"] = pairs
+        if len(pairs) >= 2:
+            report["converge_summary"] = summarize(pairs)
+    text = json.dumps(report, indent=1)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+if __name__ == "__main__":
+    main()
