@@ -137,9 +137,10 @@ def identity_residuals(a, z) -> dict:
     def val(mat, p, arg):
         return det_p(mat, p, arg).value
 
+    det2_sq = val(m2, 2, -zz)
     pairs = {
         "det1_sq_vs_det2": (val(m2, 1, -zz), val(m, 2, -z) * val(m, 2, z)),
-        "det2_sq_vs_det3": (val(m2, 2, -zz), val(m, 3, -z) * val(m, 3, z)),
-        "det2_sq_vs_det4": (val(m2, 2, -zz), val(m, 4, -z) * val(m, 4, z)),
+        "det2_sq_vs_det3": (det2_sq, val(m, 3, -z) * val(m, 3, z)),
+        "det2_sq_vs_det4": (det2_sq, val(m, 4, -z) * val(m, 4, z)),
     }
     return {name: abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0) for name, (lhs, rhs) in pairs.items()}

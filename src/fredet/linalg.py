@@ -32,7 +32,11 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def trace_powers(a, jmax: int) -> np.ndarray:
-    """[tr(A), tr(A^2), ..., tr(A^jmax)] by repeated multiplication."""
+    """[tr(A), tr(A^2), ..., tr(A^jmax)] by repeated multiplication.
+
+    The last trace is tr(A^(jmax-1) A) = sum(A^(jmax-1) * A^T), so A^jmax is
+    never formed: jmax = 2 needs no matrix product at all.
+    """
     return _trace_powers(as_complex_matrix(a), jmax)
 
 
@@ -43,9 +47,11 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
     out = np.empty(jmax, dtype=np.complex128)
     p = m
     out[0] = np.trace(p)
-    for j in range(1, jmax):
+    for j in range(1, jmax - 1):
         p = p @ m
         out[j] = np.trace(p)
+    if jmax > 1:
+        out[jmax - 1] = np.sum(p * m.T)
     return out
 
 

@@ -9,7 +9,7 @@ from .determinants import det_p
 from .linalg import as_complex_matrix, hessenberg, hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
-TAIL_TOL = 1e-12          # settled contour: top-half Fourier coefficients of the de-wound log
+MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
 CLUSTER_TOL = 1e-6        # polished zeros this close (relative) are one estimate
 _LOG_GUARD = np.log(1e-13)
 _POLISH_STEPS = 200       # an m-fold zero converges linearly, by (m - 1) / (m + 1) per step
@@ -51,12 +51,16 @@ def _log_samples(logfun, center, radius, fractions):
     return logfun(center + radius * np.exp(2j * np.pi * fractions))
 
 
-def _dewound_spectrum(logs):
+def _dewound_spectrum(logs, radius):
     """Winding number n and Fourier coefficients of g(theta) = log f - n i theta.
 
     The phase is unwrapped from its increments between neighbouring samples,
     so g is periodic; coeffs[q] / coeffs[m - q] hold frequencies +q / -q.
+    A sample with |f| within 1e-13 of the largest raises ZeroOnContourError.
     """
+    if not logs.real.min() > logs.real.max() + _LOG_GUARD:
+        raise ZeroOnContourError(f"|f| falls to {np.exp(logs.real.min() - logs.real.max()):.3g}"
+                                 f" of its maximum on contour radius {radius:.3g}")
     m = logs.size
     steps = np.angle(np.exp(1j * np.diff(logs.imag, append=logs.imag[0])))
     n = int(np.rint(np.sum(steps) / (2.0 * np.pi)))
@@ -69,44 +73,48 @@ def _sample_circle(logfun, center, radius: float, samples: int = 64):
     """Winding number of f on a circle and the spectrum of its de-wound log.
 
     logfun(zs) is log f at every point of the array zs, each on any branch,
-    with real part -inf where f is zero.  The m = samples points double, the
-    odd points added, until the winding number agrees with the previous level
-    and the top half of the spectrum (|q| > m/4) has decayed to TAIL_TOL of
-    the largest nonconstant coefficient (or of 1).  A sample with |f| within
-    1e-13 of the largest raises ZeroOnContourError; no settled level by
-    MAX_CONTOUR_SAMPLES raises RefinementError.
+    with real part -inf where f is zero.  The first call evaluates the two
+    coarsest levels, 2 * samples points, in one batch; each later level
+    doubles the count with the odd points.  Sampling stops once the winding
+    number n repeats from one level to the next and the coefficients at
+    frequencies -1..-max(n, 1), the only ones the contour moments read, agree
+    with the previous level to MOMENT_TOL of max(1, their largest modulus)
+    while still below the previous level's Nyquist frequency.  A sample with
+    |f| within 1e-13 of the largest raises ZeroOnContourError; no settled
+    level by MAX_CONTOUR_SAMPLES raises RefinementError.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if samples < 64:
-        raise ValueError(f"need at least 64 samples, got {samples}")
-    m = int(samples)
+    if not 64 <= samples <= MAX_CONTOUR_SAMPLES // 2:
+        raise ValueError(f"samples must lie in [64, {MAX_CONTOUR_SAMPLES // 2}], got {samples}")
+    m = 2 * int(samples)
     logs = _log_samples(logfun, center, radius, np.arange(m) / m)
-    prev = None
+    prev_n, prev = _dewound_spectrum(logs[0::2], radius)
     while True:
-        if not logs.real.min() > logs.real.max() + _LOG_GUARD:
-            raise ZeroOnContourError(f"|f| falls to {np.exp(logs.real.min() - logs.real.max()):.3g}"
-                                     f" of its maximum on contour radius {radius:.3g}")
-        n, coeffs = _dewound_spectrum(logs)
-        mags = np.abs(coeffs)
-        tail = mags[m // 4 + 1: m - m // 4].max()
-        if n == prev and tail <= TAIL_TOL * max(1.0, mags[1:].max()):
-            return n, coeffs
+        n, coeffs = _dewound_spectrum(logs, radius)
+        k = np.arange(1, max(n, 1) + 1)
+        if n == prev_n and k[-1] < m // 4:
+            moments = coeffs[m - k]
+            drift = np.abs(moments - prev[m // 2 - k]).max()
+            if drift <= MOMENT_TOL * max(1.0, np.abs(moments).max()):
+                return n, coeffs
         if 2 * m > MAX_CONTOUR_SAMPLES:
             raise RefinementError(f"contour did not settle within {MAX_CONTOUR_SAMPLES} samples")
         new = np.empty(2 * m, dtype=np.complex128)
         new[0::2] = logs
         new[1::2] = _log_samples(logfun, center, radius, (np.arange(m) + 0.5) / m)
-        logs, m, prev = new, 2 * m, n
+        logs, m, prev_n, prev = new, 2 * m, n, coeffs
 
 
 def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> int:
     """Number of zeros (with multiplicity) of detfun inside a disc.
 
     The winding number of detfun on the circle, from the sampler that
-    locate_eigs uses: the sample count doubles until two consecutive counts
-    agree and the Fourier tail of the de-wound log has decayed.  A contour
-    value within 1e-13 of zero relative to the largest sample raises
+    locate_eigs uses: the first batch is 2 * samples points, and the count
+    doubles until two consecutive winding numbers n agree and the de-wound
+    log's coefficients at frequencies -1..-max(n, 1) agree to MOMENT_TOL, so
+    an empty disc still has to settle its first moment.  A contour value
+    within 1e-13 of zero relative to the largest sample raises
     ZeroOnContourError, and no settled count within 2^16 samples raises
     RefinementError.
     """
@@ -231,13 +239,15 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     det_p routes stay independent.  Every disc is one sampled circle, moved
     outward only when the determinant vanishes on it.  The circle gives the
     count n and the power sums of the zeros (contour moments, Delves &
-    Lyness 1967); Newton's identities turn these into starting values for
-    all n zeros, and simultaneous Newton steps on the unreduced sign*K_N
-    polish them together.  The polish converges or raises RefinementError.
-    Zeros still within CLUSTER_TOL of each other after the polish form one
-    estimate whose mult_estimate is the cluster size, and residual is
-    |det_p| there.  With the default sign = -1 the reported eigenvalue is
-    lam = 1/z_root.
+    Lyness 1967); its sample count doubles only until n and those n moments
+    settle, since the polish sets the final digits.  Newton's identities
+    turn the moments into starting values for all n zeros, and simultaneous
+    Newton steps on the unreduced sign*K_N polish them together.  The polish
+    converges or raises RefinementError.  Zeros still within CLUSTER_TOL of
+    each other after the polish form one estimate whose mult_estimate is the
+    cluster size, and residual is |det_p| there.  Estimates come by |z_root|,
+    ties within CLUSTER_TOL by imaginary, then real part.  With the default
+    sign = -1 the reported eigenvalue is lam = 1/z_root.
     """
     m = as_complex_matrix(getattr(op, "matrix", op))
     if sign not in (-1, 1):
@@ -267,7 +277,19 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         z = complex(np.mean(group))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
         ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group)))
-    return sorted(ests, key=lambda e: abs(e.z_root))
+    return _ordered(ests)
+
+
+def _ordered(ests) -> list:
+    """Estimates by |z_root|; moduli within CLUSTER_TOL of the first of their run
+    go by imaginary, then real part, so a conjugate pair keeps one order."""
+    by_modulus = sorted(ests, key=lambda e: abs(e.z_root))
+    lead = []
+    for e in by_modulus:
+        r = abs(e.z_root)
+        lead.append(lead[-1] if lead and r - lead[-1] <= CLUSTER_TOL * (1.0 + lead[-1]) else r)
+    ranked = sorted(zip(lead, by_modulus), key=lambda t: (t[0], t[1].z_root.imag, t[1].z_root.real))
+    return [e for _, e in ranked]
 
 
 def fit_order(ns, errs) -> OrderFit:

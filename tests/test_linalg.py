@@ -77,6 +77,19 @@ def test_trace_powers_match_eigenvalue_sums():
         assert abs(t[j - 1] - np.sum(lam**j)) < 1e-10 * max(1.0, abs(t[j - 1]))
 
 
+@pytest.mark.parametrize("jmax", [1, 2, 3, 5])
+def test_trace_powers_match_repeated_products(jmax):
+    # the last trace comes from an elementwise product with A^T, not from A^jmax
+    rng = np.random.default_rng(12)
+    a = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / np.sqrt(80.0)
+    t = trace_powers(a, jmax)
+    assert t.shape == (jmax,)
+    p = np.eye(40, dtype=np.complex128)
+    for j in range(1, jmax + 1):
+        p = p @ a
+        assert abs(t[j - 1] - np.trace(p)) <= 1e-13 * max(1.0, abs(np.trace(p)))
+
+
 def test_trace_powers_rejects_bad_jmax():
     with pytest.raises(ValueError):
         trace_powers(np.eye(2), 0)

@@ -6,7 +6,7 @@ import fredet.spectra
 from fredet.discretize import assemble_nystrom
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
-from fredet.quadrature import gauss_legendre
+from fredet.quadrature import gauss_legendre, rectangle
 from fredet.spectra import (OrderFit, RefinementError, ZeroOnContourError, _sample_circle,
                             count_zeros, fit_order, locate_eigs, refine_zero)
 
@@ -215,9 +215,9 @@ def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
 
 
 def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
-    # a zero near 0.95, just inside the unit circle, makes the sampler double
+    # a zero near 0.97, just inside the unit circle, makes the sampler double
     # well past one evaluation block; the block size must not change the samples
-    h = hessenberg(np.diag([-1.0 / 0.95, 0.3, -0.2]) + 0.01)
+    h = hessenberg(np.diag([-1.0 / 0.97, 0.3, -0.2]) + 0.01)
     logfun = lambda zs: hessenberg_logdet(h, zs)
     n, coeffs = _sample_circle(logfun, 0.0, 1.0, 64)
     assert n == 1
@@ -226,6 +226,98 @@ def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
     n_whole, whole = _sample_circle(logfun, 0.0, 1.0, 64)
     assert n_whole == n
     assert np.allclose(whole, coeffs, rtol=0.0, atol=1e-15)
+
+
+def test_zero_just_inside_contour_is_found():
+    # a zero 1e-3 inside the unit circle: the moments settle only after many
+    # doublings, and the polished root is exact
+    ests = locate_eigs(np.diag([1.0 / 0.999, 0.2]), 1, 0.0, 1.0)
+    assert len(ests) == 1
+    assert abs(ests[0].z_root - 0.999) <= 1e-12
+
+
+def test_zero_just_outside_contour_is_not_reported():
+    # a zero 1e-3 outside the unit circle is not counted; the one at 0.2 is
+    a = np.diag([1.0 / 1.001, 5.0])
+    assert count_zeros(lambda z: np.linalg.det(np.eye(2) - z * a), 0.0, 1.0) == 1
+    ests = locate_eigs(a, 1, 0.0, 1.0)
+    assert len(ests) == 1
+    assert abs(ests[0].z_root - 0.2) <= 1e-12
+
+
+def test_empty_disc_still_settles_first_moment():
+    # n = 0 repeats from the first level on, but a zero 1e-3 outside the circle
+    # aliases into c_{-1}: sampling goes on until that coefficient has settled
+    sizes = []
+    logfun = lambda zs: sizes.append(zs.size) or np.log(zs - 1.001)
+    n, coeffs = _sample_circle(logfun, 0.0, 1.0)
+    assert n == 0
+    assert sum(sizes) == coeffs.size > 128
+    assert abs(coeffs[-1]) <= fredet.spectra.MOMENT_TOL
+
+
+def test_first_call_fetches_two_levels():
+    sizes = []
+    logfun = lambda zs: sizes.append(zs.size) or np.log(zs - 0.25)
+    assert _sample_circle(logfun, 0.0, 1.0, 64)[0] == 1
+    assert sizes == [128]
+    with pytest.raises(ValueError):
+        _sample_circle(logfun, 0.0, 1.0, fredet.spectra.MAX_CONTOUR_SAMPLES)
+
+
+def test_locate_eigs_orders_conjugate_pair():
+    # a real matrix with eigenvalues 0.5 +- 0.5i: its zeros z = 1 -+ i have one
+    # modulus, so the negative imaginary part comes first, whatever the rounding
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))
+    a = q @ np.array([[0.5, -0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.2, 0], [0, 0, 0, 0.1]]) @ q.T
+    for mat in (a, a.T):
+        ests = locate_eigs(mat, 1, 0.0, 2.0)
+        assert [e.mult_estimate for e in ests] == [1, 1]
+        assert np.allclose([e.z_root for e in ests], [1.0 - 1.0j, 1.0 + 1.0j], rtol=1e-12, atol=0.0)
+
+
+def _counted_logdet(monkeypatch):
+    sizes = []
+    logdet = fredet.spectra.hessenberg_logdet
+    monkeypatch.setattr(fredet.spectra, "hessenberg_logdet",
+                        lambda h, zs: sizes.append(np.size(zs)) or logdet(h, zs))
+    return sizes
+
+
+def test_locate_budget_on_bench_discs(monkeypatch):
+    # the three discs of the locate benchmark, unjittered: the contour stops
+    # once the moments settle, and the first two levels come in one batch
+    sizes = _counted_logdet(monkeypatch)
+
+    def nystrom(name, rule, zero_diag=False):
+        spec = registry(name)
+        return assemble_nystrom(spec, rule(64, *spec.domain), zero_diag=zero_diag)
+
+    cases = [(nystrom("green", gauss_legendre), 1, 50.0, 49.0, 3),
+             (nystrom("bernoulli", gauss_legendre), 1, 4.0 * np.pi**2, 10.0, 2),
+             (nystrom("sign", rectangle, zero_diag=True), 2, 0.0, 1.2, 2)]
+    budget = []
+    for op, p, center, radius, roots in cases:
+        sizes.clear()
+        assert len(locate_eigs(op, p, center, radius)) == roots
+        budget.append((sum(sizes), len(sizes)))
+    assert budget == [(256, 2), (128, 1), (128, 1)]   # 512 samples in 4 calls
+
+
+def test_locate_eigs_many_root_green_disc(monkeypatch):
+    # 17 zeros of the N = 128 Green's-function determinant in one disc
+    sizes = _counted_logdet(monkeypatch)
+    op = assemble_nystrom(registry("green"), gauss_legendre(128, 0.0, 1.0))
+    expect = 1.0 / np.linalg.eigvals(op.matrix)
+    expect = expect[np.abs(expect - 1500.0) < 1499.0]
+    assert expect.size == 17
+    ests = locate_eigs(op, 1, 1500.0, 1499.0)
+    assert len(ests) == 17
+    for e in ests:
+        assert np.min(np.abs(expect - e.z_root)) <= 1e-12 * abs(e.z_root)
+    for z in expect:
+        assert min(abs(z - e.z_root) for e in ests) <= 1e-12 * abs(z)
+    assert sum(sizes) == 8192
 
 
 def test_fit_order_recovers_exact_power_law():
