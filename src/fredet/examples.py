@@ -18,7 +18,7 @@ from .kernels import registry
 from .linalg import eigenvalues, trace_powers
 from .quadrature import gauss_legendre, rectangle
 from .references import det_bernoulli, det_green, det_iter2_p2, det_sign_p2
-from .spectra import EigenEstimate, fit_order, locate_eigs
+from .spectra import fit_order, locate_eigs
 
 EXAMPLE_IDS = (1, 2, 3, 4)
 
@@ -191,13 +191,15 @@ def _example4(out):
     # det_3(I - zK_64) det_3(I + zK_64) on the whole matrix, beside its
     # five-eigenvalue surrogate (gap bounded by the spectral tail) and the
     # iterated-kernel route det_2(I - z^2 K_2N) on a zero-diagonal rectangle
-    # rule, which tracks the pair only inside the zero-free disc |z| rho(K_64) < 1
+    # rule, which tracks the pair only inside the zero-free disc |z| rho(K_64) < 1;
+    # the five zeros of det_3(I - zK_64) in |z| < 1.1 come from locate_eigs
     spec = registry("abs_pow")
     it2 = registry("abs_pow_iter2")
     op64 = assemble_singular(spec, 64)
     lam = eigenvalues(op64.matrix)
     top5, tail = lam[:5], lam[5:]
-    write_csv(out("eigs.csv"), ["lam_re", "lam_im"], [(l.real, l.imag) for l in top5])
+    ests = locate_eigs(op64, 3, 0.0, 1.1)
+    write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     it_build = lambda n: assemble_nystrom(it2, rectangle(n, -1.0, 1.0), zero_diag=True)
     it64 = it_build(64)
@@ -229,7 +231,6 @@ def _example4(out):
     config = {"kernel": "abs_pow", "alpha": 0.5,
               "schemes": ["singular", "rect"], "n_values": ns, "n_consistency": 64,
               "p": 3, "sign": -1, "z_points": [[z, 0.0] for z in zs]}
-    roots = _roots(EigenEstimate(1 / l, l, float("nan")) for l in top5)
     residuals = {
         "consistency_max": max(cons),
         "consistency_by_z": by_z(cons),
@@ -239,7 +240,7 @@ def _example4(out):
         "zero_free_radius": 1.0 / abs(lam[0]),
         "iterated_errs": dict(zip(map(str, ns), errs)),
     }
-    return config, slopes, roots, residuals
+    return config, slopes, _roots(ests), residuals
 
 
 _BUILDERS = {1: partial(_smooth_example, _SMOOTH_EXAMPLES[1]),

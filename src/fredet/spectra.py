@@ -56,11 +56,16 @@ def _dewound_spectrum(logs, radius):
 
     The phase is unwrapped from its increments between neighbouring samples,
     so g is periodic; coeffs[q] / coeffs[m - q] hold frequencies +q / -q.
-    A sample with |f| within 1e-13 of the largest raises ZeroOnContourError.
+    A non-finite sample, or one with |f| below 1e-13 of the smaller of its two
+    circular neighbours, raises ZeroOnContourError: the circle passes through
+    a zero.  Growth along the circle, however steep, is not such a dip.
     """
-    if not logs.real.min() > logs.real.max() + _LOG_GUARD:
-        raise ZeroOnContourError(f"|f| falls to {np.exp(logs.real.min() - logs.real.max()):.3g}"
-                                 f" of its maximum on contour radius {radius:.3g}")
+    if not np.all(np.isfinite(logs)):
+        raise ZeroOnContourError(f"f vanishes or is not finite on contour radius {radius:.3g}")
+    dip = logs.real - np.minimum(np.roll(logs.real, 1), np.roll(logs.real, -1))
+    if not dip.min() > _LOG_GUARD:
+        raise ZeroOnContourError(f"|f| falls to {np.exp(dip.min()):.3g} of its neighbours"
+                                 f" on contour radius {radius:.3g}")
     m = logs.size
     steps = np.angle(np.exp(1j * np.diff(logs.imag, append=logs.imag[0])))
     n = int(np.rint(np.sum(steps) / (2.0 * np.pi)))
@@ -79,9 +84,10 @@ def _sample_circle(logfun, center, radius: float, samples: int = 64):
     number n repeats from one level to the next and the coefficients at
     frequencies -1..-max(n, 1), the only ones the contour moments read, agree
     with the previous level to MOMENT_TOL of max(1, their largest modulus)
-    while still below the previous level's Nyquist frequency.  A sample with
-    |f| within 1e-13 of the largest raises ZeroOnContourError; no settled
-    level by MAX_CONTOUR_SAMPLES raises RefinementError.
+    while still below the previous level's Nyquist frequency.  A sample that
+    is not finite, or that dips below 1e-13 of both its neighbours, raises
+    ZeroOnContourError (see _dewound_spectrum); no settled level by
+    MAX_CONTOUR_SAMPLES raises RefinementError.
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -113,10 +119,10 @@ def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> 
     locate_eigs uses: the first batch is 2 * samples points, and the count
     doubles until two consecutive winding numbers n agree and the de-wound
     log's coefficients at frequencies -1..-max(n, 1) agree to MOMENT_TOL, so
-    an empty disc still has to settle its first moment.  A contour value
-    within 1e-13 of zero relative to the largest sample raises
-    ZeroOnContourError, and no settled count within 2^16 samples raises
-    RefinementError.
+    an empty disc still has to settle its first moment.  A contour value that
+    is zero or not finite, or below 1e-13 of both its neighbouring samples,
+    raises ZeroOnContourError, and no settled count within 2^16 samples
+    raises RefinementError.  Unlike locate_eigs, the circle is never moved.
     """
     def logfun(zs):
         vals = np.array([complex(detfun(z)) for z in zs])
@@ -168,7 +174,8 @@ def _estimate(z: complex, fz: complex) -> EigenEstimate:
     return EigenEstimate(z, lam, abs(fz))
 
 
-# outward-only contour retries, so the nominal disc stays covered
+# outward-only contour retries for a circle that meets or nearly meets a zero,
+# so the nominal disc stays covered
 _BUMPS = (1.0, 1.0093, 1.0217, 1.0341)
 
 
@@ -236,14 +243,16 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     factor has none.  K_N is reduced once to Hessenberg form H, and the
     contour samples log det(I + sign*z*H) in batches at O(N^2) per point;
     this is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent.  Every disc is one sampled circle, moved
-    outward only when the determinant vanishes on it.  The circle gives the
-    count n and the power sums of the zeros (contour moments, Delves &
-    Lyness 1967); its sample count doubles only until n and those n moments
-    settle, since the polish sets the final digits.  Newton's identities
-    turn the moments into starting values for all n zeros, and simultaneous
-    Newton steps on the unreduced sign*K_N polish them together.  The polish
-    converges or raises RefinementError.  Zeros still within CLUSTER_TOL of
+    det_p routes stay independent.  Every disc is one sampled circle.  A circle
+    that passes through a zero (ZeroOnContourError) or whose moments do not
+    settle (RefinementError) is moved outward through _BUMPS, so the nominal
+    disc stays covered; when no radius resolves, ZeroOnContourError names
+    the radii tried.  The circle gives the count n and the power sums of the
+    zeros (contour moments, Delves & Lyness 1967); its sample count doubles
+    only until n and those n moments settle, since the polish sets the final
+    digits.  Newton's identities turn the moments into starting values for
+    all n zeros, and simultaneous Newton steps on the unreduced sign*K_N
+    polish them together.  The polish converges or raises RefinementError.  Zeros still within CLUSTER_TOL of
     each other after the polish form one estimate whose mult_estimate is the
     cluster size, and residual is |det_p| there.  Estimates come by |z_root|,
     ties within CLUSTER_TOL by imaginary, then real part.  With the default
@@ -263,10 +272,12 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         try:
             n, coeffs = _sample_circle(logdet, center, contour)
             break
-        except ZeroOnContourError:
+        except (ZeroOnContourError, RefinementError):
             continue
     else:
-        raise ZeroOnContourError(f"determinant vanishes near every contour tried at {center}")
+        tried = ", ".join(f"{radius * b:.6g}" for b in _BUMPS)
+        raise ZeroOnContourError(f"no contour around {center} resolved its zeros;"
+                                 f" radii tried: {tried}")
     zeros = _aberth(sign * m, center + contour * _roots_from_moments(coeffs, n))
     if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
         raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"

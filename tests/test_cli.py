@@ -5,6 +5,9 @@ import pytest
 
 import fredet.cli
 from fredet.cli import main
+from fredet.discretize import assemble_singular
+from fredet.kernels import registry
+from fredet.linalg import eigenvalues
 
 BERN_AT_ONE = 2.0 - 2.0 * np.cos(1.0)
 
@@ -95,11 +98,19 @@ def test_cli_json_payloads_are_strict(ex4, monkeypatch, capsys):
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == 0
         _strict_json(out)
-    # example 4 reports NaN residuals for roots it did not search for
+    # example 4 searches its five roots like the other examples: each has a
+    # finite residual and sits at 1/lam_k of K_64
     monkeypatch.setattr(fredet.cli, "run_example", lambda example_id, outdir: ex4["summary"])
     code, out, _ = run(["example", "--id", "4"], capsys)
     assert code == 0
-    assert all(r["residual"] is None for r in _strict_json(out)["roots"])
+    roots = _strict_json(out)["roots"]
+    lam = eigenvalues(assemble_singular(registry("abs_pow"), 64).matrix)
+    assert len(roots) == 5
+    for r, want in zip(roots, 1.0 / lam[:5]):
+        assert r["mult_estimate"] == 1
+        assert r["residual"] is not None and np.isfinite(r["residual"])
+        assert r["residual"] <= 1e-10
+        assert abs(complex(r["z_re"], r["z_im"]) - want) <= 1e-12 * abs(want)
 
 
 def test_det_output_is_deterministic(tmp_path, capsys):
@@ -189,6 +200,22 @@ def test_eigs_finds_ground_eigenvalue(capsys):
     assert abs(root["z_re"] - np.pi**2) / np.pi**2 < 1e-2
     assert abs(root["lam_re"] - 1.0 / np.pi**2) < 1e-4
     assert root["mult_estimate"] == 1
+
+
+def test_eigs_weakly_singular_disc(capsys):
+    # log|det_3| on |z| = 1.5 spans about 85 nats by growth alone; every
+    # sample is still trusted, and the nine zeros are each 1/lam of K_64
+    code, out, _ = run(["eigs", "--kernel", "abs_pow", "--scheme", "singular", "--p", "3",
+                        "--n", "64", "--region", "0,0,1.5"], capsys)
+    assert code == 0
+    roots = [complex(r["z_re"], r["z_im"]) for r in json.loads(out)["roots"]]
+    expect = 1.0 / eigenvalues(assemble_singular(registry("abs_pow"), 64).matrix)
+    expect = expect[np.abs(expect) < 1.5]
+    assert len(roots) == expect.size == 9
+    for z in roots:
+        assert np.min(np.abs(expect - z)) <= 1e-12 * abs(z)
+    for want in expect:
+        assert min(abs(want - z) for z in roots) <= 1e-12 * abs(want)
 
 
 def test_eigs_csv_format(capsys):

@@ -68,6 +68,29 @@ def test_det_p_overflow():
         det_p(10.0 * np.eye(400), 1, 10.0)
 
 
+def test_det_p_at_zero_is_exactly_one():
+    v = det_p(np.random.default_rng(0).normal(size=(5, 5)), 1, 0.0).value
+    assert v == 1.0 + 0.0j
+
+
+def test_det_p_diagonal_product():
+    d = np.array([0.5, -0.3, 2.0, 0.0])
+    z = 0.7 - 0.2j
+    expect = np.prod(1.0 + z * d)
+    assert abs(det_p(np.diag(d), 1, z).value - expect) < 1e-14 * abs(expect)
+
+
+def test_det_p_singular_matrix_returns_zero():
+    # I + 1*(-I) is the zero matrix
+    assert det_p(-np.eye(3), 1, 1.0).value == 0.0 + 0.0j
+
+
+def test_det_p_overflow_raises():
+    # (1 + 20)^300 ~ exp(913), past the double range
+    with pytest.raises(DetOverflowError):
+        det_p(20.0 * np.eye(300), 1, 1.0)
+
+
 def test_plemelj_coeffs_are_elementary_symmetric():
     d = np.array([0.5, -0.25, 0.125, 1.0])
     ser = plemelj_coeffs(np.diag(d), 1, 6)

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from fredet.discretize import assemble_nystrom
-from fredet.examples import run_example, write_csv, write_summary
+from fredet.discretize import assemble_nystrom, assemble_singular
+from fredet.examples import ROOT_CSV_HEADER, dump_json, run_example, write_csv, write_summary
 from fredet.kernels import registry
 from fredet.linalg import eigenvalues
 from fredet.quadrature import gauss_legendre
@@ -40,14 +40,35 @@ def test_write_csv_stream_matches_path(tmp_path):
                               "slope,-2,1.0000000000000001e-17\r\n")
 
 
-def test_example_summaries_are_strict_json(ex1, ex2, ex3, ex4):
+def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
+
+def test_dump_json_writes_non_finite_as_null():
+    obj = {"a": [1.0, float("nan"), {"b": float("inf")}], "c": (np.float64(-np.inf), 2),
+           "d": {"e": [[np.nan]]}}
+    text = dump_json(obj)
+    assert _strict_json(text) == {"a": [1.0, None, {"b": None}], "c": [None, 2],
+                                  "d": {"e": [[None]]}}
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def test_example_summaries_are_strict_json(ex1, ex2, ex3, ex4):
     for example_id, ex in enumerate((ex1, ex2, ex3, ex4), start=1):
-        text = (ex["dir"] / f"example{example_id}_summary.json").read_text()
-        json.loads(text, parse_constant=reject)
-    assert "null" in text  # example 4's unsearched roots have no residual
+        summary = _strict_json((ex["dir"] / f"example{example_id}_summary.json").read_text())
+    # example 4 searches its five roots with locate_eigs, so every residual is finite
+    lam = eigenvalues(assemble_singular(registry("abs_pow"), 64).matrix)
+    assert len(summary["roots"]) == 5
+    for r, want in zip(summary["roots"], 1.0 / lam[:5]):
+        assert r["mult_estimate"] == 1
+        assert r["residual"] is not None and np.isfinite(r["residual"])
+        assert r["residual"] <= 1e-10
+        assert abs(complex(r["z_re"], r["z_im"]) - want) <= 1e-12 * abs(want)
+    rows = list(csv.reader((ex4["dir"] / "example4_eigs.csv").open()))
+    assert rows[0] == ROOT_CSV_HEADER
+    assert len(rows) == 1 + 5
 
 
 def test_example2_files_and_summary(ex2):

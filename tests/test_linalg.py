@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredet.determinants import det_p
-from fredet.linalg import (MAX_DIM, DetOverflowError, as_complex_matrix, eigenvalues,
-                           hessenberg, hessenberg_logdet, trace_powers)
+from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
+                           hessenberg_logdet, trace_powers)
 
 
 def test_as_complex_matrix_coerces_nested_lists():
@@ -35,29 +35,6 @@ def test_as_complex_matrix_rejects_nonfinite():
         as_complex_matrix([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
         as_complex_matrix([[np.inf]])
-
-
-def test_det_shifted_at_zero_is_exactly_one():
-    v = det_p(np.random.default_rng(0).normal(size=(5, 5)), 1, 0.0).value
-    assert v == 1.0 + 0.0j
-
-
-def test_det_shifted_diagonal_product():
-    d = np.array([0.5, -0.3, 2.0, 0.0])
-    z = 0.7 - 0.2j
-    expect = np.prod(1.0 + z * d)
-    assert abs(det_p(np.diag(d), 1, z).value - expect) < 1e-14 * abs(expect)
-
-
-def test_det_shifted_singular_matrix_returns_zero():
-    # I + 1*(-I) is the zero matrix
-    assert det_p(-np.eye(3), 1, 1.0).value == 0.0 + 0.0j
-
-
-def test_det_shifted_overflow_raises():
-    # (1 + 20)^300 ~ exp(913), past the double range
-    with pytest.raises(DetOverflowError):
-        det_p(20.0 * np.eye(300), 1, 1.0)
 
 
 def test_trace_powers_small_matrix():

@@ -29,8 +29,8 @@ def test_count_zeros_zero_on_contour():
 
 
 def test_count_zeros_unresolved_contour_raises():
-    # a zero 1e-9 inside the circle: |f| stays above the guard, but the
-    # Fourier tail cannot decay within MAX_CONTOUR_SAMPLES
+    # a zero 1e-9 inside the circle: no sample dips below the guard, but the
+    # moments cannot settle within MAX_CONTOUR_SAMPLES
     with pytest.raises(RefinementError):
         count_zeros(lambda z: z - (1.0 - 1e-9), 0.0, 1.0)
 
@@ -186,7 +186,28 @@ def test_locate_eigs_root_on_nominal_contour():
     # the root sits exactly on the first contour; the retry bumps past it
     ests = locate_eigs(np.diag([0.5]), 1, 0.0, 2.0)
     assert len(ests) == 1
-    assert abs(ests[0].z_root - 2.0) < 1e-8
+    assert abs(ests[0].z_root - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d, found", [(1e-15, True), (1e-13, True), (1e-12, True),
+                                      (1e-10, True), (1e-8, False)])
+def test_locate_eigs_root_near_nominal_contour(d, found):
+    # a root 2 d outside the first contour: that circle either dips at the
+    # root or cannot settle its moments, and the retry bumps past it.  The
+    # bumped circle holds the root; it is reported only inside the nominal disc
+    root = 2.0 * (1.0 + d)
+    ests = locate_eigs(np.diag([1.0 / root]), 1, 0.0, 2.0)
+    assert len(ests) == found
+    assert all(abs(e.z_root - root) <= 1e-12 for e in ests)
+
+
+def test_locate_eigs_names_radii_tried(monkeypatch):
+    # a circle that never settles is retried outward; the final error says where
+    def unsettled(logfun, center, radius):
+        raise RefinementError("contour did not settle")
+    monkeypatch.setattr(fredet.spectra, "_sample_circle", unsettled)
+    with pytest.raises(ZeroOnContourError, match="radii tried: 2, 2.0186, 2.0434, 2.0682"):
+        locate_eigs(np.diag([0.5]), 1, 0.0, 2.0)
 
 
 def test_locate_eigs_empty_region():
@@ -302,6 +323,27 @@ def test_locate_budget_on_bench_discs(monkeypatch):
         assert len(locate_eigs(op, p, center, radius)) == roots
         budget.append((sum(sizes), len(sizes)))
     assert budget == [(256, 2), (128, 1), (128, 1)]   # 512 samples in 4 calls
+
+
+def test_circle_through_a_root_bumps_at_once(monkeypatch):
+    # the circle of the disc z_1/2 +- z_1/2 passes through the first root of the
+    # N = 128 Green's-function determinant; the dip of that sample below its
+    # neighbours rejects the first batch, so the retry costs 128 samples, not 2^16
+    sizes = _counted_logdet(monkeypatch)
+    op = assemble_nystrom(registry("green"), gauss_legendre(128, 0.0, 1.0))
+    z1 = 1.0 / np.linalg.eigvals(op.matrix)
+    z1 = z1[np.argmin(np.abs(z1))].real
+    ests = locate_eigs(op, 1, z1 / 2.0, z1 / 2.0)
+    assert len(ests) == 1
+    assert abs(ests[0].z_root - z1) <= 1e-12 * z1
+    assert (sum(sizes), len(sizes)) == (4224, 7)
+
+
+def test_steep_contour_is_trusted():
+    # |f| spans far more than 1e-13 along this circle, with no zero near it
+    logfun = lambda zs: np.log(np.exp(30.0 * zs) * (zs - 0.5))
+    n, _ = _sample_circle(logfun, 0.0, 1.0)
+    assert n == 1
 
 
 def test_locate_eigs_many_root_green_disc(monkeypatch):
