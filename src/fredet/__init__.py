@@ -7,8 +7,8 @@ independent routes, check the exact even/odd factorization identities, and
 locate eigenvalues as reciprocals of determinant zeros.
 """
 
-from .determinants import (DetSeries, DetValue, det_from_eigs, det_p,
-                           det_series_eval, identity_residuals, plemelj_coeffs)
+from .determinants import (DetSeries, DetValue, PreparedDet, det_from_eigs, det_p,
+                           det_series_eval, identity_residuals, plemelj_coeffs, prepare)
 from .discretize import (NCC, NGL, RECT, SINGULAR_SCHEME, DiscreteOperator,
                          assemble_ncc, assemble_nystrom, assemble_singular)
 from .kernels import KernelSpec, from_config, load_kernel_file, registry

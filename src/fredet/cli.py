@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .determinants import identity_residuals, det_p
+from .determinants import LU_TRACE, det_p, identity_residuals, prepare
 from .discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from .examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row, run_example,
                        write_csv, write_summary)
@@ -18,6 +18,11 @@ from .linalg import DetOverflowError
 from .quadrature import gauss_legendre, rectangle
 from .references import REFERENCES
 from .spectra import RefinementError, ZeroOnContourError, fit_order, locate_eigs
+
+# det evaluates more points than this through one Hessenberg reduction
+# (determinants.prepare), fewer through one LU each: the reduction breaks
+# even at 4-16 points for N = 32-800.
+PREPARE_MIN_Z = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,10 +161,12 @@ def cmd_det(args):
     else:
         raise ValueError("det needs --z or --grid")
     op = _assemble(spec, args.scheme, args.n, args.zero_diag)
-    rows = []
-    for z in zs:
-        val = det_p(op, args.p, args.sign * z)
-        rows.append((z.real, z.imag, val.value.real, val.value.imag, val.route))
+    signed = [args.sign * z for z in zs]
+    if len(zs) > PREPARE_MIN_Z:  # one Hessenberg reduction for all of them
+        vals = prepare(op, args.p).values(signed).tolist()
+    else:
+        vals = [det_p(op, args.p, z).value for z in signed]
+    rows = [(z.real, z.imag, v.real, v.imag, LU_TRACE) for z, v in zip(zs, vals)]
     header = ["z_re", "z_im", "value_re", "value_im", "route"]
     payload = {"command": "det", "config": _config_echo(args, spec, {"n": args.n}),
                "rows": [dict(zip(header, r)) for r in rows]}

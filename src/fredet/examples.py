@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .determinants import det_p, det_from_eigs
+from .determinants import det_from_eigs, det_p, prepare
 from .discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from .kernels import registry
 from .linalg import eigenvalues, trace_powers
@@ -125,14 +125,17 @@ def _smooth_example(table_row, out):
         "ngl": lambda n: assemble_nystrom(spec, gauss_legendre(n, 0.0, 1.0)),
         "ncc": lambda n: assemble_ncc(spec, n),
     }
+    schemes = list(dict.fromkeys(s for s, _ in curves))
+    # one assembly per (scheme, n), shared by every z of that scheme
+    ops = {scheme: [builds[scheme](n) for n in ns] for scheme in schemes}
     slopes = _convergence(out, ns, [
-        (scheme, z, [abs(det_p(builds[scheme](n), 1, -z).value - ref(z)) for n in ns])
+        (scheme, z, [abs(det_p(op, 1, -z).value - ref(z)) for op in ops[scheme]])
         for scheme, z in curves])
 
     ests = locate_eigs(builds["ngl"](128), 1, center, radius)
     write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
-    config = {"kernel": kernel, "schemes": list(dict.fromkeys(s for s, _ in curves)),
+    config = {"kernel": kernel, "schemes": schemes,
               "n_values": ns, "p": 1, "sign": -1,
               "z_points": [[z, 0.0] for z in dict.fromkeys(z for _, z in curves)]}
     return config, slopes, _roots(ests), {}
@@ -146,14 +149,18 @@ def _example3(out):
     grid = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
     grid_ref = [det_sign_p2(z) for z in grid]
 
-    surface, curves, ops = [], [("rect", 1j * np.pi / 4, []), ("rect", 1.0, [])], {}
+    surface, curves, prepared = [], [("rect", 1j * np.pi / 4, []), ("rect", 1.0, [])], {}
+    curve_ref = [det_sign_p2(z) for _, z, _ in curves]
+    zs = -np.array(grid + [z for _, z, _ in curves])
     for n in ns:
-        op = ops[n] = build(n)
+        # one reduction per n serves the grid, the curves and, at n = 200, locate_eigs
+        prep = prepared[n] = prepare(build(n), 2)
+        vals = prep.values(zs)
         # the values at the last, largest n are also the example3_grid.csv table
-        grid_vals = [det_p(op, 2, -z).value for z in grid]
+        grid_vals = vals[:len(grid)]
         surface.append(max(abs(v - r) for v, r in zip(grid_vals, grid_ref)))
-        for _, z, errs in curves:
-            errs.append(abs(det_p(op, 2, -z).value - det_sign_p2(z)))
+        for (_, _, errs), v, r in zip(curves, vals[len(grid):], curve_ref):
+            errs.append(abs(v - r))
     write_csv(out("surface.csv"), ["n", "max_abs_err"], list(zip(ns, surface)))
     slopes = {"surface": fit_order(ns, surface).slope, **_convergence(out, ns, curves)}
 
@@ -162,8 +169,8 @@ def _example3(out):
               [(z.real, z.imag, v.real, v.imag, r.real, r.imag, abs(v - r))
                for z, v, r in zip(grid, grid_vals, grid_ref)])
 
-    tr2 = trace_powers(ops[400].matrix, 2)[1].real
-    ests = locate_eigs(ops[200], 2, 0.0, 1.2)
+    tr2 = trace_powers(prepared[400].matrix, 2)[1].real
+    ests = locate_eigs(prepared[200], 2, 0.0, 1.2)
     write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     config = {"kernel": "sign", "schemes": ["rect"], "zero_diag": True,

@@ -1,6 +1,8 @@
 """Dense complex linear algebra: matrix validation, trace powers, eigenvalues,
 and log det(I + zH) over many z on a once-reduced Hessenberg form."""
 
+import math
+
 import numpy as np
 
 # Hard cap on matrix dimension; assemblies beyond this are a config mistake.
@@ -74,24 +76,42 @@ def hessenberg(a) -> np.ndarray:
 
     Entries below the subdiagonal are exact zeros.  Q is not formed: H serves
     det(I + zA) = det(I + zH).  A matrix without imaginary part is reduced in
-    real arithmetic and gives a real H.
+    real arithmetic and gives a real H.  The work array is H transposed, so
+    the columns H[:, k+1:] that reflector k changes, from the left and from
+    the right, are one contiguous block, updated by one rank-2 product.
     """
     m = as_complex_matrix(a)
-    h = m.real.copy() if not m.imag.any() else m.copy()
-    n = h.shape[0]
+    g = (m.real if not m.imag.any() else m).T.copy()  # g = H^T
+    n = g.shape[0]
+    v = np.zeros(n, dtype=g.dtype)  # the reflector, zero above row k + 1
+    e = np.empty((2, n), dtype=g.dtype)
     for k in range(n - 2):
-        x = h[k + 1:, k]
-        norm = np.linalg.norm(x)
+        x = g[k, k + 1:]  # H[k+1:, k]
+        x0 = x[0].item()
+        norm = math.sqrt(np.vdot(x, x).real)
         if norm == 0.0:
             continue
-        # I - v v* with |v|^2 = 2 maps x to -phase(x_0) |x| e_1; the sign avoids cancellation
-        v = x.copy()
-        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * norm
-        v *= np.sqrt(2.0) / np.linalg.norm(v)
-        h[k + 1:, k:] -= v[:, None] * (v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= (h[:, k + 1:] @ v)[:, None] * v.conj()
-        h[k + 2:, k] = 0.0
-    return h
+        # I - beta v v* with beta = 2 / |v|^2 maps x to -phase(x_0) |x| e_1; the
+        # sign avoids cancellation
+        phase = x0 / abs(x0) if x0 != 0 else 1.0
+        vk = v[k + 1:]
+        vk[:] = x
+        vk[0] += phase * norm
+        beta = 1.0 / (norm * (norm + abs(x0)))
+        blk = g[k + 1:]  # H[:, k+1:]^T
+        # from the left, H[k+1:, k+1:] -= beta v (v* H[k+1:, k+1:]); then from the
+        # right, H[:, k+1:] -= beta (H[:, k+1:] v) v*; both as blk -= d @ e
+        d = np.empty((n - k - 1, 2), dtype=g.dtype)
+        d[:, 0] = blk @ v.conj()
+        np.multiply(vk.conj(), beta, out=d[:, 1])
+        np.multiply(v, beta, out=e[0])
+        e[1] = vk @ blk
+        e[1] -= (vk @ d[:, 0]) * e[0]
+        blk -= d @ e
+        x[0] = -phase * norm
+        x[1:] = 0.0
+        v[k + 1] = 0.0
+    return np.ascontiguousarray(g.T)
 
 
 def hessenberg_logdet(h, zs) -> np.ndarray:
@@ -99,8 +119,9 @@ def hessenberg_logdet(h, zs) -> np.ndarray:
 
     Each value is log|det| + i arg(det) on some branch of the argument, with
     real part -inf where the determinant is exactly zero.  Gaussian
-    elimination with row pivoting: at step k, rows k and k+1 swap when that
-    gives the larger pivot.  Only row k+1 has an entry left of the diagonal,
+    elimination with partial pivoting between rows k and k+1, each combined
+    row rescaled by a factor of modulus 1, so the pivot choice needs no
+    branch.  Only row k+1 has an entry left of the diagonal,
     so a z costs O(N^2); the z are eliminated together, in blocks of
     _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  This is an
     LU determinant, not an eigenvalue product, so det_p's eigenvalue route
@@ -118,20 +139,26 @@ def hessenberg_logdet(h, zs) -> np.ndarray:
 def _hessenberg_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     # The row being eliminated is held as its weights w over the rows of I + zH
     # (one column of w per z), so its entry in column k is w[k] + z (h[:k+1, k] . w[:k+1]).
-    # A step scales the weights by at most 1 and sets the weight of row k + 1.
+    # Step k combines that row (entry r in column k) with row k + 1 (entry b) into
+    # (r row_k+1 - b row) / s, s = max(|r|, |b|): partial pivoting up to a factor of
+    # modulus 1, and a factor s of the determinant.  The last row's entry carries the phase.
     n = h.shape[0]
+    ht = np.ascontiguousarray(h.T)
+    neg_b = np.multiply.outer(-np.diagonal(h, -1), z)
+    abs_b = np.abs(neg_b)
     w = np.zeros((n, z.size), dtype=np.complex128)
     w[0] = 1.0
-    pivots = np.empty((n, z.size), dtype=np.complex128)
-    with np.errstate(all="ignore"):  # where() discards the quotients it does not pick
+    scale = np.empty((n, z.size))
+    with np.errstate(all="ignore"):  # s = 0 (det = 0) fills its column with nan
         for k in range(n - 1):
-            r = w[k] + z * (h[:k + 1, k] @ w[:k + 1])
-            b = z * h[k + 1, k]  # the entry of row k + 1 left of its diagonal
-            swap = np.abs(b) > np.abs(r)
-            pivots[k] = np.where(swap, -b, r)  # a swap flips the sign of the determinant
-            # after a swap the row is row k minus its multiple of row k + 1; a zero
-            # pivot (det = 0) leaves row k + 1 itself
-            w[:k + 1] *= np.where(swap, 1.0, np.where(r != 0, -b / r, 0.0))
-            w[k + 1] = np.where(swap, -r / b, 1.0)
-        pivots[n - 1] = w[n - 1] + z * (h[:, n - 1] @ w)
-        return np.log(np.abs(pivots)).sum(axis=0) + 1j * np.angle(pivots).sum(axis=0)
+            r = ht[k, :k + 1] @ w[:k + 1]
+            r *= z
+            r += w[k]
+            s = scale[k]
+            np.maximum(np.abs(r), abs_b[k], out=s)
+            w[:k + 1] *= neg_b[k] / s
+            np.divide(r, s, out=w[k + 1])
+        last = w[n - 1] + z * (ht[n - 1] @ w)
+        scale[n - 1] = np.abs(last)
+        out = np.log(scale).sum(axis=0) + 1j * np.angle(last)
+    return np.where((scale == 0).any(axis=0), complex(-np.inf), out)

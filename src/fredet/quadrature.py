@@ -53,11 +53,20 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
 
     Nodes are found by Newton iteration on the Legendre recurrence from the
     asymptotic guesses cos(pi*(4k-1)/(4n+2)), tolerance 1e-15, at most 100
-    sweeps.  Exact for polynomials of degree <= 2n-1.
+    sweeps.  Exact for polynomials of degree <= 2n-1.  The rule on [-1, 1] is
+    computed once per n and mapped affinely onto [a, b].
     """
     _check_interval(a, b)
     if not 1 <= n <= MAX_NODES:
         raise ValueError(f"n must be in [1, {MAX_NODES}], got {n}")
+    x, w = _gl_rule(n)
+    half = 0.5 * (b - a)
+    return QuadRule(a, b, 0.5 * (a + b) + half * x, half * w, kind="gauss_legendre")
+
+
+@lru_cache(maxsize=64)
+def _gl_rule(n: int):
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
     if n == 1:
         x = np.zeros(1)
         dp = np.ones(1)  # P_1' = 1
@@ -85,8 +94,8 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]
-    half = 0.5 * (b - a)
-    return QuadRule(a, b, 0.5 * (a + b) + half * x, half * w, kind="gauss_legendre")
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def rectangle(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
@@ -142,10 +151,10 @@ def spectral_ops(n: int) -> SpectralOps:
     return SpectralOps(n, points, C, Cinv, Sl, Sr)
 
 
-@lru_cache(maxsize=64)
-def _gl_cache(npts: int):
-    rule = gauss_legendre(npts)
-    return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights  # on [0, 1]
+def _gl01(npts: int):
+    """The cached npts-point Gauss-Legendre rule (_gl_rule), mapped onto [0, 1]."""
+    x, w = _gl_rule(npts)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def singular_moments(alpha: float, x, n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
@@ -180,7 +189,7 @@ def singular_moments(alpha: float, x, n: int, a: float = -1.0, b: float = 1.0) -
     q_int = int(round(q)) if abs(q - round(q)) < 1e-12 and q <= 4.5 else 0
     if q_int:
         # integrand is a polynomial of degree q*(n-1) in s: one exact panel
-        u01, w01 = _gl_cache(q_int * (n - 1) // 2 + 8)
+        u01, w01 = _gl01(q_int * (n - 1) // 2 + 8)
         frac = np.array([0.0, 1.0])
     else:
         # graded panels: [0, r^M] then [r^m, r^(m-1)] up to s_top, r = 1/4, M = 24.
@@ -190,7 +199,7 @@ def singular_moments(alpha: float, x, n: int, a: float = -1.0, b: float = 1.0) -
         if npts > MAX_NODES:
             raise ValueError(f"alpha={alpha} is too close to 1 for n={n}: the graded rule "
                              f"needs {npts} > {MAX_NODES} nodes per panel")
-        u01, w01 = _gl_cache(npts)
+        u01, w01 = _gl01(npts)
         frac = np.concatenate(([0.0], 0.25 ** np.arange(24, -1, -1.0)))
     row_points = 2 * (frac.size - 1) * u01.size
     step = max(1, _MOMENT_BLOCK // row_points)

@@ -5,8 +5,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import det_p
-from .linalg import as_complex_matrix, hessenberg, hessenberg_logdet
+from .determinants import PreparedDet, det_p, prepare
+from .linalg import as_complex_matrix, hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -240,23 +240,25 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     """All zeros of z -> det_p(I + sign*z*K_N) in a disc, as EigenEstimates.
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
-    factor has none.  K_N is reduced once to Hessenberg form H, and the
+    factor has none.  K_N is reduced to Hessenberg form H by
+    determinants.prepare, or taken from op when op is a PreparedDet, and the
     contour samples log det(I + sign*z*H) in batches at O(N^2) per point;
     this is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent.  Every disc is one sampled circle.  A circle
-    that passes through a zero (ZeroOnContourError) or whose moments do not
-    settle (RefinementError) is moved outward through _BUMPS, so the nominal
-    disc stays covered; when no radius resolves, ZeroOnContourError names
-    the radii tried.  The circle gives the count n and the power sums of the
-    zeros (contour moments, Delves & Lyness 1967); its sample count doubles
-    only until n and those n moments settle, since the polish sets the final
-    digits.  Newton's identities turn the moments into starting values for
-    all n zeros, and simultaneous Newton steps on the unreduced sign*K_N
-    polish them together.  The polish converges or raises RefinementError.  Zeros still within CLUSTER_TOL of
-    each other after the polish form one estimate whose mult_estimate is the
-    cluster size, and residual is |det_p| there.  Estimates come by |z_root|,
-    ties within CLUSTER_TOL by imaginary, then real part.  With the default
-    sign = -1 the reported eigenvalue is lam = 1/z_root.
+    det_p routes stay independent.  Every disc is one sampled circle.  A
+    circle that passes through a zero (ZeroOnContourError) or whose moments
+    do not settle (RefinementError) is moved outward through
+    _BUMPS, so the nominal disc stays covered; when no radius resolves,
+    ZeroOnContourError names the radii tried.  The circle gives the count n
+    and the power sums of the zeros (contour moments, Delves & Lyness 1967);
+    its sample count doubles only until n and those n moments settle, since
+    the polish sets the final digits.  Newton's identities turn the moments
+    into starting values for all n zeros, and simultaneous Newton steps on the
+    unreduced sign*K_N polish them together.  The polish converges or raises
+    RefinementError.  Zeros still within CLUSTER_TOL of each other after the
+    polish form one estimate whose mult_estimate is the cluster size, and
+    residual is |det_p| there.  Estimates come by |z_root|, ties within
+    CLUSTER_TOL by imaginary, then real part.  With the default sign = -1 the
+    reported eigenvalue is lam = 1/z_root.
     """
     m = as_complex_matrix(getattr(op, "matrix", op))
     if sign not in (-1, 1):
@@ -265,7 +267,8 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    h = sign * hessenberg(m)   # H(sign K) = sign H(K)
+    # det_p and det share their zeros, and H(sign K) = sign H(K)
+    h = sign * (op if isinstance(op, PreparedDet) else prepare(m, 1)).hess
     logdet = lambda zs: hessenberg_logdet(h, zs)
     for bump in _BUMPS:
         contour = radius * bump

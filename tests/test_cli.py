@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import fredet.cli
+import fredet.determinants
 from fredet.cli import main
-from fredet.discretize import assemble_singular
+from fredet.determinants import det_from_eigs, det_p
+from fredet.discretize import assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import eigenvalues
+from fredet.quadrature import rectangle
 
 BERN_AT_ONE = 2.0 - 2.0 * np.cos(1.0)
 
@@ -52,6 +55,39 @@ def test_det_grid_json(capsys):
                     - np.cosh(2.0 * complex(r["z_re"], r["z_im"])))
                 for r in payload["rows"])
     assert worst < 0.6
+
+
+def test_det_grid_matches_eigenvalue_route(capsys):
+    # example 3's operator and 81-point grid: the grid goes through one
+    # Hessenberg reduction, and still agrees with the eigenvalue product
+    code, out, _ = run(["det", "--kernel", "sign", "--scheme", "rect", "--n", "200",
+                        "--p", "2", "--zero-diag", "--grid=-1,1,-1,1,9"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 81
+    lam = eigenvalues(assemble_nystrom(registry("sign"), rectangle(200, -1.0, 1.0),
+                                       zero_diag=True).matrix)
+    for z_re, z_im, v_re, v_im, route in rows:
+        want = det_from_eigs(lam, 2, -complex(float(z_re), float(z_im))).value
+        assert abs(complex(float(v_re), float(v_im)) - want) <= 1e-12 * abs(want)
+        assert route == "LU_TRACE"
+
+
+def test_det_reduces_only_grids_past_break_even(monkeypatch, capsys):
+    calls = []
+    reduce = fredet.determinants.hessenberg
+    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    args = ["det", "--kernel", "sign", "--scheme", "rect", "--n", "40", "--p", "2", "--zero-diag"]
+    code, out, _ = run(args + ["--grid=-1,1,-1,1,4"], capsys)  # 16 points: one LU each
+    assert code == 0 and calls == []
+    op = assemble_nystrom(registry("sign"), rectangle(40, -1.0, 1.0), zero_diag=True)
+    for line in out.strip().splitlines()[1:]:
+        z_re, z_im, v_re, v_im, _ = line.split(",")
+        want = det_p(op, 2, -complex(float(z_re), float(z_im))).value
+        assert complex(float(v_re), float(v_im)) == want
+    code, out, _ = run(args + ["--grid=-1,1,-1,1,5"], capsys)  # 25 points: one reduction
+    assert code == 0 and calls == [1]
+    assert len(out.strip().splitlines()) == 26
 
 
 def test_sign_flag_flips_evaluation_point(capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import fredet.determinants
 from fredet.determinants import (EIG_PRODUCT, LU_TRACE, SERIES, DetSeries,
                                  det_from_eigs, det_p, det_series_eval,
-                                 identity_residuals, plemelj_coeffs)
+                                 identity_residuals, plemelj_coeffs, prepare)
 from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import DetOverflowError, eigenvalues, trace_powers
@@ -230,3 +231,56 @@ def test_three_routes_agree_on_discretized_operators():
         assert count >= 8, (name, scheme, count)
         if name in ("green", "bernoulli"):
             assert count >= 250, (name, scheme, count)
+
+
+# example 3's 9 x 9 grid on [-1, 1]^2
+EX3_GRID = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
+
+
+def test_prepared_values_match_eigenvalue_route_on_example3_grid():
+    op = assemble_nystrom(registry("sign"), rectangle(200, -1.0, 1.0), zero_diag=True)
+    lam = eigenvalues(op.matrix)
+    got = prepare(op, 2).values([-z for z in EX3_GRID])
+    assert got.shape == (81,)
+    for z, v in zip(EX3_GRID, got):
+        want = det_from_eigs(lam, 2, -z).value
+        assert abs(v - want) <= 1e-12 * abs(want), z
+
+
+def test_prepared_values_keep_det_p_semantics():
+    for p in (1, 2, 3):
+        prep = prepare(np.diag([2.0, 0.5]), p)
+        zero, one = prep.values([-0.5, 0.0])
+        assert zero == 0.0          # I + zA is exactly singular
+        assert one == 1.0 + 0.0j
+    big = np.diag(np.full(100, 1e4))  # |det(I + A)| ~ 1e400
+    with pytest.raises(DetOverflowError):
+        prepare(big, 1).values([0.5, 1.0])
+    with pytest.raises(DetOverflowError):
+        det_p(big, 1, 1.0)
+    with pytest.raises(ValueError):
+        prepare(np.eye(2), 0)
+
+
+def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
+    calls = []
+    reduce = fredet.determinants.hessenberg
+    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
+    first, second = prepare(op, 1), prepare(op, 3)
+    assert len(calls) == 2
+    assert np.array_equal(first.hess, second.hess)
+    assert np.array_equal(first.matrix, op.matrix)
+    assert det_p(second, 3, 0.4 - 0.2j) == det_p(op, 3, 0.4 - 0.2j)
+
+
+def test_single_z_det_p_is_the_slogdet_expression(monkeypatch):
+    # det_p(I + zK) at one z factors I + zK itself: no Hessenberg reduction,
+    # and the same bits as slogdet plus the explicit trace correction
+    monkeypatch.setattr(fredet.determinants, "hessenberg", None)
+    op = assemble_nystrom(registry("sign"), rectangle(40, -1.0, 1.0), zero_diag=True)
+    m = op.matrix
+    for z in (0.3 - 0.7j, -1.0, 2.5j):
+        phase, logabs = np.linalg.slogdet(np.eye(40) + z * m)
+        corr = -z * np.trace(m)
+        assert det_p(op, 2, z).value == complex(phase * np.exp(logabs + corr))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fredet.examples
 from fredet.discretize import assemble_nystrom, assemble_singular
 from fredet.examples import ROOT_CSV_HEADER, dump_json, run_example, write_csv, write_summary
 from fredet.kernels import registry
@@ -135,3 +136,17 @@ def test_example3_grid_reuses_largest_n_surface(ex3):
     surface = list(csv.DictReader((outdir / "example3_surface.csv").open()))
     assert surface[-1]["n"] == "400"
     assert max(float(r["abs_err"]) for r in grid) == float(surface[-1]["max_abs_err"])
+
+
+@pytest.mark.parametrize("example_id", [1, 2])
+def test_smooth_examples_assemble_each_matrix_once(example_id, monkeypatch, tmp_path):
+    # one matrix per (scheme, n) of the six-point sweep, plus the N = 128
+    # matrix of the root search
+    built = []
+    for name in ("assemble_nystrom", "assemble_ncc"):
+        def counted(*args, _name=name, _build=getattr(fredet.examples, name), **kwargs):
+            built.append(_name)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(fredet.examples, name, counted)
+    run_example(example_id, str(tmp_path))
+    assert (built.count("assemble_nystrom"), built.count("assemble_ncc")) == (7, 6)

@@ -44,6 +44,18 @@ def test_gauss_legendre_single_node_is_midpoint():
     assert abs(rule.weights[0] - 2.0) < 1e-15
 
 
+def test_gauss_legendre_rule_is_cached_and_mapped():
+    rule = gauss_legendre(12, 0.0, 1.0)
+    again = gauss_legendre(12, 0.0, 1.0)
+    assert np.array_equal(rule.nodes, again.nodes) and np.array_equal(rule.weights, again.weights)
+    rule.nodes[0] = 5.0   # a caller's rule is its own copy of the cached one
+    assert gauss_legendre(12, 0.0, 1.0).nodes[0] == again.nodes[0]
+    # [0, 1] is the same affine map of the cached [-1, 1] rule, bit for bit
+    ref = gauss_legendre(12)
+    assert np.array_equal(again.nodes, 0.5 + 0.5 * ref.nodes)
+    assert np.array_equal(again.weights, 0.5 * ref.weights)
+
+
 def test_gauss_legendre_validation():
     with pytest.raises(ValueError):
         gauss_legendre(0)

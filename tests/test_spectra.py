@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fredet.determinants
 import fredet.linalg
 import fredet.spectra
+from fredet.determinants import prepare
 from fredet.discretize import assemble_nystrom
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
@@ -360,6 +362,23 @@ def test_locate_eigs_many_root_green_disc(monkeypatch):
     for z in expect:
         assert min(abs(z - e.z_root) for e in ests) <= 1e-12 * abs(z)
     assert sum(sizes) == 8192
+
+
+def test_locate_eigs_reuses_a_prepared_reduction(monkeypatch):
+    calls = []
+    reduce = fredet.determinants.hessenberg
+    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
+    first = locate_eigs(op, 1, 50.0, 49.0)
+    second = locate_eigs(op.matrix, 1, 50.0, 49.0)
+    assert len(calls) == 2  # one reduction per call, operator or raw matrix
+    assert len(first) == 3
+    assert [e.z_root for e in first] == [e.z_root for e in second]
+    # a PreparedDet is searched on its own reduction, on either sign
+    prep = prepare(op, 2)
+    assert [e.z_root for e in locate_eigs(prep, 1, 50.0, 49.0)] == [e.z_root for e in first]
+    assert len(locate_eigs(prep, 2, -50.0, 49.0, sign=1)) == 3
+    assert len(calls) == 3
 
 
 def test_fit_order_recovers_exact_power_law():

@@ -1,8 +1,10 @@
-"""Layer timings of the singular product-quadrature assembly, optionally against another checkout.
+"""Layer timings of the singular assembly and in-process example timings,
+optionally against another checkout, with alternating benchmark pairs.
 
 Usage, from the repository root:
 
-    python3 tools/bench_assembly.py [--parent DIR] [--pairs K] [--seconds S] [--out FILE]
+    python3 tools/bench_assembly.py [--parent DIR] [--workloads W,...] [--pairs K]
+                                    [--seconds S] [--seed N] [--out FILE]
 
 Times three layers at N in {64, 256, 512} and alpha in {0.3, 0.5}, each tree in
 a fresh process with single-threaded BLAS:
@@ -12,11 +14,15 @@ a fresh process with single-threaded BLAS:
   spectral_ops       the Chebyshev operators of size N
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
-its total stays under BUDGET_S seconds; the best time is kept.  With --parent
-DIR (a checkout of another commit, holding src/ and bench/) the parent's
-layers are timed too, and K alternating pairs of
-``bench/run.py --workload converge --trace 0`` runs are recorded, the parent
-first in even pairs.  The JSON goes to --out, or to stdout.
+its total stays under BUDGET_S seconds; the best time is kept.  Then each of
+EXAMPLE_ROUNDS rounds runs every packaged example once as a warm-up (the
+first example-4 run fills its cached N = 512 reference) and EXAMPLE_REPEATS
+timed times, in one fresh process per tree; rounds alternate which tree goes
+first.  With --parent DIR (a checkout of another commit, holding src/ and
+bench/) the parent is timed too, and for each listed workload (default
+converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
+recorded, the parent first in even pairs, seeds counting up from --seed.
+The JSON goes to --out, or to stdout.
 """
 
 import argparse
@@ -33,6 +39,9 @@ NS = (64, 256, 512)
 ALPHAS = (0.3, 0.5)
 REPEATS = 3
 BUDGET_S = 2.0
+EXAMPLE_IDS = (1, 2, 3, 4)
+EXAMPLE_ROUNDS = 2
+EXAMPLE_REPEATS = 3
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
 
@@ -71,6 +80,26 @@ print(json.dumps(out))
 """
 
 
+# Run in the tree under test.
+_EXAMPLES = r"""
+import json, sys, tempfile, time
+from fredet.examples import run_example
+
+ids, repeats = json.loads(sys.argv[1])
+out = {}
+with tempfile.TemporaryDirectory() as outdir:
+    for i in ids:
+        run_example(i, outdir)
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run_example(i, outdir)
+            times.append(time.perf_counter() - t0)
+        out[i] = times
+print(json.dumps(out))
+"""
+
+
 def _env(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -85,8 +114,15 @@ def layer_times(tree):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def converge_run(tree, seed, seconds):
-    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", "converge",
+def example_times(tree):
+    args = json.dumps([EXAMPLE_IDS, EXAMPLE_REPEATS])
+    done = subprocess.run([sys.executable, "-c", _EXAMPLES, args], env=_env(tree), cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def bench_run(tree, workload, seed, seconds):
+    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, env=_env(tree), cwd=tree, capture_output=True, text=True,
                           check=True)
@@ -112,27 +148,38 @@ def summarize(pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout of the commit to compare against")
-    ap.add_argument("--pairs", type=int, default=0, help="alternating converge run pairs")
-    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each converge run")
-    ap.add_argument("--seed", type=int, default=401, help="seed of the first converge pair")
+    ap.add_argument("--workloads", default="converge", help="comma-separated bench workloads")
+    ap.add_argument("--pairs", type=int, default=0, help="alternating run pairs per workload")
+    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run")
+    ap.add_argument("--seed", type=int, default=401, help="seed of the first pair")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     if args.pairs and not args.parent:
         ap.error("--pairs needs --parent")
 
-    report = {"machine": _environment(args.seed),
-              "layers": {"change": layer_times(ROOT)}}
+    trees = [("change", ROOT)]
     if args.parent:
-        parent = os.path.abspath(args.parent)
-        report["layers"]["parent"] = layer_times(parent)
+        trees.insert(0, ("parent", os.path.abspath(args.parent)))
+    report = {"machine": _environment(args.seed),
+              "layers": {tag: layer_times(tree) for tag, tree in trees}}
+    times = {tag: {str(i): [] for i in EXAMPLE_IDS} for tag, _ in trees}
+    for r in range(EXAMPLE_ROUNDS):
+        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
+            for i, ts in example_times(tree).items():
+                times[tag][i].extend(ts)
+    report["run_example_s"] = {
+        tag: {i: {"median": statistics.median(ts), "min": min(ts), "max": max(ts), "runs": ts}
+              for i, ts in by_id.items()}
+        for tag, by_id in times.items()}
+    for w in filter(None, args.workloads.split(",")):
         pairs = []
-        for i in range(args.pairs):
-            order = (("parent", parent), ("change", ROOT))
-            pairs.append({tag: converge_run(tree, args.seed + i, args.seconds)
-                          for tag, tree in (order if i % 2 == 0 else order[::-1])})
-        report["converge_pairs"] = pairs
+        for k in range(args.pairs):
+            pairs.append({tag: bench_run(tree, w, args.seed + k, args.seconds)
+                          for tag, tree in (trees if k % 2 == 0 else trees[::-1])})
+        if pairs:
+            report[f"{w}_pairs"] = pairs
         if len(pairs) >= 2:
-            report["converge_summary"] = summarize(pairs)
+            report[f"{w}_summary"] = summarize(pairs)
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
