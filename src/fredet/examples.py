@@ -72,12 +72,14 @@ def write_summary(path, summary):
 
 
 # the fields of an EigenEstimate, as CSV columns and as JSON keys
-ROOT_CSV_HEADER = ["z_root_re", "z_root_im", "lam_re", "lam_im", "mult_estimate", "residual"]
-ROOT_JSON_KEYS = ("z_re", "z_im", "lam_re", "lam_im", "mult_estimate", "residual")
+ROOT_CSV_HEADER = ["z_root_re", "z_root_im", "lam_re", "lam_im", "mult_estimate", "residual",
+                   "step"]
+ROOT_JSON_KEYS = ("z_re", "z_im", "lam_re", "lam_im", "mult_estimate", "residual", "step")
 
 
 def root_row(e):
-    return (e.z_root.real, e.z_root.imag, e.lam.real, e.lam.imag, e.mult_estimate, e.residual)
+    return (e.z_root.real, e.z_root.imag, e.lam.real, e.lam.imag, e.mult_estimate, e.residual,
+            e.step)
 
 
 def _roots(ests):

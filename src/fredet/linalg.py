@@ -13,6 +13,10 @@ _LOG_HUGE = 709.0  # log of the largest finite double, minus slack
 # z values per block in hessenberg_logdet; the working set is O(_LOGDET_CHUNK * N)
 _LOGDET_CHUNK = 256
 
+# elimination steps per block in _hessenberg_logdet_block: the rows before a block
+# are read through one matrix product and rescaled once per block
+_LOGDET_STEPS = 8
+
 
 class DetOverflowError(ArithmeticError):
     """|det(I + zA)| exceeded the double-precision range."""
@@ -123,9 +127,11 @@ def hessenberg_logdet(h, zs) -> np.ndarray:
     row rescaled by a factor of modulus 1, so the pivot choice needs no
     branch.  Only row k+1 has an entry left of the diagonal,
     so a z costs O(N^2); the z are eliminated together, in blocks of
-    _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  This is an
-    LU determinant, not an eigenvalue product, so det_p's eigenvalue route
-    stays independent of it.
+    _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  A real H
+    (every built-in kernel gives one) is never upcast: its products with the
+    complex weights run in real arithmetic on their float64 view, and only a
+    complex H takes complex products.  This is an LU determinant, not an
+    eigenvalue product, so det_p's eigenvalue route stays independent of it.
     """
     h = np.asarray(h)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
@@ -141,24 +147,68 @@ def _hessenberg_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     # (one column of w per z), so its entry in column k is w[k] + z (h[:k+1, k] . w[:k+1]).
     # Step k combines that row (entry r in column k) with row k + 1 (entry b) into
     # (r row_k+1 - b row) / s, s = max(|r|, |b|): partial pivoting up to a factor of
-    # modulus 1, and a factor s of the determinant.  The last row's entry carries the phase.
-    n = h.shape[0]
-    ht = np.ascontiguousarray(h.T)
-    neg_b = np.multiply.outer(-np.diagonal(h, -1), z)
-    abs_b = np.abs(neg_b)
-    w = np.zeros((n, z.size), dtype=np.complex128)
+    # modulus 1, and a factor s of the determinant.  So w[:k+1] *= -b / s and
+    # w[k+1] = r / s.  The last row's entry carries the phase.
+    #
+    # The steps go in blocks of S = _LOGDET_STEPS.  A block that starts at step k0
+    # reads the rows before it only through g = H[:k0, k0:k0+S]^T w[:k0], one matrix
+    # product, and rescales them only through F, the product of its S factors
+    # -b / s, applied to w[:k0] once at its end.  Step t of the block reads the
+    # window y[t:t+S+2] = [g[t:], F, w[k0:k0+t+1]], in which coef[k] picks g[t] and
+    # h[k0:k+1, k], and rescales all of it but g[t], which it has used up.  Every
+    # rescale factor has modulus at most 1, so no weight grows, and nothing is ever
+    # divided by a product of them.
+    n, m, S = h.shape[0], z.size, _LOGDET_STEPS
+    real = not np.iscomplexobj(h)
+    # a real H multiplies the float64 view of the complex rows: (re, im) pairs
+    flat = (lambda a: a.view(np.float64)) if real else (lambda a: a)
+    ht = np.ascontiguousarray(h.T, dtype=np.float64 if real else np.complex128)
+    neg_sub = -np.diagonal(h, -1).astype(np.complex128)
+    abs_sub, abs_z = np.abs(neg_sub), np.abs(z)
+    k = np.arange(n)[:, None]
+    cols = k + np.arange(1 - S, 1)  # rows k-S+1..k of column k of H
+    coef = np.zeros((n, S + 2), dtype=ht.dtype)
+    coef[:, 0] = 1.0
+    coef[:, 2:] = np.where(cols >= k - k % S, ht[k, np.maximum(cols, 0)], 0.0)
+
+    w = np.empty((n, m), dtype=np.complex128)
     w[0] = 1.0
-    scale = np.empty((n, z.size))
+    y = np.zeros((2 * S + 2, m), dtype=np.complex128)
+    r = np.empty(m, dtype=np.complex128)
+    r_flat = flat(r)
+    f = np.empty(m, dtype=np.complex128)
+    neg_b = np.empty((S, m), dtype=np.complex128)
+    abs_b = np.empty((S, m))
+    piv = np.zeros((S, m), dtype=np.complex128)  # the block's s, complex so division needs no cast
+    scale = np.empty((n, m))
+    # per step t of a block: the window it reads (flat), the part it rescales, the
+    # newest row and the next row
+    steps = [(flat(y[t:t + S + 2]), y[t + 1:t + S + 2], y[S + t + 1], y[S + t + 2])
+             for t in range(S)]
     with np.errstate(all="ignore"):  # s = 0 (det = 0) fills its column with nan
-        for k in range(n - 1):
-            r = ht[k, :k + 1] @ w[:k + 1]
-            r *= z
-            r += w[k]
-            s = scale[k]
-            np.maximum(np.abs(r), abs_b[k], out=s)
-            w[:k + 1] *= neg_b[k] / s
-            np.divide(r, s, out=w[k + 1])
-        last = w[n - 1] + z * (ht[n - 1] @ w)
-        scale[n - 1] = np.abs(last)
+        for k0 in range(0, n - 1, S):
+            k1 = min(k0 + S, n - 1)
+            nb = k1 - k0
+            np.matmul(ht[k0:k1, :k0], flat(w[:k0]), out=flat(y[:nb]))
+            y[nb:S] = 0.0
+            y[S] = 1.0
+            y[S + 1] = w[k0]
+            np.multiply.outer(neg_sub[k0:k1], z, out=neg_b[:nb])
+            np.multiply.outer(abs_sub[k0:k1], abs_z, out=abs_b[:nb])
+            for (win, rest, cur, new), c, sc, s, ab, nbk in zip(
+                    steps, coef[k0:k1], piv, piv.real, abs_b, neg_b):
+                np.dot(c, win, out=r_flat)
+                r *= z
+                r += cur
+                np.abs(r, out=s)
+                np.maximum(s, ab, out=s)
+                np.divide(nbk, sc, out=f)
+                rest *= f
+                np.divide(r, sc, out=new)
+            w[:k0] *= y[S]
+            w[k0:k1 + 1] = y[S + 1:S + nb + 2]
+            scale[k0:k1] = piv[:nb].real
+        last = w[n - 1] + z * (ht[n - 1] @ flat(w)).view(np.complex128)
+        np.abs(last, out=scale[n - 1])
         out = np.log(scale).sum(axis=0) + 1j * np.angle(last)
     return np.where((scale == 0).any(axis=0), complex(-np.inf), out)

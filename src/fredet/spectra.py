@@ -6,7 +6,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .determinants import PreparedDet, det_p, prepare
-from .linalg import as_complex_matrix, hessenberg_logdet
+from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -29,12 +29,22 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenEstimate:
-    """A determinant zero z_root and the eigenvalue estimate lam = 1/z_root."""
+    """A determinant zero z_root and the eigenvalue estimate lam = 1/z_root.
+
+    residual is |det_p| at z_root.  It is not scale-free: |det_p| grows with
+    |z| along the axis, so equally accurate roots can have residuals many
+    decades apart.  step = |dz| / (1 + |z|) is the size of the last Newton
+    step that placed z_root, relative to it, and so is the scale-free
+    accuracy signal; for a cluster it is the largest step among its members.
+    locate_eigs sets it; it is nan where no polish step was recorded, as in
+    refine_zero's estimates.
+    """
 
     z_root: complex
     lam: complex
     residual: float
     mult_estimate: int = 1
+    step: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -194,15 +204,16 @@ def _roots_from_moments(coeffs, n: int) -> np.ndarray:
     return np.roots(e * (-1.0) ** np.arange(n + 1))
 
 
-def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _aberth(b: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Simultaneous Newton (Aberth) steps on all zeros of det(I + zB) at once.
 
     f'/f = tr((I + zB)^{-1} B) by Jacobi's formula; subtracting the pull of
     the other iterates, sum_{j != k} 1 / (z_k - z_j), keeps near-coincident
     zeros from collapsing onto one another.  An exactly singular I + z_k B
     means z_k is a zero and it stays put.  The polish ends once every step
-    is within 1e-12 (1 + |z_k|), and raises RefinementError when that has
-    not happened after _POLISH_STEPS steps.
+    is within 1e-12 (1 + |z_k|) and returns the zeros with the modulus of
+    each one's last step; it raises RefinementError when that has not
+    happened after _POLISH_STEPS steps.
     """
     eye = np.eye(b.shape[0], dtype=np.complex128)
     for _ in range(_POLISH_STEPS):
@@ -219,20 +230,22 @@ def _aberth(b: np.ndarray, z: np.ndarray) -> np.ndarray:
                 steps[k] = step
         z = z - steps
         if np.all(np.abs(steps) <= 1e-12 * (1.0 + np.abs(z))):
-            return z
+            return z, np.abs(steps)
     raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
 
 
 def _clusters(zeros) -> list:
+    """Indices into zeros, grouped by chains of zeros within CLUSTER_TOL (relative)."""
     groups = []
-    for z in sorted(zeros, key=abs):
+    for i in sorted(range(len(zeros)), key=lambda i: abs(zeros[i])):
+        z = zeros[i]
         for g in groups:
-            if any(abs(z - w) <= CLUSTER_TOL * (1.0 + abs(z)) for w in g):
-                g.append(z)
+            if any(abs(z - zeros[j]) <= CLUSTER_TOL * (1.0 + abs(z)) for j in g):
+                g.append(i)
                 break
         else:
-            groups.append([z])
+            groups.append([i])
     return groups
 
 
@@ -240,11 +253,13 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     """All zeros of z -> det_p(I + sign*z*K_N) in a disc, as EigenEstimates.
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
-    factor has none.  K_N is reduced to Hessenberg form H by
-    determinants.prepare, or taken from op when op is a PreparedDet, and the
-    contour samples log det(I + sign*z*H) in batches at O(N^2) per point;
-    this is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent.  Every disc is one sampled circle.  A
+    factor has none.  K_N is validated and reduced to Hessenberg form H once,
+    by determinants.prepare, or taken from op when op is a PreparedDet; the
+    polish and the residuals read the matrix that prepare validated.  The
+    contour samples log det(I + sign*z*H) in batches at O(N^2) per point, in
+    real arithmetic when H is real (linalg.hessenberg_logdet); this is still
+    an LU determinant, not the eigenvalue route, so the three det_p routes
+    stay independent.  Every disc is one sampled circle.  A
     circle that passes through a zero (ZeroOnContourError) or whose moments
     do not settle (RefinementError) is moved outward through
     _BUMPS, so the nominal disc stays covered; when no radius resolves,
@@ -255,20 +270,24 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     into starting values for all n zeros, and simultaneous Newton steps on the
     unreduced sign*K_N polish them together.  The polish converges or raises
     RefinementError.  Zeros still within CLUSTER_TOL of each other after the
-    polish form one estimate whose mult_estimate is the cluster size, and
-    residual is |det_p| there.  Estimates come by |z_root|, ties within
+    polish form one estimate whose mult_estimate is the cluster size;
+    residual is |det_p| there, and step the largest last polish step
+    |dz| / (1 + |z|) among the cluster's zeros, at most 1e-12 since the polish
+    converged.  Estimates come by |z_root|, ties within
     CLUSTER_TOL by imaginary, then real part.  With the default sign = -1 the
     reported eigenvalue is lam = 1/z_root.
     """
-    m = as_complex_matrix(getattr(op, "matrix", op))
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     center = complex(center)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    # det_p and det share their zeros, and H(sign K) = sign H(K)
-    h = sign * (op if isinstance(op, PreparedDet) else prepare(m, 1)).hess
+    # K is validated once, by prepare; det_p and det share their zeros, and
+    # H(sign K) = sign H(K)
+    prep = op if isinstance(op, PreparedDet) else prepare(op, 1)
+    m = prep.matrix
+    h = sign * prep.hess
     logdet = lambda zs: hessenberg_logdet(h, zs)
     for bump in _BUMPS:
         contour = radius * bump
@@ -281,16 +300,19 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         tried = ", ".join(f"{radius * b:.6g}" for b in _BUMPS)
         raise ZeroOnContourError(f"no contour around {center} resolved its zeros;"
                                  f" radii tried: {tried}")
-    zeros = _aberth(sign * m, center + contour * _roots_from_moments(coeffs, n))
+    zeros, last = _aberth(sign * m, center + contour * _roots_from_moments(coeffs, n))
     if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
         raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"
                               f" around {center}")
 
+    inside = np.abs(zeros - center) <= radius * (1.0 + 1e-9)
+    zeros, steps = zeros[inside], last[inside] / (1.0 + np.abs(zeros[inside]))
     ests = []
-    for group in _clusters(zeros[np.abs(zeros - center) <= radius * (1.0 + 1e-9)]):
-        z = complex(np.mean(group))
+    for group in _clusters(zeros):
+        z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group)))
+        ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group),
+                                  float(steps[group].max())))
     return _ordered(ests)
 
 

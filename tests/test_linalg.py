@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fredet.linalg
 from fredet.determinants import det_p
 from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
                            hessenberg_logdet, trace_powers)
@@ -98,6 +99,8 @@ def _random_matrix(n, seed, cplx):
 # I + zA is well conditioned, so two LU routes agree to rounding
 _MATRICES = st.builds(_random_matrix, st.sampled_from([1, 2, 3, 17, 64]),
                       st.integers(0, 2**32 - 1), st.booleans())
+_REAL_MATRICES = st.builds(_random_matrix, st.sampled_from([1, 2, 3, 17, 64]),
+                           st.integers(0, 2**32 - 1), st.just(False))
 _HALF_DISC = st.builds(lambda r, t: r * np.exp(2j * np.pi * t),
                        st.floats(0.0, 0.5), st.floats(0.0, 1.0))
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -153,3 +156,75 @@ def test_hessenberg_logdet_zero_pivot_and_swap():
     got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
     assert abs(got.real) <= 1e-15
     assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
+
+
+@_PROPERTY
+@given(a=_REAL_MATRICES, z=_HALF_DISC)
+def test_real_hessenberg_logdet_matches_its_complex_copy(a, z):
+    # a real H is eliminated in real arithmetic, a complex one in complex
+    # arithmetic: the determinants agree to rounding
+    h = hessenberg(a)
+    assert h.dtype == np.float64
+    zs = np.array([0.0, z, np.conj(z), -z, 0.5j, -0.5])
+    real, cplx = hessenberg_logdet(h, zs), hessenberg_logdet(h.astype(complex), zs)
+    assert np.all(np.abs(np.exp(real) - np.exp(cplx)) <= 1e-13 * np.abs(np.exp(cplx)))
+    # the exactly singular last row of test_hessenberg_logdet_matches_slogdet
+    h[-1] = 0.0
+    h[-1, -1] = 2.0
+    for hh in (h, h.astype(complex)):
+        singular, = hessenberg_logdet(hh, [-0.5])
+        assert singular.real == -np.inf
+
+
+class _ProductDtypes:
+    """Stands for numpy in fredet.linalg and records the operand dtypes of its
+    matrix products."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _record(self, fn, a, b, **kw):
+        self.seen.add((np.asarray(a).dtype, np.asarray(b).dtype))
+        return fn(a, b, **kw)
+
+    def dot(self, a, b, **kw):
+        return self._record(np.dot, a, b, **kw)
+
+    def matmul(self, a, b, **kw):
+        return self._record(np.matmul, a, b, **kw)
+
+
+def test_real_hessenberg_products_run_in_real_arithmetic(monkeypatch):
+    # the real branch multiplies float64 by float64: no row of H is upcast
+    h = hessenberg(_random_matrix(40, 3, False))
+    zs = np.exp(2j * np.pi * np.arange(32) / 32)
+    want = hessenberg_logdet(h.astype(complex), zs)
+    seen = {}
+    for kind, hh in (("real", h), ("complex", h.astype(complex))):
+        rec = _ProductDtypes()
+        monkeypatch.setattr(fredet.linalg, "np", rec)
+        got = hessenberg_logdet(hh, zs)
+        monkeypatch.undo()
+        seen[kind] = rec.seen
+        assert np.all(np.abs(np.exp(got) - np.exp(want)) <= 1e-13 * np.abs(np.exp(want)))
+    f8, c16 = np.dtype(np.float64), np.dtype(np.complex128)
+    assert seen["real"] == {(f8, f8)}
+    assert seen["complex"] == {(c16, c16)}
+
+
+def test_hessenberg_logdet_of_triangular_matrix_over_several_blocks():
+    # every subdiagonal entry is zero, so each step rescales the rows before it
+    # by exactly zero; the determinant is still the product of 1 + z h_kk
+    n = 5 * fredet.linalg._LOGDET_STEPS + 3
+    a = np.triu(np.random.default_rng(8).normal(size=(n, n))) / 4.0
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
+    for h in (a, a.astype(complex)):
+        got = hessenberg_logdet(h, zs)
+        want = np.prod(1.0 + np.multiply.outer(zs, np.diagonal(a)), axis=1)
+        assert np.all(np.abs(np.exp(got) - want) <= 1e-13 * np.abs(want))
+    # a zero pivot in the third block with nothing below it: exactly singular
+    a[2 * fredet.linalg._LOGDET_STEPS + 1, 2 * fredet.linalg._LOGDET_STEPS + 1] = 2.0
+    assert hessenberg_logdet(a, [-0.5])[0].real == -np.inf

@@ -5,7 +5,7 @@ import fredet.determinants
 import fredet.linalg
 import fredet.spectra
 from fredet.determinants import prepare
-from fredet.discretize import assemble_nystrom
+from fredet.discretize import assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
 from fredet.quadrature import gauss_legendre, rectangle
@@ -379,6 +379,36 @@ def test_locate_eigs_reuses_a_prepared_reduction(monkeypatch):
     assert [e.z_root for e in locate_eigs(prep, 1, 50.0, 49.0)] == [e.z_root for e in first]
     assert len(locate_eigs(prep, 2, -50.0, 49.0, sign=1)) == 3
     assert len(calls) == 3
+
+
+def test_step_is_scale_free_where_the_residual_is_not():
+    # the nine zeros of det_3 on abs_pow in |z| < 1.5 are all accurate, but
+    # |det_3| grows along the axis, so their residuals run over eleven decades;
+    # the last polish step, relative to |z|, is small for every one of them
+    op = assemble_singular(registry("abs_pow"), 64)
+    ests = locate_eigs(op, 3, 0.0, 1.5)
+    expect = 1.0 / np.linalg.eigvals(op.matrix)
+    assert len(ests) == 9
+    for e in ests:
+        assert np.min(np.abs(expect - e.z_root)) <= 1e-13 * abs(e.z_root)
+        assert 0.0 <= e.step <= 1e-12
+    residuals = [e.residual for e in ests]
+    assert min(residuals) < 1e-15 and max(residuals) > 1e-5
+
+
+def test_cluster_step_is_the_largest_of_its_members(monkeypatch):
+    polished = []
+    aberth = fredet.spectra._aberth
+    monkeypatch.setattr(fredet.spectra, "_aberth",
+                        lambda b, z: polished.append(aberth(b, z)) or polished[-1])
+    ests = locate_eigs(np.diag([0.5, 0.5, 0.25]), 1, 0.0, 5.0)
+    assert [e.mult_estimate for e in ests] == [2, 1]
+    (zeros, last), = polished
+    rel = last / (1.0 + np.abs(zeros))
+    double = np.abs(zeros - 2.0) < 1e-3
+    assert ests[0].step == rel[double].max()
+    assert ests[1].step == rel[~double].max()
+    assert all(0.0 <= e.step <= 1e-12 for e in ests)
 
 
 def test_fit_order_recovers_exact_power_law():

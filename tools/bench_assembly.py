@@ -1,5 +1,6 @@
-"""Layer timings of the singular assembly and in-process example timings,
-optionally against another checkout, with alternating benchmark pairs.
+"""Layer timings of the singular assembly, in-process example and locate_eigs
+stage timings, optionally against another checkout, with alternating benchmark
+pairs.
 
 Usage, from the repository root:
 
@@ -18,9 +19,15 @@ its total stays under BUDGET_S seconds; the best time is kept.  Then each of
 EXAMPLE_ROUNDS rounds runs every packaged example once as a warm-up (the
 first example-4 run fills its cached N = 512 reference) and EXAMPLE_REPEATS
 timed times, in one fresh process per tree; rounds alternate which tree goes
-first.  With --parent DIR (a checkout of another commit, holding src/ and
-bench/) the parent is timed too, and for each listed workload (default
-converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
+first.  LOCATE_ROUNDS rounds, alternating the same way, time locate_eigs on
+each of LOCATE_CASES, the many-root and large-N searches that no benchmark
+workload covers: one warm-up search, then LOCATE_REPEATS timed ones, each
+split into reduction (determinants.prepare), sampling (hessenberg_logdet)
+and polish (_aberth) as seen through spectra's names; the rest of a search
+is its residuals and bookkeeping.  The roots of both trees are compared.
+With --parent DIR (a checkout of another commit, holding src/ and bench/)
+the parent is timed too, and for each listed workload (default locate, grid
+and converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
 recorded, the parent first in even pairs, seeds counting up from --seed.
 The JSON goes to --out, or to stdout.
 """
@@ -42,6 +49,14 @@ BUDGET_S = 2.0
 EXAMPLE_IDS = (1, 2, 3, 4)
 EXAMPLE_ROUNDS = 2
 EXAMPLE_REPEATS = 3
+LOCATE_ROUNDS = 2
+LOCATE_REPEATS = 3
+# name: kernel, quadrature rule, N, zero_diag, p, disc centre, disc radius
+LOCATE_CASES = {
+    "green_ngl_400": ("green", "gauss_legendre", 400, False, 1, 1500.0, 1499.0),
+    "sign_rect_400": ("sign", "rectangle", 400, True, 2, 0.0, 1.2),
+}
+LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
 
@@ -100,6 +115,48 @@ print(json.dumps(out))
 """
 
 
+# Run in the tree under test.
+_LOCATE = r"""
+import json, sys, time
+from fredet import discretize, kernels, quadrature, spectra
+
+cases, repeats = json.loads(sys.argv[1])
+spent = {}
+samples = []
+
+def timed(key, fn):
+    def run(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[key] = spent.get(key, 0.0) + time.perf_counter() - t0
+    return run
+
+spectra.prepare = timed("reduction_s", spectra.prepare)
+spectra._aberth = timed("polish_s", spectra._aberth)
+logdet = timed("sampling_s", spectra.hessenberg_logdet)
+spectra.hessenberg_logdet = lambda h, zs: samples.append(len(zs)) or logdet(h, zs)
+
+out = {}
+for name, (kernel, rule, n, zero_diag, p, centre, radius) in cases.items():
+    spec = kernels.registry(kernel)
+    op = discretize.assemble_nystrom(spec, getattr(quadrature, rule)(n, *spec.domain),
+                                     zero_diag=zero_diag)
+    spectra.locate_eigs(op, p, centre, radius)
+    runs = []
+    for _ in range(repeats):
+        spent.clear()
+        samples.clear()
+        t0 = time.perf_counter()
+        ests = spectra.locate_eigs(op, p, centre, radius)
+        runs.append(dict(spent, total_s=time.perf_counter() - t0))
+    out[name] = {"runs": runs, "samples": sum(samples),
+                 "roots": [[e.z_root.real, e.z_root.imag] for e in ests]}
+print(json.dumps(out))
+"""
+
+
 def _env(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -119,6 +176,32 @@ def example_times(tree):
     done = subprocess.run([sys.executable, "-c", _EXAMPLES, args], env=_env(tree), cwd=tree,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def locate_times(tree):
+    args = json.dumps([LOCATE_CASES, LOCATE_REPEATS])
+    done = subprocess.run([sys.executable, "-c", _LOCATE, args], env=_env(tree), cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def locate_report(by_tag):
+    """Per case and tree: the median of each stage over all runs, the sample
+    count, and, with two trees, the largest relative distance between their roots."""
+    report = {}
+    for case in LOCATE_CASES:
+        rounds = {tag: [res[case] for res in results] for tag, results in by_tag.items()}
+        entry = {tag: {"median": {s: statistics.median(r[s] for res in rs for r in res["runs"])
+                                  for s in LOCATE_STAGES},
+                       "samples": rs[-1]["samples"], "roots": len(rs[-1]["roots"]),
+                       "runs": [r for res in rs for r in res["runs"]]}
+                 for tag, rs in rounds.items()}
+        if len(rounds) == 2:
+            a, b = ([complex(*z) for z in rs[-1]["roots"]] for rs in rounds.values())
+            entry["roots_max_rel"] = (max(abs(x - y) / abs(x) for x, y in zip(a, b))
+                                      if len(a) == len(b) else None)
+        report[case] = entry
+    return report
 
 
 def bench_run(tree, workload, seed, seconds):
@@ -148,7 +231,8 @@ def summarize(pairs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="checkout of the commit to compare against")
-    ap.add_argument("--workloads", default="converge", help="comma-separated bench workloads")
+    ap.add_argument("--workloads", default="locate,grid,converge",
+                    help="comma-separated bench workloads")
     ap.add_argument("--pairs", type=int, default=0, help="alternating run pairs per workload")
     ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run")
     ap.add_argument("--seed", type=int, default=401, help="seed of the first pair")
@@ -171,6 +255,11 @@ def main(argv=None):
         tag: {i: {"median": statistics.median(ts), "min": min(ts), "max": max(ts), "runs": ts}
               for i, ts in by_id.items()}
         for tag, by_id in times.items()}
+    located = {tag: [] for tag, _ in trees}
+    for r in range(LOCATE_ROUNDS):
+        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
+            located[tag].append(locate_times(tree))
+    report["locate_stages"] = locate_report(located)
     for w in filter(None, args.workloads.split(",")):
         pairs = []
         for k in range(args.pairs):
