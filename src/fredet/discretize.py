@@ -7,14 +7,14 @@ import numpy as np
 
 from .kernels import SINGULAR, SMOOTH, SPLIT, KernelSpec
 from .linalg import as_complex_matrix
-from .quadrature import QuadRule, SpectralOps, singular_moments, spectral_ops
+from .quadrature import QuadRule, SpectralOps, clenshaw_curtis, singular_moments, spectral_ops
 
 NGL = "NGL"
 RECT = "RECT"
 NCC = "NCC"
 SINGULAR_SCHEME = "SINGULAR"
 
-_SCHEME_BY_RULE = {"gauss_legendre": NGL, "rectangle": RECT}
+_SCHEME_BY_RULE = {"gauss_legendre": NGL, "rectangle": RECT, "clenshaw_curtis": NCC}
 
 
 @dataclass(frozen=True)
@@ -62,34 +62,53 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     """Plain Nystrom matrix K_N[i, j] = w_j * k(x_i, x_j) on the rule's nodes.
 
     Singular kernels are rejected: pointwise weights cannot see the
-    non-integrable factor, use assemble_singular instead.
+    non-integrable factor, use assemble_singular instead.  So is a rule whose
+    kind names no scheme in _SCHEME_BY_RULE.
     """
     if spec.form == SINGULAR:
         raise ValueError("singular kernel passed to assemble_nystrom; use assemble_singular")
+    if rule.kind not in _SCHEME_BY_RULE:
+        raise ValueError(f"unknown quadrature rule kind {rule.kind!r}; "
+                         f"expected one of {sorted(_SCHEME_BY_RULE)}")
     if not (abs(rule.a - spec.a) < 1e-12 and abs(rule.b - spec.b) < 1e-12):
         raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match kernel domain [{spec.a}, {spec.b}]")
     nodes = rule.nodes
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     vals = _split_values(spec, x, y, skip_diag=zero_diag)
     matrix = vals * rule.weights[None, :]
-    scheme = _SCHEME_BY_RULE.get(rule.kind, NGL)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, scheme, (spec.a, spec.b), zero_diag)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes, _SCHEME_BY_RULE[rule.kind],
+                            (spec.a, spec.b), zero_diag)
 
 
 def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
-    """Split-kernel spectral collocation matrix on n Chebyshev-Lobatto nodes.
+    """Chebyshev collocation matrix on n Chebyshev-Lobatto nodes, scheme NCC.
 
-    Row m approximates int_a^x_m k1(x_m, y) u(y) dy + int_x_m^b k2(x_m, y) u(y) dy
+    A split kernel: row m approximates
+    int_a^x_m k1(x_m, y) u(y) dy + int_x_m^b k2(x_m, y) u(y) dy
     by Chebyshev interpolation of the sampled integrand and exact integration
     of the interpolant:
 
         K_N = (b - a)/2 * [ (C Sl Cinv) o K1 + (C Sr Cinv) o K2 ],   o = Hadamard
 
-    A smooth kernel is accepted as k1 = k2 = k.  Both branches must be
-    evaluable on the closed square.
+    Both branches must be evaluable on the closed square.  This path keeps
+    spectral_ops, with its LU inverse Cinv, and the two N x N products above
+    bit for bit: a variant with a closed-form Cinv and one product gave the
+    same matrices to rounding, but left the malloc heap in a state that took
+    about 1200 minor page faults per later N = 400 det_p call, and the
+    benchmark's grid pass (this matrix at N = 320 and a rectangle-rule one
+    at N = 400) ran about 25% longer (2-vCPU VM, numpy 2.4.6, OpenBLAS).
+
+    A smooth kernel is plain Nystrom on the Clenshaw-Curtis rule of the same
+    nodes: the two integration operators then add up to one repeated row,
+    the Clenshaw-Curtis weights, so no spectral operator is built.  At even
+    n that is the split formula with k1 = k2 = k, to rounding; at odd n the
+    split formula integrates only to degree n-2, while the rule is exact to
+    degree n.
     """
     if spec.form == SINGULAR:
         raise ValueError("singular kernel passed to assemble_ncc; use assemble_singular")
+    if spec.form == SMOOTH:
+        return assemble_nystrom(spec, clenshaw_curtis(n, spec.a, spec.b))
     ops = spectral_ops(n)
     a, b = spec.a, spec.b
     half = 0.5 * (b - a)
@@ -97,9 +116,8 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     lower_int = ops.C @ ops.Sl @ ops.Cinv
     upper_int = ops.C @ ops.Sr @ ops.Cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    k2 = spec.k1 if spec.form == SMOOTH else spec.k2
     k1_vals = np.asarray(spec.k1(x, y), dtype=float)
-    k2_vals = np.asarray(k2(x, y), dtype=float)
+    k2_vals = np.asarray(spec.k2(x, y), dtype=float)
     matrix = half * (lower_int * k1_vals + upper_int * k2_vals)
     return DiscreteOperator(as_complex_matrix(matrix), nodes, NCC, (a, b))
 

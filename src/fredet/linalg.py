@@ -17,6 +17,9 @@ _LOGDET_CHUNK = 256
 # are read through one matrix product and rescaled once per block
 _LOGDET_STEPS = 8
 
+# cap on the baby steps s in _trace_powers; its working set is O(s N^2)
+_TRACE_BABY_STEPS = 8
+
 
 class DetOverflowError(ArithmeticError):
     """|det(I + zA)| exceeded the double-precision range."""
@@ -38,26 +41,54 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def trace_powers(a, jmax: int) -> np.ndarray:
-    """[tr(A), tr(A^2), ..., tr(A^jmax)] by repeated multiplication.
+    """[tr(A), tr(A^2), ..., tr(A^jmax)] by baby steps and giant steps.
 
-    The last trace is tr(A^(jmax-1) A) = sum(A^(jmax-1) * A^T), so A^jmax is
-    never formed: jmax = 2 needs no matrix product at all.
+    About 2 sqrt(jmax) matrix products up to jmax = 64 and jmax/8 + 5 beyond,
+    instead of jmax - 2 (see _trace_powers).  A trace of a product is an
+    elementwise sum, tr(BC) = sum(B * C^T), so the highest power is never
+    formed: jmax = 2 needs no matrix product at all, jmax = 3 one.
     """
     return _trace_powers(as_complex_matrix(a), jmax)
 
 
 def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
-    """trace_powers of a matrix that as_complex_matrix has already validated."""
+    """trace_powers of a matrix that as_complex_matrix has already validated.
+
+    Up to jmax = 3 by repeated multiplication, the last trace as
+    sum(A^(jmax-1) * A^T).  Beyond, by baby steps and giant steps (Paterson
+    and Stockmeyer 1973): s = min(ceil(sqrt(jmax)), _TRACE_BABY_STEPS) baby
+    powers (A^r)^T, r = 1..s, are kept as the rows of one s x N^2 array, and
+    each giant power A^(is) gives tr(A^(is+r)) = sum(A^(is) * (A^r)^T) for all
+    r at once, one matrix-vector product.  That is s - 1 + ceil(jmax/s) - 2
+    matrix products instead of jmax - 2, with a working set of (s + 2) N^2.
+    """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
     out = np.empty(jmax, dtype=np.complex128)
-    p = m
-    out[0] = np.trace(p)
-    for j in range(1, jmax - 1):
-        p = p @ m
-        out[j] = np.trace(p)
-    if jmax > 1:
-        out[jmax - 1] = np.sum(p * m.T)
+    if jmax <= 3:
+        p = m
+        out[0] = np.trace(p)
+        for j in range(1, jmax - 1):
+            p = p @ m
+            out[j] = np.trace(p)
+        if jmax > 1:
+            out[jmax - 1] = np.sum(p * m.T)
+        return out
+    n = m.shape[0]
+    s = min(math.isqrt(jmax - 1) + 1, _TRACE_BABY_STEPS)
+    baby = np.empty((s, n, n), dtype=np.complex128)  # baby[r-1] = (A^r)^T = (A^T)^r
+    baby[0] = m.T
+    for r in range(1, s):
+        np.matmul(baby[r - 1], baby[0], out=baby[r])
+    out[:s] = np.trace(baby, axis1=1, axis2=2)
+    rows = baby.reshape(s, n * n)
+    step = baby[s - 1].T  # A^s
+    giant = np.ascontiguousarray(step)
+    for i in range(s, jmax, s):  # giant = A^i
+        k = min(s, jmax - i)
+        out[i:i + k] = rows[:k] @ giant.ravel()
+        if i + s < jmax:
+            giant = giant @ step
     return out
 
 

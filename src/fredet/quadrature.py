@@ -108,6 +108,38 @@ def rectangle(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     return QuadRule(a, b, nodes, np.full(n, h), kind="rectangle")
 
 
+def clenshaw_curtis(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
+    """Clenshaw-Curtis rule with n >= 2 nodes on [a, b].
+
+    The nodes are the Chebyshev-Lobatto points of spectral_ops(n), mapped
+    affinely onto [a, b]; the weights integrate their polynomial interpolant
+    exactly, so the rule is exact for degree <= n-1 (n for odd n).  The
+    weights are the inverse real FFT of the moments int T_k = 2/(1-k^2) of
+    the even k (Waldvogel 2006): O(n log n), all positive, and made exactly
+    symmetric.
+    """
+    _check_interval(a, b)
+    if not 2 <= n <= MAX_NODES:
+        raise ValueError(f"n must be in [2, {MAX_NODES}], got {n}")
+    w = np.empty(n)
+    w[:-1] = np.fft.irfft(2.0 / (1.0 - np.arange(0, n, 2.0) ** 2), n - 1)
+    w[0] *= 0.5
+    w[-1] = w[0]
+    half = 0.5 * (b - a)
+    return QuadRule(a, b, 0.5 * (a + b) + half * _lobatto_points(n),
+                    half * (0.5 * (w + w[::-1])), kind="clenshaw_curtis")
+
+
+def _lobatto_points(n: int) -> np.ndarray:
+    """The n >= 2 ascending Chebyshev-Lobatto points -cos(pi j/(n-1)) on [-1, 1],
+    with the ends and, for odd n, the midpoint exact."""
+    j = np.arange(n)
+    points = -np.cos(np.pi * j / (n - 1))
+    points[np.abs(points) < 1e-15] = 0.0
+    points[0], points[-1] = -1.0, 1.0
+    return points
+
+
 def _antiderivative_rows(n: int) -> np.ndarray:
     """Rows 1..n-1 of the Chebyshev antiderivative map (row 0 left as zero).
 
@@ -135,10 +167,7 @@ def spectral_ops(n: int) -> SpectralOps:
     """
     if not 2 <= n <= MAX_NODES:
         raise ValueError(f"n must be in [2, {MAX_NODES}], got {n}")
-    j = np.arange(n)
-    points = -np.cos(np.pi * j / (n - 1))
-    points[np.abs(points) < 1e-15] = 0.0
-    points[0], points[-1] = -1.0, 1.0
+    points = _lobatto_points(n)
     C = np.polynomial.chebyshev.chebvander(points, n - 1)
     Cinv = np.linalg.inv(C)  # LU-backed; n is small enough for this to be stable
 

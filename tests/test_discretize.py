@@ -4,9 +4,9 @@ import pytest
 from fredet.determinants import det_p
 from fredet.discretize import (NCC, NGL, RECT, SINGULAR_SCHEME,
                                assemble_ncc, assemble_nystrom, assemble_singular)
-from fredet.kernels import registry
-from fredet.linalg import trace_powers
-from fredet.quadrature import gauss_legendre, rectangle
+from fredet.kernels import from_config, registry
+from fredet.linalg import as_complex_matrix, trace_powers
+from fredet.quadrature import QuadRule, clenshaw_curtis, gauss_legendre, rectangle, spectral_ops
 
 
 def test_nystrom_rectangle_hand_computed():
@@ -62,6 +62,77 @@ def test_ncc_accepts_smooth_kernel():
     op = assemble_ncc(registry("bernoulli"), 24)
     val = det_p(op, 1, -1.0).value
     assert abs(val - (2.0 - 2.0 * np.cos(1.0))) < 1e-3
+
+
+def _split_ncc_formula(spec, n):
+    """The split-kernel formula (b-a)/2 [(C Sl Cinv) o K1 + (C Sr Cinv) o K2], spelt out;
+    k2 = k1 for a smooth kernel."""
+    ops = spectral_ops(n)
+    half = 0.5 * (spec.b - spec.a)
+    nodes = 0.5 * (spec.a + spec.b) + half * ops.points
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    k2 = spec.k2 if spec.k2 is not None else spec.k1
+    lower_int = ops.C @ ops.Sl @ ops.Cinv
+    upper_int = ops.C @ ops.Sr @ ops.Cinv
+    k1_vals = np.asarray(spec.k1(x, y), dtype=float)
+    k2_vals = np.asarray(k2(x, y), dtype=float)
+    return as_complex_matrix(half * (lower_int * k1_vals + upper_int * k2_vals)), nodes
+
+
+def test_ncc_split_kernel_is_the_spectral_formula_bit_for_bit():
+    # the grid benchmark's green N = 320 matrix among them
+    for name, n in (("green", 320), ("green", 15), ("sign", 16), ("sign", 9)):
+        op = assemble_ncc(registry(name), n)
+        want, nodes = _split_ncc_formula(registry(name), n)
+        assert np.array_equal(op.matrix, want), (name, n)
+        assert np.array_equal(op.nodes, nodes)
+        assert op.scheme == NCC
+
+
+@pytest.mark.parametrize("n", [2, 3, 15, 16, 64, 65])
+def test_ncc_smooth_kernel_is_nystrom_on_clenshaw_curtis(n):
+    for spec in (registry("bernoulli"), from_config({"expr": {"k": "exp(-abs(x - y))"},
+                                                     "domain": [-1.0, 2.0]})):
+        op = assemble_ncc(spec, n)
+        want = assemble_nystrom(spec, clenshaw_curtis(n, spec.a, spec.b))
+        assert np.array_equal(op.matrix, want.matrix) and np.array_equal(op.nodes, want.nodes)
+        assert op.scheme == want.scheme == NCC
+        assert np.array_equal(op.nodes, _split_ncc_formula(spec, n)[1])
+
+
+def test_ncc_smooth_kernel_matches_the_split_formula_at_even_n():
+    # the two integration operators add up to one repeated row, the Clenshaw-Curtis
+    # weights; the formula's Cinv carries rounding of up to ~3e-13 at n = 320
+    spec = registry("bernoulli")
+    for n in (2, 16, 64, 320):
+        got = assemble_ncc(spec, n).matrix
+        want = _split_ncc_formula(spec, n)[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+def test_ncc_smooth_kernel_at_odd_n_is_exact_where_the_split_formula_is_not():
+    # with k = 1 each row integrates u over [-1, 1].  For u = T_{n-1} the split
+    # formula drops the T_n/(2n) term of its antiderivative, which at odd n leaves
+    # its rows short by exactly 1/n; the rule is exact to degree n
+    spec = from_config({"expr": {"k": "1 + 0*x*y"}, "domain": [-1.0, 1.0]})
+    for n in (3, 5, 15, 65):
+        op = assemble_ncc(spec, n)
+        t = np.cos((n - 1) * np.arccos(op.nodes))
+        exact = 2.0 / (1.0 - (n - 1) ** 2)
+        assert np.max(np.abs(op.matrix.real @ t - exact)) <= 1e-13, n
+        old = _split_ncc_formula(spec, n)[0].real
+        assert np.max(np.abs(old @ t - (exact - 1.0 / n))) <= 1e-12, n
+
+
+def test_nystrom_names_the_scheme_of_each_rule_and_rejects_unknown_kinds():
+    spec = registry("bernoulli")
+    for rule, scheme in ((gauss_legendre(6, 0.0, 1.0), NGL), (rectangle(6, 0.0, 1.0), RECT),
+                         (clenshaw_curtis(6, 0.0, 1.0), NCC)):
+        assert assemble_nystrom(spec, rule).scheme == scheme
+    unnamed = QuadRule(0.0, 1.0, np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+    for rule in (unnamed, QuadRule(0.0, 1.0, unnamed.nodes, unnamed.weights, kind="simpson")):
+        with pytest.raises(ValueError, match=f"unknown quadrature rule kind {rule.kind!r}"):
+            assemble_nystrom(spec, rule)
 
 
 def test_ncc_rejects_singular_kernel():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 import fredet.linalg
 from fredet.determinants import det_p
+from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
+from fredet.kernels import registry
 from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
                            hessenberg_logdet, trace_powers)
+from fredet.quadrature import gauss_legendre, rectangle
 
 
 def test_as_complex_matrix_coerces_nested_lists():
@@ -66,6 +71,64 @@ def test_trace_powers_match_repeated_products(jmax):
     for j in range(1, jmax + 1):
         p = p @ a
         assert abs(t[j - 1] - np.trace(p)) <= 1e-13 * max(1.0, abs(np.trace(p)))
+
+
+def _trace_power_cases():
+    """A random complex matrix of spectral radius about 1, and built-in kernels."""
+    rng = np.random.default_rng(13)
+    yield "random", (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) / np.sqrt(128.0)
+    yield "green-ngl", assemble_nystrom(registry("green"), gauss_legendre(48, 0.0, 1.0)).matrix
+    yield "bernoulli-ncc", assemble_ncc(registry("bernoulli"), 40).matrix
+    yield "sign-rect", assemble_nystrom(registry("sign"), rectangle(64, -1.0, 1.0),
+                                        zero_diag=True).matrix
+    yield "abs_pow-singular", assemble_singular(registry("abs_pow"), 32).matrix
+
+
+@pytest.mark.parametrize("jmax", [1, 2, 3, 4, 5, 16, 17, 64, 65])
+def test_trace_powers_match_products_and_eigenvalue_sums(jmax):
+    # baby-step/giant-step traces against one product per power and against
+    # sum(lam^j), each to 1e-12 of sum(|lam|^j)
+    for name, a in _trace_power_cases():
+        t = trace_powers(a, jmax)
+        assert t.shape == (jmax,)
+        lam = eigenvalues(a)
+        p = np.eye(a.shape[0], dtype=np.complex128)
+        for j in range(1, jmax + 1):
+            p = p @ a
+            scale = np.sum(np.abs(lam) ** j)
+            assert abs(t[j - 1] - np.trace(p)) <= 1e-12 * scale, (name, j)
+            assert abs(t[j - 1] - np.sum(lam**j)) <= 1e-12 * scale, (name, j)
+
+
+def test_trace_powers_up_to_three_keep_their_expression():
+    # jmax <= 3 (every p <= 4 trace correction of det_p) stays bit for bit
+    for _, a in _trace_power_cases():
+        m = as_complex_matrix(a)
+        square = m @ m
+        want = {1: [np.trace(m)], 2: [np.trace(m), np.sum(m * m.T)],
+                3: [np.trace(m), np.trace(square), np.sum(square * m.T)]}
+        for jmax, w in want.items():
+            assert np.array_equal(trace_powers(m, jmax), np.array(w, dtype=np.complex128))
+
+
+def test_trace_powers_of_tiny_and_nilpotent_matrices():
+    assert np.array_equal(trace_powers([[0.5]], 20), 0.5 ** np.arange(1, 21))
+    shift = np.eye(9, k=1)  # nilpotent: every power trace is zero
+    assert np.array_equal(trace_powers(shift, 40), np.zeros(40))
+
+
+def test_trace_powers_working_set_stays_within_the_baby_step_cap():
+    # jmax = 400 would take s = 20 baby steps uncapped; the cap keeps the
+    # working set near (s + 2) N^2 complex entries, s = _TRACE_BABY_STEPS
+    n = 64
+    m = as_complex_matrix(_random_matrix(n, 5, True))
+    tracemalloc.start()
+    try:
+        fredet.linalg._trace_powers(m, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (fredet.linalg._TRACE_BABY_STEPS + 4) * n * n * 16
 
 
 def test_trace_powers_rejects_bad_jmax():

@@ -4,7 +4,7 @@ import pytest
 import fredet.quadrature
 from fredet.discretize import assemble_singular
 from fredet.kernels import registry
-from fredet.quadrature import (MAX_NODES, gauss_legendre, rectangle,
+from fredet.quadrature import (MAX_NODES, clenshaw_curtis, gauss_legendre, rectangle,
                                singular_moments, spectral_ops)
 
 
@@ -74,6 +74,66 @@ def test_rectangle_midpoints():
     # midpoint rule is exact on affine functions
     assert abs(rule.weights @ (3.0 * rule.nodes - 1.0) - 0.5) < 1e-14
     assert rule.kind == "rectangle"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+def test_clenshaw_curtis_exact_to_degree_n_minus_1_or_n(n):
+    # n nodes interpolate degree n-1 exactly; at odd n, degree n is odd about
+    # the midpoint and integrates to zero by symmetry
+    a, b = 0.5, 2.0
+    rule = clenshaw_curtis(n, a, b)
+    t = (2.0 * rule.nodes - (a + b)) / (b - a)  # the nodes mapped back onto [-1, 1]
+    for k in range(n if n % 2 == 0 else n + 1):
+        got = rule.weights @ t**k * 2.0 / (b - a)
+        assert abs(got - _monomial_exact(k)) <= 1e-13, (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10, 64, 65, 320, 512])
+def test_clenshaw_curtis_weights_positive_symmetric_and_sum_to_length(n):
+    rule = clenshaw_curtis(n, -0.5, 3.0)
+    assert rule.kind == "clenshaw_curtis" and (rule.a, rule.b) == (-0.5, 3.0)
+    assert np.all(rule.weights > 0)
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert abs(rule.weights.sum() - 3.5) <= 1e-14 * 3.5
+    assert rule.nodes[0] == -0.5 and rule.nodes[-1] == 3.0
+
+
+def test_clenshaw_curtis_two_and_three_nodes_are_trapezoid_and_simpson():
+    trap = clenshaw_curtis(2, 0.0, 1.0)
+    assert np.array_equal(trap.nodes, [0.0, 1.0])
+    assert np.allclose(trap.weights, [0.5, 0.5], rtol=0, atol=1e-16)
+    simpson = clenshaw_curtis(3, 0.0, 2.0)
+    assert np.array_equal(simpson.nodes, [0.0, 1.0, 2.0])
+    assert np.allclose(simpson.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+
+
+def test_clenshaw_curtis_nodes_are_the_spectral_points():
+    for n in (2, 3, 9, 24, 65, 320):
+        points = spectral_ops(n).points
+        assert np.array_equal(clenshaw_curtis(n).nodes, points)
+        assert np.array_equal(clenshaw_curtis(n, 0.0, 1.0).nodes, 0.5 + 0.5 * points)
+
+
+def test_clenshaw_curtis_weights_match_the_cosine_sum():
+    # w_j = c_j/N (1 - sum_{k=1}^{N/2} b_k cos(2 k theta_j)/(4k^2 - 1)), theta_j = j pi/N,
+    # c_j = 1 at the ends and 2 inside, b_k = 1 at k = N/2 and 2 below
+    for n in (6, 7, 128):
+        big = n - 1
+        theta = np.pi * np.arange(n) / big
+        k = np.arange(1, big // 2 + 1)
+        bk = np.where(2 * k == big, 1.0, 2.0)
+        c = np.full(n, 2.0)
+        c[[0, -1]] = 1.0
+        want = c / big * (1.0 - np.cos(2.0 * np.outer(theta, k)) @ (bk / (4.0 * k**2 - 1.0)))
+        assert np.max(np.abs(clenshaw_curtis(n).weights - want)) <= 1e-15, n
+
+
+def test_clenshaw_curtis_validation():
+    for n in (0, 1, MAX_NODES + 1):
+        with pytest.raises(ValueError):
+            clenshaw_curtis(n)
+    with pytest.raises(ValueError):
+        clenshaw_curtis(4, 1.0, 0.0)
 
 
 def test_spectral_points_are_lobatto():

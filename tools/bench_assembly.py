@@ -7,12 +7,16 @@ Usage, from the repository root:
     python3 tools/bench_assembly.py [--parent DIR] [--workloads W,...] [--pairs K]
                                     [--seconds S] [--seed N] [--out FILE]
 
-Times three layers at N in {64, 256, 512} and alpha in {0.3, 0.5}, each tree in
-a fresh process with single-threaded BLAS:
+Times six layers at N in {64, 256, 512}, each tree in a fresh process with
+single-threaded BLAS; the first three at alpha in {0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
   assemble_singular  the whole product-quadrature matrix of abs_pow(alpha)
   spectral_ops       the Chebyshev operators of size N
+  assemble_ncc       the NCC matrix of bernoulli (smooth: Clenshaw-Curtis
+                     Nystrom) and of green (split: spectral operators)
+  plemelj_coeffs     the series of the bernoulli NCC matrix to min(N, 64)
+                     terms, whose cost is its power traces
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds; the best time is kept.  Then each of
@@ -64,7 +68,7 @@ END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
 _LAYERS = r"""
 import json, sys, time
 import numpy as np
-from fredet import discretize, kernels, quadrature
+from fredet import determinants, discretize, kernels, quadrature
 
 ns, alphas, repeats, budget = json.loads(sys.argv[1])
 
@@ -91,6 +95,13 @@ for alpha in alphas:
                     "singular_moments_s": best(lambda: moments(alpha, nodes, n)),
                     "assemble_singular_s": best(lambda: discretize.assemble_singular(spec, n)),
                     "spectral_ops_s": best(lambda: quadrature.spectral_ops(n))})
+smooth, split = kernels.registry("bernoulli"), kernels.registry("green")
+for n in ns:
+    op = discretize.assemble_ncc(smooth, n)
+    out.append({"n": n,
+                "assemble_ncc_smooth_s": best(lambda: discretize.assemble_ncc(smooth, n)),
+                "assemble_ncc_split_s": best(lambda: discretize.assemble_ncc(split, n)),
+                "plemelj_coeffs_s": best(lambda: determinants.plemelj_coeffs(op, 1, min(n, 64)))})
 print(json.dumps(out))
 """
 
