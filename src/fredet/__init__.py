@@ -10,8 +10,8 @@ determinant zeros.
 
 from .determinants import (DetSeries, DetValue, PreparedDet, det_from_eigs, det_p,
                            det_series_eval, identity_residuals, plemelj_coeffs, prepare)
-from .discretize import (NCC, NGL, RECT, SINGULAR_SCHEME, DiscreteOperator,
-                         assemble_ncc, assemble_nystrom, assemble_singular)
+from .discretize import (SCHEMES, DiscreteOperator, assemble, assemble_ncc, assemble_nystrom,
+                         assemble_singular)
 from .kernels import KernelSpec, from_config, load_kernel_file, registry
 from .linalg import as_complex_matrix, eigenvalues, trace_powers
 from .quadrature import (QuadRule, SpectralOps, clenshaw_curtis, gauss_legendre, rectangle,

@@ -10,12 +10,11 @@ import sys
 import numpy as np
 
 from .determinants import LU_TRACE, det_p, identity_residuals, prepare
-from .discretize import assemble_ncc, assemble_nystrom, assemble_singular
-from .examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row, run_example,
-                       write_csv, write_summary)
+from .discretize import SCHEMES, assemble
+from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row,
+                       run_example, write_csv, write_summary)
 from .kernels import KERNEL_NAMES, has_diagonal_jump, load_kernel_file, registry
 from .linalg import DetOverflowError
-from .quadrature import gauss_legendre, rectangle
 from .references import REFERENCES
 from .spectra import RefinementError, ZeroOnContourError, fit_order, locate_eigs
 
@@ -100,20 +99,6 @@ def _resolve_kernel(args):
     return registry(args.kernel)
 
 
-def _assemble(spec, scheme, n, zero_diag):
-    if n < 2:
-        raise ValueError(f"--n must be >= 2, got {n}")
-    if scheme == "ngl":
-        return assemble_nystrom(spec, gauss_legendre(n, *spec.domain), zero_diag=zero_diag)
-    if scheme == "rect":
-        return assemble_nystrom(spec, rectangle(n, *spec.domain), zero_diag=zero_diag)
-    if zero_diag:
-        raise ValueError(f"--zero-diag only applies to ngl and rect, not {scheme}")
-    if scheme == "ncc":
-        return assemble_ncc(spec, n)
-    return assemble_singular(spec, n)
-
-
 def _check_hilbert_trick(spec, args):
     if args.p >= 2 and args.scheme == "rect" and not args.zero_diag and has_diagonal_jump(spec):
         raise ValueError(
@@ -160,7 +145,7 @@ def cmd_det(args):
         zs = [_parse_complex(args.z, "--z")]
     else:
         raise ValueError("det needs --z or --grid")
-    op = _assemble(spec, args.scheme, args.n, args.zero_diag)
+    op = assemble(spec, args.scheme, args.n, args.zero_diag)
     signed = [args.sign * z for z in zs]
     if len(zs) > PREPARE_MIN_Z:  # one Hessenberg reduction for all of them
         vals = prepare(op, args.p).values(signed).tolist()
@@ -180,7 +165,7 @@ def cmd_converge(args):
     ns = _parse_sweep(args.n_sweep)
     z = _parse_complex(args.z, "--z") if args.z else complex(1.0)
     ref = _resolve_reference(args, spec)
-    vals = [det_p(_assemble(spec, args.scheme, n, args.zero_diag), args.p, args.sign * z).value
+    vals = [det_p(assemble(spec, args.scheme, n, args.zero_diag), args.p, args.sign * z).value
             for n in ns]
     config = _config_echo(args, spec, {"n_values": ns, "z": [z.real, z.imag]})
     if ref is None:
@@ -207,7 +192,7 @@ def cmd_eigs(args):
     spec = _resolve_kernel(args)
     _check_hilbert_trick(spec, args)
     center, radius = _parse_region(args.region)
-    op = _assemble(spec, args.scheme, args.n, args.zero_diag)
+    op = assemble(spec, args.scheme, args.n, args.zero_diag)
     ests = locate_eigs(op, args.p, center, radius, sign=args.sign)
     rows = [root_row(e) for e in ests]
     payload = {"command": "eigs",
@@ -239,13 +224,13 @@ def cmd_identity(args):
         for name, res in identity_residuals(a, z).items():
             worst[name] = max(worst.get(name, 0.0), res)
     for kname, scheme, n, zd in _IDENTITY_ASSEMBLIES:
-        op = _assemble(registry(kname), scheme, n, zd)
+        op = assemble(registry(kname), scheme, n, zd)
         for name, res in identity_residuals(op.matrix, 0.7 + 0.3j).items():
             worst[f"{kname}:{name}"] = res
 
     # jump-kernel cross-check: the square of the 2-modified determinant equals
     # the plain determinant of I - z^2 K^2, here (cosh(4z)+1)/2 at z = 0.5
-    op = _assemble(registry("sign"), "rect", 200, True)
+    op = assemble(registry("sign"), "rect", 200, True)
     v = det_p(op, 2, -0.5).value
     closed = abs(v**2 - 0.5 * (np.cosh(2.0) + 1.0))
     rows = [(k, worst[k]) for k in sorted(worst)] + [("sign:closed_form_squared", closed)]
@@ -268,7 +253,7 @@ def _add_common(sub, kernel=True):
         grp = sub.add_mutually_exclusive_group(required=True)
         grp.add_argument("--kernel", choices=KERNEL_NAMES)
         grp.add_argument("--kernel-file", metavar="F")
-        sub.add_argument("--scheme", choices=("ngl", "rect", "ncc", "singular"), required=True)
+        sub.add_argument("--scheme", choices=SCHEMES, required=True)
         sub.add_argument("--p", type=int, default=1)
         # parsed once into +1 or -1, the number every summary echoes
         sub.add_argument("--sign", type=_parse_sign, default="-", metavar="{+,-}")
@@ -308,7 +293,7 @@ def build_parser():
     _add_common(ident, kernel=False)
 
     ex = cmds.add_parser("example", help="run a packaged experiment")
-    ex.add_argument("--id", type=int, choices=(1, 2, 3, 4), required=True)
+    ex.add_argument("--id", type=int, choices=EXAMPLE_IDS, required=True)
     _add_common(ex, kernel=False)
 
     return parser

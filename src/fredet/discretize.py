@@ -1,20 +1,16 @@
 """Assembly of discrete operators: plain Nystrom, spectral split-kernel, product quadrature."""
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .kernels import SINGULAR, SMOOTH, SPLIT, KernelSpec
+from .kernels import SINGULAR, SMOOTH, KernelSpec
 from .linalg import as_complex_matrix
-from .quadrature import QuadRule, SpectralOps, clenshaw_curtis, singular_moments, spectral_ops
+from .quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, rectangle, singular_moments,
+                         spectral_ops)
 
-NGL = "NGL"
-RECT = "RECT"
-NCC = "NCC"
-SINGULAR_SCHEME = "SINGULAR"
-
-_SCHEME_BY_RULE = {"gauss_legendre": NGL, "rectangle": RECT, "clenshaw_curtis": NCC}
+# the discretization schemes, by the names the CLI's --scheme takes
+SCHEMES = ("ngl", "rect", "ncc", "singular")
 
 
 @dataclass(frozen=True)
@@ -22,16 +18,11 @@ class DiscreteOperator:
     """An n x n collocation matrix standing in for the integral operator.
 
     matrix[i, j] approximates the action weight of node j on node i, so that
-    (matrix @ u_samples) approximates (K u)(nodes).  zero_diag records that
-    the diagonal was dropped, which turns the plain determinant of I - z*K_N
-    into an approximation of the Hilbert-Schmidt-regularized one.
+    (matrix @ u_samples) approximates (K u)(nodes).
     """
 
     matrix: np.ndarray
     nodes: np.ndarray
-    scheme: str
-    domain: Tuple[float, float]
-    zero_diag: bool = False
 
     @property
     def n(self) -> int:
@@ -61,27 +52,24 @@ def _split_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: boo
 def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) -> DiscreteOperator:
     """Plain Nystrom matrix K_N[i, j] = w_j * k(x_i, x_j) on the rule's nodes.
 
+    zero_diag drops the diagonal, which turns the plain determinant of
+    I - z*K_N into an approximation of the Hilbert-Schmidt-regularized one.
     Singular kernels are rejected: pointwise weights cannot see the
-    non-integrable factor, use assemble_singular instead.  So is a rule whose
-    kind names no scheme in _SCHEME_BY_RULE.
+    non-integrable factor, use assemble_singular instead.
     """
     if spec.form == SINGULAR:
         raise ValueError("singular kernel passed to assemble_nystrom; use assemble_singular")
-    if rule.kind not in _SCHEME_BY_RULE:
-        raise ValueError(f"unknown quadrature rule kind {rule.kind!r}; "
-                         f"expected one of {sorted(_SCHEME_BY_RULE)}")
     if not (abs(rule.a - spec.a) < 1e-12 and abs(rule.b - spec.b) < 1e-12):
         raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match kernel domain [{spec.a}, {spec.b}]")
     nodes = rule.nodes
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     vals = _split_values(spec, x, y, skip_diag=zero_diag)
     matrix = vals * rule.weights[None, :]
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, _SCHEME_BY_RULE[rule.kind],
-                            (spec.a, spec.b), zero_diag)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 
 def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
-    """Chebyshev collocation matrix on n Chebyshev-Lobatto nodes, scheme NCC.
+    """Chebyshev collocation matrix on n Chebyshev-Lobatto nodes, scheme "ncc".
 
     A split kernel: row m approximates
     int_a^x_m k1(x_m, y) u(y) dy + int_x_m^b k2(x_m, y) u(y) dy
@@ -119,7 +107,7 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     k1_vals = np.asarray(spec.k1(x, y), dtype=float)
     k2_vals = np.asarray(spec.k2(x, y), dtype=float)
     matrix = half * (lower_int * k1_vals + upper_int * k2_vals)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, NCC, (a, b))
+    return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 
 def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
@@ -141,4 +129,27 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     weights = singular_moments(spec.alpha, nodes, n, a, b) @ ops.Cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     matrix = weights * np.asarray(spec.h(x, y), dtype=float)
-    return DiscreteOperator(as_complex_matrix(matrix), nodes, SINGULAR_SCHEME, (a, b))
+    return DiscreteOperator(as_complex_matrix(matrix), nodes)
+
+
+def assemble(spec: KernelSpec, scheme: str, n: int, zero_diag: bool = False) -> DiscreteOperator:
+    """K_N of spec on n nodes by one of SCHEMES.
+
+    ngl and rect are plain Nystrom on the n-point Gauss-Legendre and midpoint
+    rules of the kernel's interval, and only they take zero_diag; ncc is
+    assemble_ncc and singular is assemble_singular.  n < 2, an unknown
+    scheme, or zero_diag with ncc or singular raises ValueError.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme == "ngl":
+        return assemble_nystrom(spec, gauss_legendre(n, *spec.domain), zero_diag=zero_diag)
+    if scheme == "rect":
+        return assemble_nystrom(spec, rectangle(n, *spec.domain), zero_diag=zero_diag)
+    if zero_diag:
+        raise ValueError(f"zero_diag (--zero-diag) only applies to ngl and rect, not {scheme}")
+    if scheme == "ncc":
+        return assemble_ncc(spec, n)
+    return assemble_singular(spec, n)

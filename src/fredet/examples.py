@@ -13,10 +13,9 @@ from functools import partial
 import numpy as np
 
 from .determinants import det_from_eigs, det_p, prepare
-from .discretize import assemble_ncc, assemble_nystrom, assemble_singular
+from .discretize import assemble
 from .kernels import registry
 from .linalg import eigenvalues, trace_powers
-from .quadrature import gauss_legendre, rectangle
 from .references import det_bernoulli, det_green, det_iter2_p2, det_sign_p2
 from .spectra import fit_order, locate_eigs
 
@@ -123,18 +122,14 @@ def _smooth_example(table_row, out):
     kernel, ref, curves, (center, radius) = table_row
     spec = registry(kernel)
     ns = [10, 20, 40, 80, 160, 320]
-    builds = {
-        "ngl": lambda n: assemble_nystrom(spec, gauss_legendre(n, 0.0, 1.0)),
-        "ncc": lambda n: assemble_ncc(spec, n),
-    }
     schemes = list(dict.fromkeys(s for s, _ in curves))
     # one assembly per (scheme, n), shared by every z of that scheme
-    ops = {scheme: [builds[scheme](n) for n in ns] for scheme in schemes}
+    ops = {scheme: [assemble(spec, scheme, n) for n in ns] for scheme in schemes}
     slopes = _convergence(out, ns, [
         (scheme, z, [abs(det_p(op, 1, -z).value - ref(z)) for op in ops[scheme]])
         for scheme, z in curves])
 
-    ests = locate_eigs(builds["ngl"](128), 1, center, radius)
+    ests = locate_eigs(assemble(spec, "ngl", 128), 1, center, radius)
     write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     config = {"kernel": kernel, "schemes": schemes,
@@ -147,7 +142,6 @@ def _example3(out):
     # antisymmetric jump kernel, rectangle rule with zeroed diagonal, p = 2
     spec = registry("sign")
     ns = [25, 50, 100, 200, 400]
-    build = lambda n: assemble_nystrom(spec, rectangle(n, -1.0, 1.0), zero_diag=True)
     grid = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
     grid_ref = [det_sign_p2(z) for z in grid]
 
@@ -156,7 +150,7 @@ def _example3(out):
     zs = -np.array(grid + [z for _, z, _ in curves])
     for n in ns:
         # one reduction per n serves the grid, the curves and, at n = 200, locate_eigs
-        prep = prepared[n] = prepare(build(n), 2)
+        prep = prepared[n] = prepare(assemble(spec, "rect", n, zero_diag=True), 2)
         vals = prep.values(zs)
         # the values at the last, largest n are also the example3_grid.csv table
         grid_vals = vals[:len(grid)]
@@ -204,14 +198,13 @@ def _example4(out):
     # the five zeros of det_3(I - zK_64) in |z| < 1.1 come from locate_eigs
     spec = registry("abs_pow")
     it2 = registry("abs_pow_iter2")
-    op64 = assemble_singular(spec, 64)
+    op64 = assemble(spec, "singular", 64)
     lam = eigenvalues(op64.matrix)
     top5, tail = lam[:5], lam[5:]
     ests = locate_eigs(op64, 3, 0.0, 1.1)
     write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
-    it_build = lambda n: assemble_nystrom(it2, rectangle(n, -1.0, 1.0), zero_diag=True)
-    it64 = it_build(64)
+    it64 = assemble(it2, "rect", 64, zero_diag=True)
     zs = [(k + 1) / 11 for k in range(11)]
     cons_rows, cons, trunc, bound, cross = [], [], [], [], []
     for z in zs:
@@ -233,7 +226,7 @@ def _example4(out):
     w = 0.01  # z = 0.1 in the det_2(I - z^2 K_2) variable
     ref = det_iter2_p2(w)
     ns = [32, 64, 128, 256]
-    errs = [abs(det_p(it_build(n), 2, -w).value - ref) for n in ns]
+    errs = [abs(det_p(assemble(it2, "rect", n, zero_diag=True), 2, -w).value - ref) for n in ns]
     slopes = _convergence(out, ns, [("rect_iter2", w, errs)])
 
     by_z = lambda vals: {format(z, ".6g"): v for z, v in zip(zs, vals)}

@@ -20,7 +20,6 @@ class QuadRule:
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = ""
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
         raise ValueError(f"n must be in [1, {MAX_NODES}], got {n}")
     x, w = _gl_rule(n)
     half = 0.5 * (b - a)
-    return QuadRule(a, b, 0.5 * (a + b) + half * x, half * w, kind="gauss_legendre")
+    return QuadRule(a, b, 0.5 * (a + b) + half * x, half * w)
 
 
 @lru_cache(maxsize=64)
@@ -105,7 +104,7 @@ def rectangle(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
         raise ValueError(f"n must be in [1, {MAX_NODES}], got {n}")
     h = (b - a) / n
     nodes = a + h * (np.arange(n) + 0.5)
-    return QuadRule(a, b, nodes, np.full(n, h), kind="rectangle")
+    return QuadRule(a, b, nodes, np.full(n, h))
 
 
 def clenshaw_curtis(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
@@ -127,7 +126,7 @@ def clenshaw_curtis(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     w[-1] = w[0]
     half = 0.5 * (b - a)
     return QuadRule(a, b, 0.5 * (a + b) + half * _lobatto_points(n),
-                    half * (0.5 * (w + w[::-1])), kind="clenshaw_curtis")
+                    half * (0.5 * (w + w[::-1])))
 
 
 def _lobatto_points(n: int) -> np.ndarray:

@@ -6,34 +6,32 @@ from . import discretize, kernels, linalg
 from .determinants import det_from_eigs
 
 
-def det_green(z) -> complex:
-    """d(z) = sin(sqrt z)/sqrt z for the green kernel, as an entire series.
+def _entire_series(z, s: int) -> complex:
+    """sum_k (s+1)! (-z)^k / (2k+s+1)! for s = 0 or 1, summed term by term.
 
-    Summing sum_k (-1)^k z^k / (2k+1)! sidesteps the square-root branch cut,
-    so grids crossing the negative real axis evaluate cleanly.
+    Each term is the previous one times -z / ((2k+s)(2k+s+1)).  The series is
+    entire, so it sidesteps the square-root branch cut and grids crossing the
+    negative real axis evaluate cleanly.
     """
     z = complex(z)
     term = 1.0 + 0.0j
     total = term
     for k in range(1, 400):
-        term *= -z / ((2.0 * k) * (2.0 * k + 1.0))
+        term *= -z / ((2.0 * k + s) * (2.0 * k + s + 1.0))
         total += term
         if abs(term) < 1e-18 * (1.0 + abs(total)):
             return total
     raise ValueError(f"reference series did not converge at z = {z}")
+
+
+def det_green(z) -> complex:
+    """d(z) = sin(sqrt z)/sqrt z for the green kernel: sum_k (-z)^k / (2k+1)!."""
+    return _entire_series(z, 0)
 
 
 def det_bernoulli(z) -> complex:
-    """d(z) = (2 - 2 cos(sqrt z))/z for the bernoulli kernel, as an entire series."""
-    z = complex(z)
-    term = 1.0 + 0.0j  # 2/2! = 1
-    total = term
-    for k in range(1, 400):
-        term *= -z / ((2.0 * k + 1.0) * (2.0 * k + 2.0))
-        total += term
-        if abs(term) < 1e-18 * (1.0 + abs(total)):
-            return total
-    raise ValueError(f"reference series did not converge at z = {z}")
+    """d(z) = (2 - 2 cos(sqrt z))/z for the bernoulli kernel: sum_k 2 (-z)^k / (2k+2)!."""
+    return _entire_series(z, 1)
 
 
 def det_sign_p2(z) -> complex:
@@ -53,7 +51,7 @@ def det_iter2_p2(w, n_ref: int = 512) -> complex:
     """
     lam = _iter2_ref_cache.get(n_ref)
     if lam is None:
-        op = discretize.assemble_singular(kernels.registry("abs_pow", {"alpha": 0.5}), n_ref)
+        op = discretize.assemble(kernels.registry("abs_pow", {"alpha": 0.5}), "singular", n_ref)
         lam = linalg.eigenvalues(op.matrix)
         _iter2_ref_cache[n_ref] = lam
     return det_from_eigs(lam * lam, 2, -complex(w)).value

@@ -84,12 +84,12 @@ def _dewound_spectrum(logs, radius):
     return n, np.fft.fft(logs.real + 1j * (phase - n * theta)) / m
 
 
-def _sample_circle(logfun, center, radius: float, samples: int = 64):
+def _sample_circle(logfun, center, radius: float):
     """Winding number of f on a circle and the spectrum of its de-wound log.
 
     logfun(zs) is log f at every point of the array zs, each on any branch,
     with real part -inf where f is zero.  The first call evaluates the two
-    coarsest levels, 2 * samples points, in one batch; each later level
+    coarsest levels, 64 and 128 points, in one batch; each later level
     doubles the count with the odd points.  Sampling stops once the winding
     number n repeats from one level to the next and the coefficients at
     frequencies -1..-max(n, 1), the only ones the contour moments read, agree
@@ -101,9 +101,7 @@ def _sample_circle(logfun, center, radius: float, samples: int = 64):
     """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if not 64 <= samples <= MAX_CONTOUR_SAMPLES // 2:
-        raise ValueError(f"samples must lie in [64, {MAX_CONTOUR_SAMPLES // 2}], got {samples}")
-    m = 2 * int(samples)
+    m = 128
     logs = _log_samples(logfun, center, radius, np.arange(m) / m)
     prev_n, prev = _dewound_spectrum(logs[0::2], radius)
     while True:
@@ -122,11 +120,11 @@ def _sample_circle(logfun, center, radius: float, samples: int = 64):
         logs, m, prev_n, prev = new, 2 * m, n, coeffs
 
 
-def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> int:
+def count_zeros(detfun: Callable, center, radius: float) -> int:
     """Number of zeros (with multiplicity) of detfun inside a disc.
 
     The winding number of detfun on the circle, from the sampler that
-    locate_eigs uses: the first batch is 2 * samples points, and the count
+    locate_eigs uses: the first batch is 128 points, and the count
     doubles until two consecutive winding numbers n agree and the de-wound
     log's coefficients at frequencies -1..-max(n, 1) agree to MOMENT_TOL, so
     an empty disc still has to settle its first moment.  A contour value that
@@ -139,7 +137,7 @@ def count_zeros(detfun: Callable, center, radius: float, samples: int = 256) -> 
         with np.errstate(divide="ignore"):
             return np.log(np.abs(vals)) + 1j * np.angle(vals)
 
-    return _sample_circle(logfun, complex(center), radius, samples)[0]
+    return _sample_circle(logfun, complex(center), radius)[0]
 
 
 def refine_zero(detfun: Callable, z0, tol: float = 1e-10) -> EigenEstimate:

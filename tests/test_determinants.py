@@ -5,7 +5,7 @@ import fredet.determinants
 from fredet.determinants import (EIG_PRODUCT, LU_TRACE, SERIES, DetSeries,
                                  det_from_eigs, det_p, det_series_eval,
                                  identity_residuals, plemelj_coeffs, prepare)
-from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
+from fredet.discretize import assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import DetOverflowError, eigenvalues, trace_powers
 from fredet.quadrature import gauss_legendre, rectangle
@@ -184,15 +184,29 @@ def _operator_cases():
 
 
 def _build(name, scheme, n):
-    spec = registry(name)
-    zero_diag = name in ("sign", "abs_pow_iter2")
-    if scheme == "ngl":
-        return assemble_nystrom(spec, gauss_legendre(n, *spec.domain))
-    if scheme == "rect":
-        return assemble_nystrom(spec, rectangle(n, *spec.domain), zero_diag=zero_diag)
-    if scheme == "ncc":
-        return assemble_ncc(spec, n)
-    return assemble_singular(spec, n)
+    return assemble(registry(name), scheme, n, zero_diag=name in ("sign", "abs_pow_iter2"))
+
+
+def test_assemble_is_the_direct_builder_bit_for_bit():
+    direct = {
+        "ngl": lambda spec, n, zd: assemble_nystrom(spec, gauss_legendre(n, *spec.domain),
+                                                    zero_diag=zd),
+        "rect": lambda spec, n, zd: assemble_nystrom(spec, rectangle(n, *spec.domain),
+                                                     zero_diag=zd),
+        "ncc": lambda spec, n, zd: assemble_ncc(spec, n),
+        "singular": lambda spec, n, zd: assemble_singular(spec, n),
+    }
+    for name, scheme in _operator_cases():
+        spec = registry(name)
+        flags = (False, True) if scheme in ("ngl", "rect") else (False,)
+        if name == "abs_pow_iter2":
+            flags = (True,)  # its log singularity on the diagonal must be dropped
+        for zero_diag in flags:
+            for n in (2, 9, 32):
+                got = assemble(spec, scheme, n, zero_diag=zero_diag)
+                want = direct[scheme](spec, n, zero_diag)
+                assert np.array_equal(got.matrix, want.matrix), (name, scheme, zero_diag, n)
+                assert np.array_equal(got.nodes, want.nodes), (name, scheme, zero_diag, n)
 
 
 def test_three_routes_agree_on_discretized_operators():

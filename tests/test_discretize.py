@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fredet.determinants import det_p
-from fredet.discretize import (NCC, NGL, RECT, SINGULAR_SCHEME,
-                               assemble_ncc, assemble_nystrom, assemble_singular)
+from fredet.discretize import SCHEMES, assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import from_config, registry
 from fredet.linalg import as_complex_matrix, trace_powers
 from fredet.quadrature import QuadRule, clenshaw_curtis, gauss_legendre, rectangle, spectral_ops
@@ -14,14 +13,12 @@ def test_nystrom_rectangle_hand_computed():
     off = 1.0 / 12.0 - 0.25 + 0.125
     expect = 0.5 * np.array([[1.0 / 12.0, off], [off, 1.0 / 12.0]])
     assert np.allclose(op.matrix, expect, atol=1e-15)
-    assert op.scheme == RECT
     assert np.allclose(op.nodes, [0.25, 0.75], atol=1e-15)
 
 
 def test_nystrom_sign_zero_diag_two_by_two():
     op = assemble_nystrom(registry("sign"), rectangle(2, -1.0, 1.0), zero_diag=True)
     assert np.allclose(op.matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
-    assert op.zero_diag
 
 
 def test_nystrom_sign_without_zero_diag_keeps_lower_branch():
@@ -32,7 +29,6 @@ def test_nystrom_sign_without_zero_diag_keeps_lower_branch():
 
 def test_nystrom_gauss_legendre_green_determinant():
     op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
-    assert op.scheme == NGL
     val = det_p(op, 1, -1.0).value
     assert abs(val - np.sin(1.0)) < 1e-3
 
@@ -49,7 +45,6 @@ def test_ncc_sign_kernel_acts_as_odd_integrator():
     op = assemble_ncc(registry("sign"), 16)
     got = (op.matrix @ np.ones(16)).real
     assert np.max(np.abs(got - 2.0 * op.nodes)) < 1e-8
-    assert op.scheme == NCC
 
 
 def test_ncc_green_is_spectrally_accurate():
@@ -86,7 +81,6 @@ def test_ncc_split_kernel_is_the_spectral_formula_bit_for_bit():
         want, nodes = _split_ncc_formula(registry(name), n)
         assert np.array_equal(op.matrix, want), (name, n)
         assert np.array_equal(op.nodes, nodes)
-        assert op.scheme == NCC
 
 
 @pytest.mark.parametrize("n", [2, 3, 15, 16, 64, 65])
@@ -96,7 +90,6 @@ def test_ncc_smooth_kernel_is_nystrom_on_clenshaw_curtis(n):
         op = assemble_ncc(spec, n)
         want = assemble_nystrom(spec, clenshaw_curtis(n, spec.a, spec.b))
         assert np.array_equal(op.matrix, want.matrix) and np.array_equal(op.nodes, want.nodes)
-        assert op.scheme == want.scheme == NCC
         assert np.array_equal(op.nodes, _split_ncc_formula(spec, n)[1])
 
 
@@ -124,15 +117,25 @@ def test_ncc_smooth_kernel_at_odd_n_is_exact_where_the_split_formula_is_not():
         assert np.max(np.abs(old @ t - (exact - 1.0 / n))) <= 1e-12, n
 
 
-def test_nystrom_names_the_scheme_of_each_rule_and_rejects_unknown_kinds():
-    spec = registry("bernoulli")
-    for rule, scheme in ((gauss_legendre(6, 0.0, 1.0), NGL), (rectangle(6, 0.0, 1.0), RECT),
-                         (clenshaw_curtis(6, 0.0, 1.0), NCC)):
-        assert assemble_nystrom(spec, rule).scheme == scheme
-    unnamed = QuadRule(0.0, 1.0, np.array([0.25, 0.75]), np.array([0.5, 0.5]))
-    for rule in (unnamed, QuadRule(0.0, 1.0, unnamed.nodes, unnamed.weights, kind="simpson")):
-        with pytest.raises(ValueError, match=f"unknown quadrature rule kind {rule.kind!r}"):
-            assemble_nystrom(spec, rule)
+def test_nystrom_takes_any_rule_two_point_trapezoid():
+    # nodes -1 and 1 with weights 1: sign is +1 on and below the diagonal, -1 above
+    trapezoid = QuadRule(-1.0, 1.0, np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+    op = assemble_nystrom(registry("sign"), trapezoid)
+    assert np.array_equal(op.matrix, [[1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(op.nodes, [-1.0, 1.0])
+
+
+def test_assemble_rejects_unknown_scheme_small_n_and_misplaced_zero_diag():
+    spec = registry("green")
+    assert SCHEMES == ("ngl", "rect", "ncc", "singular")
+    with pytest.raises(ValueError, match="unknown scheme 'simpson'"):
+        assemble(spec, "simpson", 8)
+    for scheme in SCHEMES:
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            assemble(spec, scheme, 1)
+    for scheme, kernel in (("ncc", spec), ("singular", registry("abs_pow"))):
+        with pytest.raises(ValueError, match=f"zero-diag.* not {scheme}"):
+            assemble(kernel, scheme, 8, zero_diag=True)
 
 
 def test_ncc_rejects_singular_kernel():
@@ -147,7 +150,6 @@ def test_singular_assembly_row_sums_match_moment_closed_form():
         got = (op.matrix @ np.ones(24)).real
         expect = ((1 + op.nodes) ** (1 - alpha) + (1 - op.nodes) ** (1 - alpha)) / (1 - alpha)
         assert np.max(np.abs(got - expect)) < 1e-10, alpha
-        assert op.scheme == SINGULAR_SCHEME
 
 
 def test_singular_assembly_row_sums_stay_bounded():
@@ -177,4 +179,3 @@ def test_singular_assembly_rejects_nonsingular_kernel():
 def test_operator_dimension_property():
     op = assemble_nystrom(registry("green"), gauss_legendre(7, 0.0, 1.0))
     assert op.n == 7
-    assert op.domain == (0.0, 1.0)

@@ -5,10 +5,10 @@ import fredet.determinants
 import fredet.linalg
 import fredet.spectra
 from fredet.determinants import prepare
-from fredet.discretize import assemble_nystrom, assemble_singular
+from fredet.discretize import assemble, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
-from fredet.quadrature import gauss_legendre, rectangle
+from fredet.quadrature import gauss_legendre
 from fredet.spectra import (OrderFit, RefinementError, ZeroOnContourError, _sample_circle,
                             count_zeros, fit_order, locate_eigs, refine_zero)
 
@@ -41,8 +41,6 @@ def test_count_zeros_validation():
     f = lambda z: z
     with pytest.raises(ValueError):
         count_zeros(f, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        count_zeros(f, 0.0, 1.0, samples=32)
 
 
 def test_refine_zero_simple_root():
@@ -242,11 +240,11 @@ def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
     # well past one evaluation block; the block size must not change the samples
     h = hessenberg(np.diag([-1.0 / 0.97, 0.3, -0.2]) + 0.01)
     logfun = lambda zs: hessenberg_logdet(h, zs)
-    n, coeffs = _sample_circle(logfun, 0.0, 1.0, 64)
+    n, coeffs = _sample_circle(logfun, 0.0, 1.0)
     assert n == 1
     assert coeffs.size > 4 * fredet.linalg._LOGDET_CHUNK
     monkeypatch.setattr(fredet.linalg, "_LOGDET_CHUNK", 2**16)
-    n_whole, whole = _sample_circle(logfun, 0.0, 1.0, 64)
+    n_whole, whole = _sample_circle(logfun, 0.0, 1.0)
     assert n_whole == n
     assert np.allclose(whole, coeffs, rtol=0.0, atol=1e-15)
 
@@ -282,10 +280,8 @@ def test_empty_disc_still_settles_first_moment():
 def test_first_call_fetches_two_levels():
     sizes = []
     logfun = lambda zs: sizes.append(zs.size) or np.log(zs - 0.25)
-    assert _sample_circle(logfun, 0.0, 1.0, 64)[0] == 1
+    assert _sample_circle(logfun, 0.0, 1.0)[0] == 1
     assert sizes == [128]
-    with pytest.raises(ValueError):
-        _sample_circle(logfun, 0.0, 1.0, fredet.spectra.MAX_CONTOUR_SAMPLES)
 
 
 def test_locate_eigs_orders_conjugate_pair():
@@ -312,13 +308,12 @@ def test_locate_budget_on_bench_discs(monkeypatch):
     # once the moments settle, and the first two levels come in one batch
     sizes = _counted_logdet(monkeypatch)
 
-    def nystrom(name, rule, zero_diag=False):
-        spec = registry(name)
-        return assemble_nystrom(spec, rule(64, *spec.domain), zero_diag=zero_diag)
+    def nystrom(name, scheme, zero_diag=False):
+        return assemble(registry(name), scheme, 64, zero_diag=zero_diag)
 
-    cases = [(nystrom("green", gauss_legendre), 1, 50.0, 49.0, 3),
-             (nystrom("bernoulli", gauss_legendre), 1, 4.0 * np.pi**2, 10.0, 2),
-             (nystrom("sign", rectangle, zero_diag=True), 2, 0.0, 1.2, 2)]
+    cases = [(nystrom("green", "ngl"), 1, 50.0, 49.0, 3),
+             (nystrom("bernoulli", "ngl"), 1, 4.0 * np.pi**2, 10.0, 2),
+             (nystrom("sign", "rect", zero_diag=True), 2, 0.0, 1.2, 2)]
     budget = []
     for op, p, center, radius, roots in cases:
         sizes.clear()

@@ -7,28 +7,30 @@ Usage, from the repository root:
     python3 tools/bench_assembly.py [--parent DIR] [--workloads W,...] [--pairs K]
                                     [--seconds S] [--seed N] [--out FILE]
 
-Times six layers at N in {64, 256, 512}, each tree in a fresh process with
-single-threaded BLAS; the first three at alpha in {0.3, 0.5}:
+Every timing script runs in a fresh process per tree, with single-threaded
+BLAS, in ROUNDS rounds that alternate which tree goes first.  Each round
+times six layers at N in {64, 256, 512}, the first three at alpha in
+{0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
   assemble_singular  the whole product-quadrature matrix of abs_pow(alpha)
   spectral_ops       the Chebyshev operators of size N
-  assemble_ncc       the NCC matrix of bernoulli (smooth: Clenshaw-Curtis
+  assemble_ncc       the ncc matrix of bernoulli (smooth: Clenshaw-Curtis
                      Nystrom) and of green (split: spectral operators)
-  plemelj_coeffs     the series of the bernoulli NCC matrix to min(N, 64)
+  plemelj_coeffs     the series of the bernoulli ncc matrix to min(N, 64)
                      terms, whose cost is its power traces
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
-its total stays under BUDGET_S seconds; the best time is kept.  Then each of
-EXAMPLE_ROUNDS rounds runs every packaged example once as a warm-up (the
-first example-4 run fills its cached N = 512 reference) and EXAMPLE_REPEATS
-timed times, in one fresh process per tree; rounds alternate which tree goes
-first.  LOCATE_ROUNDS rounds, alternating the same way, time locate_eigs on
-each of LOCATE_CASES, the many-root and large-N searches that no benchmark
-workload covers: one warm-up search, then LOCATE_REPEATS timed ones, each
-split into reduction (determinants.prepare), sampling (hessenberg_logdet)
-and polish (_aberth) as seen through spectra's names; the rest of a search
-is its residuals and bookkeeping.  The roots of both trees are compared.
+its total stays under BUDGET_S seconds; the best time of the round is kept,
+and the report gives each layer's median over the rounds.  Each round also
+runs every packaged example once as a warm-up (the first example-4 run
+fills its cached N = 512 reference) and EXAMPLE_REPEATS timed times, and
+times locate_eigs on each of LOCATE_CASES, the many-root and large-N
+searches that no benchmark workload covers: one warm-up search, then
+LOCATE_REPEATS timed ones, each split into reduction (determinants.prepare),
+sampling (hessenberg_logdet) and polish (_aberth) as seen through spectra's
+names; the rest of a search is its residuals and bookkeeping.  The roots of
+both trees are compared.
 With --parent DIR (a checkout of another commit, holding src/ and bench/)
 the parent is timed too, and for each listed workload (default locate, grid
 and converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
@@ -50,10 +52,9 @@ NS = (64, 256, 512)
 ALPHAS = (0.3, 0.5)
 REPEATS = 3
 BUDGET_S = 2.0
+ROUNDS = 2
 EXAMPLE_IDS = (1, 2, 3, 4)
-EXAMPLE_ROUNDS = 2
 EXAMPLE_REPEATS = 3
-LOCATE_ROUNDS = 2
 LOCATE_REPEATS = 3
 # name: kernel, quadrature rule, N, zero_diag, p, disc centre, disc radius
 LOCATE_CASES = {
@@ -64,7 +65,10 @@ LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
 
-# Run in the tree under test; older trees take one scalar x per singular_moments call.
+# The scripts below run in the tree under test, so they call only names that the
+# trees compared share: assemble_nystrom with a rule, not discretize.assemble.
+
+# Older trees take one scalar x per singular_moments call.
 _LAYERS = r"""
 import json, sys, time
 import numpy as np
@@ -106,7 +110,6 @@ print(json.dumps(out))
 """
 
 
-# Run in the tree under test.
 _EXAMPLES = r"""
 import json, sys, tempfile, time
 from fredet.examples import run_example
@@ -126,7 +129,6 @@ print(json.dumps(out))
 """
 
 
-# Run in the tree under test.
 _LOCATE = r"""
 import json, sys, time
 from fredet import discretize, kernels, quadrature, spectra
@@ -175,25 +177,28 @@ def _env(tree):
     return env
 
 
-def layer_times(tree):
-    args = json.dumps([NS, ALPHAS, REPEATS, BUDGET_S])
-    done = subprocess.run([sys.executable, "-c", _LAYERS, args], env=_env(tree), cwd=tree,
-                          capture_output=True, text=True, check=True)
+def in_tree(tree, script, payload):
+    """Run script in a fresh process on tree's src/, payload as its JSON argument,
+    and return the JSON of its last output line."""
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(payload)], env=_env(tree),
+                          cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def example_times(tree):
-    args = json.dumps([EXAMPLE_IDS, EXAMPLE_REPEATS])
-    done = subprocess.run([sys.executable, "-c", _EXAMPLES, args], env=_env(tree), cwd=tree,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+def alternate(trees, script, payload):
+    """Per tree tag, the ROUNDS results of script, the tree that goes first alternating."""
+    results = {tag: [] for tag, _ in trees}
+    for r in range(ROUNDS):
+        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
+            results[tag].append(in_tree(tree, script, payload))
+    return results
 
 
-def locate_times(tree):
-    args = json.dumps([LOCATE_CASES, LOCATE_REPEATS])
-    done = subprocess.run([sys.executable, "-c", _LOCATE, args], env=_env(tree), cwd=tree,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+def layer_report(rounds):
+    """The rows of one tree's layer timings, each time the median of its rounds."""
+    return [{k: (statistics.median(r[i][k] for r in rounds) if k.endswith("_s") else v)
+             for k, v in row.items()}
+            for i, row in enumerate(rounds[0])]
 
 
 def locate_report(by_tag):
@@ -255,22 +260,18 @@ def main(argv=None):
     trees = [("change", ROOT)]
     if args.parent:
         trees.insert(0, ("parent", os.path.abspath(args.parent)))
+    layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S])
     report = {"machine": _environment(args.seed),
-              "layers": {tag: layer_times(tree) for tag, tree in trees}}
-    times = {tag: {str(i): [] for i in EXAMPLE_IDS} for tag, _ in trees}
-    for r in range(EXAMPLE_ROUNDS):
-        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
-            for i, ts in example_times(tree).items():
-                times[tag][i].extend(ts)
-    report["run_example_s"] = {
-        tag: {i: {"median": statistics.median(ts), "min": min(ts), "max": max(ts), "runs": ts}
-              for i, ts in by_id.items()}
-        for tag, by_id in times.items()}
-    located = {tag: [] for tag, _ in trees}
-    for r in range(LOCATE_ROUNDS):
-        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
-            located[tag].append(locate_times(tree))
-    report["locate_stages"] = locate_report(located)
+              "layers": {tag: layer_report(rounds) for tag, rounds in layers.items()}}
+    examples = alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS])
+    report["run_example_s"] = {tag: {} for tag in examples}
+    for tag, rounds in examples.items():
+        for i in map(str, EXAMPLE_IDS):
+            ts = [t for r in rounds for t in r[i]]
+            report["run_example_s"][tag][i] = {"median": statistics.median(ts), "min": min(ts),
+                                               "max": max(ts), "runs": ts}
+    report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
+                                                      [LOCATE_CASES, LOCATE_REPEATS]))
     for w in filter(None, args.workloads.split(",")):
         pairs = []
         for k in range(args.pairs):
