@@ -8,8 +8,8 @@ factorization identities, and locate eigenvalues as reciprocals of
 determinant zeros.
 """
 
-from .determinants import (DetSeries, DetValue, PreparedDet, det_from_eigs, det_p,
-                           det_series_eval, identity_residuals, plemelj_coeffs, prepare)
+from .determinants import (DetValue, PreparedDet, det_from_eigs, det_p, det_series_eval,
+                           identity_residuals, plemelj_coeffs, prepare)
 from .discretize import (SCHEMES, DiscreteOperator, assemble, assemble_ncc, assemble_nystrom,
                          assemble_singular)
 from .kernels import KernelSpec, from_config, load_kernel_file, registry

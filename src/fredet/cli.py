@@ -9,12 +9,12 @@ import sys
 
 import numpy as np
 
-from .determinants import LU_TRACE, det_p, identity_residuals, prepare
+from .determinants import det_p, identity_residuals, prepare
 from .discretize import SCHEMES, assemble
 from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row,
                        run_example, write_csv, write_summary)
 from .kernels import KERNEL_NAMES, has_diagonal_jump, load_kernel_file, registry
-from .linalg import DetOverflowError
+from .linalg import MAX_DIM, DetOverflowError
 from .references import REFERENCES
 from .spectra import RefinementError, ZeroOnContourError, fit_order, locate_eigs
 
@@ -22,6 +22,9 @@ from .spectra import RefinementError, ZeroOnContourError, fit_order, locate_eigs
 # (determinants.prepare), fewer through one LU each: the reduction breaks
 # even at 4-16 points for N = 32-800.
 PREPARE_MIN_Z = 16
+
+# --grid takes at most this many STEPS per axis, so at most 2^16 points
+MAX_GRID_STEPS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,16 +40,22 @@ def _fail(code, stage, exc):
     return code
 
 
+def _floats(parts, field, text):
+    """parts as floats; a part that is not a finite number raises ValueError."""
+    try:
+        vals = [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{field} expects numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{field} expects finite numbers, got {text!r}")
+    return vals
+
+
 def _parse_complex(text, field):
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"{field} expects RE or RE,IM, got {text!r}")
-    try:
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) == 2 else 0.0
-    except ValueError:
-        raise ValueError(f"{field} expects numbers, got {text!r}") from None
-    return complex(re, im)
+    return complex(*_floats(parts, field, text))
 
 
 def _parse_sign(text):
@@ -59,10 +68,10 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError(f"--grid expects RE0,RE1,IM0,IM1,STEPS, got {text!r}")
-    re0, re1, im0, im1 = map(float, parts[:4])
+    re0, re1, im0, im1 = _floats(parts[:4], "--grid", text)
     steps = int(parts[4])
-    if steps < 1:
-        raise ValueError(f"--grid STEPS must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise ValueError(f"--grid STEPS must be in [1, {MAX_GRID_STEPS}], got {steps}")
     return [complex(re, im)
             for re in np.linspace(re0, re1, steps)
             for im in np.linspace(im0, im1, steps)]
@@ -87,7 +96,7 @@ def _parse_region(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--region expects CRE,CIM,RAD, got {text!r}")
-    cre, cim, rad = map(float, parts)
+    cre, cim, rad = _floats(parts, "--region", text)
     if rad <= 0:
         raise ValueError(f"--region radius must be positive, got {rad}")
     return complex(cre, cim), rad
@@ -151,7 +160,7 @@ def cmd_det(args):
         vals = prepare(op, args.p).values(signed).tolist()
     else:
         vals = [det_p(op, args.p, z).value for z in signed]
-    rows = [(z.real, z.imag, v.real, v.imag, LU_TRACE) for z, v in zip(zs, vals)]
+    rows = [(z.real, z.imag, v.real, v.imag, "LU_TRACE") for z, v in zip(zs, vals)]
     header = ["z_re", "z_im", "value_re", "value_im", "route"]
     payload = {"command": "det", "config": _config_echo(args, spec, {"n": args.n}),
                "rows": [dict(zip(header, r)) for r in rows]}
@@ -215,6 +224,8 @@ _IDENTITY_ASSEMBLIES = (
 def cmd_identity(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.n <= MAX_DIM:
+        raise ValueError(f"--n must be in [1, {MAX_DIM}], got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = {}
     for _ in range(args.trials):

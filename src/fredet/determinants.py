@@ -7,31 +7,12 @@ import numpy as np
 from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matrix, hessenberg,
                      hessenberg_logdet)
 
-LU_TRACE = "LU_TRACE"
-SERIES = "SERIES"
-EIG_PRODUCT = "EIG_PRODUCT"
-
 
 @dataclass(frozen=True)
 class DetValue:
-    z: complex
-    p: int
+    """det_p(I + zK) from one of the three routes; compare routes by value."""
+
     value: complex
-    route: str
-
-
-@dataclass(frozen=True)
-class DetSeries:
-    """Taylor coefficients of z -> det_p(I + zK) about z = 0.
-
-    traces[j-1] holds the power trace actually fed to the recursion: tr(K^j)
-    for j >= p and 0 for j < p, which is what removes the first p-1 Taylor
-    terms of log det.
-    """
-
-    p: int
-    coeffs: np.ndarray
-    traces: np.ndarray
 
 
 def _matrix_of(op) -> np.ndarray:
@@ -53,12 +34,12 @@ def det_p(op, p: int, z) -> DetValue:
     _check_p(p)
     z = complex(z)
     if z == 0:
-        return DetValue(z, p, 1.0 + 0.0j, LU_TRACE)
+        return DetValue(1.0 + 0.0j)
     shifted = z * m
     shifted.flat[::m.shape[0] + 1] += 1.0
     phase, logabs = np.linalg.slogdet(shifted)
     if phase == 0:
-        return DetValue(z, p, 0.0 + 0.0j, LU_TRACE)
+        return DetValue(0.0 + 0.0j)
     corr = 0.0 + 0.0j
     if p > 1:
         nu = _trace_powers(m, p - 1)
@@ -66,7 +47,7 @@ def det_p(op, p: int, z) -> DetValue:
     w = logabs + corr
     if w.real > _LOG_HUGE:
         raise DetOverflowError(f"|det_{p}| ~ exp({w.real:.4g}) is out of double range")
-    return DetValue(z, p, complex(phase * np.exp(w)), LU_TRACE)
+    return DetValue(complex(phase * np.exp(w)))
 
 
 @dataclass(frozen=True)
@@ -115,12 +96,14 @@ def prepare(op, p: int) -> PreparedDet:
     return PreparedDet(p, m, hessenberg(m), traces)
 
 
-def plemelj_coeffs(op, p: int, n_max: int) -> DetSeries:
-    """Taylor coefficients a_0..a_n_max of det_p(I + zK) from power traces.
+def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
+    """The array [a_0, ..., a_n_max] of Taylor coefficients of det_p(I + zK)
+    about z = 0, from power traces.
 
     Newton-identity recursion: n a_n = sum_{j=0}^{n-1} (-1)^(n-j+1) a_j nu_{n-j},
-    with nu_j = tr(K^j) zeroed out for j < p.  For an N x N matrix the
-    coefficients vanish beyond n = N.
+    with nu_j = tr(K^j) for j >= p and nu_j = 0 for j < p: zeroing the traces
+    below p is what removes the first p-1 Taylor terms of log det.  For an
+    N x N matrix the coefficients vanish beyond n = N.
     """
     m = _matrix_of(op)
     _check_p(p)
@@ -136,16 +119,16 @@ def plemelj_coeffs(op, p: int, n_max: int) -> DetSeries:
     for n in range(1, n_max + 1):
         s = np.sum(coeffs[:n] * parity[:n] * nu[n - 1 :: -1])
         coeffs[n] = -parity[n] * s / n
-    return DetSeries(p, coeffs, nu)
+    return coeffs
 
 
-def det_series_eval(series: DetSeries, z) -> DetValue:
-    """Evaluate the coefficient series by Horner's scheme."""
+def det_series_eval(coeffs, z) -> DetValue:
+    """sum_n coeffs[n] z^n by Horner's scheme, for the array plemelj_coeffs returns."""
     z = complex(z)
     acc = 0.0 + 0.0j
-    for c in series.coeffs[::-1]:
+    for c in coeffs[::-1]:
         acc = acc * z + c
-    return DetValue(z, series.p, acc, SERIES)
+    return DetValue(acc)
 
 
 def det_from_eigs(eigs, p: int, z) -> DetValue:
@@ -154,17 +137,17 @@ def det_from_eigs(eigs, p: int, z) -> DetValue:
     lam = np.asarray(eigs, dtype=np.complex128).ravel()
     z = complex(z)
     if lam.size == 0:
-        return DetValue(z, p, 1.0 + 0.0j, EIG_PRODUCT)
+        return DetValue(1.0 + 0.0j)
     factors = 1.0 + z * lam
     if np.any(factors == 0):
-        return DetValue(z, p, 0.0 + 0.0j, EIG_PRODUCT)
+        return DetValue(0.0 + 0.0j)
     w = np.log(factors)
     for j in range(1, p):
         w = w + (-z * lam) ** j / j
     total = np.sum(w)
     if total.real > _LOG_HUGE:
         raise DetOverflowError(f"|det_{p}| ~ exp({total.real:.4g}) is out of double range")
-    return DetValue(z, p, complex(np.exp(total)), EIG_PRODUCT)
+    return DetValue(complex(np.exp(total)))
 
 
 def identity_residuals(a, z) -> dict:

@@ -24,10 +24,6 @@ class DiscreteOperator:
     matrix: np.ndarray
     nodes: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _split_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: bool) -> np.ndarray:
     """Branch-dispatched kernel values on a node grid; optionally skip x == y."""

@@ -12,10 +12,6 @@ SPLIT = "split"
 SINGULAR = "singular"
 
 
-class KernelSingularError(ValueError):
-    """Pointwise evaluation requested on a non-integrable diagonal."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel k(x, y) on the square [a, b]^2.
@@ -39,18 +35,6 @@ class KernelSpec:
     @property
     def domain(self):
         return (self.a, self.b)
-
-    def eval(self, x: float, y: float) -> float:
-        """Pointwise kernel value; raises on the diagonal of a singular form."""
-        if not (self.a <= x <= self.b and self.a <= y <= self.b):
-            raise ValueError(f"({x}, {y}) outside [{self.a}, {self.b}]^2")
-        if self.form == SMOOTH:
-            return float(self.k1(x, y))
-        if self.form == SPLIT:
-            return float(self.k1(x, y) if y <= x else self.k2(x, y))
-        if x == y:
-            raise KernelSingularError(f"kernel {self.name or self.form} is singular at x == y")
-        return float(abs(x - y) ** (-self.alpha) * self.h(x, y))
 
 
 def _ones(x, y):

@@ -34,7 +34,6 @@ class SpectralOps:
             i.e. C @ Sr @ Cinv maps samples of q to samples of int_x^1 q
     """
 
-    n: int
     points: np.ndarray
     C: np.ndarray
     Cinv: np.ndarray
@@ -176,7 +175,7 @@ def spectral_ops(n: int) -> SpectralOps:
     Sl[0, :] = -signs @ raw[1:, :]  # constant row: antiderivative vanishes at -1
     Sr = -raw
     Sr[0, :] = np.sum(raw[1:, :], axis=0)  # vanishes at +1 instead
-    return SpectralOps(n, points, C, Cinv, Sl, Sr)
+    return SpectralOps(points, C, Cinv, Sl, Sr)
 
 
 def _gl01(npts: int):

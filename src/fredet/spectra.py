@@ -54,7 +54,6 @@ class OrderFit:
     slope: float
     intercept: float
     r_squared: float
-    points: Tuple[Tuple[float, float], ...]
 
 
 def _log_samples(logfun, center, radius, fractions):
@@ -273,13 +272,16 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     |dz| / (1 + |z|) among the cluster's zeros, at most 1e-12 since the polish
     converged.  Estimates come by |z_root|, ties within
     CLUSTER_TOL by imaginary, then real part.  With the default sign = -1 the
-    reported eigenvalue is lam = 1/z_root.
+    reported eigenvalue is lam = 1/z_root.  A center or radius that is not
+    finite, or a radius that is not positive, raises ValueError.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     center = complex(center)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
 
     # K is validated once, by prepare; det_p and det share their zeros, and
     # H(sign K) = sign H(K)
@@ -346,4 +348,4 @@ def fit_order(ns, errs) -> OrderFit:
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return OrderFit(float(slope), float(intercept), r2, tuple(zip(x.tolist(), y.tolist())))
+    return OrderFit(float(slope), float(intercept), r2)

@@ -39,7 +39,7 @@ def test_criterion_1_finite_dimensional_exactness():
             worst = max(abs(v_lu - v_se), abs(v_lu - v_ei), abs(v_se - v_ei)) / scale
             assert worst <= 1e-8, (trial, n, p, z, worst)
 
-        tail = np.abs(plemelj_coeffs(a, 1, n + 8).coeffs[n + 1:]).max()
+        tail = np.abs(plemelj_coeffs(a, 1, n + 8)[n + 1:]).max()
         assert tail <= 1e-10, (trial, n, tail)
 
         for p in (2, 3, 4):

@@ -5,11 +5,11 @@ import pytest
 
 import fredet.cli
 import fredet.determinants
-from fredet.cli import main
+from fredet.cli import MAX_GRID_STEPS, _parse_grid, main
 from fredet.determinants import det_from_eigs, det_p
 from fredet.discretize import assemble_nystrom, assemble_singular
 from fredet.kernels import registry
-from fredet.linalg import eigenvalues
+from fredet.linalg import MAX_DIM, eigenvalues
 from fredet.quadrature import rectangle
 
 BERN_AT_ONE = 2.0 - 2.0 * np.cos(1.0)
@@ -316,6 +316,52 @@ def test_validation_failures_exit_one(argv, code, stage, capsys):
     # configuration errors exit 1, output errors 2, each under its stage prefix
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"fredet: {stage}: ")
+
+
+_DET = ["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"]
+_EIGS = ["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    _DET + ["--z", "nan"],
+    _DET + ["--z", "inf,0"],
+    _DET + ["--z", "0,-inf"],
+    _DET + ["--grid", "0,nan,0,1,3"],
+    ["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "8:64:geometric",
+     "--z", "nan"],
+    _EIGS + ["--region", "nan,0,5"],
+    _EIGS + ["--region", "0,0,inf"],
+], ids=["z_nan", "z_inf", "z_im_minus_inf", "grid_nan", "converge_z_nan", "region_center_nan",
+        "region_radius_inf"])
+def test_non_finite_numbers_exit_one(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fredet: configuration: ") and "finite numbers" in err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the size was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    _DET + ["--grid", f"0,1,0,1,{MAX_GRID_STEPS + 1}"],
+    _DET + ["--grid", "0,1,0,1,0"],
+    ["identity", "--n", "0"],
+    ["identity", "--n", str(MAX_DIM + 1)],
+], ids=["grid_steps_past_cap", "grid_steps_zero", "identity_n_zero", "identity_n_past_max_dim"])
+def test_sizes_out_of_range_exit_one_before_allocating(argv, monkeypatch, capsys):
+    # neither the matrix nor the random draws may be made before the check
+    monkeypatch.setattr(fredet.cli, "assemble", _never)
+    monkeypatch.setattr(np.random, "default_rng", _never)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fredet: configuration: ") and "must be in [1, " in err
+
+
+def test_grid_steps_cap_is_inclusive():
+    zs = _parse_grid(f"0,1,0,1,{MAX_GRID_STEPS}")
+    assert len(zs) == MAX_GRID_STEPS**2 <= 1 << 16
+    assert zs[0] == 0 and zs[-1] == 1 + 1j
 
 
 def test_bad_usage_exits_one(capsys):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import fredet.determinants
-from fredet.determinants import (EIG_PRODUCT, LU_TRACE, SERIES, DetSeries,
-                                 det_from_eigs, det_p, det_series_eval,
-                                 identity_residuals, plemelj_coeffs, prepare)
+from fredet.determinants import (det_from_eigs, det_p, det_series_eval, identity_residuals,
+                                 plemelj_coeffs, prepare)
 from fredet.discretize import assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import DetOverflowError, eigenvalues, trace_powers
@@ -14,7 +13,6 @@ from fredet.quadrature import gauss_legendre, rectangle
 def test_det_p_at_zero_is_one():
     v = det_p(np.ones((4, 4)), 3, 0.0)
     assert v.value == 1.0 + 0.0j
-    assert v.route == LU_TRACE
 
 
 def test_det_p_rejects_bad_p():
@@ -94,25 +92,24 @@ def test_det_p_overflow_raises():
 
 def test_plemelj_coeffs_are_elementary_symmetric():
     d = np.array([0.5, -0.25, 0.125, 1.0])
-    ser = plemelj_coeffs(np.diag(d), 1, 6)
+    coeffs = plemelj_coeffs(np.diag(d), 1, 6)
     # det(I + zD) = prod(1 + z d_k): coefficients are elementary symmetric polys
     e1 = d.sum()
     e2 = sum(d[i] * d[j] for i in range(4) for j in range(i + 1, 4))
     e3 = sum(d[i] * d[j] * d[k] for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
     e4 = d.prod()
-    assert np.allclose(ser.coeffs[:5], [1.0, e1, e2, e3, e4], atol=1e-12)
-    assert np.max(np.abs(ser.coeffs[5:])) < 1e-12  # terminates past the dimension
+    assert np.allclose(coeffs[:5], [1.0, e1, e2, e3, e4], atol=1e-12)
+    assert np.max(np.abs(coeffs[5:])) < 1e-12  # terminates past the dimension
 
 
 def test_plemelj_coeffs_scalar_p2():
     # (1 + zc) exp(-zc) = 1 - c^2 z^2 / 2 + c^3 z^3 / 3 - ...
     c = 0.7
-    ser = plemelj_coeffs(np.array([[c]]), 2, 3)
-    assert abs(ser.coeffs[0] - 1.0) < 1e-15
-    assert abs(ser.coeffs[1]) < 1e-15
-    assert abs(ser.coeffs[2] - (-c * c / 2.0)) < 1e-14
-    assert abs(ser.coeffs[3] - (c**3 / 3.0)) < 1e-14
-    assert ser.traces[0] == 0.0  # nu_1 suppressed for p = 2
+    coeffs = plemelj_coeffs(np.array([[c]]), 2, 3)
+    assert abs(coeffs[0] - 1.0) < 1e-15
+    assert coeffs[1] == 0.0  # nu_1 suppressed for p = 2
+    assert abs(coeffs[2] - (-c * c / 2.0)) < 1e-14
+    assert abs(coeffs[3] - (c**3 / 3.0)) < 1e-14
 
 
 def test_plemelj_coeffs_validation():
@@ -121,10 +118,7 @@ def test_plemelj_coeffs_validation():
 
 
 def test_det_series_eval_horner():
-    ser = DetSeries(1, np.array([1.0, 2.0, 3.0], dtype=complex), np.zeros(2, dtype=complex))
-    v = det_series_eval(ser, 2.0)
-    assert v.value == 17.0 + 0.0j
-    assert v.route == SERIES
+    assert det_series_eval(np.array([1.0, 2.0, 3.0], dtype=complex), 2.0).value == 17.0 + 0.0j
 
 
 def test_det_from_eigs_basics():
@@ -132,7 +126,6 @@ def test_det_from_eigs_basics():
     assert det_from_eigs([0.5], 1, -2.0).value == 0.0 + 0.0j
     v = det_from_eigs([0.5, -0.25], 1, 1.0)
     assert abs(v.value - 1.5 * 0.75) < 1e-14
-    assert v.route == EIG_PRODUCT
     with pytest.raises(ValueError):
         det_from_eigs([0.5], 0, 1.0)
     with pytest.raises(DetOverflowError):
@@ -164,9 +157,9 @@ def test_discretization_error_route_independent():
     errs = {}
     for n in (30, 60):
         op = assemble_nystrom(spec, rectangle(n, -1.0, 1.0), zero_diag=True)
-        ser = plemelj_coeffs(op, 2, n)
+        coeffs = plemelj_coeffs(op, 2, n)
         e_lu = abs(det_p(op, 2, -1.0).value - np.cosh(2.0))
-        e_se = abs(det_series_eval(ser, -1.0).value - np.cosh(2.0))
+        e_se = abs(det_series_eval(coeffs, -1.0).value - np.cosh(2.0))
         assert abs(e_lu - e_se) < 1e-6
         errs[n] = e_lu
     assert errs[60] < errs[30] <= 0.25
@@ -222,8 +215,8 @@ def test_three_routes_agree_on_discretized_operators():
             op = _build(name, scheme, n)
             lam = eigenvalues(op.matrix)
             for p in (1, 2, 3):
-                ser = plemelj_coeffs(op, p, n + 32)
-                mags = np.abs(ser.coeffs)
+                coeffs = plemelj_coeffs(op, p, n + 32)
+                mags = np.abs(coeffs)
                 for z in zgrid:
                     v_lu = det_p(op, p, z).value
                     v_ei = det_from_eigs(lam, p, z).value
@@ -235,7 +228,7 @@ def test_three_routes_agree_on_discretized_operators():
                     if (tail <= 1e-10 * abs(v_lu) and kappa <= 1e5 * abs(v_lu)
                             and abs(v_lu) <= 2.0 * kappa):
                         guarded += 1
-                        v_se = det_series_eval(ser, z).value
+                        v_se = det_series_eval(coeffs, z).value
                         rel = abs(v_lu - v_se) / max(abs(v_lu), 1e-300)
                         assert rel < 1e-8, (name, scheme, n, p, z)
         guarded_counts[(name, scheme)] = guarded

@@ -176,6 +176,7 @@ def test_singular_assembly_rejects_nonsingular_kernel():
         assemble_singular(registry("green"), 8)
 
 
-def test_operator_dimension_property():
+def test_operator_has_one_row_and_node_per_rule_node():
     op = assemble_nystrom(registry("green"), gauss_legendre(7, 0.0, 1.0))
-    assert op.n == 7
+    assert op.matrix.shape == (7, 7)
+    assert op.nodes.shape == (7,)

@@ -13,6 +13,10 @@ from fredet.linalg import eigenvalues
 from fredet.quadrature import gauss_legendre
 
 
+def _lines(path):
+    return path.read_text().splitlines()
+
+
 def test_run_example_rejects_bad_id(tmp_path):
     with pytest.raises(ValueError):
         run_example(7, str(tmp_path))
@@ -21,7 +25,7 @@ def test_run_example_rejects_bad_id(tmp_path):
 def test_write_csv_and_summary_formats(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(str(path), ["a", "b"], [(1, 0.5), ("slope", -2.0)])
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(_lines(path)))
     assert rows[0] == ["a", "b"]
     assert rows[1] == ["1", "0.5"]
     assert rows[2][0] == "slope"
@@ -67,7 +71,7 @@ def test_example_summaries_are_strict_json(ex1, ex2, ex3, ex4):
         assert r["residual"] is not None and np.isfinite(r["residual"])
         assert r["residual"] <= 1e-10
         assert abs(complex(r["z_re"], r["z_im"]) - want) <= 1e-12 * abs(want)
-    rows = list(csv.reader((ex4["dir"] / "example4_eigs.csv").open()))
+    rows = list(csv.reader(_lines(ex4["dir"] / "example4_eigs.csv")))
     assert rows[0] == ROOT_CSV_HEADER
     assert len(rows) == 1 + 5
 
@@ -77,7 +81,7 @@ def test_example2_files_and_summary(ex2):
     for name in ("example2_convergence.csv", "example2_eigs.csv",
                  "example2_summary.json"):
         assert (outdir / name).exists(), name
-    rows = list(csv.reader((outdir / "example2_convergence.csv").open()))
+    rows = list(csv.reader(_lines(outdir / "example2_convergence.csv")))
     assert rows[0] == ["scheme", "z_re", "z_im", "n", "abs_err"]
     assert len(rows) == 1 + 3 * 6  # three curves over six sizes
 
@@ -111,7 +115,7 @@ def test_example3_files_and_summary(ex3):
     for name in ("example3_surface.csv", "example3_convergence.csv",
                  "example3_grid.csv", "example3_eigs.csv", "example3_summary.json"):
         assert (outdir / name).exists(), name
-    grid_rows = list(csv.reader((outdir / "example3_grid.csv").open()))
+    grid_rows = list(csv.reader(_lines(outdir / "example3_grid.csv")))
     assert len(grid_rows) == 1 + 81
 
     slopes = summary["slopes"]
@@ -132,8 +136,8 @@ def test_example3_locates_imaginary_pair(ex3):
 def test_example3_grid_reuses_largest_n_surface(ex3):
     # the grid table is the N = 400 sweep, so its worst error is the last surface row
     outdir = ex3["dir"]
-    grid = list(csv.DictReader((outdir / "example3_grid.csv").open()))
-    surface = list(csv.DictReader((outdir / "example3_surface.csv").open()))
+    grid = list(csv.DictReader(_lines(outdir / "example3_grid.csv")))
+    surface = list(csv.DictReader(_lines(outdir / "example3_surface.csv")))
     assert surface[-1]["n"] == "400"
     assert max(float(r["abs_err"]) for r in grid) == float(surface[-1]["max_abs_err"])
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fredet.kernels import (KERNEL_NAMES, KernelSingularError, KernelSpec,
-                            from_config, has_diagonal_jump, load_kernel_file,
-                            parse_expr, registry)
+from fredet.discretize import assemble_nystrom
+from fredet.kernels import (KERNEL_NAMES, KernelSpec, from_config, has_diagonal_jump,
+                            load_kernel_file, parse_expr, registry)
+from fredet.quadrature import QuadRule
 
 
 def test_registry_names_and_domains():
@@ -20,37 +21,36 @@ def test_registry_names_and_domains():
 
 def test_green_kernel_values():
     g = registry("green")
-    assert abs(g.eval(0.7, 0.3) - 0.3 * 0.3) < 1e-15  # y(1-x) below
-    assert abs(g.eval(0.3, 0.7) - 0.3 * 0.3) < 1e-15  # x(1-y) above
-    assert abs(g.eval(0.5, 0.5) - 0.25) < 1e-15       # continuous on the diagonal
-    with pytest.raises(ValueError, match="outside"):
-        g.eval(1.5, 0.5)
+    assert abs(g.k1(0.7, 0.3) - 0.3 * 0.3) < 1e-15  # y(1-x) below
+    assert abs(g.k2(0.3, 0.7) - 0.3 * 0.3) < 1e-15  # x(1-y) above
+    assert abs(g.k1(0.5, 0.5) - 0.25) < 1e-15       # continuous on the diagonal
+    assert abs(g.k2(0.5, 0.5) - 0.25) < 1e-15
 
 
 def test_bernoulli_kernel_values():
     b = registry("bernoulli")
     d = 0.25 - 0.75
     expect = 1.0 / 12.0 - 0.5 * abs(d) + 0.5 * d * d
-    assert abs(b.eval(0.25, 0.75) - expect) < 1e-15
-    assert abs(b.eval(0.25, 0.75) - b.eval(0.75, 0.25)) < 1e-15
-    assert abs(b.eval(0.4, 0.4) - 1.0 / 12.0) < 1e-15
+    assert abs(b.k1(0.25, 0.75) - expect) < 1e-15
+    assert abs(b.k1(0.25, 0.75) - b.k1(0.75, 0.25)) < 1e-15
+    assert abs(b.k1(0.4, 0.4) - 1.0 / 12.0) < 1e-15
 
 
 def test_sign_kernel_values():
     s = registry("sign")
-    assert s.eval(0.5, -0.5) == 1.0
-    assert s.eval(-0.5, 0.5) == -1.0
-    assert s.eval(0.2, 0.2) == 1.0  # diagonal belongs to the lower branch
+    assert s.k1(0.5, -0.5) == 1.0
+    assert s.k2(-0.5, 0.5) == -1.0
+    # the diagonal belongs to the lower branch: a one-node rule at x = 0.2 reads k1
+    one_node = QuadRule(-1.0, 1.0, np.array([0.2]), np.array([1.0]))
+    assert assemble_nystrom(s, one_node).matrix[0, 0] == 1.0
 
 
 def test_abs_pow_kernel():
     k = registry("abs_pow")
     assert k.alpha == 0.5
-    assert abs(k.eval(0.5, 0.0) - np.sqrt(2.0)) < 1e-14
-    with pytest.raises(KernelSingularError):
-        k.eval(0.3, 0.3)
+    assert abs(0.5 ** -k.alpha * k.h(0.5, 0.0) - np.sqrt(2.0)) < 1e-14
     k3 = registry("abs_pow", {"alpha": 0.3})
-    assert abs(k3.eval(0.5, 0.0) - 0.5 ** (-0.3)) < 1e-14
+    assert k3.alpha == 0.3 and k3.h(0.5, 0.0) == 1.0
     with pytest.raises(ValueError, match="alpha"):
         registry("abs_pow", {"alpha": 1.0})
     with pytest.raises(ValueError, match="params"):
@@ -69,15 +69,16 @@ _ITER2_POINTS = [
 def test_iter2_kernel_matches_integral_oracle():
     k = registry("abs_pow_iter2")
     for x, y, expect in _ITER2_POINTS:
-        assert abs(k.eval(x, y) - expect) < 1e-12, (x, y)
-        assert abs(k.eval(y, x) - expect) < 1e-12  # iterated kernel is symmetric
+        lo, hi = min(x, y), max(x, y)
+        assert abs(k.k1(hi, lo) - expect) < 1e-12, (x, y)  # below the diagonal
+        assert abs(k.k2(lo, hi) - expect) < 1e-12  # above: the iterated kernel is symmetric
 
 
 def test_iter2_kernel_corner_closed_forms():
     k = registry("abs_pow_iter2")
-    assert abs(k.eval(-1.0, 1.0) - np.pi) < 1e-12
+    assert abs(k.k2(-1.0, 1.0) - np.pi) < 1e-12
     expect = np.pi + 2.0 * np.log(1.0 + np.sqrt(2.0))
-    assert abs(k.eval(-1.0, 0.0) - expect) < 1e-12
+    assert abs(k.k2(-1.0, 0.0) - expect) < 1e-12
 
 
 def test_has_diagonal_jump():
@@ -124,12 +125,12 @@ def test_from_config_registry_route():
 
 def test_from_config_expression_routes():
     smooth = from_config({"expr": {"k": "x*y"}, "domain": [0, 1]})
-    assert smooth.form == "smooth" and smooth.eval(0.5, 0.4) == 0.2
+    assert smooth.form == "smooth" and smooth.k1(0.5, 0.4) == 0.2
     split = from_config({"expr": {"k1": "1 + 0*x", "k2": "-1 + 0*x"}, "domain": [-1, 1]})
-    assert split.eval(0.5, -0.5) == 1.0 and split.eval(-0.5, 0.5) == -1.0
+    assert split.k1(0.5, -0.5) == 1.0 and split.k2(-0.5, 0.5) == -1.0
     sing = from_config({"expr": {"h": "1 + 0*x"}, "domain": [-1, 1], "alpha": 0.5})
     assert sing.form == "singular"
-    assert abs(sing.eval(0.5, 0.0) - np.sqrt(2.0)) < 1e-14
+    assert abs(0.5 ** -sing.alpha * sing.h(0.5, 0.0) - np.sqrt(2.0)) < 1e-14
 
 
 @pytest.mark.parametrize("cfg,msg", [
@@ -152,7 +153,7 @@ def test_load_kernel_file_round_trip(tmp_path):
     path.write_text(json.dumps({"expr": {"k": "x + y"}, "domain": [0, 2]}))
     spec = load_kernel_file(str(path))
     assert spec.domain == (0.0, 2.0)
-    assert spec.eval(0.5, 1.0) == 1.5
+    assert spec.k1(0.5, 1.0) == 1.5
 
 
 def test_load_kernel_file_bad_json(tmp_path):
