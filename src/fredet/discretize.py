@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SINGULAR, SMOOTH, KernelSpec
-from .linalg import as_complex_matrix
+from .linalg import MAX_DIM, as_complex_matrix
 from .quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, rectangle, singular_moments,
                          spectral_ops)
 
@@ -113,8 +113,8 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     row weights w(x)^T = beta(x)^T C^{-1}, where beta_j(x) are the moments
     of |x-y|^(-alpha) against T_j and C is the Chebyshev Vandermonde on the
     nodes.  Entry (i, j) is w_j(x_i) h(x_i, x_j).  The moments of all n rows
-    come from one blocked singular_moments call: O(n^3) flops, working set
-    O(block) quadrature points.
+    come from one singular_moments call, O(n^2) flops in all; the product
+    with C^{-1} is the one O(n^3) step.
     """
     if spec.form != SINGULAR:
         raise ValueError("assemble_singular requires a singular kernel spec")
@@ -133,11 +133,14 @@ def assemble(spec: KernelSpec, scheme: str, n: int, zero_diag: bool = False) -> 
 
     ngl and rect are plain Nystrom on the n-point Gauss-Legendre and midpoint
     rules of the kernel's interval, and only they take zero_diag; ncc is
-    assemble_ncc and singular is assemble_singular.  n < 2, an unknown
-    scheme, or zero_diag with ncc or singular raises ValueError.
+    assemble_ncc and singular is assemble_singular.  n < 2, n > MAX_DIM, an
+    unknown scheme, or zero_diag with ncc or singular raises ValueError
+    before anything is built.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if n > MAX_DIM:  # before any grid: as_complex_matrix would refuse K_N only once it is built
+        raise ValueError(f"n={n} exceeds MAX_DIM={MAX_DIM}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme == "ngl":

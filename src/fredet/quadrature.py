@@ -1,15 +1,11 @@
 """Quadrature rules and Chebyshev spectral operators for 1-D integral equations."""
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MAX_NODES = 4096
-
-# quadrature points per block in singular_moments; the working set is O(_MOMENT_BLOCK)
-_MOMENT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -178,26 +174,37 @@ def spectral_ops(n: int) -> SpectralOps:
     return SpectralOps(points, C, Cinv, Sl, Sr)
 
 
-def _gl01(npts: int):
-    """The cached npts-point Gauss-Legendre rule (_gl_rule), mapped onto [0, 1]."""
-    x, w = _gl_rule(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def singular_moments(alpha: float, x, n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """Moments beta_j(x) = int_a^b |x-y|^(-alpha) T_j(yhat) dy for j < n.
 
-    yhat is y mapped affinely onto [-1, 1].  The integral is split at y = x
-    and the substitution t = s^(1/(1-alpha)) removes the singularity on each
-    side; composite Gauss-Legendre panels, geometrically graded toward s = 0,
-    integrate the smooth remainder.  alpha >= 1 is not integrable and is
-    rejected.
+    yhat is y mapped affinely onto [-1, 1], and xhat likewise.  With
+    e = 1 - alpha, P = (1 - xhat)^e and Q = (1 + xhat)^e, the moments
+    nu_j = int_-1^1 |xhat-y|^(-alpha) U_j(y) dy of the second-kind
+    Chebyshev polynomials satisfy, exactly,
+
+        nu_-1 = 0,  nu_0 = (P + Q)/e,
+        (j + e) nu_j = 2 j xhat nu_{j-1} - (j - e) nu_{j-2} + 2 (P + (-1)^j Q),
+
+    from integrating by parts with T_j' = j U_{j-1} and
+    y U_{j-1} = (U_j + U_{j-2})/2 (modified moments: Piessens and Branders,
+    BIT 13, 1973).  T_0 = U_0, T_1 = U_1/2 and T_j = (U_j - U_{j-2})/2 give
+    beta_j = ((b-a)/2)^e mu_j with mu_0 = nu_0 and mu_j = (nu_j - nu_{j-2})/2.
+
+    Near xhat = +-1 and for alpha > 1/2, nu_j grows like j^(2 alpha - 1)
+    while mu_j stays bounded, so mu_j taken as a difference of nu_j would
+    lose about log10(j) digits.  The recurrence therefore runs on
+    g_j = nu_j - s nu_{j-1}, s = sign(xhat) (Reinsch's modification):
+
+        (j + e) g_j = 2 j (xhat - s) nu_{j-1} + s (j - e) g_{j-1} + 2 (P + (-1)^j Q),
+        nu_j = s nu_{j-1} + g_j,   mu_j = (g_j + s g_{j-1})/2,
+
+    where xhat - s is -(1 - xhat) or 1 + xhat, both taken from the distance
+    to an end.  alpha >= 1 is not integrable and is rejected.
 
     x is a scalar, giving shape (n,), or a 1-D array of points, giving shape
-    (len(x), n).  All rows are done in one blocked pass: one Chebyshev
-    three-term recurrence over both sides of every row in a block, so N rows
-    cost O(N^3) flops for the fixed rules used here, and the working set stays
-    O(_MOMENT_BLOCK) quadrature points (at least one row).
+    (len(x), n).  The recurrence runs over all rows at once: O(n) flops per
+    row, and every operation is elementwise, so a row's bits do not depend on
+    how many rows are passed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
@@ -212,55 +219,24 @@ def singular_moments(alpha: float, x, n: int, a: float = -1.0, b: float = 1.0) -
     if not np.all(inside):
         raise ValueError(f"x={rows[~inside][0]} outside [{a}, {b}]")
 
-    q = 1.0 / (1.0 - alpha)
-    q_int = int(round(q)) if abs(q - round(q)) < 1e-12 and q <= 4.5 else 0
-    if q_int:
-        # integrand is a polynomial of degree q*(n-1) in s: one exact panel
-        u01, w01 = _gl01(q_int * (n - 1) // 2 + 8)
-        frac = np.array([0.0, 1.0])
-    else:
-        # graded panels: [0, r^M] then [r^m, r^(m-1)] up to s_top, r = 1/4, M = 24.
-        # T_j(yhat(s^q)) gets steeper with q on the top panel; the sqrt(q) term
-        # stays within 3e-14 of a refined rule for alpha <= 0.95, n <= 256
-        npts = max(24, n // 2 + 16, math.ceil(math.sqrt(q) * (n / 2 + 8)))
-        if npts > MAX_NODES:
-            raise ValueError(f"alpha={alpha} is too close to 1 for n={n}: the graded rule "
-                             f"needs {npts} > {MAX_NODES} nodes per panel")
-        u01, w01 = _gl01(npts)
-        frac = np.concatenate(([0.0], 0.25 ** np.arange(24, -1, -1.0)))
-    row_points = 2 * (frac.size - 1) * u01.size
-    step = max(1, _MOMENT_BLOCK // row_points)
-    out = np.empty((rows.size, n))
-    for start in range(0, rows.size, step):
-        out[start:start + step] = _moments_block(rows[start:start + step], n, alpha, q,
-                                                 a, b, frac, u01, w01)
-    return out if xs.ndim else out[0]
-
-
-def _moments_block(xs, n, alpha, q, a, b, frac, u01, w01) -> np.ndarray:
-    """singular_moments rows for the points xs: panels in s scaled to each side."""
-    length = np.stack((xs - a, b - xs), axis=1)  # left and right of each x
-    # libm pow, not numpy's vector pow, which is an ulp off more often and
-    # would move every panel edge of that side
-    s_top = np.array([v ** (1.0 - alpha) for v in length.ravel().tolist()]).reshape(length.shape)
-    edges = s_top[:, :, None] * frac  # zero-length side: zero weights, nodes at y = x
-    lo, width = edges[:, :, :-1, None], np.diff(edges)[:, :, :, None]
-    s = (lo + width * u01).reshape(xs.size, -1)
-    ws = (width * w01).reshape(xs.size, -1)
-    side = np.repeat([-1.0, 1.0], s.shape[1] // 2)
-    yhat = (2.0 * (xs[:, None] + side * s**q) - (a + b)) / (b - a)
-
-    # T_0 = 1, T_1 = yhat, T_{j+1} = 2 yhat T_j - T_{j-1}, as chebvander does;
-    # each row's weighted sum is its own dot product, whatever the block size
-    y2 = 2.0 * yhat
-    t_prev, t = np.ones_like(yhat), yhat
-    scratch = np.empty_like(yhat)
-    beta = np.empty((n, xs.size))
-    beta[0] = (ws[:, None, :] @ t_prev[:, :, None])[:, 0, 0]
+    e = 1.0 - alpha
+    scale = 2.0 / (b - a)
+    left, right = scale * (rows - a), scale * (b - rows)  # 1 + xhat and 1 - xhat, both >= 0
+    # libm pow on each row, so that P and Q do not depend on numpy's choice of vector loop
+    p = np.array([v ** e for v in right.tolist()])
+    q = np.array([v ** e for v in left.tolist()])
+    forcing = (2.0 * (p + q), 2.0 * (p - q))  # 2 (P + (-1)^j Q) at even and odd j
+    upper = right <= left
+    sign = np.where(upper, 1.0, -1.0)
+    shift = 2.0 * np.where(upper, -right, left)  # 2 (xhat - s)
+    nu = (p + q) / e
+    g = nu
+    mu = np.empty((n, rows.size))
+    mu[0] = nu
     for j in range(1, n):
-        if j > 1:
-            np.multiply(y2, t, out=scratch)
-            np.subtract(scratch, t_prev, out=t_prev)
-            t_prev, t = t, t_prev
-        beta[j] = (ws[:, None, :] @ t[:, :, None])[:, 0, 0]
-    return q * beta.T
+        sg = sign * g
+        g = (j * shift * nu + (j - e) * sg + forcing[j % 2]) / (j + e)
+        mu[j] = 0.5 * (g + sg)
+        nu = sign * nu + g
+    out = (0.5 * (b - a)) ** e * mu.T
+    return out if xs.ndim else out[0]

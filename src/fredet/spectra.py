@@ -71,7 +71,9 @@ def _dewound_spectrum(logs, radius):
     """
     if not np.all(np.isfinite(logs)):
         raise ZeroOnContourError(f"f vanishes or is not finite on contour radius {radius:.3g}")
-    dip = logs.real - np.minimum(np.roll(logs.real, 1), np.roll(logs.real, -1))
+    mags = logs.real
+    ring = np.concatenate((mags[-1:], mags, mags[:1]))  # circular neighbours in one copy
+    dip = mags - np.minimum(ring[:-2], ring[2:])
     if not dip.min() > _LOG_GUARD:
         raise ZeroOnContourError(f"|f| falls to {np.exp(dip.min()):.3g} of its neighbours"
                                  f" on contour radius {radius:.3g}")

@@ -358,6 +358,13 @@ def test_sizes_out_of_range_exit_one_before_allocating(argv, monkeypatch, capsys
     assert err.startswith("fredet: configuration: ") and "must be in [1, " in err
 
 
+def test_det_n_past_max_dim_exits_one(capsys):
+    assert main(["det", "--kernel", "green", "--scheme", "ngl", "--n", str(MAX_DIM + 1),
+                 "--z", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fredet: configuration: ") and f"exceeds MAX_DIM={MAX_DIM}" in err
+
+
 def test_grid_steps_cap_is_inclusive():
     zs = _parse_grid(f"0,1,0,1,{MAX_GRID_STEPS}")
     assert len(zs) == MAX_GRID_STEPS**2 <= 1 << 16

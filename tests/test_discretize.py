@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import fredet.discretize
 from fredet.determinants import det_p
 from fredet.discretize import SCHEMES, assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import from_config, registry
-from fredet.linalg import as_complex_matrix, trace_powers
+from fredet.linalg import MAX_DIM, as_complex_matrix, trace_powers
 from fredet.quadrature import QuadRule, clenshaw_curtis, gauss_legendre, rectangle, spectral_ops
 
 
@@ -136,6 +137,21 @@ def test_assemble_rejects_unknown_scheme_small_n_and_misplaced_zero_diag():
     for scheme, kernel in (("ncc", spec), ("singular", registry("abs_pow"))):
         with pytest.raises(ValueError, match=f"zero-diag.* not {scheme}"):
             assemble(kernel, scheme, 8, zero_diag=True)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the size was checked")
+
+
+def test_assemble_rejects_n_past_max_dim_before_building(monkeypatch):
+    for name in ("gauss_legendre", "rectangle", "clenshaw_curtis", "spectral_ops"):
+        monkeypatch.setattr(fredet.discretize, name, _never)
+    for scheme in SCHEMES:
+        kernel = registry("abs_pow" if scheme == "singular" else "green")
+        with pytest.raises(ValueError, match=f"n={MAX_DIM + 1} exceeds MAX_DIM={MAX_DIM}"):
+            assemble(kernel, scheme, MAX_DIM + 1)
+        with pytest.raises(AssertionError, match="before the size was checked"):
+            assemble(kernel, scheme, MAX_DIM)  # the largest size gets past the check
 
 
 def test_ncc_rejects_singular_kernel():

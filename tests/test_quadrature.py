@@ -1,9 +1,6 @@
 import numpy as np
 import pytest
 
-import fredet.quadrature
-from fredet.discretize import assemble_singular
-from fredet.kernels import registry
 from fredet.quadrature import (MAX_NODES, clenshaw_curtis, gauss_legendre, rectangle,
                                singular_moments, spectral_ops)
 
@@ -217,8 +214,6 @@ def test_singular_moments_validation():
             singular_moments(0.5, np.array([-0.5, 0.0, bad, 0.5]), 4)
     with pytest.raises(ValueError):
         singular_moments(0.5, np.zeros((2, 2)), 4)
-    with pytest.raises(ValueError, match="too close to 1"):
-        singular_moments(0.999, 0.0, 512)
 
 
 def test_singular_moments_shapes_and_rows():
@@ -232,56 +227,79 @@ def test_singular_moments_shapes_and_rows():
             assert np.array_equal(row, singular_moments(alpha, x, 7)), (alpha, x)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.3])
-@pytest.mark.parametrize("block", [1, 7000])
-def test_singular_assembly_blocks_match_one_block(monkeypatch, alpha, block):
-    # 7000 points is 2 blocks of rows for alpha = 1/2 and 32 for 0.3; 1 is a block per row
-    spec = registry("abs_pow", {"alpha": alpha})
-    monkeypatch.setattr(fredet.quadrature, "_MOMENT_BLOCK", 2**30)
-    whole = assemble_singular(spec, 64).matrix
-    monkeypatch.setattr(fredet.quadrature, "_MOMENT_BLOCK", block)
-    assert np.array_equal(assemble_singular(spec, 64).matrix, whole)
+def _oracle_moments(alpha, x, n, a, b, pieces=4):
+    """beta_j(x) for j < n by tanh-sinh quadrature on mpmath's 30-digit nodes.
 
-
-def _oracle_moments(alpha, x, n, a, b, m=20):
-    """beta_j(x) for j < n by mpmath.quad at 30 digits, split at y = x.
-
-    Each side is integrated in v with |x - y| = v^m, so the weight
-    |x-y|^(-alpha) dy = m v^(m(1-alpha)-1) dv is bounded and tanh-sinh
-    needs no points inside the singularity.
+    Each side of y = x is integrated in t = |x-y|^(1-alpha), which turns
+    |x-y|^(-alpha) dy into dt / (1-alpha): the integrand is T_j alone, with
+    no weight.  y = x +- t^(1/(1-alpha)) runs over the side ever faster as t
+    grows, so t is broken where |x-y| crosses each of `pieces` equal parts
+    of the side.  yhat is found in mpmath at every node, and the n
+    integrands share the nodes, summed in double precision, level by level
+    until a level changes no moment by more than 1e-14 of the largest.
     """
     mpmath = pytest.importorskip("mpmath")
+    from mpmath.calculus.quadrature import TanhSinh
     with mpmath.workdps(30):
-        al, x, a, b = (mpmath.mpf(v) for v in (alpha, x, a, b))
-        beta = [mpmath.mpf(0)] * n
+        rule = TanhSinh(mpmath.mp)
+        e, x, a, b = (mpmath.mpf(v) for v in (1 - mpmath.mpf(alpha), x, a, b))
+        beta = np.zeros(n)
         for side, length in ((-1, x - a), (1, b - x)):
-            if length == 0:
-                continue
-            cache = {}
+            breaks = [(length * k / pieces) ** e for k in range(pieces + 1)]
+            for lo, hi in zip(breaks[:-1], breaks[1:]):
+                if lo == hi:
+                    continue
+                total = None
+                for degree in range(1, 12):  # each level adds the nodes halfway between the last
+                    nodes = rule.get_nodes(lo, hi, degree, mpmath.mp.prec)
+                    yhat = np.array([float((2 * (x + side * t ** (1 / e)) - a - b) / (b - a))
+                                     for t, _ in nodes])
+                    t_vals = np.polynomial.chebyshev.chebvander(yhat, n - 1)
+                    step = np.array([float(w) for _, w in nodes]) @ t_vals * 2.0**-degree
+                    prev, total = total, step if total is None else step + 0.5 * total
+                    if prev is not None and (np.max(np.abs(total - prev))
+                                             <= 1e-14 * np.max(np.abs(total))):
+                        break
+                else:
+                    raise AssertionError(f"tanh-sinh did not settle on [{lo}, {hi}]")
+                beta += total / float(e)
+        return beta
 
-            def weighted_t(v):
-                if v not in cache:  # all n integrands share the tanh-sinh nodes
-                    yhat = (2 * (x + side * v**m) - a - b) / (b - a)
-                    w = m * v ** (m * (1 - al) - 1)
-                    t = [w, w * yhat]
-                    while len(t) < n:
-                        t.append(2 * yhat * t[-1] - t[-2])
-                    cache[v] = t
-                return cache[v]
 
-            for j in range(n):
-                beta[j] += mpmath.quad(lambda v: weighted_t(v)[j],
-                                       [0, length ** (mpmath.mpf(1) / m)])
-        return np.array([float(v) for v in beta])
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
 def test_singular_moments_match_mpmath_oracle(alpha):
-    # q = 1/(1-alpha) is 1, 2 and 4 (one exact panel) or 1.43 and 10 (graded panels)
     a, b = -1.0, 1.0
-    for x in (a, a + 1e-3, b - 1e-3, b):
+    for x in (a, a + 1e-3, 0.3, b - 1e-3, b):
         ref = _oracle_moments(alpha, x, 17, a, b)
         for n in (1, 2, 17):
             got = singular_moments(alpha, x, n, a, b)
             err = np.max(np.abs(got - ref[:n])) / np.max(np.abs(ref[:n]))
             assert err < 1e-12, (x, n, err)
+
+
+def _recurrence_moments(alpha, x, n, dps=40):
+    """beta_j(x) on [-1, 1] for j < n from the U_j-moment recurrence run in mpmath:
+    nu_0 = (P + Q)/e, (j + e) nu_j = 2 j x nu_{j-1} - (j - e) nu_{j-2} + 2 (P + (-1)^j Q),
+    beta_0 = nu_0, beta_j = (nu_j - nu_{j-2})/2 with nu_{-1} = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        e, x = 1 - mpmath.mpf(alpha), mpmath.mpf(x)
+        p, q = (1 - x) ** e, (1 + x) ** e
+        nu = [mpmath.mpf(0), (p + q) / e]  # nu_-1, nu_0
+        for j in range(1, n):
+            nu.append((2 * j * x * nu[-1] - (j - e) * nu[-2] + 2 * (p + (-1) ** j * q)) / (j + e))
+        beta = [nu[1]] + [(nu[j + 1] - nu[j - 1]) / 2 for j in range(1, n)]
+        return np.array([float(v) for v in beta])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_singular_moments_stable_at_large_n(alpha):
+    # every 8th Lobatto row of an n = 256 matrix, both ends included, where
+    # nu_j grows like j^(2 alpha - 1) for alpha > 1/2
+    n = 256
+    points = spectral_ops(n).points
+    picked = np.r_[0:n:8, n - 1]
+    got = singular_moments(alpha, points[picked], n)
+    for x, row in zip(points[picked], got):
+        ref = _recurrence_moments(alpha, x, n)
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (alpha, x)

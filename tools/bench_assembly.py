@@ -23,14 +23,14 @@ times six layers at N in {64, 256, 512}, the first three at alpha in
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds; the best time of the round is kept,
 and the report gives each layer's median over the rounds.  Each round also
-runs every packaged example once as a warm-up (the first example-4 run
-fills its cached N = 512 reference) and EXAMPLE_REPEATS timed times, and
-times locate_eigs on each of LOCATE_CASES, the many-root and large-N
-searches that no benchmark workload covers: one warm-up search, then
-LOCATE_REPEATS timed ones, each split into reduction (determinants.prepare),
-sampling (hessenberg_logdet) and polish (_aberth) as seen through spectra's
-names; the rest of a search is its residuals and bookkeeping.  The roots of
-both trees are compared.
+runs every packaged example once as a timed warm-up (the first example-4
+run fills its cached N = 512 reference; reported as first_runs) and
+EXAMPLE_REPEATS more times, and times locate_eigs on each of LOCATE_CASES,
+the many-root and large-N searches that no benchmark workload covers: one
+warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
+(determinants.prepare), sampling (hessenberg_logdet) and polish (_aberth) as
+seen through spectra's names; the rest of a search is its residuals and
+bookkeeping.  The roots of both trees are compared.
 With --parent DIR (a checkout of another commit, holding src/ and bench/)
 the parent is timed too, and for each listed workload (default locate, grid
 and converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
@@ -118,8 +118,9 @@ ids, repeats = json.loads(sys.argv[1])
 out = {}
 with tempfile.TemporaryDirectory() as outdir:
     for i in ids:
+        t0 = time.perf_counter()
         run_example(i, outdir)
-        times = []
+        times = [time.perf_counter() - t0]  # the first run, warm-up included
         for _ in range(repeats):
             t0 = time.perf_counter()
             run_example(i, outdir)
@@ -267,9 +268,10 @@ def main(argv=None):
     report["run_example_s"] = {tag: {} for tag in examples}
     for tag, rounds in examples.items():
         for i in map(str, EXAMPLE_IDS):
-            ts = [t for r in rounds for t in r[i]]
+            ts = [t for r in rounds for t in r[i][1:]]
             report["run_example_s"][tag][i] = {"median": statistics.median(ts), "min": min(ts),
-                                               "max": max(ts), "runs": ts}
+                                               "max": max(ts), "runs": ts,
+                                               "first_runs": [r[i][0] for r in rounds]}
     report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
                                                       [LOCATE_CASES, LOCATE_REPEATS]))
     for w in filter(None, args.workloads.split(",")):
