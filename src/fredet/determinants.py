@@ -24,6 +24,32 @@ def _check_p(p: int):
         raise ValueError(f"p must be a positive integer, got {p!r}")
 
 
+def _low_traces(m: np.ndarray, p: int) -> np.ndarray:
+    """[tr(K), ..., tr(K^(p-1))], the traces det_p's correction reads; empty for p = 1."""
+    return _trace_powers(m, p - 1) if p > 1 else np.zeros(0, dtype=np.complex128)
+
+
+def _finish(p: int, z, phase, logdet, traces):
+    """det_p(I + zK) = phase exp(logdet + sum_{j<p} (-z)^j traces[j-1] / j), for one z
+    or an array of them, from a factored det(I + zK) = phase exp(logdet): slogdet's,
+    or phase 1 and hessenberg_logdet's complex log.  Exactly 0 where logdet is -inf
+    (I + zK singular); DetOverflowError when a value leaves the double range.
+    """
+    w = logdet + sum(((-z) ** j * traces[j - 1] / j for j in range(1, p)), 0j)
+    top = np.max(np.real(w), initial=-np.inf)
+    if top > _LOG_HUGE:
+        raise DetOverflowError(f"|det_{p}| ~ exp({top:.4g}) is out of double range")
+    return np.where(np.real(w) == -np.inf, 0.0, phase * np.exp(w))
+
+
+def _lu_dets(m: np.ndarray, z: complex, traces, ps) -> list:
+    """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet)."""
+    shifted = z * m
+    shifted.flat[::m.shape[0] + 1] += 1.0
+    phase, logabs = np.linalg.slogdet(shifted)
+    return [complex(_finish(p, z, phase, logabs, traces)) for p in ps]
+
+
 def det_p(op, p: int, z) -> DetValue:
     """det_p(I + zK) = det(I + zK) * exp(sum_{j<p} (-z)^j tr(K^j) / j).
 
@@ -35,19 +61,7 @@ def det_p(op, p: int, z) -> DetValue:
     z = complex(z)
     if z == 0:
         return DetValue(1.0 + 0.0j)
-    shifted = z * m
-    shifted.flat[::m.shape[0] + 1] += 1.0
-    phase, logabs = np.linalg.slogdet(shifted)
-    if phase == 0:
-        return DetValue(0.0 + 0.0j)
-    corr = 0.0 + 0.0j
-    if p > 1:
-        nu = _trace_powers(m, p - 1)
-        corr = sum((-z) ** j * nu[j - 1] / j for j in range(1, p))
-    w = logabs + corr
-    if w.real > _LOG_HUGE:
-        raise DetOverflowError(f"|det_{p}| ~ exp({w.real:.4g}) is out of double range")
-    return DetValue(complex(phase * np.exp(w)))
+    return DetValue(_lu_dets(m, z, _low_traces(m, p), (p,))[0])
 
 
 @dataclass(frozen=True)
@@ -66,16 +80,10 @@ class PreparedDet:
     traces: np.ndarray
 
     def values(self, zs) -> np.ndarray:
-        """det_p(I + zK) for every z in zs, with det_p's semantics: exactly 0 where
-        I + zK is singular, and DetOverflowError when a value leaves the double range."""
+        """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0
+        where I + zK is singular, and DetOverflowError when a value leaves the double range."""
         zs = np.asarray(zs, dtype=np.complex128).ravel()
-        w = hessenberg_logdet(self.hess, zs)  # real part -inf where singular
-        for j in range(1, self.p):
-            w += (-zs) ** j * self.traces[j - 1] / j
-        top = w.real.max(initial=-np.inf)
-        if top > _LOG_HUGE:
-            raise DetOverflowError(f"|det_{self.p}| ~ exp({top:.4g}) is out of double range")
-        return np.where(w.real == -np.inf, 0.0, np.exp(w))
+        return _finish(self.p, zs, 1.0, hessenberg_logdet(self.hess, zs), self.traces)
 
 
 def prepare(op, p: int) -> PreparedDet:
@@ -92,8 +100,7 @@ def prepare(op, p: int) -> PreparedDet:
     """
     _check_p(p)
     m = _matrix_of(op)
-    traces = _trace_powers(m, p - 1) if p > 1 else np.zeros(0, dtype=np.complex128)
-    return PreparedDet(p, m, hessenberg(m), traces)
+    return PreparedDet(p, m, hessenberg(m), _low_traces(m, p))
 
 
 def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
@@ -157,20 +164,15 @@ def identity_residuals(a, z) -> dict:
         det_1(I - z^2 A^2) = det_2(I - zA) det_2(I + zA)
         det_2(I - z^2 A^2) = det_3(I - zA) det_3(I + zA)
         det_2(I - z^2 A^2) = det_4(I - zA) det_4(I + zA)
-    Each residual is |lhs - rhs| / (|lhs| + |rhs| + 1).
+    Each residual is |lhs - rhs| / (|lhs| + |rhs| + 1).  I - zA, I + zA and
+    I - z^2 A^2 are factored once each, and each LU serves all its det_p.
     """
     m = as_complex_matrix(a)
-    m2 = m @ m
+    m2 = as_complex_matrix(m @ m)
     z = complex(z)
-    zz = z * z
-
-    def val(mat, p, arg):
-        return det_p(mat, p, arg).value
-
-    det2_sq = val(m2, 2, -zz)
-    pairs = {
-        "det1_sq_vs_det2": (val(m2, 1, -zz), val(m, 2, -z) * val(m, 2, z)),
-        "det2_sq_vs_det3": (det2_sq, val(m, 3, -z) * val(m, 3, z)),
-        "det2_sq_vs_det4": (det2_sq, val(m, 4, -z) * val(m, 4, z)),
-    }
-    return {name: abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0) for name, (lhs, rhs) in pairs.items()}
+    lhs = _lu_dets(m2, -z * z, _low_traces(m2, 2), (1, 2, 2))
+    traces = _low_traces(m, 4)
+    minus, plus = _lu_dets(m, -z, traces, (2, 3, 4)), _lu_dets(m, z, traces, (2, 3, 4))
+    names = ("det1_sq_vs_det2", "det2_sq_vs_det3", "det2_sq_vs_det4")
+    return {name: abs(u - v * w) / (abs(u) + abs(v * w) + 1.0)
+            for name, u, v, w in zip(names, lhs, minus, plus)}

@@ -195,22 +195,22 @@ def _example4(out):
     # five-eigenvalue surrogate (gap bounded by the spectral tail) and the
     # iterated-kernel route det_2(I - z^2 K_2N) on a zero-diagonal rectangle
     # rule, which tracks the pair only inside the zero-free disc |z| rho(K_64) < 1;
-    # the five zeros of det_3(I - zK_64) in |z| < 1.1 come from locate_eigs
+    # the five zeros of det_3(I - zK_64) in |z| < 1.1 come from locate_eigs; one
+    # reduction of each matrix serves its values, and K_64's the root search
     spec = registry("abs_pow")
     it2 = registry("abs_pow_iter2")
-    op64 = assemble(spec, "singular", 64)
-    lam = eigenvalues(op64.matrix)
+    prep64 = prepare(assemble(spec, "singular", 64), 3)
+    lam = eigenvalues(prep64.matrix)
     top5, tail = lam[:5], lam[5:]
-    ests = locate_eigs(op64, 3, 0.0, 1.1)
+    ests = locate_eigs(prep64, 3, 0.0, 1.1)
     write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
-    it64 = assemble(it2, "rect", 64, zero_diag=True)
-    zs = [(k + 1) / 11 for k in range(11)]
+    zs = np.arange(1, 12) / 11
+    fulls = prep64.values(-zs) * prep64.values(zs)
+    rhss = prepare(assemble(it2, "rect", 64, zero_diag=True), 2).values(-zs * zs)
     cons_rows, cons, trunc, bound, cross = [], [], [], [], []
-    for z in zs:
+    for z, full, rhs in zip(zs, fulls, rhss):
         lhs = det_from_eigs(top5, 3, -z).value * det_from_eigs(top5, 3, z).value
-        full = det_p(op64, 3, -z).value * det_p(op64, 3, z).value
-        rhs = det_p(it64, 2, -z * z).value
         cons.append(abs(lhs - rhs))
         trunc.append(abs(lhs / full - 1.0))
         bound.append(_pair_tail_bound(tail, z))

@@ -58,33 +58,30 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> QuadRule:
     return QuadRule(a, b, 0.5 * (a + b) + half * x, half * w)
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=64)
 def _gl_rule(n: int):
     """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    if n == 1:
-        x = np.zeros(1)
-        dp = np.ones(1)  # P_1' = 1
+    k = np.arange(1, n + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
     else:
-        k = np.arange(1, n + 1)
-        x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(100):
-            p0 = np.ones_like(x)
-            p1 = x.copy()
-            for m in range(2, n + 1):
-                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x -= dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        else:
-            raise RuntimeError("Gauss-Legendre Newton iteration did not converge")
-        x = 0.5 * (x - x[::-1])  # enforce symmetry exactly
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        raise RuntimeError("Gauss-Legendre Newton iteration did not converge")
+    x = 0.5 * (x - x[::-1])  # enforce symmetry exactly
+    _, dp = _legendre(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     x, w = x[order], w[order]

@@ -141,6 +141,17 @@ def test_det_from_eigs_analytic_spectrum_reproduces_cosh():
     assert abs(v - np.cosh(2.0)) < 1e-3
 
 
+def _identity_residuals_by_det_p(a, z):
+    # the identities composed from eight separate det_p calls
+    a2 = a @ a
+    sq1, sq2 = det_p(a2, 1, -z * z).value, det_p(a2, 2, -z * z).value
+    pair = {p: det_p(a, p, -z).value * det_p(a, p, z).value for p in (2, 3, 4)}
+    return {name: abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
+            for name, lhs, rhs in (("det1_sq_vs_det2", sq1, pair[2]),
+                                   ("det2_sq_vs_det3", sq2, pair[3]),
+                                   ("det2_sq_vs_det4", sq2, pair[4]))}
+
+
 def test_identity_residuals_on_random_matrices():
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -149,6 +160,19 @@ def test_identity_residuals_on_random_matrices():
         res = identity_residuals(a, z)
         assert set(res) == {"det1_sq_vs_det2", "det2_sq_vs_det3", "det2_sq_vs_det4"}
         assert max(res.values()) < 1e-12
+        composed = _identity_residuals_by_det_p(a, z)
+        for name, r in res.items():
+            assert abs(r - composed[name]) <= 1e-15, name
+
+
+def test_identity_residuals_factor_each_matrix_once(monkeypatch):
+    # I - zA, I + zA and I - z^2 A^2: one slogdet each serves every det_p
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(1) or slogdet(m))
+    a = np.random.default_rng(5).normal(size=(6, 6)) / 3.0
+    identity_residuals(a, 0.4 - 0.9j)
+    assert len(calls) == 3
 
 
 def test_discretization_error_route_independent():
@@ -260,6 +284,7 @@ def test_prepared_values_keep_det_p_semantics():
         zero, one = prep.values([-0.5, 0.0])
         assert zero == 0.0          # I + zA is exactly singular
         assert one == 1.0 + 0.0j
+        assert det_p(prep, p, -0.5).value == 0.0
     big = np.diag(np.full(100, 1e4))  # |det(I + A)| ~ 1e400
     with pytest.raises(DetOverflowError):
         prepare(big, 1).values([0.5, 1.0])
@@ -281,13 +306,25 @@ def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
     assert det_p(second, 3, 0.4 - 0.2j) == det_p(op, 3, 0.4 - 0.2j)
 
 
-def test_single_z_det_p_is_the_slogdet_expression(monkeypatch):
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
     # det_p(I + zK) at one z factors I + zK itself: no Hessenberg reduction,
     # and the same bits as slogdet plus the explicit trace correction
     monkeypatch.setattr(fredet.determinants, "hessenberg", None)
     op = assemble_nystrom(registry("sign"), rectangle(40, -1.0, 1.0), zero_diag=True)
     m = op.matrix
+    nu = trace_powers(m, p - 1) if p > 1 else []
     for z in (0.3 - 0.7j, -1.0, 2.5j):
         phase, logabs = np.linalg.slogdet(np.eye(40) + z * m)
-        corr = -z * np.trace(m)
-        assert det_p(op, 2, z).value == complex(phase * np.exp(logabs + corr))
+        corr = sum(((-z) ** j * nu[j - 1] / j for j in range(1, p)), 0j)
+        assert det_p(op, p, z).value == complex(phase * np.exp(logabs + corr))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_prepared_values_match_det_p_on_weakly_singular_matrix(p):
+    op = assemble_singular(registry("abs_pow"), 64)
+    zs = [r * np.exp(1j * t) for r in (0.3, 0.9, 1.4) for t in np.linspace(0.1, 6.0, 7)]
+    got = prepare(op, p).values(zs)
+    for z, v in zip(zs, got):
+        want = det_p(op, p, z).value
+        assert abs(v - want) <= 1e-13 * abs(want), z

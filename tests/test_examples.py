@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+import fredet.determinants
 import fredet.discretize
 from fredet.discretize import assemble_nystrom, assemble_singular
-from fredet.examples import ROOT_CSV_HEADER, dump_json, run_example, write_csv, write_summary
+from fredet.examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row, run_example,
+                             write_csv, write_summary)
 from fredet.kernels import registry
 from fredet.linalg import eigenvalues
 from fredet.quadrature import gauss_legendre
+from fredet.spectra import locate_eigs
 
 
 def _lines(path):
@@ -160,3 +163,17 @@ def test_smooth_examples_assemble_each_matrix_once(example_id, monkeypatch, tmp_
         monkeypatch.setattr(fredet.discretize, name, counted)
     run_example(example_id, str(tmp_path))
     assert (built.count("assemble_nystrom"), built.count("assemble_ncc")) == (7, 6)
+
+
+def test_example4_reduces_each_matrix_once(monkeypatch, tmp_path):
+    # one PreparedDet of K_64 serves the det_3 pair and the root search, one of
+    # the iterated-kernel matrix its det_2 values; the roots are those of a
+    # standalone search, bit for bit
+    calls = []
+    reduce = fredet.determinants.hessenberg
+    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    summary = run_example(4, str(tmp_path))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    ests = locate_eigs(assemble_singular(registry("abs_pow"), 64), 3, 0.0, 1.1)
+    assert summary["roots"] == [dict(zip(ROOT_JSON_KEYS, root_row(e))) for e in ests]
