@@ -82,8 +82,8 @@ def _parse_sweep(text):
     if len(parts) != 3 or parts[2] != "geometric":
         raise ValueError(f"--n-sweep expects A:B:geometric, got {text!r}")
     lo, hi = int(parts[0]), int(parts[1])
-    if lo < 2 or hi < lo:
-        raise ValueError(f"--n-sweep needs 2 <= A <= B, got {lo}:{hi}")
+    if not 2 <= lo <= hi <= MAX_DIM:  # refused before the smaller N are assembled and factored
+        raise ValueError(f"--n-sweep needs 2 <= A <= B <= {MAX_DIM}, got {lo}:{hi}")
     ns = []
     n = lo
     while n <= hi:
@@ -282,8 +282,9 @@ def build_parser():
     det = cmds.add_parser("det", help="determinant values on points or grids")
     _add_common(det)
     det.add_argument("--n", type=int, required=True)
-    det.add_argument("--z", metavar="RE,IM")
-    det.add_argument("--grid", metavar="RE0,RE1,IM0,IM1,STEPS")
+    points = det.add_mutually_exclusive_group()
+    points.add_argument("--z", metavar="RE,IM")
+    points.add_argument("--grid", metavar="RE0,RE1,IM0,IM1,STEPS")
 
     conv = cmds.add_parser("converge", help="error sweep against an analytic reference")
     _add_common(conv)
@@ -305,7 +306,7 @@ def build_parser():
 
     ex = cmds.add_parser("example", help="run a packaged experiment")
     ex.add_argument("--id", type=int, choices=EXAMPLE_IDS, required=True)
-    _add_common(ex, kernel=False)
+    ex.add_argument("--out", metavar="DIR")
 
     return parser
 

@@ -1,8 +1,11 @@
 """Kernel specifications: built-in registry, expression kernels, JSON config."""
 
 import ast
+import inspect
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,26 +14,51 @@ SMOOTH = "smooth"
 SPLIT = "split"
 SINGULAR = "singular"
 
+# which of (k1, k2, h) a spec holds -> its form
+_FORMS = {(True, False, False): SMOOTH, (True, True, False): SPLIT, (False, False, True): SINGULAR}
+
+
+def _is_real(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel k(x, y) on the square [a, b]^2.
+    """A kernel k(x, y) on the square [a, b]^2, a < b finite.
 
-    form selects the shape:
-      smooth    k1 is the kernel on the whole square
-      split     k1 on a <= y <= x (diagonal included), k2 on x < y <= b
-      singular  k(x, y) = |x - y|^(-alpha) * h(x, y), 0 <= alpha < 1
-    Callables are numpy-vectorized in both arguments.
+    The form follows from the callables set, and no other set is valid:
+      smooth    k1 alone: the kernel on the whole square
+      split     k1 and k2: k1 on a <= y <= x (diagonal included), k2 on x < y <= b
+      singular  h alone: k(x, y) = |x - y|^(-alpha) * h(x, y)
+    alpha is a real number in [0, 1), nonzero only with h.  An invalid spec
+    raises ValueError.  Callables are numpy-vectorized in both arguments.
     """
 
     a: float
     b: float
-    form: str
     k1: Optional[Callable] = None
     k2: Optional[Callable] = None
     alpha: float = 0.0
     h: Optional[Callable] = None
     name: str = ""
+
+    def __post_init__(self):
+        if self.form is None:
+            got = [f for f in ("k1", "k2", "h") if getattr(self, f) is not None]
+            raise ValueError(f"a kernel holds k1 (smooth), k1 and k2 (split) or h (singular), "
+                             f"got {got}")
+        if not (_is_real(self.alpha) and 0.0 <= self.alpha < 1.0):
+            raise ValueError(f"alpha must be a real number in [0, 1), got {self.alpha!r}")
+        if self.alpha and self.h is None:
+            raise ValueError(f"alpha applies only to a singular kernel (h), got {self.alpha!r}")
+        if not (_is_real(self.a) and _is_real(self.b) and math.isfinite(self.a)
+                and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"bad domain [{self.a!r}, {self.b!r}], expected finite a < b")
+
+    @property
+    def form(self):
+        """smooth, split or singular; None for a set of callables that is no form."""
+        return _FORMS.get((self.k1 is not None, self.k2 is not None, self.h is not None))
 
     @property
     def domain(self):
@@ -72,6 +100,18 @@ def _iter2_upper(x, y):
     return -np.log(2.0 - x - y - 2.0 * sm) + np.pi + np.log(2.0 + x + y + 2.0 * sp)
 
 
+_REGISTRY = {
+    "green": lambda: KernelSpec(0.0, 1.0, k1=_green_lower, k2=_green_upper, name="green"),
+    "bernoulli": lambda: KernelSpec(0.0, 1.0, k1=_bernoulli, name="bernoulli"),
+    "sign": lambda: KernelSpec(-1.0, 1.0, k1=_ones, k2=_neg_ones, name="sign"),
+    "abs_pow": lambda alpha=0.5: KernelSpec(-1.0, 1.0, alpha=alpha, h=_ones, name="abs_pow"),
+    "abs_pow_iter2": lambda: KernelSpec(-1.0, 1.0, k1=_iter2_lower, k2=_iter2_upper,
+                                        name="abs_pow_iter2"),
+}
+
+KERNEL_NAMES = tuple(_REGISTRY)
+
+
 def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
     """Built-in kernels by name.
 
@@ -80,27 +120,18 @@ def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
     sign            +1 below the diagonal, -1 above, on [-1, 1]
     abs_pow         |x-y|^(-alpha) on [-1, 1]; params={"alpha": ...}, default 1/2
     abs_pow_iter2   closed-form square of abs_pow(1/2); log-singular diagonal
+
+    Only abs_pow takes a parameter; any other raises ValueError.
     """
-    params = dict(params or {})
-    alpha = params.pop("alpha", 0.5)
-    if params:
-        raise ValueError(f"unknown kernel params: {sorted(params)}")
-    if name == "green":
-        return KernelSpec(0.0, 1.0, SPLIT, k1=_green_lower, k2=_green_upper, name=name)
-    if name == "bernoulli":
-        return KernelSpec(0.0, 1.0, SMOOTH, k1=_bernoulli, name=name)
-    if name == "sign":
-        return KernelSpec(-1.0, 1.0, SPLIT, k1=_ones, k2=_neg_ones, name=name)
-    if name == "abs_pow":
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        return KernelSpec(-1.0, 1.0, SINGULAR, alpha=alpha, h=_ones, name=name)
-    if name == "abs_pow_iter2":
-        return KernelSpec(-1.0, 1.0, SPLIT, k1=_iter2_lower, k2=_iter2_upper, name=name)
-    raise ValueError(f"unknown kernel {name!r}")
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown kernel {name!r}")
+    build = _REGISTRY[name]
+    params = params or {}
+    unknown = set(params) - set(inspect.signature(build).parameters)
+    if unknown:
+        raise ValueError(f"unknown params for kernel {name!r}: {sorted(unknown)}")
+    return build(**params)
 
-
-KERNEL_NAMES = ("green", "bernoulli", "sign", "abs_pow", "abs_pow_iter2")
 
 # interior points at which has_diagonal_jump compares the two branches
 _JUMP_PROBES = 13
@@ -154,6 +185,8 @@ def parse_expr(src: str) -> Callable:
     calls to abs/exp/log/sqrt/trig/hyperbolic functions.  Anything else is
     rejected at parse time.
     """
+    if not isinstance(src, str):
+        raise ValueError(f"kernel expression must be a string, got {src!r}")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -189,12 +222,15 @@ def parse_expr(src: str) -> Callable:
     return kernel_fn
 
 
+_EXPR_KEYS = ({"k"}, {"k1", "k2"}, {"h"})
+
+
 def from_config(cfg: dict) -> KernelSpec:
     """Build a KernelSpec from a JSON-style mapping.
 
-    Either {"name": <registry name>, "alpha": ...} or
+    Either {"name": <registry name>} ("alpha" only with abs_pow) or
     {"expr": {"k": ...} | {"k1": ..., "k2": ...} | {"h": ...},
-     "domain": [a, b], "alpha": ...}.
+     "domain": [a, b], "alpha": ...} ("alpha" required with h, refused without).
     """
     if not isinstance(cfg, dict):
         raise ValueError("kernel config must be a mapping")
@@ -208,33 +244,21 @@ def from_config(cfg: dict) -> KernelSpec:
     if (name is None) == (expr is None):
         raise ValueError("kernel config needs exactly one of 'name' or 'expr'")
     if name is not None:
-        params = {} if alpha is None else {"alpha": alpha}
-        return registry(name, params)
+        if domain is not None:
+            raise ValueError(f"kernel {name!r} has a fixed domain; 'domain' is for 'expr' kernels")
+        return registry(name, {} if alpha is None else {"alpha": alpha})
 
-    if not isinstance(expr, dict):
-        raise ValueError("'expr' must be a mapping of expression strings")
+    if not isinstance(expr, dict) or set(expr) not in _EXPR_KEYS:
+        raise ValueError("'expr' must have keys {'k'}, {'k1','k2'} or {'h'}")
     if domain is None:
         raise ValueError("expression kernels require 'domain': [a, b]")
-    try:
-        a, b = float(domain[0]), float(domain[1])
-    except (TypeError, ValueError, IndexError):
-        raise ValueError(f"bad domain {domain!r}, expected [a, b]") from None
-    if not a < b:
-        raise ValueError(f"bad domain [{a}, {b}]")
-
-    keys = set(expr)
-    if keys == {"k"}:
-        return KernelSpec(a, b, SMOOTH, k1=parse_expr(expr["k"]), name="expr")
-    if keys == {"k1", "k2"}:
-        return KernelSpec(a, b, SPLIT, k1=parse_expr(expr["k1"]), k2=parse_expr(expr["k2"]), name="expr")
-    if keys == {"h"}:
-        if alpha is None:
-            raise ValueError("singular expression kernels require 'alpha'")
-        alpha = float(alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        return KernelSpec(a, b, SINGULAR, alpha=alpha, h=parse_expr(expr["h"]), name="expr")
-    raise ValueError("'expr' must have keys {'k'}, {'k1','k2'} or {'h'}")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and all(map(_is_real, domain))):
+        raise ValueError(f"bad domain {domain!r}, expected [a, b]")
+    if ("h" in expr) != (alpha is not None):
+        raise ValueError("'alpha' is required with an 'h' expression and refused without one")
+    fields = {"k1" if key == "k" else key: parse_expr(src) for key, src in expr.items()}
+    return KernelSpec(float(domain[0]), float(domain[1]), alpha=0.0 if alpha is None else alpha,
+                      name="expr", **fields)
 
 
 def load_kernel_file(path: str) -> KernelSpec:

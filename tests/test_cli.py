@@ -11,6 +11,7 @@ from fredet.discretize import assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import MAX_DIM, eigenvalues
 from fredet.quadrature import rectangle
+from fredet.spectra import RefinementError
 
 BERN_AT_ONE = 2.0 - 2.0 * np.cos(1.0)
 
@@ -311,9 +312,21 @@ def test_kernel_file_flow(tmp_path, capsys):
     (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8",
       "--region", "1,0"], 1, "configuration"),
     (["example", "--id", "4", "--out", "/dev/null/sub"], 2, "output"),
-], ids=[f"argv{i}" for i in range(6)])
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "1,2,3"], 1,
+     "configuration"),
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--grid", "0,1,0,1"], 1,
+     "configuration"),
+    (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "64:8:geometric"], 1,
+     "configuration"),
+    (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--region=0,0,-1"], 1,
+     "configuration"),
+    (["identity", "--trials", "0"], 1, "configuration"),
+    # |det_1(I + 1e12 K)| is about exp(1201), past the double range
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "64", "--z=-1e12,0"], 2,
+     "determinant evaluation"),
+], ids=[f"argv{i}" for i in range(12)])
 def test_validation_failures_exit_one(argv, code, stage, capsys):
-    # configuration errors exit 1, output errors 2, each under its stage prefix
+    # configuration errors exit 1, output and numerical errors 2, each under its stage prefix
     assert main(argv) == code
     assert capsys.readouterr().err.startswith(f"fredet: {stage}: ")
 
@@ -343,19 +356,50 @@ def _never(*args, **kwargs):
     raise AssertionError("called before the size was checked")
 
 
-@pytest.mark.parametrize("argv", [
-    _DET + ["--grid", f"0,1,0,1,{MAX_GRID_STEPS + 1}"],
-    _DET + ["--grid", "0,1,0,1,0"],
-    ["identity", "--n", "0"],
-    ["identity", "--n", str(MAX_DIM + 1)],
-], ids=["grid_steps_past_cap", "grid_steps_zero", "identity_n_zero", "identity_n_past_max_dim"])
-def test_sizes_out_of_range_exit_one_before_allocating(argv, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, msg", [
+    (_DET + ["--grid", f"0,1,0,1,{MAX_GRID_STEPS + 1}"], "must be in [1, "),
+    (_DET + ["--grid", "0,1,0,1,0"], "must be in [1, "),
+    (["identity", "--n", "0"], "must be in [1, "),
+    (["identity", "--n", str(MAX_DIM + 1)], "must be in [1, "),
+    (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "1024:4096:geometric"],
+     f"2 <= A <= B <= {MAX_DIM}"),
+], ids=["grid_steps_past_cap", "grid_steps_zero", "identity_n_zero", "identity_n_past_max_dim",
+        "sweep_past_max_dim"])
+def test_sizes_out_of_range_exit_one_before_allocating(argv, msg, monkeypatch, capsys):
     # neither the matrix nor the random draws may be made before the check
     monkeypatch.setattr(fredet.cli, "assemble", _never)
     monkeypatch.setattr(np.random, "default_rng", _never)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("fredet: configuration: ") and "must be in [1, " in err
+    assert err.startswith("fredet: configuration: ") and msg in err
+
+
+def test_refinement_failure_exits_two(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RefinementError("polish did not converge")
+
+    monkeypatch.setattr(fredet.cli, "locate_eigs", fail)
+    assert main(_EIGS + ["--region", "12,0,8"]) == 2
+    assert capsys.readouterr().err == "fredet: eigenvalue search: polish did not converge\n"
+
+
+@pytest.mark.parametrize("cfg", [
+    {"name": "abs_pow_iter2", "alpha": 0.3},
+    {"name": "green", "domain": [0, 2]},
+    {"expr": {"k": "x*y"}, "domain": [0, 1], "alpha": 0.3},
+    {"expr": {"k": "x"}, "domain": [0, 1, 7]},
+    {"name": "abs_pow", "alpha": "0.3"},
+    {"expr": {"k": 5}, "domain": [0, 1]},
+], ids=["alpha_on_iter2", "domain_on_named", "alpha_on_smooth_expr", "three_part_domain",
+        "alpha_string", "expr_not_string"])
+def test_kernel_file_refusals_exit_one(cfg, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(fredet.cli, "assemble", _never)
+    assert main(["det", "--kernel-file", str(path), "--scheme", "ngl", "--n", "8",
+                 "--z", "1,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
 
 
 def test_det_n_past_max_dim_exits_one(capsys):
@@ -372,10 +416,16 @@ def test_grid_steps_cap_is_inclusive():
 
 
 def test_bad_usage_exits_one(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["det", "--kernel", "notakernel", "--scheme", "ngl",
-              "--n", "8", "--z", "1,0"])
-    assert info.value.code == 1
-    with pytest.raises(SystemExit) as info:
-        main(["notacommand"])
-    assert info.value.code == 1
+    for argv, error in (
+        (["det", "--kernel", "notakernel", "--scheme", "ngl", "--n", "8", "--z", "1,0"],
+         "invalid choice: 'notakernel'"),
+        (["notacommand"], "invalid choice: 'notacommand'"),
+        # flags a command does not read are refused, not dropped
+        (["example", "--id", "2", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (_DET + ["--z", "5,0", "--grid", "0,1,0,0,2"], "argument --grid: not allowed with"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err.splitlines()[-1]

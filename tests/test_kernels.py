@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,10 @@ def test_registry_names_and_domains():
         assert registry(name).domain == (-1.0, 1.0)
     with pytest.raises(ValueError, match="unknown kernel"):
         registry("nope")
+    for name in KERNEL_NAMES:  # only abs_pow takes a parameter
+        if name != "abs_pow":
+            with pytest.raises(ValueError, match="unknown params"):
+                registry(name, {"alpha": 0.5})
 
 
 def test_green_kernel_values():
@@ -127,6 +132,7 @@ def test_from_config_expression_routes():
     smooth = from_config({"expr": {"k": "x*y"}, "domain": [0, 1]})
     assert smooth.form == "smooth" and smooth.k1(0.5, 0.4) == 0.2
     split = from_config({"expr": {"k1": "1 + 0*x", "k2": "-1 + 0*x"}, "domain": [-1, 1]})
+    assert split.form == "split"
     assert split.k1(0.5, -0.5) == 1.0 and split.k2(-0.5, 0.5) == -1.0
     sing = from_config({"expr": {"h": "1 + 0*x"}, "domain": [-1, 1], "alpha": 0.5})
     assert sing.form == "singular"
@@ -142,10 +148,54 @@ def test_from_config_expression_routes():
     ({"expr": {"k1": "x"}, "domain": [0, 1]}, "keys"),
     ({"name": "green", "scale": 2}, "unknown"),
     ("green", "mapping"),
+    ({"name": "abs_pow_iter2", "alpha": 0.3}, "unknown params"),
+    ({"name": "green", "domain": [0, 2]}, "fixed domain"),
+    ({"expr": {"k": "x*y"}, "domain": [0, 1], "alpha": 0.3}, "alpha"),
+    ({"expr": {"k": "x"}, "domain": [0, 1, 7]}, "domain"),
+    ({"expr": {"k": "x"}, "domain": ["0", "1"]}, "domain"),
+    ({"expr": {"k": "x"}, "domain": [0, float("inf")]}, "domain"),
+    ({"name": "abs_pow", "alpha": "0.3"}, "real number"),
+    ({"expr": {"k": 5}, "domain": [0, 1]}, "string"),
 ])
 def test_from_config_rejects(cfg, msg):
     with pytest.raises(ValueError, match=msg):
         from_config(cfg)
+
+
+_F = parse_expr("x")
+
+# the form each built-in kernel had when form was a settable field
+_REGISTRY_FORMS = {"green": "split", "bernoulli": "smooth", "sign": "split",
+                   "abs_pow": "singular", "abs_pow_iter2": "split"}
+
+
+def test_form_follows_the_callables():
+    assert {name: registry(name).form for name in KERNEL_NAMES} == _REGISTRY_FORMS
+    assert tuple(_REGISTRY_FORMS) == KERNEL_NAMES
+    assert "form" not in {f.name for f in dataclasses.fields(KernelSpec)}
+    assert len(dataclasses.fields(KernelSpec)) == 7
+    assert KernelSpec(0.0, 1.0, k1=_F).form == "smooth"
+    assert KernelSpec(0.0, 1.0, k1=_F, k2=_F).form == "split"
+    assert KernelSpec(0.0, 1.0, h=_F, alpha=0.3).form == "singular"
+
+
+@pytest.mark.parametrize("a, b, fields, msg", [
+    (0.0, 1.0, {"k2": _F}, "k1 and k2"),
+    (0.0, 1.0, {"k1": _F, "h": _F}, "k1 and k2"),
+    (0.0, 1.0, {}, "k1 and k2"),
+    (0.0, 1.0, {"k1": _F, "alpha": 0.3}, "only to a singular"),
+    (0.0, 1.0, {"h": _F, "alpha": 1.0}, "alpha"),
+    (0.0, 1.0, {"h": _F, "alpha": True}, "alpha"),
+    (1.0, 0.0, {"k1": _F}, "domain"),
+    (0.0, 0.0, {"k1": _F}, "domain"),
+    (0.0, float("inf"), {"k1": _F}, "domain"),
+    (float("nan"), 1.0, {"k1": _F}, "domain"),
+    ("0", 1.0, {"k1": _F}, "domain"),
+], ids=["k2_without_k1", "k1_and_h", "no_callable", "alpha_without_h", "alpha_one",
+        "alpha_bool", "reversed", "empty", "infinite", "nan", "string"])
+def test_kernel_spec_refuses_what_is_no_kernel(a, b, fields, msg):
+    with pytest.raises(ValueError, match=msg):
+        KernelSpec(a, b, **fields)
 
 
 def test_load_kernel_file_round_trip(tmp_path):
