@@ -40,12 +40,14 @@ def _fail(code, stage, exc):
     return code
 
 
-def _floats(parts, field, text):
-    """parts as floats; a part that is not a finite number raises ValueError."""
+def _numbers(parts, field, text, kind=float):
+    """parts as kind, float or int; a part that is not a finite number of that
+    kind raises ValueError naming field."""
     try:
-        vals = [float(part) for part in parts]
+        vals = [kind(part) for part in parts]
     except ValueError:
-        raise ValueError(f"{field} expects numbers, got {text!r}") from None
+        what = "numbers" if kind is float else "integers"
+        raise ValueError(f"{field} expects {what}, got {text!r}") from None
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{field} expects finite numbers, got {text!r}")
     return vals
@@ -55,7 +57,7 @@ def _parse_complex(text, field):
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"{field} expects RE or RE,IM, got {text!r}")
-    return complex(*_floats(parts, field, text))
+    return complex(*_numbers(parts, field, text))
 
 
 def _parse_sign(text):
@@ -68,8 +70,8 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError(f"--grid expects RE0,RE1,IM0,IM1,STEPS, got {text!r}")
-    re0, re1, im0, im1 = _floats(parts[:4], "--grid", text)
-    steps = int(parts[4])
+    re0, re1, im0, im1 = _numbers(parts[:4], "--grid", text)
+    steps, = _numbers(parts[4:], "--grid STEPS", text, int)
     if not 1 <= steps <= MAX_GRID_STEPS:
         raise ValueError(f"--grid STEPS must be in [1, {MAX_GRID_STEPS}], got {steps}")
     return [complex(re, im)
@@ -81,7 +83,7 @@ def _parse_sweep(text):
     parts = text.split(":")
     if len(parts) != 3 or parts[2] != "geometric":
         raise ValueError(f"--n-sweep expects A:B:geometric, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+    lo, hi = _numbers(parts[:2], "--n-sweep A:B", text, int)
     if not 2 <= lo <= hi <= MAX_DIM:  # refused before the smaller N are assembled and factored
         raise ValueError(f"--n-sweep needs 2 <= A <= B <= {MAX_DIM}, got {lo}:{hi}")
     ns = []
@@ -96,7 +98,7 @@ def _parse_region(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--region expects CRE,CIM,RAD, got {text!r}")
-    cre, cim, rad = _floats(parts, "--region", text)
+    cre, cim, rad = _numbers(parts, "--region", text)
     if rad <= 0:
         raise ValueError(f"--region radius must be positive, got {rad}")
     return complex(cre, cim), rad

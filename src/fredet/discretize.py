@@ -6,8 +6,8 @@ import numpy as np
 
 from .kernels import SINGULAR, SMOOTH, KernelSpec
 from .linalg import MAX_DIM, as_complex_matrix
-from .quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, rectangle, singular_moments,
-                         spectral_ops)
+from .quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, lobatto_vander, rectangle,
+                         singular_moments, spectral_ops)
 
 # the discretization schemes, by the names the CLI's --scheme takes
 SCHEMES = ("ngl", "rect", "ncc", "singular")
@@ -50,14 +50,22 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
 
     zero_diag drops the diagonal, which turns the plain determinant of
     I - z*K_N into an approximation of the Hilbert-Schmidt-regularized one.
-    Singular kernels are rejected: pointwise weights cannot see the
-    non-integrable factor, use assemble_singular instead.
+    Without it, a kernel that is not finite on the diagonal (abs_pow_iter2)
+    raises ValueError before the matrix is built.  Singular kernels are
+    rejected: pointwise weights cannot see the non-integrable factor, use
+    assemble_singular instead.
     """
     if spec.form == SINGULAR:
         raise ValueError("singular kernel passed to assemble_nystrom; use assemble_singular")
     if not (abs(rule.a - spec.a) < 1e-12 and abs(rule.b - spec.b) < 1e-12):
         raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match kernel domain [{spec.a}, {spec.b}]")
     nodes = rule.nodes
+    if not zero_diag:  # k1 holds the diagonal; N values, checked quietly
+        with np.errstate(all="ignore"):
+            finite = np.all(np.isfinite(spec.k1(nodes, nodes)))
+        if not finite:
+            raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
+                             " x = y; zero_diag (--zero-diag) drops it")
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     vals = _split_values(spec, x, y, skip_diag=zero_diag)
     matrix = vals * rule.weights[None, :]
@@ -113,16 +121,16 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     row weights w(x)^T = beta(x)^T C^{-1}, where beta_j(x) are the moments
     of |x-y|^(-alpha) against T_j and C is the Chebyshev Vandermonde on the
     nodes.  Entry (i, j) is w_j(x_i) h(x_i, x_j).  The moments of all n rows
-    come from one singular_moments call, O(n^2) flops in all; the product
-    with C^{-1} is the one O(n^3) step.
+    come from one singular_moments call, O(n^2) flops in all; inverting C
+    and the product with C^{-1} are the O(n^3) steps.
     """
     if spec.form != SINGULAR:
         raise ValueError("assemble_singular requires a singular kernel spec")
-    ops = spectral_ops(n)
+    points, _, cinv = lobatto_vander(n)
     a, b = spec.a, spec.b
     half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * ops.points
-    weights = singular_moments(spec.alpha, nodes, n, a, b) @ ops.Cinv
+    nodes = 0.5 * (a + b) + half * points
+    weights = singular_moments(spec.alpha, nodes, n, a, b) @ cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
     matrix = weights * np.asarray(spec.h(x, y), dtype=float)
     return DiscreteOperator(as_complex_matrix(matrix), nodes)

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -150,18 +151,22 @@ def _antiderivative_rows(n: int) -> np.ndarray:
     return raw
 
 
+def lobatto_vander(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """points, C and Cinv of spectral_ops(n) (n >= 2), without Sl or Sr."""
+    if not 2 <= n <= MAX_NODES:
+        raise ValueError(f"n must be in [2, {MAX_NODES}], got {n}")
+    points = _lobatto_points(n)
+    C = np.polynomial.chebyshev.chebvander(points, n - 1)
+    return points, C, np.linalg.inv(C)  # LU-backed; n is small enough for this to be stable
+
+
 def spectral_ops(n: int) -> SpectralOps:
     """Chebyshev-Lobatto collocation operators of size n (n >= 2).
 
     C @ Sl @ Cinv applied to samples of a polynomial q of degree <= n-2
     yields samples of int_{-1}^x q; C @ Sr @ Cinv yields int_x^1 q.
     """
-    if not 2 <= n <= MAX_NODES:
-        raise ValueError(f"n must be in [2, {MAX_NODES}], got {n}")
-    points = _lobatto_points(n)
-    C = np.polynomial.chebyshev.chebvander(points, n - 1)
-    Cinv = np.linalg.inv(C)  # LU-backed; n is small enough for this to be stable
-
+    points, C, Cinv = lobatto_vander(n)
     raw = _antiderivative_rows(n)
     signs = (-1.0) ** np.arange(1, n)
     Sl = raw.copy()

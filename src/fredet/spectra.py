@@ -203,34 +203,34 @@ def _roots_from_moments(coeffs, n: int) -> np.ndarray:
     return np.roots(e * (-1.0) ** np.arange(n + 1))
 
 
-def _aberth(b: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Simultaneous Newton (Aberth) steps on all zeros of det(I + zB) at once.
+def _aberth(k: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Simultaneous Newton (Aberth) steps on all zeros of det(I + wK) at once.
 
-    f'/f = tr((I + zB)^{-1} B) by Jacobi's formula; subtracting the pull of
-    the other iterates, sum_{j != k} 1 / (z_k - z_j), keeps near-coincident
-    zeros from collapsing onto one another.  An exactly singular I + z_k B
-    means z_k is a zero and it stays put.  The polish ends once every step
-    is within 1e-12 (1 + |z_k|) and returns the zeros with the modulus of
-    each one's last step; it raises RefinementError when that has not
-    happened after _POLISH_STEPS steps.
+    f'/f = tr((I + wK)^{-1} K) by Jacobi's formula; subtracting the pull of
+    the other iterates, sum_{j != i} 1 / (w_i - w_j), keeps near-coincident
+    zeros from collapsing onto one another.  An exactly singular I + w_i K
+    means w_i is a zero and it stays put.  The polish ends once every step is
+    within 1e-12 (1 + |w_i|) and returns the zeros with each one's last step
+    relative to it, |dw| / (1 + |w|); it raises RefinementError when that has
+    not happened after _POLISH_STEPS steps.
     """
-    eye = np.eye(b.shape[0], dtype=np.complex128)
     for _ in range(_POLISH_STEPS):
-        steps = np.zeros_like(z)
-        for k, zk in enumerate(z):
+        steps = np.zeros_like(w)
+        for i, wi in enumerate(w):
+            shifted = wi * k
+            shifted.flat[::k.shape[0] + 1] += 1.0
             try:
-                dlog = np.trace(np.linalg.solve(eye + zk * b, b))
+                dlog = np.trace(np.linalg.solve(shifted, k))
             except np.linalg.LinAlgError:
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
-                denom = dlog - np.sum(1.0 / (zk - np.delete(z, k)))
-                step = 1.0 / denom
-            if np.isfinite(step):
-                steps[k] = step
-        z = z - steps
-        if np.all(np.abs(steps) <= 1e-12 * (1.0 + np.abs(z))):
-            return z, np.abs(steps)
-    raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
+                step = 1.0 / (dlog - np.sum(1.0 / (wi - np.delete(w, i))))
+            steps[i] = step if np.isfinite(step) else 0.0
+        w = w - steps
+        size, scale = np.abs(steps), 1.0 + np.abs(w)
+        if np.all(size <= 1e-12 * scale):
+            return w, size / scale
+    raise RefinementError(f"polish of {w.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
 
 
@@ -253,29 +253,30 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
     factor has none.  K_N is validated and reduced to Hessenberg form H once,
-    by determinants.prepare, or taken from op when op is a PreparedDet; the
-    polish and the residuals read the matrix that prepare validated.  The
-    contour samples log det(I + sign*z*H) in batches at O(N^2) per point, in
-    real arithmetic when H is real (linalg.hessenberg_logdet); this is still
-    an LU determinant, not the eigenvalue route, so the three det_p routes
-    stay independent.  Every disc is one sampled circle.  A
-    circle that passes through a zero (ZeroOnContourError) or whose moments
-    do not settle (RefinementError) is moved outward through
-    _BUMPS, so the nominal disc stays covered; when no radius resolves,
-    ZeroOnContourError names the radii tried.  The circle gives the count n
-    and the power sums of the zeros (contour moments, Delves & Lyness 1967);
-    its sample count doubles only until n and those n moments settle, since
-    the polish sets the final digits.  Newton's identities turn the moments
-    into starting values for all n zeros, and simultaneous Newton steps on the
-    unreduced sign*K_N polish them together.  The polish converges or raises
-    RefinementError.  Zeros still within CLUSTER_TOL of each other after the
-    polish form one estimate whose mult_estimate is the cluster size;
-    residual is |det_p| there, and step the largest last polish step
-    |dz| / (1 + |z|) among the cluster's zeros, at most 1e-12 since the polish
-    converged.  Estimates come by |z_root|, ties within
-    CLUSTER_TOL by imaginary, then real part.  With the default sign = -1 the
-    reported eigenvalue is lam = 1/z_root.  A center or radius that is not
-    finite, or a radius that is not positive, raises ValueError.
+    by determinants.prepare, or taken from op when op is a PreparedDet.  sign
+    maps the disc in and the roots out: the search runs in w = sign*z on
+    det(I + wK_N), reading K_N and H exactly as prepared, so no N x N copy of
+    either is made, and negation is exact.  The contour samples
+    log det(I + wH) in batches at O(N^2) per point, in real arithmetic when H
+    is real (linalg.hessenberg_logdet); this is still an LU determinant, not
+    the eigenvalue route, so the three det_p routes stay independent.  Every
+    disc is one sampled circle.  A circle that passes through a zero
+    (ZeroOnContourError) or whose moments do not settle (RefinementError) is
+    moved outward through _BUMPS, so the nominal disc stays covered; when no
+    radius resolves, ZeroOnContourError names the radii tried.  The circle
+    gives the count n and the power sums of the zeros (contour moments,
+    Delves & Lyness 1967); its sample count doubles only until n and those n
+    moments settle, since the polish sets the final digits.  Newton's
+    identities turn the moments into starting values for all n zeros, and
+    simultaneous Newton steps on the unreduced K_N polish them together.  The
+    polish converges or raises RefinementError.  Zeros still within
+    CLUSTER_TOL of each other after the polish form one estimate whose
+    mult_estimate is the cluster size; residual is |det_p| there, and step
+    the largest last polish step |dz| / (1 + |z|) among the cluster's zeros,
+    at most 1e-12 since the polish converged.  Estimates come by |z_root|,
+    ties within CLUSTER_TOL by imaginary, then real part.  With the default
+    sign = -1 the reported eigenvalue is lam = 1/z_root.  A center or radius
+    that is not finite, or a radius that is not positive, raises ValueError.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -285,12 +286,8 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
-    # K is validated once, by prepare; det_p and det share their zeros, and
-    # H(sign K) = sign H(K)
     prep = op if isinstance(op, PreparedDet) else prepare(op, 1)
-    m = prep.matrix
-    h = sign * prep.hess
-    logdet = lambda zs: hessenberg_logdet(h, zs)
+    logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs)
     for bump in _BUMPS:
         contour = radius * bump
         try:
@@ -302,19 +299,20 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         tried = ", ".join(f"{radius * b:.6g}" for b in _BUMPS)
         raise ZeroOnContourError(f"no contour around {center} resolved its zeros;"
                                  f" radii tried: {tried}")
-    zeros, last = _aberth(sign * m, center + contour * _roots_from_moments(coeffs, n))
+    w, steps = _aberth(prep.matrix, sign * (center + contour * _roots_from_moments(coeffs, n)))
+    zeros = sign * w
     if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
         raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"
                               f" around {center}")
 
     inside = np.abs(zeros - center) <= radius * (1.0 + 1e-9)
-    zeros, steps = zeros[inside], last[inside] / (1.0 + np.abs(zeros[inside]))
+    zeros, steps = zeros[inside], steps[inside]
     ests = []
     for group in _clusters(zeros):
         z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        ests.append(EigenEstimate(z, -sign / z, abs(det_p(m, p, sign * z).value), len(group),
-                                  float(steps[group].max())))
+        ests.append(EigenEstimate(z, -sign / z, abs(det_p(prep.matrix, p, sign * z).value),
+                                  len(group), float(steps[group].max())))
     return _ordered(ests)
 
 

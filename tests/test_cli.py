@@ -301,34 +301,45 @@ def test_kernel_file_flow(tmp_path, capsys):
     assert abs(value - 2.0 / 3.0) < 1e-10
 
 
-@pytest.mark.parametrize("argv, code, stage", [
-    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"], 1, "configuration"),
+@pytest.mark.parametrize("argv, code, stage, names", [
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"], 1, "configuration",
+     "--z or --grid"),
     (["det", "--kernel", "green", "--scheme", "ngl", "--n", "1", "--z", "1,0"], 1,
-     "configuration"),
+     "configuration", "n must be >= 2"),
     (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "a,b"], 1,
-     "configuration"),
+     "configuration", "--z expects numbers"),
     (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "10-160",
-      "--z", "1,0"], 1, "configuration"),
+      "--z", "1,0"], 1, "configuration", "--n-sweep expects A:B:geometric"),
     (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8",
-      "--region", "1,0"], 1, "configuration"),
-    (["example", "--id", "4", "--out", "/dev/null/sub"], 2, "output"),
+      "--region", "1,0"], 1, "configuration", "--region expects CRE,CIM,RAD"),
+    (["example", "--id", "4", "--out", "/dev/null/sub"], 2, "output", "/dev/null/sub"),
     (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--z", "1,2,3"], 1,
-     "configuration"),
+     "configuration", "--z expects RE or RE,IM"),
     (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--grid", "0,1,0,1"], 1,
-     "configuration"),
+     "configuration", "--grid expects RE0,RE1,IM0,IM1,STEPS"),
     (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "64:8:geometric"], 1,
-     "configuration"),
+     "configuration", "--n-sweep needs 2 <= A <= B"),
     (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--region=0,0,-1"], 1,
-     "configuration"),
-    (["identity", "--trials", "0"], 1, "configuration"),
+     "configuration", "--region radius must be positive"),
+    (["identity", "--trials", "0"], 1, "configuration", "--trials must be >= 1"),
     # |det_1(I + 1e12 K)| is about exp(1201), past the double range
     (["det", "--kernel", "green", "--scheme", "ngl", "--n", "64", "--z=-1e12,0"], 2,
-     "determinant evaluation"),
-], ids=[f"argv{i}" for i in range(12)])
-def test_validation_failures_exit_one(argv, code, stage, capsys):
-    # configuration errors exit 1, output and numerical errors 2, each under its stage prefix
+     "determinant evaluation", "out of double range"),
+    (["det", "--kernel", "green", "--scheme", "ngl", "--n", "8", "--grid", "0,1,0,1,x"], 1,
+     "configuration", "--grid STEPS expects integers"),
+    (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "8:x:geometric"], 1,
+     "configuration", "--n-sweep A:B expects integers"),
+    # abs_pow_iter2 is log-singular at x = y, which ngl puts on the diagonal
+    (["det", "--kernel", "abs_pow_iter2", "--scheme", "ngl", "--n", "8", "--z", "1,0"], 1,
+     "configuration", "--zero-diag"),
+], ids=[f"argv{i}" for i in range(15)])
+def test_validation_failures_exit_one(argv, code, stage, names, capsys):
+    # configuration errors exit 1, output and numerical errors 2, each as one
+    # line under its stage prefix that names what was wrong
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith(f"fredet: {stage}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"fredet: {stage}: ") and err.count("\n") == 1
+    assert names in err
 
 
 _DET = ["det", "--kernel", "green", "--scheme", "ngl", "--n", "8"]

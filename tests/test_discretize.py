@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from fredet.determinants import det_p
 from fredet.discretize import SCHEMES, assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import from_config, registry
 from fredet.linalg import MAX_DIM, as_complex_matrix, trace_powers
-from fredet.quadrature import QuadRule, clenshaw_curtis, gauss_legendre, rectangle, spectral_ops
+from fredet.quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, rectangle,
+                              singular_moments, spectral_ops)
 
 
 def test_nystrom_rectangle_hand_computed():
@@ -39,6 +42,18 @@ def test_nystrom_rejects_singular_kernel_and_domain_mismatch():
         assemble_nystrom(registry("abs_pow"), gauss_legendre(8, -1.0, 1.0))
     with pytest.raises(ValueError, match="domain"):
         assemble_nystrom(registry("green"), gauss_legendre(8, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("rule", [gauss_legendre, rectangle])
+def test_nystrom_refuses_an_infinite_diagonal_without_zero_diag(rule):
+    # abs_pow_iter2 is log-singular at x = y: one ValueError naming zero_diag,
+    # and no numpy warning from evaluating the diagonal
+    spec = registry("abs_pow_iter2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"zero_diag \(--zero-diag\)"):
+            assemble_nystrom(spec, rule(8, -1.0, 1.0))
+    assert np.all(np.isfinite(assemble_nystrom(spec, rule(8, -1.0, 1.0), zero_diag=True).matrix))
 
 
 def test_ncc_sign_kernel_acts_as_odd_integrator():
@@ -144,7 +159,8 @@ def _never(*args, **kwargs):
 
 
 def test_assemble_rejects_n_past_max_dim_before_building(monkeypatch):
-    for name in ("gauss_legendre", "rectangle", "clenshaw_curtis", "spectral_ops"):
+    for name in ("gauss_legendre", "rectangle", "clenshaw_curtis", "spectral_ops",
+                 "lobatto_vander"):
         monkeypatch.setattr(fredet.discretize, name, _never)
     for scheme in SCHEMES:
         kernel = registry("abs_pow" if scheme == "singular" else "green")
@@ -185,6 +201,20 @@ def test_singular_assembly_trace_of_square_converges():
         rels.append(abs(tr2 - closed) / closed)
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 3.5e-2
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("n", [16, 64, 257])
+def test_singular_assembly_is_the_spectral_ops_formula_bit_for_bit(alpha, n):
+    # assemble_singular builds its points and Cinv as spectral_ops does, without Sl and Sr
+    spec = registry("abs_pow", {"alpha": alpha})
+    ops = spectral_ops(n)
+    nodes = ops.points  # the kernel's interval is [-1, 1]
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    expect = (singular_moments(alpha, nodes, n) @ ops.Cinv) * spec.h(x, y)
+    op = assemble_singular(spec, n)
+    assert np.array_equal(op.nodes, nodes)
+    assert np.array_equal(op.matrix, expect.astype(np.complex128))
 
 
 def test_singular_assembly_rejects_nonsingular_kernel():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -403,18 +405,57 @@ def test_step_is_scale_free_where_the_residual_is_not():
 
 
 def test_cluster_step_is_the_largest_of_its_members(monkeypatch):
+    # _aberth polishes w = sign * z and returns each zero's relative last step
     polished = []
     aberth = fredet.spectra._aberth
     monkeypatch.setattr(fredet.spectra, "_aberth",
-                        lambda b, z: polished.append(aberth(b, z)) or polished[-1])
+                        lambda k, w: polished.append(aberth(k, w)) or polished[-1])
     ests = locate_eigs(np.diag([0.5, 0.5, 0.25]), 1, 0.0, 5.0)
     assert [e.mult_estimate for e in ests] == [2, 1]
-    (zeros, last), = polished
-    rel = last / (1.0 + np.abs(zeros))
-    double = np.abs(zeros - 2.0) < 1e-3
+    (zeros, rel), = polished
+    double = np.abs(zeros + 2.0) < 1e-3  # z = 2 is w = -2 at the default sign = -1
     assert ests[0].step == rel[double].max()
     assert ests[1].step == rel[~double].max()
     assert all(0.0 <= e.step <= 1e-12 for e in ests)
+
+
+def test_search_makes_no_matrix_sized_copies():
+    # K and H are read as prepared: besides I + wK and the polish's solve, no
+    # N x N array is made, neither a signed copy of K or H nor an identity
+    n = 256
+    prep = prepare(assemble_nystrom(registry("green"), gauss_legendre(n, 0.0, 1.0)), 1)
+    tracemalloc.start()
+    try:
+        ests = locate_eigs(prep, 1, 50.0, 49.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ests) == 3
+    assert peak <= 3 * 16 * n * n
+
+
+def _orientation_case(name):
+    if name == "random8":
+        return np.random.default_rng(3).normal(size=(8, 8)) / np.sqrt(8.0), 1, 0.0, 3.0
+    if name == "random64":  # 56 zeros in one disc
+        return np.random.default_rng(0).normal(size=(64, 64)) / 8.0, 1, 0.0, 3.0
+    if name == "abs_pow":
+        return assemble_singular(registry("abs_pow"), 64).matrix, 3, 0.0, 1.5
+    return assemble(registry("sign"), "rect", 100, zero_diag=True).matrix, 2, 0.0, 1.5
+
+
+@pytest.mark.parametrize("name", ["random8", "random64", "abs_pow", "sign_rect"])
+def test_sign_flips_the_matrix_bit_for_bit(name):
+    # det_p(I + z A) = det_p(I - z (-A)); sign moves only scalars and negation is
+    # exact, so both searches take the same steps and report the same bits
+    a, p, center, radius = _orientation_case(name)
+    plus = locate_eigs(a, p, center, radius, sign=1)
+    minus = locate_eigs(-a, p, center, radius)
+    assert len(plus) == len(minus) > 0
+    for u, v in zip(plus, minus):
+        assert (u.z_root, u.residual, u.step, u.mult_estimate) == \
+            (v.z_root, v.residual, v.step, v.mult_estimate)
+        assert u.lam == -v.lam
 
 
 def test_fit_order_recovers_exact_power_law():
