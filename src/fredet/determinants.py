@@ -43,8 +43,9 @@ def _finish(p: int, z, phase, logdet, traces):
 
 
 def _lu_dets(m: np.ndarray, z: complex, traces, ps) -> list:
-    """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet)."""
-    shifted = z * m
+    """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet),
+    in float64 when K and z are both real, in complex128 otherwise."""
+    shifted = (z.real if z.imag == 0 else z) * m
     shifted.flat[::m.shape[0] + 1] += 1.0
     phase, logabs = np.linalg.slogdet(shifted)
     return [complex(_finish(p, z, phase, logabs, traces)) for p in ps]
@@ -55,6 +56,8 @@ def det_p(op, p: int, z) -> DetValue:
 
     Computed from an LU determinant and explicit low-order traces, with the
     magnitude carried in log space; the plain determinant is the p = 1 case.
+    A real K at a real z is factored in real arithmetic; a non-real z, or a
+    complex K, takes the complex LU.
     """
     m = _matrix_of(op)
     _check_p(p)
@@ -165,7 +168,8 @@ def identity_residuals(a, z) -> dict:
         det_2(I - z^2 A^2) = det_3(I - zA) det_3(I + zA)
         det_2(I - z^2 A^2) = det_4(I - zA) det_4(I + zA)
     Each residual is |lhs - rhs| / (|lhs| + |rhs| + 1).  I - zA, I + zA and
-    I - z^2 A^2 are factored once each, and each LU serves all its det_p.
+    I - z^2 A^2 are factored once each, and each LU serves all its det_p.  A real
+    A is squared in real arithmetic.
     """
     m = as_complex_matrix(a)
     m2 = as_complex_matrix(m @ m)

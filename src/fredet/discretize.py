@@ -25,13 +25,21 @@ class DiscreteOperator:
     nodes: np.ndarray
 
 
+def _smooth_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: bool) -> np.ndarray:
+    """A smooth kernel's values on a square node grid, from one call; with skip_diag
+    the diagonal x == y is zero, whatever the kernel gives there."""
+    if not skip_diag:
+        return np.broadcast_to(np.asarray(spec.k1(x, y), dtype=float), x.shape)
+    with np.errstate(all="ignore"):  # the diagonal is dropped, finite or not
+        out = np.array(np.broadcast_to(spec.k1(x, y), x.shape), dtype=float)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def _split_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: bool) -> np.ndarray:
-    """Branch-dispatched kernel values on a node grid; optionally skip x == y."""
+    """A split kernel's branch-dispatched values on a node grid; optionally skip x == y."""
     out = np.zeros(np.broadcast(x, y).shape)
-    if spec.form == SMOOTH:
-        lower = np.ones(out.shape, dtype=bool)
-    else:
-        lower = y <= x
+    lower = y <= x
     if skip_diag:
         lower &= y != x
     upper = ~lower
@@ -40,8 +48,7 @@ def _split_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: boo
     if np.any(lower):
         out[lower] = spec.k1(x[lower], y[lower])
     if np.any(upper):
-        k2 = spec.k1 if spec.form == SMOOTH else spec.k2
-        out[upper] = k2(x[upper], y[upper])
+        out[upper] = spec.k2(x[upper], y[upper])
     return out
 
 
@@ -67,7 +74,8 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
             raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
                              " x = y; zero_diag (--zero-diag) drops it")
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    vals = _split_values(spec, x, y, skip_diag=zero_diag)
+    values = _smooth_values if spec.form == SMOOTH else _split_values
+    vals = values(spec, x, y, skip_diag=zero_diag)
     matrix = vals * rule.weights[None, :]
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
@@ -82,13 +90,26 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
 
         K_N = (b - a)/2 * [ (C Sl Cinv) o K1 + (C Sr Cinv) o K2 ],   o = Hadamard
 
-    Both branches must be evaluable on the closed square.  This path keeps
-    spectral_ops, with its LU inverse Cinv, and the two N x N products above
-    bit for bit: a variant with a closed-form Cinv and one product gave the
-    same matrices to rounding, but left the malloc heap in a state that took
-    about 1200 minor page faults per later N = 400 det_p call, and the
-    benchmark's grid pass (this matrix at N = 320 and a rectangle-rule one
-    at N = 400) ran about 25% longer (2-vCPU VM, numpy 2.4.6, OpenBLAS).
+    Both branches must be evaluable on the closed square: a branch that is
+    not finite on the diagonal x = y raises ValueError, checked on the N
+    diagonal points before any N x N array is built.
+
+    This path keeps spectral_ops, with its LU inverse Cinv, and the two
+    N x N products above bit for bit, for the heap their temporaries leave
+    behind.  A complex N = 400 det_p allocates and frees two 2.56 MB buffers
+    (I + zK and LAPACK's copy of it).  After the first free of such an
+    mmapped block, glibc raises its mmap threshold to 2.564 MB and its trim
+    threshold to twice that, 5.128 MB: only 8 KB above the 5.120 MB each
+    call frees, so when the buffers land on top of the heap the top is
+    returned to the system and faulted in again on every call (about 1,200
+    minor faults per call for a rectangle-rule N = 400 matrix assembled
+    alone).  The benchmark's grid set-up assembles this matrix at N = 320
+    before its N = 400 det_p calls, and the temporaries of these products
+    leave about 9 MB free inside the arena (glibc mallinfo2), where the
+    buffers fit without growing the top: 0 faults per call.  A variant with
+    a closed-form Cinv and one product gave the same matrices to rounding,
+    but left 0.2 MB free, and the grid pass ran about 25-30% longer
+    (2-vCPU VM, numpy 2.4.6, OpenBLAS).
 
     A smooth kernel is plain Nystrom on the Clenshaw-Curtis rule of the same
     nodes: the two integration operators then add up to one repeated row,
@@ -105,6 +126,12 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     a, b = spec.a, spec.b
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * ops.points
+    with np.errstate(all="ignore"):  # both branches at the N diagonal points, checked quietly
+        finite = all(np.all(np.isfinite(k(nodes, nodes))) for k in (spec.k1, spec.k2))
+    if not finite:
+        raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal x = y,"
+                         " where ncc evaluates both of its branches; ngl or rect with zero_diag"
+                         " (--zero-diag) drop the diagonal")
     lower_int = ops.C @ ops.Sl @ ops.Cinv
     upper_int = ops.C @ ops.Sr @ ops.Cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")

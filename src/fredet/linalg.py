@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: matrix validation, trace powers, eigenvalues,
-and log det(I + zH) over many z on a once-reduced Hessenberg form."""
+"""Dense linear algebra: matrix validation, trace powers, eigenvalues, and
+log det(I + zH) over many z on a once-reduced Hessenberg form.  A real matrix
+stays real throughout; only a complex one takes complex arithmetic."""
 
 import math
 
@@ -26,8 +27,15 @@ class DetOverflowError(ArithmeticError):
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
+    """Coerce input to a square matrix with finite entries: float64 when its dtype
+    has no imaginary part, complex128 otherwise.
+
+    The dtype decides, not the values: a complex matrix whose imaginary parts
+    are all zero stays complex128.  An input that already has its dtype and
+    is contiguous is returned as it is, not copied.
+    """
+    m = np.asarray(a)
+    m = np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
@@ -46,7 +54,8 @@ def trace_powers(a, jmax: int) -> np.ndarray:
     About 2 sqrt(jmax) matrix products up to jmax = 64 and jmax/8 + 5 beyond,
     instead of jmax - 2 (see _trace_powers).  A trace of a product is an
     elementwise sum, tr(BC) = sum(B * C^T), so the highest power is never
-    formed: jmax = 2 needs no matrix product at all, jmax = 3 one.
+    formed: jmax = 2 needs no matrix product at all, jmax = 3 one.  The traces
+    have the matrix's dtype: a real matrix's powers and traces stay float64.
     """
     return _trace_powers(as_complex_matrix(a), jmax)
 
@@ -64,7 +73,7 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
-    out = np.empty(jmax, dtype=np.complex128)
+    out = np.empty(jmax, dtype=m.dtype)
     if jmax <= 3:
         p = m
         out[0] = np.trace(p)
@@ -76,7 +85,7 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
         return out
     n = m.shape[0]
     s = min(math.isqrt(jmax - 1) + 1, _TRACE_BABY_STEPS)
-    baby = np.empty((s, n, n), dtype=np.complex128)  # baby[r-1] = (A^r)^T = (A^T)^r
+    baby = np.empty((s, n, n), dtype=m.dtype)  # baby[r-1] = (A^r)^T = (A^T)^r
     baby[0] = m.T
     for r in range(1, s):
         np.matmul(baby[r - 1], baby[0], out=baby[r])
@@ -93,15 +102,17 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues, sorted by nonincreasing modulus.
+    """All eigenvalues as a complex128 array, sorted by nonincreasing modulus.
 
-    Backed by LAPACK's balanced Hessenberg reduction with shifted QR;
-    non-convergence surfaces as LinAlgError rather than silent garbage.
-    The contract is solver-agnostic: eigenvalue sums must reproduce
-    trace_powers and the product must reproduce det_p(a, 1, z).
+    Backed by LAPACK's balanced Hessenberg reduction with shifted QR, real
+    (dgeev) for a real matrix, whose complex eigenvalues then come in exact
+    conjugate pairs, and complex (zgeev) otherwise; non-convergence surfaces
+    as LinAlgError rather than silent garbage.  The contract is
+    solver-agnostic: eigenvalue sums must reproduce trace_powers and the
+    product must reproduce det_p(a, 1, z).
     """
     m = as_complex_matrix(a)
-    lam = np.linalg.eigvals(m)
+    lam = np.linalg.eigvals(m).astype(np.complex128, copy=False)
     order = np.argsort(-np.abs(lam), kind="stable")
     return lam[order]
 
@@ -110,13 +121,14 @@ def hessenberg(a) -> np.ndarray:
     """Upper Hessenberg H with A = Q H Q* for a unitary Q, by Householder reflections.
 
     Entries below the subdiagonal are exact zeros.  Q is not formed: H serves
-    det(I + zA) = det(I + zH).  A matrix without imaginary part is reduced in
-    real arithmetic and gives a real H.  The work array is H transposed, so
-    the columns H[:, k+1:] that reflector k changes, from the left and from
-    the right, are one contiguous block, updated by one rank-2 product.
+    det(I + zA) = det(I + zH).  H has the dtype of as_complex_matrix(a): a
+    real matrix is reduced in real arithmetic and gives a real H.  The work
+    array is H transposed, so the columns H[:, k+1:] that reflector k
+    changes, from the left and from the right, are one contiguous block,
+    updated by one rank-2 product.
     """
     m = as_complex_matrix(a)
-    g = (m.real if not m.imag.any() else m).T.copy()  # g = H^T
+    g = m.T.copy()  # g = H^T
     n = g.shape[0]
     v = np.zeros(n, dtype=g.dtype)  # the reflector, zero above row k + 1
     e = np.empty((2, n), dtype=g.dtype)

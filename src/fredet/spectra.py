@@ -206,23 +206,28 @@ def _roots_from_moments(coeffs, n: int) -> np.ndarray:
 def _aberth(k: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Simultaneous Newton (Aberth) steps on all zeros of det(I + wK) at once.
 
-    f'/f = tr((I + wK)^{-1} K) by Jacobi's formula; subtracting the pull of
-    the other iterates, sum_{j != i} 1 / (w_i - w_j), keeps near-coincident
+    f'/f = tr((I + wK)^{-1} K) by Jacobi's formula, taken as
+    (N - tr((I + wK)^{-1})) / w from one inverse, since
+    (I + wK)^{-1} wK = I - (I + wK)^{-1}: K is read as it is, real or
+    complex, and never cast (tr K at w = 0).  Subtracting the pull of the
+    other iterates, sum_{j != i} 1 / (w_i - w_j), keeps near-coincident
     zeros from collapsing onto one another.  An exactly singular I + w_i K
     means w_i is a zero and it stays put.  The polish ends once every step is
     within 1e-12 (1 + |w_i|) and returns the zeros with each one's last step
     relative to it, |dw| / (1 + |w|); it raises RefinementError when that has
     not happened after _POLISH_STEPS steps.
     """
+    n = k.shape[0]
     for _ in range(_POLISH_STEPS):
         steps = np.zeros_like(w)
         for i, wi in enumerate(w):
             shifted = wi * k
-            shifted.flat[::k.shape[0] + 1] += 1.0
+            shifted.flat[::n + 1] += 1.0
             try:
-                dlog = np.trace(np.linalg.solve(shifted, k))
+                inv_trace = np.trace(np.linalg.inv(shifted))
             except np.linalg.LinAlgError:
                 continue
+            dlog = (n - inv_trace) / wi if wi != 0 else np.trace(k)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = 1.0 / (dlog - np.sum(1.0 / (wi - np.delete(w, i))))
             steps[i] = step if np.isfinite(step) else 0.0

@@ -332,7 +332,11 @@ def test_kernel_file_flow(tmp_path, capsys):
     # abs_pow_iter2 is log-singular at x = y, which ngl puts on the diagonal
     (["det", "--kernel", "abs_pow_iter2", "--scheme", "ngl", "--n", "8", "--z", "1,0"], 1,
      "configuration", "--zero-diag"),
-], ids=[f"argv{i}" for i in range(15)])
+    # ncc evaluates both branches at x = y and takes no --zero-diag
+    (["det", "--kernel", "abs_pow_iter2", "--scheme", "ncc", "--n", "8", "--z", "1,0"], 1,
+     "configuration", "where ncc evaluates both of its branches; ngl or rect with zero_diag"
+                      " (--zero-diag)"),
+], ids=[f"argv{i}" for i in range(16)])
 def test_validation_failures_exit_one(argv, code, stage, names, capsys):
     # configuration errors exit 1, output and numerical errors 2, each as one
     # line under its stage prefix that names what was wrong

@@ -309,13 +309,17 @@ def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
     # det_p(I + zK) at one z factors I + zK itself: no Hessenberg reduction,
-    # and the same bits as slogdet plus the explicit trace correction
+    # and the same bits as slogdet plus the explicit trace correction; the real
+    # K at the real z = -1 is factored in float64, the non-real z in complex128
     monkeypatch.setattr(fredet.determinants, "hessenberg", None)
     op = assemble_nystrom(registry("sign"), rectangle(40, -1.0, 1.0), zero_diag=True)
     m = op.matrix
+    assert m.dtype == np.float64
     nu = trace_powers(m, p - 1) if p > 1 else []
-    for z in (0.3 - 0.7j, -1.0, 2.5j):
-        phase, logabs = np.linalg.slogdet(np.eye(40) + z * m)
+    for z, dtype in ((0.3 - 0.7j, np.complex128), (-1.0, np.float64), (2.5j, np.complex128)):
+        shifted = np.eye(40) + z * m
+        assert shifted.dtype == dtype
+        phase, logabs = np.linalg.slogdet(shifted)
         corr = sum(((-z) ** j * nu[j - 1] / j for j in range(1, p)), 0j)
         assert det_p(op, p, z).value == complex(phase * np.exp(logabs + corr))
 
@@ -328,3 +332,53 @@ def test_prepared_values_match_det_p_on_weakly_singular_matrix(p):
     for z, v in zip(zs, got):
         want = det_p(op, p, z).value
         assert abs(v - want) <= 1e-13 * abs(want), z
+
+
+def test_det_p_factors_in_float64_only_when_k_and_z_are_real(monkeypatch):
+    factored = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: factored.append(m.dtype) or slogdet(m))
+    k = _build("green", "ngl", 12).matrix
+    for a, z in ((k, 0.5), (k, 0.5 + 0j), (k, 0.5 - 0.1j), (k.astype(np.complex128), 0.5)):
+        det_p(a, 2, z)
+    assert factored == [np.float64, np.float64, np.complex128, np.complex128]
+
+
+def _correction_size(traces, z):
+    """sum_j |z|^j |tr K^j| / j: the size of det_p's trace correction, whose rounding
+    sets how far two sums of the same traces can move a value, relative to it."""
+    return sum(abs(z) ** j * abs(t) / j for j, t in enumerate(traces, 1))
+
+
+@pytest.mark.parametrize("name, scheme", list(_operator_cases()))
+def test_complex_z_det_p_keeps_the_complex_lu(name, scheme):
+    # at a non-real z a real K takes the same complex LU as its complex copy: the
+    # plain determinant keeps its bits; for p >= 2 only the summation order of the
+    # real traces differs, so the values agree to the rounding of the correction
+    k = _build(name, scheme, 40).matrix
+    c = k.astype(np.complex128)
+    traces = trace_powers(c, 3)
+    for z in (0.3 - 0.7j, -0.6 + 0.2j, 0.9j):
+        assert det_p(k, 1, z).value == det_p(c, 1, z).value, z
+        for p in (2, 3, 4):
+            want = det_p(c, p, z).value
+            tol = 1e-14 * (1.0 + _correction_size(traces[:p - 1], z))
+            assert abs(det_p(k, p, z).value - want) <= tol * abs(want), (z, p)
+
+
+@pytest.mark.parametrize("name, scheme", list(_operator_cases()))
+def test_prepared_values_agree_on_a_real_k_and_its_complex_copy(name, scheme):
+    # a real H is eliminated in real arithmetic, its complex copy in complex
+    # arithmetic; inside the zero-free disc |z| rho(K) < 1 the values agree to 1e-14
+    k = _build(name, scheme, 40).matrix
+    c = k.astype(np.complex128)
+    radius = 1.0 / np.abs(eigenvalues(k)).max()
+    zs = [r * radius * np.exp(1j * t) for r in (0.25, 0.5, 0.9) for t in np.linspace(0.1, 6.0, 7)]
+    traces = trace_powers(c, 2)
+    for p in (1, 2, 3):
+        prep = prepare(k, p)
+        assert prep.hess.dtype == np.float64
+        got, want = prep.values(zs), prepare(c, p).values(zs)
+        for z, u, v in zip(zs, got, want):
+            tol = 1e-14 * (1.0 + _correction_size(traces[:p - 1], z))
+            assert abs(u - v) <= tol * abs(v), (p, z)

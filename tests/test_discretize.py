@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import fredet.discretize
 from fredet.determinants import det_p
 from fredet.discretize import SCHEMES, assemble, assemble_ncc, assemble_nystrom, assemble_singular
-from fredet.kernels import from_config, registry
+from fredet.kernels import KernelSpec, from_config, registry
 from fredet.linalg import MAX_DIM, as_complex_matrix, trace_powers
 from fredet.quadrature import (QuadRule, clenshaw_curtis, gauss_legendre, rectangle,
                               singular_moments, spectral_ops)
@@ -214,7 +215,7 @@ def test_singular_assembly_is_the_spectral_ops_formula_bit_for_bit(alpha, n):
     expect = (singular_moments(alpha, nodes, n) @ ops.Cinv) * spec.h(x, y)
     op = assemble_singular(spec, n)
     assert np.array_equal(op.nodes, nodes)
-    assert np.array_equal(op.matrix, expect.astype(np.complex128))
+    assert np.array_equal(op.matrix, expect)
 
 
 def test_singular_assembly_rejects_nonsingular_kernel():
@@ -226,3 +227,64 @@ def test_operator_has_one_row_and_node_per_rule_node():
     op = assemble_nystrom(registry("green"), gauss_legendre(7, 0.0, 1.0))
     assert op.matrix.shape == (7, 7)
     assert op.nodes.shape == (7,)
+
+
+# every built-in kernel on every scheme that takes it; abs_pow_iter2 only with zero_diag
+_BUILTIN_ASSEMBLIES = ([(name, scheme, zd) for name in ("green", "bernoulli", "sign")
+                        for scheme in ("ngl", "rect", "ncc")
+                        for zd in ((False,) if scheme == "ncc" else (False, True))]
+                       + [("abs_pow", "singular", False), ("abs_pow_iter2", "ngl", True),
+                          ("abs_pow_iter2", "rect", True)])
+
+
+@pytest.mark.parametrize("name, scheme, zero_diag", _BUILTIN_ASSEMBLIES)
+@pytest.mark.parametrize("n", [2, 33])
+def test_builtin_kernels_assemble_a_float64_matrix(name, scheme, zero_diag, n):
+    # a real kernel gives a real K_N, 8 bytes an entry: no assembly ends in a complex copy
+    op = assemble(registry(name), scheme, n, zero_diag)
+    assert op.matrix.dtype == np.float64
+    assert op.matrix.nbytes == 8 * n * n
+
+
+@pytest.mark.parametrize("expr", [{"k1": "1", "k2": "log(abs(x - y))"},
+                                  {"k1": "log(abs(x - y))", "k2": "1"}])
+def test_ncc_refuses_a_branch_that_is_not_finite_on_the_diagonal(expr):
+    # ncc evaluates both branches at x = y; the N diagonal values are checked
+    # quietly (a RuntimeWarning fails this suite) and refused in one message
+    for spec in (registry("abs_pow_iter2"), from_config({"expr": expr, "domain": [0.0, 1.0]})):
+        with pytest.raises(ValueError, match="where ncc evaluates both of its branches; ngl or"
+                                             r" rect with zero_diag \(--zero-diag\) drop"):
+            assemble_ncc(spec, 8)
+
+
+def test_smooth_kernel_values_come_from_one_call_on_the_node_grid():
+    spec = from_config({"expr": {"k": "log(abs(x - y)) + 2"}, "domain": [0.0, 1.0]})
+    calls = []
+    counted = dataclasses.replace(spec, k1=lambda x, y: calls.append(np.shape(x)) or spec.k1(x, y))
+    rule = gauss_legendre(16, 0.0, 1.0)
+    # zero_diag drops the log singularity on the diagonal quietly
+    op = assemble_nystrom(counted, rule, zero_diag=True)
+    assert calls == [(16, 16)]
+    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    off = ~np.eye(16, dtype=bool)
+    weights = np.broadcast_to(rule.weights, (16, 16))
+    assert np.array_equal(op.matrix[off], spec.k1(x[off], y[off]) * weights[off])
+    assert np.all(np.diagonal(op.matrix) == 0.0)
+    # a kernel that returns one number for the whole grid is broadcast over it
+    for zero_diag in (False, True):
+        const = assemble_nystrom(from_config({"expr": {"k": "2"}, "domain": [0.0, 1.0]}), rule,
+                                 zero_diag=zero_diag)
+        want = np.tile(2.0 * rule.weights, (16, 1))
+        if zero_diag:
+            np.fill_diagonal(want, 0.0)
+        assert np.array_equal(const.matrix, want)
+
+
+def test_a_complex_kernel_value_fails_instead_of_losing_its_imaginary_part():
+    # K_N is float64, and the suite turns numpy's ComplexWarning into an error
+    # (pyproject.toml), so no assembly can drop an imaginary part unnoticed
+    cplx = lambda x, y: x + 1j * y
+    for spec in (KernelSpec(0.0, 1.0, k1=cplx), KernelSpec(0.0, 1.0, k1=cplx, k2=cplx)):
+        for scheme in ("ngl", "ncc"):
+            with pytest.raises(np.exceptions.ComplexWarning):
+                assemble(spec, scheme, 4)

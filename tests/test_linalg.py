@@ -15,10 +15,29 @@ from fredet.quadrature import gauss_legendre, rectangle
 
 
 def test_as_complex_matrix_coerces_nested_lists():
+    # a real input becomes float64, a complex one complex128: the dtype decides
     m = as_complex_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.complex128
+    assert m.dtype == np.float64
     assert m.shape == (2, 2)
-    assert m[1, 0] == 3 + 0j
+    assert m[1, 0] == 3.0
+    c = as_complex_matrix([[1, 2j], [3, 4]])
+    assert c.dtype == np.complex128
+    assert c[0, 1] == 2j
+
+
+def test_as_complex_matrix_keeps_a_complex_matrix_complex():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(5, 5)) + 1e-3j * rng.normal(size=(5, 5))
+    m = as_complex_matrix(a)
+    assert m.dtype == np.complex128
+    assert np.array_equal(m, a)
+    # the dtype decides, not the values: zero imaginary parts stay complex128
+    assert as_complex_matrix(a.real.astype(np.complex128)).dtype == np.complex128
+    assert hessenberg(a.real.astype(np.complex128)).dtype == np.complex128
+    assert hessenberg(a.real).dtype == np.float64
+    # a contiguous matrix of the right dtype is validated, not copied
+    r = np.ascontiguousarray(a.real)
+    assert as_complex_matrix(r) is r
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
@@ -129,6 +148,44 @@ def test_trace_powers_working_set_stays_within_the_baby_step_cap():
     finally:
         tracemalloc.stop()
     assert peak <= (fredet.linalg._TRACE_BABY_STEPS + 4) * n * n * 16
+
+
+def test_real_trace_powers_stay_real():
+    # a real matrix keeps its baby and giant powers, and its traces, in float64
+    n = 64
+    m = as_complex_matrix(_random_matrix(n, 5, False))
+    tracemalloc.start()
+    try:
+        t = fredet.linalg._trace_powers(m, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.dtype == np.float64
+    assert peak <= (fredet.linalg._TRACE_BABY_STEPS + 4) * n * n * 8
+    c = trace_powers(m.astype(np.complex128), 400)
+    assert np.all(np.abs(t - c) <= 1e-12 * np.abs(c).max())
+
+
+def _real_eigenvalue_cases():
+    yield "random", np.random.default_rng(22).normal(size=(64, 64)) / 8.0
+    yield "green-ncc", assemble_ncc(registry("green"), 40).matrix
+    yield "sign-rect", assemble_nystrom(registry("sign"), rectangle(64, -1.0, 1.0),
+                                        zero_diag=True).matrix
+    yield "abs_pow-singular", assemble_singular(registry("abs_pow"), 32).matrix
+
+
+def test_real_eigenvalues_come_in_exact_conjugate_pairs():
+    # a real matrix takes the real solver: its non-real eigenvalues pair up bit for
+    # bit, and the spectrum matches the complex solver's to 1e-12 of its radius
+    for name, a in _real_eigenvalue_cases():
+        assert a.dtype == np.float64
+        lam = eigenvalues(a)
+        assert lam.dtype == np.complex128
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj())), name
+        ref = eigenvalues(a.astype(np.complex128))
+        gap = np.abs(lam[:, None] - ref[None, :])
+        tol = 1e-12 * np.abs(ref).max()
+        assert gap.min(axis=1).max() <= tol and gap.min(axis=0).max() <= tol, name
 
 
 def test_trace_powers_rejects_bad_jmax():

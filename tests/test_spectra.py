@@ -420,8 +420,9 @@ def test_cluster_step_is_the_largest_of_its_members(monkeypatch):
 
 
 def test_search_makes_no_matrix_sized_copies():
-    # K and H are read as prepared: besides I + wK and the polish's solve, no
-    # N x N array is made, neither a signed copy of K or H nor an identity
+    # K and H are read as prepared: besides I + wK and its inverse in the polish,
+    # no N x N array is made, neither a signed copy of K or H, nor an identity,
+    # nor a complex copy of the real K
     n = 256
     prep = prepare(assemble_nystrom(registry("green"), gauss_legendre(n, 0.0, 1.0)), 1)
     tracemalloc.start()
@@ -456,6 +457,19 @@ def test_sign_flips_the_matrix_bit_for_bit(name):
         assert (u.z_root, u.residual, u.step, u.mult_estimate) == \
             (v.z_root, v.residual, v.step, v.mult_estimate)
         assert u.lam == -v.lam
+
+
+@pytest.mark.parametrize("name", ["random64", "abs_pow", "sign_rect"])
+def test_real_k_and_its_complex_copy_give_the_same_roots(name):
+    # a real K is sampled and polished in real storage, its complex copy in complex
+    # arithmetic; the roots agree to 1e-14 relative
+    a, p, center, radius = _orientation_case(name)
+    real = locate_eigs(a, p, center, radius)
+    cplx = locate_eigs(a.astype(np.complex128), p, center, radius)
+    assert len(real) == len(cplx) > 0
+    for u, v in zip(real, cplx):
+        assert abs(u.z_root - v.z_root) <= 1e-14 * abs(v.z_root)
+        assert u.mult_estimate == v.mult_estimate
 
 
 def test_fit_order_recovers_exact_power_law():
