@@ -11,7 +11,7 @@ import numpy as np
 
 from .determinants import det_p, identity_residuals, prepare
 from .discretize import SCHEMES, assemble
-from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row,
+from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, dump_json, root_row, roots_json,
                        run_example, write_csv, write_summary)
 from .kernels import KERNEL_NAMES, has_diagonal_jump, load_kernel_file, registry
 from .linalg import MAX_DIM, DetOverflowError
@@ -205,12 +205,11 @@ def cmd_eigs(args):
     center, radius = _parse_region(args.region)
     op = assemble(spec, args.scheme, args.n, args.zero_diag)
     ests = locate_eigs(op, args.p, center, radius, sign=args.sign)
-    rows = [root_row(e) for e in ests]
     payload = {"command": "eigs",
                "config": _config_echo(args, spec, {"n": args.n,
                                                    "region": [center.real, center.imag, radius]}),
-               "roots": [dict(zip(ROOT_JSON_KEYS, r)) for r in rows]}
-    _emit(args, ROOT_CSV_HEADER, rows, payload)
+               "roots": roots_json(ests)}
+    _emit(args, ROOT_CSV_HEADER, map(root_row, ests), payload)
     return 0
 
 

@@ -24,6 +24,14 @@ def _check_p(p: int):
         raise ValueError(f"p must be a positive integer, got {p!r}")
 
 
+def _finite(z):
+    """z (a number or an array) as given; ValueError names its first value that is not finite."""
+    bad = np.extract(~np.isfinite(z), z)
+    if bad.size:
+        raise ValueError(f"z must be finite, got {bad[0]}")
+    return z
+
+
 def _low_traces(m: np.ndarray, p: int) -> np.ndarray:
     """[tr(K), ..., tr(K^(p-1))], the traces det_p's correction reads; empty for p = 1."""
     return _trace_powers(m, p - 1) if p > 1 else np.zeros(0, dtype=np.complex128)
@@ -61,7 +69,7 @@ def det_p(op, p: int, z) -> DetValue:
     """
     m = _matrix_of(op)
     _check_p(p)
-    z = complex(z)
+    z = _finite(complex(z))
     if z == 0:
         return DetValue(1.0 + 0.0j)
     return DetValue(_lu_dets(m, z, _low_traces(m, p), (p,))[0])
@@ -83,9 +91,9 @@ class PreparedDet:
     traces: np.ndarray
 
     def values(self, zs) -> np.ndarray:
-        """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0
-        where I + zK is singular, and DetOverflowError when a value leaves the double range."""
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
+        """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
+        I + zK is singular, DetOverflowError past the double range, ValueError at a z not finite."""
+        zs = _finite(np.asarray(zs, dtype=np.complex128).ravel())
         return _finish(self.p, zs, 1.0, hessenberg_logdet(self.hess, zs), self.traces)
 
 
@@ -106,35 +114,38 @@ def prepare(op, p: int) -> PreparedDet:
     return PreparedDet(p, m, hessenberg(m), _low_traces(m, p))
 
 
+def _newton_identities(s) -> np.ndarray:
+    """[e_0, ..., e_n], the coefficients of prod_j (1 + z x_j), from the power sums
+    s = [s_1, ..., s_n], s_k = sum_j x_j^k: k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} s_i.
+    The series route runs it on power traces, the root search on contour moments."""
+    e = np.zeros(len(s) + 1, dtype=np.complex128)
+    e[0] = 1.0
+    for k in range(1, len(s) + 1):
+        e[k] = np.sum((-1.0) ** np.arange(k) * e[k - 1::-1] * s[:k]) / k
+    return e
+
+
 def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
     """The array [a_0, ..., a_n_max] of Taylor coefficients of det_p(I + zK)
     about z = 0, from power traces.
 
-    Newton-identity recursion: n a_n = sum_{j=0}^{n-1} (-1)^(n-j+1) a_j nu_{n-j},
-    with nu_j = tr(K^j) for j >= p and nu_j = 0 for j < p: zeroing the traces
-    below p is what removes the first p-1 Taylor terms of log det.  For an
-    N x N matrix the coefficients vanish beyond n = N.
+    Newton's identities (_newton_identities) on nu_j = tr(K^j) for j >= p and
+    nu_j = 0 for j < p: zeroing the traces below p is what removes the first
+    p-1 Taylor terms of log det.  For an N x N matrix the coefficients vanish
+    beyond n = N.
     """
     m = _matrix_of(op)
     _check_p(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    nu = np.zeros(n_max, dtype=np.complex128)
-    if n_max >= 1:
-        nu[:] = _trace_powers(m, n_max)
-        nu[: p - 1] = 0.0
-    coeffs = np.zeros(n_max + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    parity = (-1.0) ** np.arange(n_max + 1)
-    for n in range(1, n_max + 1):
-        s = np.sum(coeffs[:n] * parity[:n] * nu[n - 1 :: -1])
-        coeffs[n] = -parity[n] * s / n
-    return coeffs
+    nu = np.array(_trace_powers(m, n_max) if n_max else [], dtype=np.complex128)
+    nu[: p - 1] = 0.0
+    return _newton_identities(nu)
 
 
 def det_series_eval(coeffs, z) -> DetValue:
     """sum_n coeffs[n] z^n by Horner's scheme, for the array plemelj_coeffs returns."""
-    z = complex(z)
+    z = _finite(complex(z))
     acc = 0.0 + 0.0j
     for c in coeffs[::-1]:
         acc = acc * z + c
@@ -145,7 +156,7 @@ def det_from_eigs(eigs, p: int, z) -> DetValue:
     """det_p as the eigenvalue product prod_k (1 + z l_k) exp(sum_{j<p} (-z l_k)^j / j)."""
     _check_p(p)
     lam = np.asarray(eigs, dtype=np.complex128).ravel()
-    z = complex(z)
+    z = _finite(complex(z))
     if lam.size == 0:
         return DetValue(1.0 + 0.0j)
     factors = 1.0 + z * lam
@@ -171,9 +182,9 @@ def identity_residuals(a, z) -> dict:
     I - z^2 A^2 are factored once each, and each LU serves all its det_p.  A real
     A is squared in real arithmetic.
     """
+    z = _finite(complex(z))
     m = as_complex_matrix(a)
     m2 = as_complex_matrix(m @ m)
-    z = complex(z)
     lhs = _lu_dets(m2, -z * z, _low_traces(m2, 2), (1, 2, 2))
     traces = _low_traces(m, 4)
     minus, plus = _lu_dets(m, -z, traces, (2, 3, 4)), _lu_dets(m, z, traces, (2, 3, 4))

@@ -37,21 +37,16 @@ def write_csv(dest, header, rows):
         w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _finite_or_null(obj):
-    """obj with every NaN or infinite float replaced by None, which JSON writes as null."""
+def _json_ready(obj):
+    """obj with every numpy scalar as the Python number it holds, and every NaN or
+    infinite float replaced by None, which JSON writes as null."""
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
+        return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
 
@@ -61,8 +56,7 @@ def dump_json(obj) -> str:
 
     Non-finite floats are written as null, so the text is strict (RFC 8259) JSON.
     """
-    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
+    return json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_summary(path, summary):
@@ -81,7 +75,7 @@ def root_row(e):
             e.step)
 
 
-def _roots(ests):
+def roots_json(ests):
     return [dict(zip(ROOT_JSON_KEYS, root_row(e))) for e in ests]
 
 
@@ -135,7 +129,7 @@ def _smooth_example(table_row, out):
     config = {"kernel": kernel, "schemes": schemes,
               "n_values": ns, "p": 1, "sign": -1,
               "z_points": [[z, 0.0] for z in dict.fromkeys(z for _, z in curves)]}
-    return config, slopes, _roots(ests), {}
+    return config, slopes, roots_json(ests), {}
 
 
 def _example3(out):
@@ -172,7 +166,7 @@ def _example3(out):
     config = {"kernel": "sign", "schemes": ["rect"], "zero_diag": True,
               "n_values": ns, "p": 2, "sign": -1, "grid": [-1.0, 1.0, -1.0, 1.0, 9]}
     residuals = {"trace_k2_at_400": abs(tr2 - (-4.0)), "trace_k2_value": tr2}
-    return config, slopes, _roots(ests), residuals
+    return config, slopes, roots_json(ests), residuals
 
 
 def _pair_tail_bound(tail, z):
@@ -242,7 +236,7 @@ def _example4(out):
         "zero_free_radius": 1.0 / abs(lam[0]),
         "iterated_errs": dict(zip(map(str, ns), errs)),
     }
-    return config, slopes, _roots(ests), residuals
+    return config, slopes, roots_json(ests), residuals
 
 
 _BUILDERS = {1: partial(_smooth_example, _SMOOTH_EXAMPLES[1]),

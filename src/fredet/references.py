@@ -1,5 +1,7 @@
 """Analytic reference determinants d(z) = det_p(I - zK) for the built-in kernels."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import discretize, kernels, linalg
@@ -39,7 +41,13 @@ def det_sign_p2(z) -> complex:
     return complex(np.cosh(2.0 * complex(z)))
 
 
-_iter2_ref_cache = {}
+@lru_cache(maxsize=8)
+def _abs_pow_eigs(n_ref: int) -> np.ndarray:
+    """Read-only eigenvalues of the product-quadrature abs_pow(1/2) matrix of size n_ref."""
+    op = discretize.assemble(kernels.registry("abs_pow", {"alpha": 0.5}), "singular", n_ref)
+    lam = linalg.eigenvalues(op.matrix)
+    lam.flags.writeable = False
+    return lam
 
 
 def det_iter2_p2(w, n_ref: int = 512) -> complex:
@@ -49,11 +57,7 @@ def det_iter2_p2(w, n_ref: int = 512) -> complex:
     product built from the product-quadrature discretization of K at a large
     reference size, using l(K^2) = l(K)^2.
     """
-    lam = _iter2_ref_cache.get(n_ref)
-    if lam is None:
-        op = discretize.assemble(kernels.registry("abs_pow", {"alpha": 0.5}), "singular", n_ref)
-        lam = linalg.eigenvalues(op.matrix)
-        _iter2_ref_cache[n_ref] = lam
+    lam = _abs_pow_eigs(n_ref)
     return det_from_eigs(lam * lam, 2, -complex(w)).value
 
 

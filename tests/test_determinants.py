@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fredet.determinants
-from fredet.determinants import (det_from_eigs, det_p, det_series_eval, identity_residuals,
-                                 plemelj_coeffs, prepare)
+from fredet.determinants import (_newton_identities, det_from_eigs, det_p, det_series_eval,
+                                 identity_residuals, plemelj_coeffs, prepare)
 from fredet.discretize import assemble, assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import DetOverflowError, eigenvalues, trace_powers
@@ -100,6 +102,12 @@ def test_plemelj_coeffs_are_elementary_symmetric():
     e4 = d.prod()
     assert np.allclose(coeffs[:5], [1.0, e1, e2, e3, e4], atol=1e-12)
     assert np.max(np.abs(coeffs[5:])) < 1e-12  # terminates past the dimension
+    # complex entries, against prod_j (z + x_j) read backwards
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)
+    expected = np.poly(-x)
+    coeffs = plemelj_coeffs(np.diag(x), 1, x.size)
+    assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_plemelj_coeffs_scalar_p2():
@@ -110,6 +118,38 @@ def test_plemelj_coeffs_scalar_p2():
     assert coeffs[1] == 0.0  # nu_1 suppressed for p = 2
     assert abs(coeffs[2] - (-c * c / 2.0)) < 1e-14
     assert abs(coeffs[3] - (c**3 / 3.0)) < 1e-14
+
+
+_UNIT_DISC = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(x=st.lists(_UNIT_DISC, min_size=0, max_size=12))
+def test_newton_identities_give_the_elementary_symmetric_polynomials(x):
+    # prod_j (1 + z x_j) = prod_j (z + x_j) read backwards, whose coefficients
+    # np.poly(-x) lists from z^n down
+    x = np.array(x, dtype=np.complex128)
+    sums = [np.sum(x**k) for k in range(1, x.size + 1)]
+    expected = np.poly(-x)
+    assert np.max(np.abs(_newton_identities(sums) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+_NON_FINITE = [complex("nan"), complex("inf"), complex(0.0, float("nan"))]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE, ids=["nan", "inf", "nanj"])
+def test_every_route_refuses_a_non_finite_z(z):
+    a = 0.5 * np.diag([1.0, -0.5, 0.25])
+    routes = {
+        "det_p": lambda: det_p(a, 2, z),
+        "values": lambda: prepare(a, 2).values([0.5, z]),
+        "det_series_eval": lambda: det_series_eval(plemelj_coeffs(a, 2, 3), z),
+        "det_from_eigs": lambda: det_from_eigs(np.diag(a), 2, z),
+        "identity_residuals": lambda: identity_residuals(a, z),
+    }
+    for name, route in routes.items():
+        with pytest.raises(ValueError, match="z must be finite") as err:
+            route()
+        assert str(err.value).endswith(str(z)), name
 
 
 def test_plemelj_coeffs_validation():

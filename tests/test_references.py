@@ -1,6 +1,6 @@
 import numpy as np
 
-from fredet.references import (REFERENCES, det_bernoulli, det_green,
+from fredet.references import (REFERENCES, _abs_pow_eigs, det_bernoulli, det_green,
                                det_iter2_p2, det_sign_p2)
 
 
@@ -42,6 +42,12 @@ def test_iter2_reference_cache_is_consistent():
     a = det_iter2_p2(0.02)
     b = det_iter2_p2(0.02)
     assert a == b
+
+
+def test_iter2_reference_eigenvalues_are_cached_read_only():
+    lam = _abs_pow_eigs(16)
+    assert _abs_pow_eigs(16) is lam
+    assert not lam.flags.writeable
 
 
 def test_reference_registry_shape():

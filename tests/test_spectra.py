@@ -290,6 +290,27 @@ def test_empty_disc_still_settles_first_moment():
     assert abs(coeffs[-1]) <= fredet.spectra.MOMENT_TOL
 
 
+@pytest.mark.parametrize("zeros", [[], [0.5, -0.3 + 0.4j, 0.7j, -0.6 - 0.2j, 0.1, 0.2 - 0.8j]],
+                         ids=["none", "six"])
+def test_contour_starts_recover_zeros_from_exact_moments(monkeypatch, zeros):
+    # the de-wound log of prod_j (w - w_j) on the unit circle has the coefficient
+    # c_{-k} = -s_k / k, s_k = sum_j w_j^k; fed those exactly in place of the
+    # sampled ones, the starting values handed to the polish are the zeros
+    zeros = np.array(zeros, dtype=np.complex128)
+    m = 64
+    coeffs = np.zeros(m, dtype=np.complex128)
+    for k in range(1, zeros.size + 1):
+        coeffs[m - k] = -np.sum(zeros**k) / k
+    starts = []
+    monkeypatch.setattr(fredet.spectra, "_sample_circle", lambda *_: (zeros.size, coeffs))
+    monkeypatch.setattr(fredet.spectra, "_aberth",
+                        lambda k, w: starts.append(w) or (w, np.zeros(w.size)))
+    locate_eigs(np.eye(2), 1, 0.0, 1.0, sign=1)
+    assert starts[0].size == zeros.size
+    for z in zeros:
+        assert np.min(np.abs(starts[0] - z)) <= 1e-12
+
+
 def test_first_call_fetches_two_levels():
     sizes = []
     logfun = lambda zs: sizes.append(zs.size) or np.log(zs - 0.25)
