@@ -20,7 +20,7 @@ def _matrix_of(op) -> np.ndarray:
 
 
 def _check_p(p: int):
-    if not isinstance(p, (int, np.integer)) or p < 1:
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
         raise ValueError(f"p must be a positive integer, got {p!r}")
 
 

@@ -25,30 +25,21 @@ class DiscreteOperator:
     nodes: np.ndarray
 
 
-def _smooth_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: bool) -> np.ndarray:
-    """A smooth kernel's values on a square node grid, from one call; with skip_diag
-    the diagonal x == y is zero, whatever the kernel gives there."""
-    if not skip_diag:
-        return np.broadcast_to(np.asarray(spec.k1(x, y), dtype=float), x.shape)
-    with np.errstate(all="ignore"):  # the diagonal is dropped, finite or not
-        out = np.array(np.broadcast_to(spec.k1(x, y), x.shape), dtype=float)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def _split_values(spec: KernelSpec, x: np.ndarray, y: np.ndarray, skip_diag: bool) -> np.ndarray:
-    """A split kernel's branch-dispatched values on a node grid; optionally skip x == y."""
-    out = np.zeros(np.broadcast(x, y).shape)
-    lower = y <= x
+def _kernel_values(spec: KernelSpec, nodes: np.ndarray, skip_diag: bool) -> np.ndarray:
+    """A smooth or split kernel's N x N float64 values on the node grid, one call per
+    branch on the broadcast pair x = nodes[:, None], y = nodes[None, :]: k1 on the
+    whole grid, or k1 on y <= x and k2 above it.  With skip_diag the diagonal x == y
+    is zero, whatever the kernel gives there.  Values a branch gives off its own side
+    and a dropped diagonal are never read, so they are computed quietly; every value
+    kept still has to pass as_complex_matrix's finiteness check."""
+    x, y = nodes[:, None], nodes[None, :]
+    with np.errstate(all="ignore"):
+        vals = spec.k1(x, y)
+        if spec.k2 is not None:
+            vals = np.where(y <= x, vals, spec.k2(x, y))
+    out = np.array(np.broadcast_to(vals, (nodes.size, nodes.size)), dtype=float)
     if skip_diag:
-        lower &= y != x
-    upper = ~lower
-    if skip_diag:
-        upper &= y != x
-    if np.any(lower):
-        out[lower] = spec.k1(x[lower], y[lower])
-    if np.any(upper):
-        out[upper] = spec.k2(x[upper], y[upper])
+        np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -73,10 +64,7 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
         if not finite:
             raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
                              " x = y; zero_diag (--zero-diag) drops it")
-    x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    values = _smooth_values if spec.form == SMOOTH else _split_values
-    vals = values(spec, x, y, skip_diag=zero_diag)
-    matrix = vals * rule.weights[None, :]
+    matrix = _kernel_values(spec, nodes, skip_diag=zero_diag) * rule.weights[None, :]
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 
@@ -109,7 +97,10 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     buffers fit without growing the top: 0 faults per call.  A variant with
     a closed-form Cinv and one product gave the same matrices to rounding,
     but left 0.2 MB free, and the grid pass ran about 25-30% longer
-    (2-vCPU VM, numpy 2.4.6, OpenBLAS).
+    (2-vCPU VM, numpy 2.4.6, OpenBLAS).  Broadcasting in place of the meshgrid
+    below once took 1,218 minor faults per grid det_p call (sign, N = 400)
+    against 0.03, and 0.02-0.03 in a rerun: the hole depends on more than
+    this function, so its temporaries stay.
 
     A smooth kernel is plain Nystrom on the Clenshaw-Curtis rule of the same
     nodes: the two integration operators then add up to one repeated row,
@@ -158,8 +149,7 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * points
     weights = singular_moments(spec.alpha, nodes, n, a, b) @ cinv
-    x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    matrix = weights * np.asarray(spec.h(x, y), dtype=float)
+    matrix = weights * np.asarray(spec.h(nodes[:, None], nodes[None, :]), dtype=float)
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 

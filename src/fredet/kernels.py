@@ -146,15 +146,10 @@ def has_diagonal_jump(spec: KernelSpec) -> bool:
     eps = 1e-7 * (spec.b - spec.a)
     xs = np.linspace(spec.a, spec.b, _JUMP_PROBES + 2)[1:-1]
     # a diverging branch value on the diagonal is an expected outcome here
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for x in xs:
-            lo = spec.k1(x, x)
-            hi = spec.k2(x, min(x + eps, spec.b))
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                return True
-            if abs(lo - hi) > 1e-5 * (1.0 + abs(lo) + abs(hi)):
-                return True
-    return False
+    with np.errstate(all="ignore"):
+        lo, hi = spec.k1(xs, xs), spec.k2(xs, np.minimum(xs + eps, spec.b))
+        near = np.abs(lo - hi) <= 1e-5 * (1.0 + np.abs(lo) + np.abs(hi))
+    return not np.all(np.isfinite(lo) & np.isfinite(hi) & near)
 
 
 # --- expression kernels ----------------------------------------------------

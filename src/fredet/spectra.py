@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import PreparedDet, _newton_identities, det_p, prepare
+from .determinants import PreparedDet, _check_p, _low_traces, _lu_dets, _newton_identities, prepare
 from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
@@ -85,6 +85,16 @@ def _dewound_spectrum(logs, radius):
     return n, np.fft.fft(logs.real + 1j * (phase - n * theta)) / m
 
 
+def _disc(center, radius):
+    """center as a complex; ValueError unless it is finite and radius is positive and finite."""
+    center = complex(center)
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    return center
+
+
 def _sample_circle(logfun, center, radius: float):
     """Winding number of f on a circle and the spectrum of its de-wound log.
 
@@ -100,8 +110,6 @@ def _sample_circle(logfun, center, radius: float):
     ZeroOnContourError (see _dewound_spectrum); no settled level by
     MAX_CONTOUR_SAMPLES raises RefinementError.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     m = 128
     logs = _log_samples(logfun, center, radius, np.arange(m) / m)
     prev_n, prev = _dewound_spectrum(logs[0::2], radius)
@@ -132,13 +140,17 @@ def count_zeros(detfun: Callable, center, radius: float) -> int:
     is zero or not finite, or below 1e-13 of both its neighbouring samples,
     raises ZeroOnContourError, and no settled count within 2^16 samples
     raises RefinementError.  Unlike locate_eigs, the circle is never moved.
+    A center or radius that is not finite, or a radius that is not positive,
+    raises ValueError.
     """
+    center = _disc(center, radius)
+
     def logfun(zs):
         vals = np.array([complex(detfun(z)) for z in zs])
         with np.errstate(divide="ignore"):
             return np.log(np.abs(vals)) + 1j * np.angle(vals)
 
-    return _sample_circle(logfun, complex(center), radius)[0]
+    return _sample_circle(logfun, center, radius)[0]
 
 
 def refine_zero(detfun: Callable, z0, tol: float = 1e-10) -> EigenEstimate:
@@ -262,25 +274,25 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     simultaneous Newton steps on the unreduced K_N polish them together.  The
     polish converges or raises RefinementError.  Zeros still within
     CLUSTER_TOL of each other after the polish form one estimate whose
-    mult_estimate is the cluster size; residual is |det_p| there, and step
+    mult_estimate is the cluster size; residual is |det_p| there, one LU
+    finished with the p-1 traces of the search's one preparation, and step
     the largest last polish step |dz| / (1 + |z|) among the cluster's zeros,
     at most 1e-12 since the polish converged.  It does not certify a defective
     multiple zero: J_3(0.5) under the orthogonal similarities of seeds 0..39,
     disc 2±1, gives three simple roots 5.4e-6 to 2.3e-5 from z = 2 with
     step <= 1e-12 for 14 seeds and RefinementError for 26.  Estimates come by
     |z_root|, ties within CLUSTER_TOL by imaginary, then real part.  With the default
-    sign = -1 the reported eigenvalue is lam = 1/z_root.  A center or radius
-    that is not finite, or a radius that is not positive, raises ValueError.
+    sign = -1 the reported eigenvalue is lam = 1/z_root.  A p that is not a
+    positive integer, a center or radius that is not finite, or a radius that
+    is not positive raises ValueError, before anything is searched.
     """
+    _check_p(p)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    center = complex(center)
-    if not np.isfinite(center):
-        raise ValueError(f"center must be finite, got {center}")
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    center = _disc(center, radius)
 
-    prep = op if isinstance(op, PreparedDet) else prepare(op, 1)
+    prep = op if isinstance(op, PreparedDet) else prepare(op, p)
+    traces = prep.traces if prep.p == p else _low_traces(prep.matrix, p)
     logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs)
     for bump in _BUMPS:
         contour = radius * bump
@@ -307,8 +319,8 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     for group in _clusters(zeros):
         z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        ests.append(EigenEstimate(z, -sign / z, abs(det_p(prep.matrix, p, sign * z).value),
-                                  len(group), float(steps[group].max())))
+        residual = abs(_lu_dets(prep.matrix, sign * z, traces, (p,))[0])
+        ests.append(EigenEstimate(z, -sign / z, residual, len(group), float(steps[group].max())))
     return _ordered(ests)
 
 

@@ -336,7 +336,12 @@ def test_kernel_file_flow(tmp_path, capsys):
     (["det", "--kernel", "abs_pow_iter2", "--scheme", "ncc", "--n", "8", "--z", "1,0"], 1,
      "configuration", "where ncc evaluates both of its branches; ngl or rect with zero_diag"
                       " (--zero-diag)"),
-], ids=[f"argv{i}" for i in range(16)])
+    # p is refused before the search, on a disc without zeros (|z| ~ 5000) as on one with
+    (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "16", "--region", "5000,0,10",
+      "--p", "0"], 1, "configuration", "p must be a positive integer, got 0"),
+    (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "16", "--region", "12,0,8",
+      "--p", "0"], 1, "configuration", "p must be a positive integer, got 0"),
+], ids=[f"argv{i}" for i in range(18)])
 def test_validation_failures_exit_one(argv, code, stage, names, capsys):
     # configuration errors exit 1, output and numerical errors 2, each as one
     # line under its stage prefix that names what was wrong

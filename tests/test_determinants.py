@@ -18,9 +18,12 @@ def test_det_p_at_zero_is_one():
 
 
 def test_det_p_rejects_bad_p():
-    for p in (0, -1, 1.5):
+    # a bool is no order, though Python counts True as the integer 1
+    for p in (0, -1, 1.5, True):
         with pytest.raises(ValueError):
             det_p(np.eye(2), p, 1.0)
+        with pytest.raises(ValueError):
+            prepare(np.eye(2), p)
 
 
 def test_det_p_diagonal_closed_forms():

@@ -241,9 +241,21 @@ _BUILTIN_ASSEMBLIES = ([(name, scheme, zd) for name in ("green", "bernoulli", "s
 @pytest.mark.parametrize("n", [2, 33])
 def test_builtin_kernels_assemble_a_float64_matrix(name, scheme, zero_diag, n):
     # a real kernel gives a real K_N, 8 bytes an entry: no assembly ends in a complex copy
-    op = assemble(registry(name), scheme, n, zero_diag)
+    spec = registry(name)
+    op = assemble(spec, scheme, n, zero_diag)
     assert op.matrix.dtype == np.float64
     assert op.matrix.nbytes == 8 * n * n
+    if scheme in ("ngl", "rect"):
+        # the broadcast values are the per-triangle formula bit for bit: k1 on j <= i
+        # (y <= x on ascending nodes), k2 above, each evaluated on gathered entries
+        rule = (gauss_legendre if scheme == "ngl" else rectangle)(n, *spec.domain)
+        x, w = rule.nodes, rule.weights
+        want = np.zeros((n, n))
+        lower = np.tril_indices(n, -1 if zero_diag else 0)
+        upper = np.triu_indices(n, 1)
+        want[lower] = spec.k1(x[lower[0]], x[lower[1]]) * w[lower[1]]
+        want[upper] = (spec.k2 or spec.k1)(x[upper[0]], x[upper[1]]) * w[upper[1]]
+        assert np.array_equal(op.matrix, want)
 
 
 @pytest.mark.parametrize("expr", [{"k1": "1", "k2": "log(abs(x - y))"},
@@ -257,14 +269,20 @@ def test_ncc_refuses_a_branch_that_is_not_finite_on_the_diagonal(expr):
             assemble_ncc(spec, 8)
 
 
+def _counted(calls, tag, fn):
+    """fn, appending (tag, shape of its first argument) to calls on every call."""
+    return lambda x, y: calls.append((tag, np.shape(x))) or fn(x, y)
+
+
 def test_smooth_kernel_values_come_from_one_call_on_the_node_grid():
     spec = from_config({"expr": {"k": "log(abs(x - y)) + 2"}, "domain": [0.0, 1.0]})
     calls = []
-    counted = dataclasses.replace(spec, k1=lambda x, y: calls.append(np.shape(x)) or spec.k1(x, y))
+    counted = dataclasses.replace(spec, k1=_counted(calls, "k1", spec.k1))
     rule = gauss_legendre(16, 0.0, 1.0)
     # zero_diag drops the log singularity on the diagonal quietly
     op = assemble_nystrom(counted, rule, zero_diag=True)
-    assert calls == [(16, 16)]
+    # one call on the broadcast pair nodes[:, None], nodes[None, :]
+    assert calls == [("k1", (16, 1))]
     x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     off = ~np.eye(16, dtype=bool)
     weights = np.broadcast_to(rule.weights, (16, 16))
@@ -278,6 +296,36 @@ def test_smooth_kernel_values_come_from_one_call_on_the_node_grid():
         if zero_diag:
             np.fill_diagonal(want, 0.0)
         assert np.array_equal(const.matrix, want)
+
+
+def test_split_and_singular_kernel_values_come_from_one_call_per_branch():
+    calls = []
+    green = registry("green")
+    split = dataclasses.replace(green, k1=_counted(calls, "k1", green.k1),
+                                k2=_counted(calls, "k2", green.k2))
+    for zero_diag in (False, True):
+        calls.clear()
+        assemble_nystrom(split, gauss_legendre(16, 0.0, 1.0), zero_diag=zero_diag)
+        # without zero_diag, the diagonal pre-check reads k1 on the N diagonal points first
+        assert calls == [("k1", (16,))] * (not zero_diag) + [("k1", (16, 1)), ("k2", (16, 1))]
+    calls.clear()
+    abs_pow = registry("abs_pow")
+    assemble_singular(dataclasses.replace(abs_pow, h=_counted(calls, "h", abs_pow.h)), 16)
+    assert calls == [("h", (16, 1))]
+
+
+@pytest.mark.parametrize("scheme", ["ngl", "rect"])
+@pytest.mark.parametrize("zero_diag", [False, True])
+def test_split_kernel_not_finite_off_its_side_assembles_quietly(scheme, zero_diag):
+    # each branch is nan on the other's side; those values are never read, so no
+    # RuntimeWarning leaks (the suite turns one into an error) and K_N is finite
+    spec = from_config({"expr": {"k1": "sqrt(x - y)", "k2": "sqrt(y - x)"}, "domain": [0, 1]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = assemble(spec, scheme, 16, zero_diag)
+    x = op.nodes
+    w = (gauss_legendre if scheme == "ngl" else rectangle)(16, 0.0, 1.0).weights
+    assert np.array_equal(op.matrix, np.sqrt(np.abs(x[:, None] - x[None, :])) * w)
 
 
 def test_a_complex_kernel_value_fails_instead_of_losing_its_imaginary_part():

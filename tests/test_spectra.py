@@ -6,7 +6,7 @@ import pytest
 import fredet.determinants
 import fredet.linalg
 import fredet.spectra
-from fredet.determinants import prepare
+from fredet.determinants import det_p, prepare
 from fredet.discretize import assemble, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import hessenberg, hessenberg_logdet
@@ -223,20 +223,62 @@ def test_locate_eigs_validation():
         locate_eigs(np.eye(2), 1, 0.0, 1.0, sign=2)
 
 
-@pytest.mark.parametrize("center, radius", [
+_NON_FINITE_DISCS = pytest.mark.parametrize("center, radius", [
     (complex(np.nan, 0.0), 1.0),
     (complex(0.0, np.inf), 1.0),
     (0.0, np.inf),
     (0.0, np.nan),
 ], ids=["center_nan", "center_inf", "radius_inf", "radius_nan"])
+
+
+@_NON_FINITE_DISCS
 def test_locate_eigs_rejects_non_finite_disc(center, radius):
     with pytest.raises(ValueError, match="finite"):
         locate_eigs(np.diag([0.5]), 1, center, radius)
 
 
+@_NON_FINITE_DISCS
+def test_count_zeros_rejects_non_finite_disc(center, radius):
+    # refused before any sample, so no numpy RuntimeWarning (an error in this suite)
+    with pytest.raises(ValueError, match="finite"):
+        count_zeros(lambda z: z - 0.5, center, radius)
+
+
+@pytest.mark.parametrize("p", [0, -1, 1.5, True])
+@pytest.mark.parametrize("center, radius", [(10.0, 3.0), (0.0, 3.0)], ids=["empty", "one_root"])
+def test_locate_eigs_rejects_bad_p_on_any_disc(p, center, radius):
+    # p is checked first, also for a PreparedDet, which skips prepare's check,
+    # and on a disc without zeros, where no residual is ever computed
+    k = np.diag([0.5])
+    for op in (k, prepare(k, 1)):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            locate_eigs(op, p, center, radius)
+
+
+def test_locate_eigs_validates_k_and_computes_its_traces_once(monkeypatch):
+    op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
+    checks, traces = [], []
+    check, trace_powers = fredet.determinants.as_complex_matrix, fredet.determinants._trace_powers
+    monkeypatch.setattr(fredet.determinants, "as_complex_matrix",
+                        lambda m: checks.append(m.shape) or check(m))
+    monkeypatch.setattr(fredet.determinants, "_trace_powers",
+                        lambda m, j: traces.append(j) or trace_powers(m, j))
+    # z = (k pi)^2 for k = 1..12 lie in 720 +- 719; (13 pi)^2 ~ 1668 does not
+    ests = locate_eigs(op, 2, 720.0, 719.0)
+    assert len(ests) == 12 and checks == [(64, 64)] and traces == [1]
+    # a PreparedDet of another p is not validated again; its traces are computed once
+    prep = prepare(op, 1)
+    del checks[:], traces[:]
+    assert locate_eigs(prep, 2, 720.0, 719.0) == ests
+    assert checks == [] and traces == [1]
+    monkeypatch.undo()
+    # each residual keeps the bits of a det_p call at its root
+    assert all(e.residual == abs(det_p(op, 2, -e.z_root).value) for e in ests)
+
+
 def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
     # the contours are sampled on the Hessenberg form; the only slogdet calls
-    # left are the residual det_p of each reported estimate
+    # left are the residuals of the reported estimates, one LU each
     op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
     calls = []
     slogdet = np.linalg.slogdet

@@ -9,7 +9,7 @@ Usage, from the repository root:
 
 Every timing script runs in a fresh process per tree, with single-threaded
 BLAS, in ROUNDS rounds that alternate which tree goes first.  Each round
-times six layers at N in {64, 256, 512}, the first three at alpha in
+times seven layers at N in {64, 256, 512}, the first three at alpha in
 {0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
@@ -19,6 +19,9 @@ times six layers at N in {64, 256, 512}, the first three at alpha in
                      Nystrom) and of green (split: spectral operators)
   plemelj_coeffs     the series of the bernoulli ncc matrix to min(N, 64)
                      terms, whose cost is its power traces
+  assemble_nystrom   the plain Nystrom matrix of each of NYSTROM_CASES: a
+                     smooth kernel (bernoulli ngl) and three split ones
+                     (green ngl; sign and abs_pow_iter2 rect with zero_diag)
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds; the best time of the round is kept,
@@ -61,6 +64,13 @@ LOCATE_CASES = {
     "green_ngl_400": ("green", "gauss_legendre", 400, False, 1, 1500.0, 1499.0),
     "sign_rect_400": ("sign", "rectangle", 400, True, 2, 0.0, 1.2),
 }
+# name: kernel, quadrature rule, zero_diag
+NYSTROM_CASES = {
+    "bernoulli_ngl": ("bernoulli", "gauss_legendre", False),
+    "green_ngl": ("green", "gauss_legendre", False),
+    "sign_rect_zd": ("sign", "rectangle", True),
+    "abs_pow_iter2_rect_zd": ("abs_pow_iter2", "rectangle", True),
+}
 LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
@@ -74,7 +84,7 @@ import json, sys, time
 import numpy as np
 from fredet import determinants, discretize, kernels, quadrature
 
-ns, alphas, repeats, budget = json.loads(sys.argv[1])
+ns, alphas, repeats, budget, nystrom = json.loads(sys.argv[1])
 
 def moments(alpha, nodes, n):
     try:
@@ -106,6 +116,14 @@ for n in ns:
                 "assemble_ncc_smooth_s": best(lambda: discretize.assemble_ncc(smooth, n)),
                 "assemble_ncc_split_s": best(lambda: discretize.assemble_ncc(split, n)),
                 "plemelj_coeffs_s": best(lambda: determinants.plemelj_coeffs(op, 1, min(n, 64)))})
+for n in ns:
+    row = {"n": n}
+    for name, (kernel, rule, zero_diag) in nystrom.items():
+        spec = kernels.registry(kernel)
+        r = getattr(quadrature, rule)(n, *spec.domain)
+        row[f"assemble_nystrom_{name}_s"] = best(
+            lambda: discretize.assemble_nystrom(spec, r, zero_diag=zero_diag))
+    out.append(row)
 print(json.dumps(out))
 """
 
@@ -261,7 +279,7 @@ def main(argv=None):
     trees = [("change", ROOT)]
     if args.parent:
         trees.insert(0, ("parent", os.path.abspath(args.parent)))
-    layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S])
+    layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES])
     report = {"machine": _environment(args.seed),
               "layers": {tag: layer_report(rounds) for tag, rounds in layers.items()}}
     examples = alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS])
