@@ -105,11 +105,14 @@ def prepare(op, p: int) -> PreparedDet:
     PreparedDet.values then costs O(N^2) per z (linalg.hessenberg_logdet).
     That is still an LU determinant, not the eigenvalue route, so the three
     det_p routes stay independent; the values agree with det_p to rounding,
-    not bit for bit, since det_p factors I + zK itself.  Every call reduces K
-    again: a caller that evaluates one operator in several places passes the
-    PreparedDet along.
+    not bit for bit, since det_p factors I + zK itself.  A matrix or operator
+    is reduced on every call, a PreparedDet never again: one of this p comes
+    back as it is, one of another p with only the new p's traces, so a caller
+    that evaluates one operator in several places passes the PreparedDet along.
     """
     _check_p(p)
+    if isinstance(op, PreparedDet):
+        return op if op.p == p else PreparedDet(p, op.matrix, op.hess, _low_traces(op.matrix, p))
     m = _matrix_of(op)
     return PreparedDet(p, m, hessenberg(m), _low_traces(m, p))
 

@@ -25,19 +25,29 @@ class DiscreteOperator:
     nodes: np.ndarray
 
 
+def _real_values(k, x, y) -> np.ndarray:
+    """k(x, y) as float64 on the broadcast grid of x and y, for every kernel call here.
+    Evaluated quietly: a value that is not finite is refused where it is read (the
+    diagonal pre-checks, then as_complex_matrix).  A complex value raises ValueError."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(k(x, y))
+    if np.iscomplexobj(vals):
+        raise ValueError(f"kernel values must be real, got {vals.dtype} values")
+    return np.broadcast_to(vals.astype(float, copy=False), np.broadcast(x, y).shape)
+
+
 def _kernel_values(spec: KernelSpec, nodes: np.ndarray, skip_diag: bool) -> np.ndarray:
     """A smooth or split kernel's N x N float64 values on the node grid, one call per
     branch on the broadcast pair x = nodes[:, None], y = nodes[None, :]: k1 on the
     whole grid, or k1 on y <= x and k2 above it.  With skip_diag the diagonal x == y
     is zero, whatever the kernel gives there.  Values a branch gives off its own side
-    and a dropped diagonal are never read, so they are computed quietly; every value
-    kept still has to pass as_complex_matrix's finiteness check."""
+    and a dropped diagonal are never read; every value kept still has to pass
+    as_complex_matrix's finiteness check."""
     x, y = nodes[:, None], nodes[None, :]
-    with np.errstate(all="ignore"):
-        vals = spec.k1(x, y)
-        if spec.k2 is not None:
-            vals = np.where(y <= x, vals, spec.k2(x, y))
-    out = np.array(np.broadcast_to(vals, (nodes.size, nodes.size)), dtype=float)
+    vals = _real_values(spec.k1, x, y)
+    if spec.k2 is not None:
+        vals = np.where(y <= x, vals, _real_values(spec.k2, x, y))
+    out = np.array(vals)
     if skip_diag:
         np.fill_diagonal(out, 0.0)
     return out
@@ -58,12 +68,9 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     if not (abs(rule.a - spec.a) < 1e-12 and abs(rule.b - spec.b) < 1e-12):
         raise ValueError(f"rule on [{rule.a}, {rule.b}] does not match kernel domain [{spec.a}, {spec.b}]")
     nodes = rule.nodes
-    if not zero_diag:  # k1 holds the diagonal; N values, checked quietly
-        with np.errstate(all="ignore"):
-            finite = np.all(np.isfinite(spec.k1(nodes, nodes)))
-        if not finite:
-            raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
-                             " x = y; zero_diag (--zero-diag) drops it")
+    if not zero_diag and not np.all(np.isfinite(_real_values(spec.k1, nodes, nodes))):
+        raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
+                         " x = y; zero_diag (--zero-diag) drops it")
     matrix = _kernel_values(spec, nodes, skip_diag=zero_diag) * rule.weights[None, :]
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
@@ -117,17 +124,15 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     a, b = spec.a, spec.b
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * ops.points
-    with np.errstate(all="ignore"):  # both branches at the N diagonal points, checked quietly
-        finite = all(np.all(np.isfinite(k(nodes, nodes))) for k in (spec.k1, spec.k2))
-    if not finite:
+    if not all(np.all(np.isfinite(_real_values(k, nodes, nodes))) for k in (spec.k1, spec.k2)):
         raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal x = y,"
                          " where ncc evaluates both of its branches; ngl or rect with zero_diag"
                          " (--zero-diag) drop the diagonal")
     lower_int = ops.C @ ops.Sl @ ops.Cinv
     upper_int = ops.C @ ops.Sr @ ops.Cinv
     x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    k1_vals = np.asarray(spec.k1(x, y), dtype=float)
-    k2_vals = np.asarray(spec.k2(x, y), dtype=float)
+    k1_vals = _real_values(spec.k1, x, y)
+    k2_vals = _real_values(spec.k2, x, y)
     matrix = half * (lower_int * k1_vals + upper_int * k2_vals)
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
@@ -149,7 +154,7 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * points
     weights = singular_moments(spec.alpha, nodes, n, a, b) @ cinv
-    matrix = weights * np.asarray(spec.h(nodes[:, None], nodes[None, :]), dtype=float)
+    matrix = weights * _real_values(spec.h, nodes[:, None], nodes[None, :])
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 

@@ -31,7 +31,8 @@ class KernelSpec:
       split     k1 and k2: k1 on a <= y <= x (diagonal included), k2 on x < y <= b
       singular  h alone: k(x, y) = |x - y|^(-alpha) * h(x, y)
     alpha is a real number in [0, 1), nonzero only with h.  An invalid spec
-    raises ValueError.  Callables are numpy-vectorized in both arguments.
+    raises ValueError.  Callables are numpy-vectorized in both arguments and
+    return real values: assembly refuses a complex one with ValueError.
     """
 
     a: float

@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import PreparedDet, _check_p, _low_traces, _lu_dets, _newton_identities, prepare
+from .determinants import _check_p, _lu_dets, _newton_identities, prepare
 from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
@@ -255,7 +255,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
 
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
     factor has none.  K_N is validated and reduced to Hessenberg form H once,
-    by determinants.prepare, or taken from op when op is a PreparedDet.  sign
+    by determinants.prepare, which keeps the reduction of a PreparedDet.  sign
     maps the disc in and the roots out: the search runs in w = sign*z on
     det(I + wK_N), reading K_N and H exactly as prepared, so no N x N copy of
     either is made, and negation is exact.  The contour samples
@@ -291,8 +291,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         raise ValueError("sign must be +1 or -1")
     center = _disc(center, radius)
 
-    prep = op if isinstance(op, PreparedDet) else prepare(op, p)
-    traces = prep.traces if prep.p == p else _low_traces(prep.matrix, p)
+    prep = prepare(op, p)
     logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs)
     for bump in _BUMPS:
         contour = radius * bump
@@ -319,7 +318,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     for group in _clusters(zeros):
         z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        residual = abs(_lu_dets(prep.matrix, sign * z, traces, (p,))[0])
+        residual = abs(_lu_dets(prep.matrix, sign * z, prep.traces, (p,))[0])
         ests.append(EigenEstimate(z, -sign / z, residual, len(group), float(steps[group].max())))
     return _ordered(ests)
 

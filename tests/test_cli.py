@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,30 @@ def test_kernel_file_refusals_exit_one(cfg, tmp_path, monkeypatch, capsys):
     assert main(["det", "--kernel-file", str(path), "--scheme", "ngl", "--n", "8",
                  "--z", "1,0"]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+
+
+_COMPLEX_K = {"expr": {"k": "x * (-1)**0.5"}, "domain": [0, 1]}
+
+
+@pytest.mark.parametrize("cfg, scheme", [
+    (_COMPLEX_K, "ngl"),
+    (_COMPLEX_K, "rect"),
+    (_COMPLEX_K, "ncc"),
+    ({"expr": {"h": "x * (-1)**0.5"}, "domain": [0, 1], "alpha": 0.5}, "singular"),
+    ({"expr": {"h": "log(x)"}, "domain": [0, 1], "alpha": 0.5}, "singular"),
+    ({"expr": {"k1": "sqrt(x - y)", "k2": "sqrt(y - x)"}, "domain": [0, 1]}, "ncc"),
+], ids=["complex_k_ngl", "complex_k_rect", "complex_k_ncc", "complex_h", "log_h", "sqrt_split_ncc"])
+def test_kernel_values_that_are_complex_or_not_finite_exit_one(cfg, scheme, tmp_path, capsys):
+    # a complex value would lose its imaginary part in the real K_N, a value that
+    # is not finite would print numpy warnings: each is one configuration line
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["det", "--kernel-file", str(path), "--scheme", scheme, "--n", "8",
+                              "--z", "1,0"], capsys)
+    assert code == 1 and out == ""
     assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
 
 

@@ -349,6 +349,24 @@ def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
     assert det_p(second, 3, 0.4 - 0.2j) == det_p(op, 3, 0.4 - 0.2j)
 
 
+def _never(*args):
+    raise AssertionError("called on a PreparedDet")
+
+
+def test_prepare_keeps_a_prepared_reduction(monkeypatch):
+    op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
+    prep = prepare(op, 1)
+    assert prepare(prep, prep.p) is prep
+    # another p validates and reduces nothing again: it adds only the traces of that p
+    monkeypatch.setattr(fredet.determinants, "as_complex_matrix", _never)
+    monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
+    third = prepare(prep, 3)
+    assert third.p == 3 and third.matrix is prep.matrix and third.hess is prep.hess
+    assert np.array_equal(third.traces, trace_powers(op.matrix, 2))
+    with pytest.raises(ValueError):
+        prepare(prep, 0)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
     # det_p(I + zK) at one z factors I + zK itself: no Hessenberg reduction,

@@ -329,10 +329,33 @@ def test_split_kernel_not_finite_off_its_side_assembles_quietly(scheme, zero_dia
 
 
 def test_a_complex_kernel_value_fails_instead_of_losing_its_imaginary_part():
-    # K_N is float64, and the suite turns numpy's ComplexWarning into an error
-    # (pyproject.toml), so no assembly can drop an imaginary part unnoticed
-    cplx = lambda x, y: x + 1j * y
-    for spec in (KernelSpec(0.0, 1.0, k1=cplx), KernelSpec(0.0, 1.0, k1=cplx, k2=cplx)):
-        for scheme in ("ngl", "ncc"):
-            with pytest.raises(np.exceptions.ComplexWarning):
-                assemble(spec, scheme, 4)
+    # K_N is float64, so a complex kernel value is refused with ValueError on every
+    # scheme, whether or not numpy's ComplexWarning is an error; the value may lie
+    # only off the diagonal, where no pre-check reads it
+    cplx, real = (lambda x, y: x + 1j * y), (lambda x, y: x * y)
+    smooth, split, upper = (KernelSpec(0.0, 1.0, k1=cplx), KernelSpec(0.0, 1.0, k1=cplx, k2=cplx),
+                            KernelSpec(0.0, 1.0, k1=real, k2=cplx))
+    cases = [(spec, scheme, zero_diag) for spec in (smooth, split, upper)
+             for scheme, zero_diag in (("ngl", False), ("rect", False), ("ncc", False),
+                                       ("ngl", True), ("rect", True))]
+    cases += [(KernelSpec(0.0, 1.0, alpha=0.5, h=cplx), "singular", False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec, scheme, zero_diag in cases:
+            with pytest.raises(ValueError, match="kernel values must be real"):
+                assemble(spec, scheme, 8, zero_diag)
+
+
+@pytest.mark.parametrize("cfg, scheme", [
+    ({"expr": {"h": "log(x)"}, "domain": [0, 1], "alpha": 0.5}, "singular"),
+    ({"expr": {"k1": "sqrt(x - y)", "k2": "sqrt(y - x)"}, "domain": [0, 1]}, "ncc"),
+], ids=["log_h_singular", "sqrt_split_ncc"])
+def test_a_kernel_not_finite_where_it_is_read_fails_quietly(cfg, scheme):
+    # log(0) at the node x = 0, and a branch read on the other's side (ncc
+    # reads both branches on the whole grid): ValueError, and no RuntimeWarning
+    spec = from_config(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="finite"):
+            assemble(spec, scheme, 8)
+    assert caught == []
