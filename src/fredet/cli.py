@@ -11,12 +11,12 @@ import numpy as np
 
 from .determinants import det_p, identity_residuals, prepare
 from .discretize import SCHEMES, assemble
-from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, dump_json, root_row, roots_json,
-                       run_example, write_csv, write_summary)
+from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, dump_json, resolved_slope, root_row,
+                       roots_json, run_example, write_csv, write_summary)
 from .kernels import KERNEL_NAMES, has_diagonal_jump, load_kernel_file, registry
 from .linalg import MAX_DIM, DetOverflowError
 from .references import REFERENCES
-from .spectra import RefinementError, ZeroOnContourError, fit_order, locate_eigs
+from .spectra import RefinementError, ZeroOnContourError, locate_eigs
 
 # det evaluates more points than this through one Hessenberg reduction
 # (determinants.prepare), fewer through one LU each: the reduction breaks
@@ -188,7 +188,7 @@ def cmd_converge(args):
         return 0
     target = ref(-args.sign * z)  # reference is in the det_p(I - zK) orientation
     errs = [abs(v - target) for v in vals]
-    slope = fit_order(ns, errs).slope if len(ns) >= 4 and all(e > 0 for e in errs) else None
+    slope = resolved_slope(ns, errs, target)
     rows = [(n, e) for n, e in zip(ns, errs)]
     if slope is not None:
         rows.append(("slope", slope))

@@ -83,31 +83,16 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
     by Chebyshev interpolation of the sampled integrand and exact integration
     of the interpolant:
 
-        K_N = (b - a)/2 * [ (C Sl Cinv) o K1 + (C Sr Cinv) o K2 ],   o = Hadamard
+        K_N = (b - a)/2 * [ L o K1 + U o K2 ],   o = Hadamard,
+        L = C Sl Cinv,   U = C Sr Cinv = 1 w^T - L,   w^T = (Sl[0] + Sr[0]) Cinv
+
+    (1 a column of ones), since Sl + Sr is zero outside its constant row:
+    each row of L + U is w^T, the integral over [-1, 1].  With Cinv in closed
+    form, the two products of L are the O(N^3) steps.
 
     Both branches must be evaluable on the closed square: a branch that is
     not finite on the diagonal x = y raises ValueError, checked on the N
     diagonal points before any N x N array is built.
-
-    This path keeps spectral_ops, with its LU inverse Cinv, and the two
-    N x N products above bit for bit, for the heap their temporaries leave
-    behind.  A complex N = 400 det_p allocates and frees two 2.56 MB buffers
-    (I + zK and LAPACK's copy of it).  After the first free of such an
-    mmapped block, glibc raises its mmap threshold to 2.564 MB and its trim
-    threshold to twice that, 5.128 MB: only 8 KB above the 5.120 MB each
-    call frees, so when the buffers land on top of the heap the top is
-    returned to the system and faulted in again on every call (about 1,200
-    minor faults per call for a rectangle-rule N = 400 matrix assembled
-    alone).  The benchmark's grid set-up assembles this matrix at N = 320
-    before its N = 400 det_p calls, and the temporaries of these products
-    leave about 9 MB free inside the arena (glibc mallinfo2), where the
-    buffers fit without growing the top: 0 faults per call.  A variant with
-    a closed-form Cinv and one product gave the same matrices to rounding,
-    but left 0.2 MB free, and the grid pass ran about 25-30% longer
-    (2-vCPU VM, numpy 2.4.6, OpenBLAS).  Broadcasting in place of the meshgrid
-    below once took 1,218 minor faults per grid det_p call (sign, N = 400)
-    against 0.03, and 0.02-0.03 in a rerun: the hole depends on more than
-    this function, so its temporaries stay.
 
     A smooth kernel is plain Nystrom on the Clenshaw-Curtis rule of the same
     nodes: the two integration operators then add up to one repeated row,
@@ -128,12 +113,10 @@ def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:
         raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal x = y,"
                          " where ncc evaluates both of its branches; ngl or rect with zero_diag"
                          " (--zero-diag) drop the diagonal")
-    lower_int = ops.C @ ops.Sl @ ops.Cinv
-    upper_int = ops.C @ ops.Sr @ ops.Cinv
-    x, y = np.meshgrid(nodes, nodes, indexing="ij")
-    k1_vals = _real_values(spec.k1, x, y)
-    k2_vals = _real_values(spec.k2, x, y)
-    matrix = half * (lower_int * k1_vals + upper_int * k2_vals)
+    lower = ops.C @ ops.Sl @ ops.Cinv
+    upper = ((ops.Sl[0] + ops.Sr[0]) @ ops.Cinv)[None, :] - lower
+    x, y = nodes[:, None], nodes[None, :]
+    matrix = half * (lower * _real_values(spec.k1, x, y) + upper * _real_values(spec.k2, x, y))
     return DiscreteOperator(as_complex_matrix(matrix), nodes)
 
 
@@ -144,8 +127,8 @@ def assemble_singular(spec: KernelSpec, n: int) -> DiscreteOperator:
     row weights w(x)^T = beta(x)^T C^{-1}, where beta_j(x) are the moments
     of |x-y|^(-alpha) against T_j and C is the Chebyshev Vandermonde on the
     nodes.  Entry (i, j) is w_j(x_i) h(x_i, x_j).  The moments of all n rows
-    come from one singular_moments call, O(n^2) flops in all; inverting C
-    and the product with C^{-1} are the O(n^3) steps.
+    come from one singular_moments call, O(n^2) flops in all, and C^{-1} is
+    in closed form; the product with C^{-1} is the one O(n^3) step.
     """
     if spec.form != SINGULAR:
         raise ValueError("assemble_singular requires a singular kernel spec")

@@ -20,6 +20,7 @@ from .references import det_bernoulli, det_green, det_iter2_p2, det_sign_p2
 from .spectra import fit_order, locate_eigs
 
 EXAMPLE_IDS = (1, 2, 3, 4)
+SLOPE_FLOOR = 1e-14  # errors up to this times max(1, |reference|) are rounding
 
 
 def write_csv(dest, header, rows):
@@ -79,12 +80,21 @@ def roots_json(ests):
     return [dict(zip(ROOT_JSON_KEYS, root_row(e))) for e in ests]
 
 
+def resolved_slope(ns, errs, ref):
+    """fit_order's slope on the errors above SLOPE_FLOOR * max(1, |ref|) for the
+    reference value ref, or None when fewer than 4 are: rounding has no order."""
+    kept = [(n, e) for n, e in zip(ns, errs) if e > SLOPE_FLOOR * max(1.0, abs(ref))]
+    return fit_order(*zip(*kept)).slope if len(kept) >= 4 else None
+
+
 def _convergence(out, ns, curves):
-    """Write example<id>_convergence.csv from curves (scheme, z, errs over ns); return slopes."""
+    """Write example<id>_convergence.csv from curves (scheme, z, reference at z, errs
+    over ns); return their resolved_slope."""
     write_csv(out("convergence.csv"), ["scheme", "z_re", "z_im", "n", "abs_err"],
               [(scheme, float(np.real(z)), float(np.imag(z)), n, e)
-               for scheme, z, errs in curves for n, e in zip(ns, errs)])
-    return {f"{scheme}@z={z:.6g}": fit_order(ns, errs).slope for scheme, z, errs in curves}
+               for scheme, z, _, errs in curves for n, e in zip(ns, errs)])
+    return {f"{scheme}@z={z:.6g}": resolved_slope(ns, errs, ref)
+            for scheme, z, ref, errs in curves}
 
 
 def run_example(example_id: int, outdir: str) -> dict:
@@ -120,7 +130,7 @@ def _smooth_example(table_row, out):
     # one assembly per (scheme, n), shared by every z of that scheme
     ops = {scheme: [assemble(spec, scheme, n) for n in ns] for scheme in schemes}
     slopes = _convergence(out, ns, [
-        (scheme, z, [abs(det_p(op, 1, -z).value - ref(z)) for op in ops[scheme]])
+        (scheme, z, ref(z), [abs(det_p(op, 1, -z).value - ref(z)) for op in ops[scheme]])
         for scheme, z in curves])
 
     ests = locate_eigs(assemble(spec, "ngl", 128), 1, center, radius)
@@ -139,9 +149,9 @@ def _example3(out):
     grid = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
     grid_ref = [det_sign_p2(z) for z in grid]
 
-    surface, curves, prepared = [], [("rect", 1j * np.pi / 4, []), ("rect", 1.0, [])], {}
-    curve_ref = [det_sign_p2(z) for _, z, _ in curves]
-    zs = -np.array(grid + [z for _, z, _ in curves])
+    surface, prepared = [], {}
+    curves = [("rect", z, det_sign_p2(z), []) for z in (1j * np.pi / 4, 1.0)]
+    zs = -np.array(grid + [z for _, z, _, _ in curves])
     for n in ns:
         # one reduction per n serves the grid, the curves and, at n = 200, locate_eigs
         prep = prepared[n] = prepare(assemble(spec, "rect", n, zero_diag=True), 2)
@@ -149,7 +159,7 @@ def _example3(out):
         # the values at the last, largest n are also the example3_grid.csv table
         grid_vals = vals[:len(grid)]
         surface.append(max(abs(v - r) for v, r in zip(grid_vals, grid_ref)))
-        for (_, _, errs), v, r in zip(curves, vals[len(grid):], curve_ref):
+        for (_, _, r, errs), v in zip(curves, vals[len(grid):]):
             errs.append(abs(v - r))
     write_csv(out("surface.csv"), ["n", "max_abs_err"], list(zip(ns, surface)))
     slopes = {"surface": fit_order(ns, surface).slope, **_convergence(out, ns, curves)}
@@ -221,7 +231,7 @@ def _example4(out):
     ref = det_iter2_p2(w)
     ns = [32, 64, 128, 256]
     errs = [abs(det_p(assemble(it2, "rect", n, zero_diag=True), 2, -w).value - ref) for n in ns]
-    slopes = _convergence(out, ns, [("rect_iter2", w, errs)])
+    slopes = _convergence(out, ns, [("rect_iter2", w, ref, errs)])
 
     by_z = lambda vals: {format(z, ".6g"): v for z, v in zip(zs, vals)}
     config = {"kernel": "abs_pow", "alpha": 0.5,

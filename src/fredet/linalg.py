@@ -133,6 +133,7 @@ def hessenberg(a) -> np.ndarray:
     v = np.zeros(n, dtype=g.dtype)  # the reflector, zero above row k + 1
     e = np.empty((2, n), dtype=g.dtype)
     for k in range(n - 2):
+        v[k] = 0.0  # reflector k is zero above row k + 1; row k may hold an older entry
         x = g[k, k + 1:]  # H[k+1:, k]
         x0 = x[0].item()
         norm = math.sqrt(np.vdot(x, x).real)
@@ -157,7 +158,6 @@ def hessenberg(a) -> np.ndarray:
         blk -= d @ e
         x[0] = -phase * norm
         x[1:] = 0.0
-        v[k + 1] = 0.0
     return np.ascontiguousarray(g.T)
 
 

@@ -25,7 +25,7 @@ class SpectralOps:
 
     points  ascending Chebyshev-Lobatto points on [-1, 1]
     C       Vandermonde C[m, k] = T_k(points[m])
-    Cinv    inverse of C (samples -> Chebyshev coefficients)
+    Cinv    inverse of C (samples -> Chebyshev coefficients), in closed form
     Sl      coefficient-space antiderivative vanishing at -1
     Sr      coefficient-space antiderivative of -f vanishing at +1,
             i.e. C @ Sr @ Cinv maps samples of q to samples of int_x^1 q
@@ -152,12 +152,18 @@ def _antiderivative_rows(n: int) -> np.ndarray:
 
 
 def lobatto_vander(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """points, C and Cinv of spectral_ops(n) (n >= 2), without Sl or Sr."""
+    """points, C and Cinv of spectral_ops(n) (n >= 2), without Sl or Sr.
+
+    Cinv = (2/(n-1)) H C^T H, H = diag(1/2, 1, ..., 1, 1/2), exactly, by discrete
+    Chebyshev orthogonality on the Lobatto points (Mason and Handscomb 2003, 4.6).
+    """
     if not 2 <= n <= MAX_NODES:
         raise ValueError(f"n must be in [2, {MAX_NODES}], got {n}")
     points = _lobatto_points(n)
     C = np.polynomial.chebyshev.chebvander(points, n - 1)
-    return points, C, np.linalg.inv(C)  # LU-backed; n is small enough for this to be stable
+    h = np.ones(n)
+    h[0] = h[-1] = 0.5
+    return points, C, (2.0 / (n - 1)) * (h[:, None] * C.T * h[None, :])
 
 
 def spectral_ops(n: int) -> SpectralOps:

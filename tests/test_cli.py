@@ -188,6 +188,18 @@ def test_converge_reports_slope(capsys):
     assert -2.5 < float(slope) < -1.6
 
 
+def test_converge_omits_a_slope_fitted_on_rounding(capsys):
+    # green ncc at z = pi^2: every error from N = 20 on is rounding, so no slope
+    argv = ["converge", "--kernel", "green", "--scheme", "ncc", "--n-sweep", "20:160:geometric",
+            "--z", f"{np.pi**2!r},0"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 5 and all(not line.startswith("slope") for line in lines)
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["slopes"] == {}
+
+
 def test_converge_ref_none_emits_values(capsys):
     code, out, _ = run(["converge", "--kernel", "abs_pow", "--scheme", "singular",
                         "--n-sweep", "8:32:geometric", "--z", "0.5,0",

@@ -8,8 +8,8 @@ import pytest
 import fredet.determinants
 import fredet.discretize
 from fredet.discretize import assemble_nystrom, assemble_singular
-from fredet.examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, dump_json, root_row, run_example,
-                             write_csv, write_summary)
+from fredet.examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, SLOPE_FLOOR, dump_json,
+                             resolved_slope, root_row, run_example, write_csv, write_summary)
 from fredet.kernels import registry
 from fredet.linalg import eigenvalues
 from fredet.quadrature import gauss_legendre
@@ -77,6 +77,24 @@ def test_example_summaries_are_strict_json(ex1, ex2, ex3, ex4):
     rows = list(csv.reader(_lines(ex4["dir"] / "example4_eigs.csv")))
     assert rows[0] == ROOT_CSV_HEADER
     assert len(rows) == 1 + 5
+
+
+def test_slope_fitted_on_rounding_is_null(ex1):
+    # example 1's ncc errors at z = pi^2 sit at rounding from N = 20 on, which leaves
+    # one point to fit: the key stays, with a null slope, in strict JSON
+    on_disk = _strict_json((ex1["dir"] / "example1_summary.json").read_text())
+    for slopes in (ex1["summary"]["slopes"], on_disk["slopes"]):
+        assert "ncc@z=9.8696" in slopes and slopes["ncc@z=9.8696"] is None
+        assert all(isinstance(v, float) for k, v in slopes.items() if k != "ncc@z=9.8696")
+
+
+def test_resolved_slope_fits_only_errors_above_rounding():
+    ns = [10, 20, 40, 80, 160]
+    errs = [1e-2, 2.5e-3, 6.25e-4, 1.5625e-4, 0.5 * SLOPE_FLOOR]
+    assert abs(resolved_slope(ns, errs, 0.3) - (-2.0)) < 1e-12  # the last point is dropped
+    # the floor scales with a reference above 1: at |ref| = 1e12 only 1e-2 is above it
+    assert resolved_slope(ns, errs, 1e12) is None
+    assert resolved_slope(ns[:3], errs[:3], 1.0) is None  # fewer than 4 points
 
 
 def test_example2_files_and_summary(ex2):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fredet.linalg
-from fredet.determinants import det_p
+from fredet.determinants import det_p, prepare
 from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
@@ -221,6 +221,20 @@ _MATRICES = st.builds(_random_matrix, st.sampled_from([1, 2, 3, 17, 64]),
                       st.integers(0, 2**32 - 1), st.booleans())
 _REAL_MATRICES = st.builds(_random_matrix, st.sampled_from([1, 2, 3, 17, 64]),
                            st.integers(0, 2**32 - 1), st.just(False))
+
+
+def _sparse_matrix(n, density, seed, cplx):
+    """_random_matrix with all but about a fraction density of its entries exactly zero,
+    so that some columns reach the Hessenberg reduction already reduced."""
+    a = _random_matrix(n, seed, cplx)
+    a[np.random.default_rng(seed + 1).uniform(size=(n, n)) >= density] = 0.0
+    return a
+
+
+# an already-reduced column after a reflector comes up in about 1 of 100 of these
+_SPARSE_MATRICES = st.builds(_sparse_matrix, st.integers(4, 7),
+                             st.sampled_from([0.15, 0.25, 0.35]),
+                             st.integers(0, 2**32 - 2), st.booleans())
 _HALF_DISC = st.builds(lambda r, t: r * np.exp(2j * np.pi * t),
                        st.floats(0.0, 0.5), st.floats(0.0, 1.0))
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -246,6 +260,37 @@ def test_hessenberg_is_hessenberg_and_similar(a):
     fro = np.linalg.norm(a)
     assert abs(np.trace(h) - np.trace(a)) <= 1e-12 * fro
     assert abs(np.linalg.norm(h) - fro) <= 1e-12 * fro
+
+
+def _assert_hessenberg_det_matches(a, h):
+    """det(I + zH) equals det(I + zA) to 1e-12 relative at a few z: H is similar to A,
+    which trace and Frobenius norm alone do not show."""
+    n = a.shape[0]
+    for z in (0.5, -1.3, 0.7 + 0.9j):
+        want = np.linalg.det(np.eye(n) + z * a)
+        got = np.linalg.det(np.eye(n) + z * h)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (z, got, want)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(a=_SPARSE_MATRICES)
+def test_hessenberg_of_a_sparse_matrix_keeps_its_determinant(a):
+    # exact zeros make some columns already reduced, which skips their reflector;
+    # such a column is rare enough to need many examples
+    h = hessenberg(a)
+    assert not np.tril(h, -2).any()
+    _assert_hessenberg_det_matches(a, h)
+
+
+def test_hessenberg_after_an_already_reduced_column():
+    # nilpotent: det(I + zA) = 1.  Column 0 is reduced by a reflector, column 1 is
+    # then already reduced, and column 2's reflector must not read the one before
+    a = np.zeros((5, 5))
+    a[1, 3] = a[2, 0] = a[4, 1] = 1.0
+    h = hessenberg(a)
+    _assert_hessenberg_det_matches(a, h)
+    assert det_p(a, 1, 0.5).value == 1.0
+    assert prepare(a, 1).values([0.5])[0] == 1.0
 
 
 @_PROPERTY

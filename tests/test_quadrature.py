@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fredet.quadrature import (MAX_NODES, clenshaw_curtis, gauss_legendre, rectangle,
-                               singular_moments, spectral_ops)
+from fredet.quadrature import (MAX_NODES, clenshaw_curtis, gauss_legendre, lobatto_vander,
+                               rectangle, singular_moments, spectral_ops)
 
 
 def _monomial_exact(k):
@@ -137,6 +137,24 @@ def test_spectral_points_are_lobatto():
     assert np.all(np.diff(ops.points) > 0)
     assert ops.points[4] == 0.0  # midpoint snapped exactly
     assert np.allclose(ops.C @ ops.Cinv, np.eye(9), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16, 65, 512])
+def test_closed_form_cinv_inverts_c(n):
+    # Cinv = (2/(n-1)) H C^T H is exact, so it is the left inverse of C to rounding.
+    # C @ Cinv is not checked at this bound: chebvander's recurrence leaves C itself
+    # up to ~3e-12 off T_k(x_m) at n = 512, and the right product shows that, not Cinv
+    _, C, Cinv = lobatto_vander(n)
+    assert np.max(np.abs(Cinv @ C - np.eye(n))) <= 1e-13
+
+
+def test_closed_form_cinv_matches_a_40_digit_inverse():
+    mpmath = pytest.importorskip("mpmath")
+    n = 17
+    _, C, Cinv = lobatto_vander(n)
+    with mpmath.workdps(40):
+        exact = np.array((mpmath.matrix(C.tolist()) ** -1).tolist(), dtype=float)
+    assert np.max(np.abs(Cinv - exact)) <= 1e-15
 
 
 def test_spectral_integration_exact_on_low_degree():

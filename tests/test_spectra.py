@@ -454,8 +454,8 @@ def test_locate_eigs_reuses_a_prepared_reduction(monkeypatch):
 
 def test_step_is_scale_free_where_the_residual_is_not():
     # the nine zeros of det_3 on abs_pow in |z| < 1.5 are all accurate, but
-    # |det_3| grows along the axis, so their residuals run over eleven decades;
-    # the last polish step, relative to |z|, is small for every one of them
+    # |det_3| grows along the axis, so their residuals spread over more than eight
+    # decades; the last polish step, relative to |z|, is small for every one of them
     op = assemble_singular(registry("abs_pow"), 64)
     ests = locate_eigs(op, 3, 0.0, 1.5)
     expect = 1.0 / np.linalg.eigvals(op.matrix)
@@ -464,7 +464,7 @@ def test_step_is_scale_free_where_the_residual_is_not():
         assert np.min(np.abs(expect - e.z_root)) <= 1e-13 * abs(e.z_root)
         assert 0.0 <= e.step <= 1e-12
     residuals = [e.residual for e in ests]
-    assert min(residuals) < 1e-15 and max(residuals) > 1e-5
+    assert min(residuals) < 1e-15 and max(residuals) > 1e8 * min(residuals)
 
 
 def test_cluster_step_is_the_largest_of_its_members(monkeypatch):

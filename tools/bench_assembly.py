@@ -9,12 +9,13 @@ Usage, from the repository root:
 
 Every timing script runs in a fresh process per tree, with single-threaded
 BLAS, in ROUNDS rounds that alternate which tree goes first.  Each round
-times seven layers at N in {64, 256, 512}, the first three at alpha in
+times eight layers at N in {64, 256, 512}, the first three at alpha in
 {0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
   assemble_singular  the whole product-quadrature matrix of abs_pow(alpha)
   spectral_ops       the Chebyshev operators of size N
+  lobatto_vander     the points, C and Cinv alone, as assemble_singular takes them
   assemble_ncc       the ncc matrix of bernoulli (smooth: Clenshaw-Curtis
                      Nystrom) and of green (split: spectral operators)
   plemelj_coeffs     the series of the bernoulli ncc matrix to min(N, 64)
@@ -34,6 +35,12 @@ warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
 (determinants.prepare), sampling (hessenberg_logdet) and polish (_aberth) as
 seen through spectra's names; the rest of a search is its residuals and
 bookkeeping.  The roots of both trees are compared.
+The grid fault probe counts the minor page faults (ru_minflt) of every
+det_p of the first two bench ``grid`` passes, per surface and pass, in a
+fresh process per tree and seed in GRID_FAULT_SEEDS, run as bench/run.py
+runs them: set-up, the host probe, then the passes with a probe after each
+segment.  It reports the mean and largest count per call, the calls above
+one fault, and the counts of the first three calls.
 With --parent DIR (a checkout of another commit, holding src/ and bench/)
 the parent is timed too, and for each listed workload (default locate, grid
 and converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
@@ -72,6 +79,7 @@ NYSTROM_CASES = {
     "abs_pow_iter2_rect_zd": ("abs_pow_iter2", "rectangle", True),
 }
 LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
+GRID_FAULT_SEEDS = range(1, 11)
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
 
@@ -113,6 +121,7 @@ smooth, split = kernels.registry("bernoulli"), kernels.registry("green")
 for n in ns:
     op = discretize.assemble_ncc(smooth, n)
     out.append({"n": n,
+                "lobatto_vander_s": best(lambda: quadrature.lobatto_vander(n)),
                 "assemble_ncc_smooth_s": best(lambda: discretize.assemble_ncc(smooth, n)),
                 "assemble_ncc_split_s": best(lambda: discretize.assemble_ncc(split, n)),
                 "plemelj_coeffs_s": best(lambda: determinants.plemelj_coeffs(op, 1, min(n, 64)))})
@@ -185,6 +194,44 @@ for name, (kernel, rule, n, zero_diag, p, centre, radius) in cases.items():
         runs.append(dict(spent, total_s=time.perf_counter() - t0))
     out[name] = {"runs": runs, "samples": sum(samples),
                  "roots": [[e.z_root.real, e.z_root.imag] for e in ests]}
+print(json.dumps(out))
+"""
+
+
+_GRID_FAULTS = r"""
+import json, resource, sys
+sys.path.insert(0, "bench")
+import run
+seed = json.loads(sys.argv[1])
+workloads = run._import_workloads()
+wl = workloads.WORKLOADS["grid"]
+inputs = wl.setup(seed)
+probe = run.HostProbe()
+probe()
+with open("BENCHMARK.json", encoding="utf-8") as fh:
+    json.load(fh)
+import tracing
+from fredet import determinants
+tracer = tracing.Tracer()
+faults = {}
+det_p = determinants.det_p
+
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        return det_p(*args)
+    finally:
+        faults.setdefault(tracer.unit.split(":")[0], []).append(
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+determinants.det_p = counted
+out = []
+for _ in range(2):
+    faults.clear()
+    run._passes(wl.segments(inputs, tracer), probe, 0.0)
+    out.append({surf: {"per_call": sum(f) / len(f), "max": max(f),
+                       "over_1": sum(x > 1 for x in f), "first_calls": f[:3]}
+                for surf, f in faults.items()})
 print(json.dumps(out))
 """
 
@@ -292,6 +339,8 @@ def main(argv=None):
                                                "first_runs": [r[i][0] for r in rounds]}
     report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
                                                       [LOCATE_CASES, LOCATE_REPEATS]))
+    report["grid_faults"] = {tag: {seed: in_tree(tree, _GRID_FAULTS, seed)
+                                   for seed in GRID_FAULT_SEEDS} for tag, tree in trees}
     for w in filter(None, args.workloads.split(",")):
         pairs = []
         for k in range(args.pairs):
