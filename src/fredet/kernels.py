@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, Optional
@@ -170,52 +171,56 @@ _EXPR_FUNCS = {
     "cosh": np.cosh,
     "tanh": np.tanh,
 }
-_EXPR_NAMES = {"x", "y", "pi", "e"}
-_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
+_EXPR_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y,
+               "pi": lambda x, y: np.float64(np.pi), "e": lambda x, y: np.float64(np.e)}
+# operator.pow, not np.power: ndarray ** scalar keeps numpy's x**2 and x**0.5 fast paths
+_EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+             ast.UAdd: operator.pos}
+
+
+def _build(node) -> Callable:
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ValueError(f"non-numeric literal in kernel expression: {node.value!r}")
+        value = np.float64(node.value)
+        return lambda x, y: value
+    if isinstance(node, ast.Name):
+        if node.id not in _EXPR_NAMES:
+            raise ValueError(f"unknown name {node.id!r} in kernel expression")
+        return _EXPR_NAMES[node.id]
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS:
+            raise ValueError("only abs/exp/log/sqrt/trig calls allowed in kernel expression")
+        if node.keywords:
+            raise ValueError("keyword arguments not allowed in kernel expression")
+        if len(node.args) != 1:
+            raise ValueError(f"{node.func.id}() takes one argument, got {len(node.args)}")
+        fn, arg = _EXPR_FUNCS[node.func.id], _build(node.args[0])
+        return lambda x, y: fn(arg(x, y))
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) not in _EXPR_OPS:
+        raise ValueError(f"operator {type(node.op).__name__} not allowed in kernel expression")
+    if isinstance(node, ast.UnaryOp):
+        op, arg = _EXPR_OPS[type(node.op)], _build(node.operand)
+        return lambda x, y: op(arg(x, y))
+    if isinstance(node, ast.BinOp):
+        op, left, right = _EXPR_OPS[type(node.op)], _build(node.left), _build(node.right)
+        return lambda x, y: op(left(x, y), right(x, y))
+    raise ValueError(f"{type(node).__name__} not allowed in kernel expression")
 
 
 def parse_expr(src: str) -> Callable:
-    """Compile an arithmetic expression in x and y to a vectorized callable.
+    """Build a vectorized callable from an arithmetic expression in x and y.
 
     Grammar: +, -, *, /, ** with numeric literals, names x, y, pi, e and
-    calls to abs/exp/log/sqrt/trig/hyperbolic functions.  Anything else is
-    rejected at parse time.
-    """
+    one-argument calls to abs/exp/log/sqrt/trig/hyperbolic functions.  Anything
+    else is rejected here.  Arithmetic is float64 numpy: 1/0 is inf, not an error."""
     if not isinstance(src, str):
         raise ValueError(f"kernel expression must be a string, got {src!r}")
     try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
+        return _build(ast.parse(src, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
         raise ValueError(f"bad kernel expression {src!r}: {exc}") from None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Expression, ast.Constant, ast.Load)):
-            if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-                raise ValueError(f"non-numeric literal in kernel expression: {node.value!r}")
-            continue
-        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            if not isinstance(node.op, _EXPR_OPS):
-                raise ValueError(f"operator {type(node.op).__name__} not allowed in kernel expression")
-            continue
-        if isinstance(node, _EXPR_OPS):
-            continue
-        if isinstance(node, ast.Name):
-            if node.id not in _EXPR_NAMES and node.id not in _EXPR_FUNCS:
-                raise ValueError(f"unknown name {node.id!r} in kernel expression")
-            continue
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS:
-                raise ValueError("only abs/exp/log/sqrt/trig calls allowed in kernel expression")
-            if node.keywords:
-                raise ValueError("keyword arguments not allowed in kernel expression")
-            continue
-        raise ValueError(f"{type(node).__name__} not allowed in kernel expression")
-    code = compile(tree, "<kernel>", "eval")
-    env = {"__builtins__": {}, "pi": np.pi, "e": np.e, **_EXPR_FUNCS}
-
-    def kernel_fn(x, y):
-        return eval(code, env, {"x": x, "y": y})
-
-    return kernel_fn
 
 
 _EXPR_KEYS = ({"k"}, {"k1", "k2"}, {"h"})
@@ -259,9 +264,9 @@ def from_config(cfg: dict) -> KernelSpec:
 
 def load_kernel_file(path: str) -> KernelSpec:
     """Read a kernel config JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable JSON file ({exc})") from None
     return from_config(cfg)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fredet
 import fredet.cli
 import fredet.determinants
 from fredet.cli import MAX_GRID_STEPS, _parse_grid, main
@@ -457,6 +461,54 @@ def test_kernel_values_that_are_complex_or_not_finite_exit_one(cfg, scheme, tmp_
                               "--z", "1,0"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+
+
+def _expr_file(tmp_path, expr):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"expr": expr, "domain": [0, 1]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("expr, args", [
+    ({"k": "1/0"}, []),
+    ({"k": "0**-1"}, []),
+    ({"k": "e**1000"}, []),
+    ({"k": "10**400"}, []),
+    ({"k": "x*" + "9" * 400}, []),
+    ({"k": "sin()"}, []),
+    ({"k": "sin(x, y)"}, []),
+    ({"k": "sin(x, y, x)"}, []),
+    ({"k": "-" * 5000 + "x"}, []),
+    ({"k": "x" + "+x" * 200000}, []),
+    ({"k": "-" * 100000 + "x"}, []),
+    ({"k1": "1/0", "k2": "x"}, ["--p", "2", "--scheme", "rect"]),
+    ("missing.json", []),
+    (".", []),
+], ids=["one_over_zero", "zero_to_minus_one", "exp_overflow", "int_power_overflow",
+        "int_literal_overflow", "call_no_argument", "call_two_arguments", "call_three_arguments",
+        "minus_chain_5000", "plus_chain_200000", "minus_chain_100000", "split_one_over_zero",
+        "missing_file", "directory"])
+def test_bad_kernel_files_exit_one(expr, args, tmp_path, capsys):
+    # each was a traceback, a numpy message or an output error (exit 2) before;
+    # a string names a path under tmp_path instead of an expression
+    path = str(tmp_path / expr) if isinstance(expr, str) else _expr_file(tmp_path, expr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["det", "--kernel-file", path, "--scheme", "ngl", "--n", "8",
+                              "--z", "1,0", *args], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+
+
+def test_power_tower_kernel_file_exits_one_quickly(tmp_path):
+    # as Python integers 9**9**9 has 370 million digits; in float64 it is inf
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fredet.__file__)))
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "fredet.cli", "det",
+                             "--kernel-file", _expr_file(tmp_path, {"k": "9**9**9"}),
+                             "--scheme", "ngl", "--n", "8", "--z", "1,0"],
+                            env=env, capture_output=True, text=True, timeout=10)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("fredet: configuration: ") and result.stderr.count("\n") == 1
 
 
 def test_det_n_past_max_dim_exits_one(capsys):

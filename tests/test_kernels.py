@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fredet.discretize import assemble_nystrom
-from fredet.kernels import (KERNEL_NAMES, KernelSpec, from_config, has_diagonal_jump,
-                            load_kernel_file, parse_expr, registry)
-from fredet.quadrature import QuadRule
+from fredet.kernels import (_EXPR_FUNCS, KERNEL_NAMES, KernelSpec, from_config,
+                            has_diagonal_jump, load_kernel_file, parse_expr, registry)
+from fredet.quadrature import QuadRule, gauss_legendre
 
 
 def test_registry_names_and_domains():
@@ -117,10 +119,72 @@ def test_parse_expr_evaluates_vectorized():
     "x ; y",
     "x % y",
     "exp(x, key=1)",
+    "sin()",
+    "sin(x, y)",
+    "sin(*x)",
+    "sin + x",
+    "1j * x",
+    pytest.param("-" * 100000 + "x", id="minus_chain_100000"),
+    pytest.param("x*" + "9" * 400, id="int_literal_400_digits"),
 ])
 def test_parse_expr_rejects(src):
     with pytest.raises(ValueError):
         parse_expr(src)
+
+
+def test_constant_parts_are_float64():
+    # no Python int or float arithmetic: 1/0 is inf and 9**9**9 overflows at once
+    x = np.array([0.25, 0.5])
+    with np.errstate(all="ignore"):
+        assert np.all(parse_expr("x + 1/0")(x, x) == np.inf)
+        assert np.all(parse_expr("x * 9**9**9")(x, x) == np.inf)
+        assert np.all(np.isnan(parse_expr("x * (-1)**0.5")(x, x)))
+    assert type(parse_expr("2")(x, x)) is np.float64
+
+
+def test_two_argument_call_is_refused_before_the_nodes_are_read():
+    # numpy reads a second argument as `out`: sin(x, y) would write into the rule's nodes
+    rule = gauss_legendre(4, 0.0, 1.0)
+    before = rule.nodes.tobytes()
+    with pytest.raises(ValueError, match="one argument"):
+        assemble_nystrom(from_config({"expr": {"k": "sin(x, y)"}, "domain": [0, 1]}), rule)
+    assert rule.nodes.tobytes() == before
+
+
+def _expressions(depth):
+    # depth <= 3 with small integer literals keeps every integer part of the oracle below
+    # 2**53, where Python int and float64 arithmetic round alike
+    leaves = st.one_of(st.sampled_from(["x", "y"]),
+                       st.sampled_from(["pi", "e", "0", "1", "2", "3", "7", "9", "0.5", "1.25"]))
+    if depth == 0:
+        return leaves
+    sub = _expressions(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds("{}({})".format, st.sampled_from(sorted(_EXPR_FUNCS)), sub),
+        st.builds("{}({})".format, st.sampled_from(["-", "+"]), sub),
+        st.builds("({}) {} ({})".format, sub, st.sampled_from(["+", "-", "*", "/"]), sub),
+        st.builds("({})**{}".format, sub, st.sampled_from(["2", "3", "0.5", "-1", "1.5", "0"])))
+
+
+_ORACLE_ENV = {"__builtins__": {}, **_EXPR_FUNCS, "pi": np.pi, "e": np.e}
+_X, _Y = np.linspace(-1.0, 1.0, 7)[:, None], np.linspace(0.1, 2.0, 5)[None, :]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(src=_expressions(3))
+def test_parse_expr_matches_python_eval_bit_for_bit(src):
+    # the sign of a zero is the one difference: -0 is 0 as a Python int, -0.0 in float64
+    with np.errstate(all="ignore"):
+        try:
+            want = np.asarray(eval(src, _ORACLE_ENV, {"x": _X, "y": _Y}))
+        except (ArithmeticError, ValueError):
+            return
+        got = np.asarray(parse_expr(src)(_X, _Y))
+    if want.dtype.kind not in "iuf" or not np.all(np.isfinite(want)):
+        return
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert (got + 0.0).tobytes() == (want.astype(np.float64) + 0.0).tobytes(), src
 
 
 def test_from_config_registry_route():
