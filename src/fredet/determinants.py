@@ -32,11 +32,6 @@ def _finite(z):
     return z
 
 
-def _low_traces(m: np.ndarray, p: int) -> np.ndarray:
-    """[tr(K), ..., tr(K^(p-1))], the traces det_p's correction reads; empty for p = 1."""
-    return _trace_powers(m, p - 1) if p > 1 else np.zeros(0, dtype=np.complex128)
-
-
 def _finish(p: int, z, phase, logdet, traces):
     """det_p(I + zK) = phase exp(logdet + sum_{j<p} (-z)^j traces[j-1] / j), for one z
     or an array of them, from a factored det(I + zK) = phase exp(logdet): slogdet's,
@@ -72,7 +67,7 @@ def det_p(op, p: int, z) -> DetValue:
     z = _finite(complex(z))
     if z == 0:
         return DetValue(1.0 + 0.0j)
-    return DetValue(_lu_dets(m, z, _low_traces(m, p), (p,))[0])
+    return DetValue(_lu_dets(m, z, _trace_powers(m, p - 1), (p,))[0])
 
 
 @dataclass(frozen=True)
@@ -112,9 +107,10 @@ def prepare(op, p: int) -> PreparedDet:
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
-        return op if op.p == p else PreparedDet(p, op.matrix, op.hess, _low_traces(op.matrix, p))
+        m = op.matrix
+        return op if op.p == p else PreparedDet(p, m, op.hess, _trace_powers(m, p - 1))
     m = _matrix_of(op)
-    return PreparedDet(p, m, hessenberg(m), _low_traces(m, p))
+    return PreparedDet(p, m, hessenberg(m), _trace_powers(m, p - 1))
 
 
 def _newton_identities(s) -> np.ndarray:
@@ -141,7 +137,7 @@ def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
     _check_p(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    nu = np.array(_trace_powers(m, n_max) if n_max else [], dtype=np.complex128)
+    nu = np.array(_trace_powers(m, n_max), dtype=np.complex128)
     nu[: p - 1] = 0.0
     return _newton_identities(nu)
 
@@ -160,8 +156,6 @@ def det_from_eigs(eigs, p: int, z) -> DetValue:
     _check_p(p)
     lam = np.asarray(eigs, dtype=np.complex128).ravel()
     z = _finite(complex(z))
-    if lam.size == 0:
-        return DetValue(1.0 + 0.0j)
     factors = 1.0 + z * lam
     if np.any(factors == 0):
         return DetValue(0.0 + 0.0j)
@@ -188,8 +182,8 @@ def identity_residuals(a, z) -> dict:
     z = _finite(complex(z))
     m = as_complex_matrix(a)
     m2 = as_complex_matrix(m @ m)
-    lhs = _lu_dets(m2, -z * z, _low_traces(m2, 2), (1, 2, 2))
-    traces = _low_traces(m, 4)
+    lhs = _lu_dets(m2, -z * z, _trace_powers(m2, 1), (1, 2, 2))
+    traces = _trace_powers(m, 3)
     minus, plus = _lu_dets(m, -z, traces, (2, 3, 4)), _lu_dets(m, z, traces, (2, 3, 4))
     names = ("det1_sq_vs_det2", "det2_sq_vs_det3", "det2_sq_vs_det4")
     return {name: abs(u - v * w) / (abs(u) + abs(v * w) + 1.0)

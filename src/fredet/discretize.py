@@ -28,7 +28,10 @@ class DiscreteOperator:
 def _real_values(k, x, y) -> np.ndarray:
     """k(x, y) as float64 on the broadcast grid of x and y, for every kernel call here.
     Evaluated quietly: a value that is not finite is refused where it is read (the
-    diagonal pre-checks, then as_complex_matrix).  A complex value raises ValueError."""
+    diagonal pre-checks, then as_complex_matrix).  A complex value raises ValueError.
+    k sees read-only views, so a kernel that writes into x or y raises ValueError
+    and leaves the nodes as they were."""
+    x, y = (np.broadcast_to(v, v.shape) for v in (x, y))
     with np.errstate(all="ignore"):
         vals = np.asarray(k(x, y))
     if np.iscomplexobj(vals):

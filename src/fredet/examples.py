@@ -102,9 +102,10 @@ def run_example(example_id: int, outdir: str) -> dict:
         raise ValueError(f"example_id must be one of {EXAMPLE_IDS}, got {example_id}")
     os.makedirs(outdir, exist_ok=True)
     out = lambda name: os.path.join(outdir, f"example{example_id}_{name}")
-    config, slopes, roots, residuals = _BUILDERS[example_id](out)
+    config, slopes, ests, residuals = _BUILDERS[example_id](out)
+    write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
     summary = {"command": "example", "config": {"example": example_id, **config},
-               "slopes": slopes, "roots": roots, "residuals": residuals}
+               "slopes": slopes, "roots": roots_json(ests), "residuals": residuals}
     write_summary(out("summary.json"), summary)
     return summary
 
@@ -134,12 +135,11 @@ def _smooth_example(table_row, out):
         for scheme, z in curves])
 
     ests = locate_eigs(assemble(spec, "ngl", 128), 1, center, radius)
-    write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     config = {"kernel": kernel, "schemes": schemes,
               "n_values": ns, "p": 1, "sign": -1,
               "z_points": [[z, 0.0] for z in dict.fromkeys(z for _, z in curves)]}
-    return config, slopes, roots_json(ests), {}
+    return config, slopes, ests, {}
 
 
 def _example3(out):
@@ -171,12 +171,11 @@ def _example3(out):
 
     tr2 = trace_powers(prepared[400].matrix, 2)[1].real
     ests = locate_eigs(prepared[200], 2, 0.0, 1.2)
-    write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     config = {"kernel": "sign", "schemes": ["rect"], "zero_diag": True,
               "n_values": ns, "p": 2, "sign": -1, "grid": [-1.0, 1.0, -1.0, 1.0, 9]}
     residuals = {"trace_k2_at_400": abs(tr2 - (-4.0)), "trace_k2_value": tr2}
-    return config, slopes, roots_json(ests), residuals
+    return config, slopes, ests, residuals
 
 
 def _pair_tail_bound(tail, z):
@@ -207,7 +206,6 @@ def _example4(out):
     lam = eigenvalues(prep64.matrix)
     top5, tail = lam[:5], lam[5:]
     ests = locate_eigs(prep64, 3, 0.0, 1.1)
-    write_csv(out("eigs.csv"), ROOT_CSV_HEADER, map(root_row, ests))
 
     zs = np.arange(1, 12) / 11
     fulls = prep64.values(-zs) * prep64.values(zs)
@@ -246,7 +244,7 @@ def _example4(out):
         "zero_free_radius": 1.0 / abs(lam[0]),
         "iterated_errs": dict(zip(map(str, ns), errs)),
     }
-    return config, slopes, roots_json(ests), residuals
+    return config, slopes, ests, residuals
 
 
 _BUILDERS = {1: partial(_smooth_example, _SMOOTH_EXAMPLES[1]),

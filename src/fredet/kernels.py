@@ -214,13 +214,15 @@ def parse_expr(src: str) -> Callable:
 
     Grammar: +, -, *, /, ** with numeric literals, names x, y, pi, e and
     one-argument calls to abs/exp/log/sqrt/trig/hyperbolic functions.  Anything
-    else is rejected here.  Arithmetic is float64 numpy: 1/0 is inf, not an error."""
+    else is rejected here.  Arithmetic is float64 numpy: 1/0 is inf, not an error.
+    The message for a source that does not parse quotes at most its first 60 characters."""
     if not isinstance(src, str):
         raise ValueError(f"kernel expression must be a string, got {src!r}")
     try:
         return _build(ast.parse(src, mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
-        raise ValueError(f"bad kernel expression {src!r}: {exc}") from None
+        shown = repr(src) if len(src) <= 60 else f"{src[:60]!r}..."
+        raise ValueError(f"bad kernel expression {shown}: {exc}") from None
 
 
 _EXPR_KEYS = ({"k"}, {"k1", "k2"}, {"h"})

@@ -57,6 +57,8 @@ def trace_powers(a, jmax: int) -> np.ndarray:
     formed: jmax = 2 needs no matrix product at all, jmax = 3 one.  The traces
     have the matrix's dtype: a real matrix's powers and traces stay float64.
     """
+    if jmax < 1:
+        raise ValueError("jmax must be at least 1")
     return _trace_powers(as_complex_matrix(a), jmax)
 
 
@@ -70,13 +72,12 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
     each giant power A^(is) gives tr(A^(is+r)) = sum(A^(is) * (A^r)^T) for all
     r at once, one matrix-vector product.  That is s - 1 + ceil(jmax/s) - 2
     matrix products instead of jmax - 2, with a working set of (s + 2) N^2.
+    jmax = 0 gives the empty array, the traces det_p's correction reads at p = 1.
     """
-    if jmax < 1:
-        raise ValueError("jmax must be at least 1")
     out = np.empty(jmax, dtype=m.dtype)
     if jmax <= 3:
         p = m
-        out[0] = np.trace(p)
+        out[:1] = np.trace(p)
         for j in range(1, jmax - 1):
             p = p @ m
             out[j] = np.trace(p)

@@ -52,12 +52,6 @@ class OrderFit:
     """Least-squares slope of log(err) against log(n)."""
 
     slope: float
-    intercept: float
-    r_squared: float
-
-
-def _log_samples(logfun, center, radius, fractions):
-    return logfun(center + radius * np.exp(2j * np.pi * fractions))
 
 
 def _dewound_spectrum(logs, radius):
@@ -111,7 +105,7 @@ def _sample_circle(logfun, center, radius: float):
     MAX_CONTOUR_SAMPLES raises RefinementError.
     """
     m = 128
-    logs = _log_samples(logfun, center, radius, np.arange(m) / m)
+    logs = logfun(center + radius * np.exp(2j * np.pi * (np.arange(m) / m)))
     prev_n, prev = _dewound_spectrum(logs[0::2], radius)
     while True:
         n, coeffs = _dewound_spectrum(logs, radius)
@@ -125,7 +119,7 @@ def _sample_circle(logfun, center, radius: float):
             raise RefinementError(f"contour did not settle within {MAX_CONTOUR_SAMPLES} samples")
         new = np.empty(2 * m, dtype=np.complex128)
         new[0::2] = logs
-        new[1::2] = _log_samples(logfun, center, radius, (np.arange(m) + 0.5) / m)
+        new[1::2] = logfun(center + radius * np.exp(2j * np.pi * ((np.arange(m) + 0.5) / m)))
         logs, m, prev_n, prev = new, 2 * m, n, coeffs
 
 
@@ -336,7 +330,7 @@ def _ordered(ests) -> list:
 
 
 def fit_order(ns, errs) -> OrderFit:
-    """Fit log(err) = slope * log(n) + intercept by least squares (>= 4 points)."""
+    """The slope of log(err) against log(n), by least squares (>= 4 points)."""
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if ns.shape != errs.shape or ns.ndim != 1:
@@ -345,14 +339,5 @@ def fit_order(ns, errs) -> OrderFit:
         raise ValueError(f"need at least 4 points to fit an order, got {ns.size}")
     if np.any(ns <= 0) or np.any(errs <= 0):
         raise ValueError("ns and errs must be positive")
-    x = np.log(ns)
-    y = np.log(errs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 1e-300:
-        r2 = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return OrderFit(float(slope), float(intercept), r2)
+    slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
+    return OrderFit(float(slope))

@@ -379,3 +379,43 @@ def test_a_kernel_not_finite_where_it_is_read_fails_quietly(cfg, scheme):
         with pytest.raises(ValueError, match="finite"):
             assemble(spec, scheme, 8)
     assert caught == []
+
+
+def _doubling(x, y):
+    """A kernel that writes into its first argument."""
+    x *= 2.0
+    return x + y
+
+
+def _sine_into_y(x, y):
+    """A kernel that writes into its second argument through numpy's out."""
+    return np.sin(x, out=y)
+
+
+@pytest.mark.parametrize("fields", [{"k1": _doubling}, {"k1": _doubling, "k2": _sine_into_y},
+                                    {"k1": lambda x, y: x * y, "k2": _sine_into_y}],
+                         ids=["smooth", "split", "split_k2"])
+@pytest.mark.parametrize("zero_diag", [False, True])
+def test_a_kernel_that_writes_into_the_nodes_raises_on_ngl(fields, zero_diag):
+    rule = gauss_legendre(4, 0.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        assemble_nystrom(KernelSpec(0.0, 1.0, **fields), rule, zero_diag=zero_diag)
+    assert np.array_equal(rule.nodes, gauss_legendre(4, 0.0, 1.0).nodes)
+
+
+@pytest.mark.parametrize("scheme, fields", [
+    ("ncc", {"k1": _doubling, "k2": lambda x, y: x * y}),
+    ("ncc", {"k1": lambda x, y: x * y, "k2": _doubling}),
+    ("ncc", {"k1": lambda x, y: x * y, "k2": _sine_into_y}),
+    ("singular", {"h": _doubling, "alpha": 0.5}),
+], ids=["ncc_k1", "ncc_k2", "ncc_k2_out", "singular_h"])
+def test_a_kernel_that_writes_into_the_nodes_raises_on_ncc_and_singular(scheme, fields):
+    # the nodes and cached spectral operators these schemes build from stay as they
+    # were: a well-behaved kernel assembles the same matrix before and after
+    good = registry("green" if scheme == "ncc" else "abs_pow")
+    before = assemble(good, scheme, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        assemble(KernelSpec(good.a, good.b, **fields), scheme, 8)
+    after = assemble(good, scheme, 8)
+    assert np.array_equal(after.matrix, before.matrix)
+    assert np.array_equal(after.nodes, before.nodes)

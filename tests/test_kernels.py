@@ -132,6 +132,22 @@ def test_parse_expr_rejects(src):
         parse_expr(src)
 
 
+@pytest.mark.parametrize("unit, depth", [("x+", 199999), ("-", 100000)],
+                         ids=["sum_chain", "minus_chain"])
+def test_long_bad_expression_message_quotes_a_prefix(unit, depth):
+    src = unit * depth + "x"
+    with pytest.raises(ValueError, match=r"^bad kernel expression '[-x+]{60}'\.\.\.: ") as exc:
+        parse_expr(src)
+    assert len(str(exc.value)) < 200
+
+
+def test_short_bad_expression_message_quotes_the_whole_source():
+    src = "x+" * 29 + "x*"
+    with pytest.raises(ValueError) as exc:
+        parse_expr(src)
+    assert str(exc.value).startswith(f"bad kernel expression {src!r}: ")
+
+
 def test_constant_parts_are_float64():
     # no Python int or float arithmetic: 1/0 is inf and 9**9**9 overflows at once
     x = np.array([0.25, 0.5])

@@ -193,6 +193,13 @@ def test_trace_powers_rejects_bad_jmax():
         trace_powers(np.eye(2), 0)
 
 
+def test_zero_trace_powers_are_empty():
+    # p = 1 reads no trace: the private helper gives the empty array of the matrix's dtype
+    for m in (np.eye(3), np.eye(3, dtype=np.complex128)):
+        t = fredet.linalg._trace_powers(m, 0)
+        assert t.shape == (0,) and t.dtype == m.dtype
+
+
 def test_eigenvalues_sorted_by_modulus():
     lam = eigenvalues(np.diag([0.1, -3.0, 2.0, 0.5]))
     assert np.all(np.diff(np.abs(lam)) <= 1e-14)
