@@ -23,6 +23,14 @@ def _is_real(v):
     return isinstance(v, Real) and not isinstance(v, bool)
 
 
+def _quote(value) -> str:
+    """repr(value) for a refusal, cut to 60 characters plus ...; a str is cut before its repr."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 60 else f"{value[:60]!r}..."
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}..."
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel k(x, y) on the square [a, b]^2, a < b finite.
@@ -50,7 +58,7 @@ class KernelSpec:
             raise ValueError(f"a kernel holds k1 (smooth), k1 and k2 (split) or h (singular), "
                              f"got {got}")
         if not (_is_real(self.alpha) and 0.0 <= self.alpha < 1.0):
-            raise ValueError(f"alpha must be a real number in [0, 1), got {self.alpha!r}")
+            raise ValueError(f"alpha must be a real number in [0, 1), got {_quote(self.alpha)}")
         if self.alpha and self.h is None:
             raise ValueError(f"alpha applies only to a singular kernel (h), got {self.alpha!r}")
         if not (_is_real(self.a) and _is_real(self.b) and math.isfinite(self.a)
@@ -125,13 +133,13 @@ def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
 
     Only abs_pow takes a parameter; any other raises ValueError.
     """
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown kernel {name!r}")
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise ValueError(f"unknown kernel {_quote(name)}")
     build = _REGISTRY[name]
     params = params or {}
     unknown = set(params) - set(inspect.signature(build).parameters)
     if unknown:
-        raise ValueError(f"unknown params for kernel {name!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown params for kernel {name!r}: {_quote(sorted(unknown))}")
     return build(**params)
 
 
@@ -182,12 +190,12 @@ _EXPR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mu
 def _build(node) -> Callable:
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
-            raise ValueError(f"non-numeric literal in kernel expression: {node.value!r}")
+            raise ValueError(f"non-numeric literal in kernel expression: {_quote(node.value)}")
         value = np.float64(node.value)
         return lambda x, y: value
     if isinstance(node, ast.Name):
         if node.id not in _EXPR_NAMES:
-            raise ValueError(f"unknown name {node.id!r} in kernel expression")
+            raise ValueError(f"unknown name {_quote(node.id)} in kernel expression")
         return _EXPR_NAMES[node.id]
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _EXPR_FUNCS:
@@ -215,14 +223,14 @@ def parse_expr(src: str) -> Callable:
     Grammar: +, -, *, /, ** with numeric literals, names x, y, pi, e and
     one-argument calls to abs/exp/log/sqrt/trig/hyperbolic functions.  Anything
     else is rejected here.  Arithmetic is float64 numpy: 1/0 is inf, not an error.
-    The message for a source that does not parse quotes at most its first 60 characters."""
+    A refusal quotes at most the first 60 characters of the source or name at fault."""
     if not isinstance(src, str):
-        raise ValueError(f"kernel expression must be a string, got {src!r}")
+        raise ValueError(f"kernel expression must be a string, got {_quote(src)}")
     try:
         return _build(ast.parse(src, mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError, OverflowError) as exc:
-        shown = repr(src) if len(src) <= 60 else f"{src[:60]!r}..."
-        raise ValueError(f"bad kernel expression {shown}: {exc}") from None
+        reason = str(exc) or "nested too deeply to parse"  # the parser's stack overflow
+        raise ValueError(f"bad kernel expression {_quote(src)}: {reason}") from None
 
 
 _EXPR_KEYS = ({"k"}, {"k1", "k2"}, {"h"})
@@ -243,12 +251,13 @@ def from_config(cfg: dict) -> KernelSpec:
     domain = cfg.pop("domain", None)
     alpha = cfg.pop("alpha", None)
     if cfg:
-        raise ValueError(f"unknown kernel config fields: {sorted(cfg)}")
+        raise ValueError(f"unknown kernel config fields: {_quote(sorted(cfg))}")
     if (name is None) == (expr is None):
         raise ValueError("kernel config needs exactly one of 'name' or 'expr'")
     if name is not None:
         if domain is not None:
-            raise ValueError(f"kernel {name!r} has a fixed domain; 'domain' is for 'expr' kernels")
+            raise ValueError(f"kernel {_quote(name)} has a fixed domain; "
+                             "'domain' is for 'expr' kernels")
         return registry(name, {} if alpha is None else {"alpha": alpha})
 
     if not isinstance(expr, dict) or set(expr) not in _EXPR_KEYS:
@@ -256,7 +265,7 @@ def from_config(cfg: dict) -> KernelSpec:
     if domain is None:
         raise ValueError("expression kernels require 'domain': [a, b]")
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and all(map(_is_real, domain))):
-        raise ValueError(f"bad domain {domain!r}, expected [a, b]")
+        raise ValueError(f"bad domain {_quote(domain)}, expected [a, b]")
     if ("h" in expr) != (alpha is not None):
         raise ValueError("'alpha' is required with an 'h' expression and refused without one")
     fields = {"k1" if key == "k" else key: parse_expr(src) for key, src in expr.items()}

@@ -141,6 +141,37 @@ def test_long_bad_expression_message_quotes_a_prefix(unit, depth):
     assert len(str(exc.value)) < 200
 
 
+@pytest.mark.parametrize("src, pattern", [
+    ("q" * 100000, r"^unknown name 'q{60}'\.\.\. in kernel expression$"),
+    ('"' + "a" * 100000 + '"', r"^non-numeric literal in kernel expression: 'a{60}'\.\.\.$"),
+    ("-" * 100000 + "x", r"^bad kernel expression '-{60}'\.\.\.: \S"),
+], ids=["long_name", "long_literal", "minus_chain"])
+def test_long_refusals_quote_a_prefix_and_give_a_reason(src, pattern):
+    with pytest.raises(ValueError, match=pattern) as exc:
+        parse_expr(src)
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize("cfg", [
+    {"name": "q" * 100000},
+    {"name": list(range(100000)), "domain": [0, 1]},
+    {"name": "green", "q" * 100000: 1},
+    {"expr": {"k": "x"}, "domain": list(range(100000))},
+    {"expr": {"k": list(range(100000))}, "domain": [0, 1]},
+    {"name": "abs_pow", "alpha": "9" * 100000},
+], ids=["name", "name_with_domain", "field", "domain", "expr", "alpha"])
+def test_long_config_values_are_quoted_as_a_prefix(cfg):
+    with pytest.raises(ValueError) as exc:
+        from_config(cfg)
+    assert len(str(exc.value)) < 200
+
+
+def test_a_name_that_is_not_a_string_is_an_unknown_kernel():
+    for name in ([1], {"a": 1}, None):
+        with pytest.raises(ValueError, match="unknown kernel"):
+            registry(name)
+
+
 def test_short_bad_expression_message_quotes_the_whole_source():
     src = "x+" * 29 + "x*"
     with pytest.raises(ValueError) as exc:
