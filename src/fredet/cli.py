@@ -20,7 +20,10 @@ from .spectra import RefinementError, ZeroOnContourError, locate_eigs
 
 # det evaluates more points than this through one Hessenberg reduction
 # (determinants.prepare), fewer through one LU each: the reduction breaks
-# even at 4-16 points for N = 32-800.
+# even at 4-16 points for N = 32-800.  A symmetric or skew Nystrom operator
+# pays about the same for its tridiagonal reduction, and each point after it
+# is O(N) instead of O(N^2), so it breaks even at 5-13 points over that range
+# (green ngl, against a det_p at a complex z).
 PREPARE_MIN_Z = 16
 
 # --grid takes at most this many STEPS per axis, so at most 2^16 points

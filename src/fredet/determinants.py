@@ -7,6 +7,12 @@ import numpy as np
 from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matrix, hessenberg,
                      hessenberg_logdet)
 
+# W^(1/2) K W^(-1/2) counts as symmetric (skew) when no entry of S - S* (S + S*) exceeds
+# this share of its largest entry.  The scaling alone leaves at most 6.4e-16 on the
+# built-in symmetric and skew kernels for N = 2..2048, so 45 rounding units keep a margin
+# of 15 while a kernel whose evaluation is not symmetric to rounding stays on K
+SYMMETRY_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class DetValue:
@@ -75,7 +81,8 @@ class PreparedDet:
     """det_p(I + zK) at many z on one reduction of K; made by prepare.
 
     matrix is the validated K, hess an upper Hessenberg H with
-    det(I + zK) = det(I + zH), and traces[j-1] = tr(K^j) for j < p.  It can
+    det(I + zK) = det(I + zH), tridiagonal for a symmetric or skew Nystrom
+    operator (see prepare), and traces[j-1] = tr(K^j) for j < p.  It can
     stand for K wherever an operator is taken: det_p and locate_eigs read
     matrix, and locate_eigs reuses hess instead of reducing K again.
     """
@@ -96,21 +103,47 @@ def prepare(op, p: int) -> PreparedDet:
     """det_p(I + zK) prepared for many z: K validated once, its p-1 trace
     corrections computed once, and K reduced once to Hessenberg form.
 
-    The reduction costs about as much as 4-16 single-z det_p calls (N = 32-800);
-    PreparedDet.values then costs O(N^2) per z (linalg.hessenberg_logdet).
-    That is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent; the values agree with det_p to rounding,
-    not bit for bit, since det_p factors I + zK itself.  A matrix or operator
-    is reduced on every call, a PreparedDet never again: one of this p comes
-    back as it is, one of another p with only the new p's traces, so a caller
-    that evaluates one operator in several places passes the PreparedDet along.
+    An operator whose quadrature weights W are all positive (op.weights, the
+    plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2), which
+    has the determinants of K, when S is symmetric or skew to SYMMETRY_TOL
+    (Hermitian or skew-Hermitian if complex): green and bernoulli, and sign
+    with zero_diag.  abs_pow_iter2 qualifies only up to about N = 16: its two
+    branch formulas agree only to 1.1e-13 of its largest entry at N = 64 on
+    rect, and that gap grows about as N^2.  The Householder form of such an S
+    is tridiagonal up to its asymmetry, so its entries above the first
+    superdiagonal are set to exactly zero, a change no larger than S - S* (or
+    S + S*) and the reduction's own rounding.  PreparedDet.values then costs
+    O(N) per z (linalg.hessenberg_logdet picks the elimination by that
+    structure).  Any other operator or matrix, a weighted one that is neither
+    symmetric nor skew included, is reduced as it is and costs O(N^2) per z.
+    The reduction costs about as much as 4-16 single-z det_p calls (N =
+    32-800).  It is still an LU determinant, not the eigenvalue route, so the
+    three det_p routes stay independent; the values agree with det_p to
+    rounding, not bit for bit, since det_p factors I + zK itself.  matrix and
+    traces are those of K either way.  A matrix or operator is reduced on
+    every call, a PreparedDet never again: one of this p comes back as it is,
+    one of another p with only the new p's traces, so a caller that evaluates
+    one operator in several places passes the PreparedDet along.
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
         m = op.matrix
         return op if op.p == p else PreparedDet(p, m, op.hess, _trace_powers(m, p - 1))
     m = _matrix_of(op)
-    return PreparedDet(p, m, hessenberg(m), _trace_powers(m, p - 1))
+    return PreparedDet(p, m, _reduce(m, getattr(op, "weights", None)), _trace_powers(m, p - 1))
+
+
+def _reduce(m: np.ndarray, weights) -> np.ndarray:
+    """The Hessenberg form prepare keeps: the tridiagonal form of S = W^(1/2) K W^(-1/2)
+    where the weights allow it, else hessenberg(K)."""
+    if weights is not None and weights.shape == m.shape[:1] and np.all(weights > 0):
+        root = np.sqrt(weights)
+        s = m * np.outer(root, 1.0 / root)
+        adj = s.conj().T
+        bound = SYMMETRY_TOL * np.abs(s).max()
+        if np.abs(s - adj).max() <= bound or np.abs(s + adj).max() <= bound:
+            return np.tril(hessenberg(s), 1)
+    return hessenberg(m)
 
 
 def _newton_identities(s) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Assembly of discrete operators: plain Nystrom, spectral split-kernel, product quadrature."""
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,11 +19,17 @@ class DiscreteOperator:
     """An n x n collocation matrix standing in for the integral operator.
 
     matrix[i, j] approximates the action weight of node j on node i, so that
-    (matrix @ u_samples) approximates (K u)(nodes).
+    (matrix @ u_samples) approximates (K u)(nodes).  weights are the
+    quadrature weights w_j of a plain Nystrom matrix, matrix[i, j] =
+    k(x_i, x_j) w_j (the ngl and rect schemes, and ncc with a smooth kernel),
+    and None where the scheme has no such diagonal weights (ncc with a split
+    kernel, singular).  determinants.prepare reads them to find a symmetric
+    or skew W^(1/2) K W^(-1/2).
     """
 
     matrix: np.ndarray
     nodes: np.ndarray
+    weights: Optional[np.ndarray] = None
 
 
 def _real_values(k, x, y) -> np.ndarray:
@@ -64,7 +71,7 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     Without it, a kernel that is not finite on the diagonal (abs_pow_iter2)
     raises ValueError before the matrix is built.  Singular kernels are
     rejected: pointwise weights cannot see the non-integrable factor, use
-    assemble_singular instead.
+    assemble_singular instead.  The operator carries the rule's weights.
     """
     if spec.form == SINGULAR:
         raise ValueError("singular kernel passed to assemble_nystrom; use assemble_singular")
@@ -75,7 +82,7 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
         raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
                          " x = y; zero_diag (--zero-diag) drops it")
     matrix = _kernel_values(spec, nodes, skip_diag=zero_diag) * rule.weights[None, :]
-    return DiscreteOperator(as_complex_matrix(matrix), nodes)
+    return DiscreteOperator(as_complex_matrix(matrix), nodes, rule.weights)
 
 
 def assemble_ncc(spec: KernelSpec, n: int) -> DiscreteOperator:

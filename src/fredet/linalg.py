@@ -11,6 +11,8 @@ MAX_DIM = 2048
 
 _LOG_HUGE = 709.0  # log of the largest finite double, minus slack
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
+
 # z values per block in hessenberg_logdet; the working set is O(_LOGDET_CHUNK * N)
 _LOGDET_CHUNK = 256
 
@@ -166,24 +168,98 @@ def hessenberg_logdet(h, zs) -> np.ndarray:
     """log det(I + zH) for every z in zs, for an upper Hessenberg H.
 
     Each value is log|det| + i arg(det) on some branch of the argument, with
-    real part -inf where the determinant is exactly zero.  Gaussian
-    elimination with partial pivoting between rows k and k+1, each combined
-    row rescaled by a factor of modulus 1, so the pivot choice needs no
-    branch.  Only row k+1 has an entry left of the diagonal,
-    so a z costs O(N^2); the z are eliminated together, in blocks of
-    _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  A real H
-    (every built-in kernel gives one) is never upcast: its products with the
-    complex weights run in real arithmetic on their float64 view, and only a
-    complex H takes complex products.  This is an LU determinant, not an
-    eigenvalue product, so det_p's eigenvalue route stays independent of it.
+    real part -inf where the determinant is exactly zero.  The structure of H
+    picks the elimination.  A tridiagonal H, every entry above its first
+    superdiagonal exactly zero, takes _tridiagonal_logdet_block, O(N) per z:
+    determinants.prepare gives one for the symmetric and skew Nystrom
+    operators.  Any other H takes Gaussian elimination with partial pivoting
+    between rows k and k+1, each combined row rescaled by a factor of modulus
+    1, so the pivot choice needs no branch.  Only row k+1 has an entry left of
+    the diagonal, so a z costs O(N^2).  Either way the z are eliminated
+    together, in blocks of _LOGDET_CHUNK so the working set stays
+    O(_LOGDET_CHUNK * N).  A real H (every built-in kernel gives one) is never
+    upcast: in the O(N^2) elimination its products with the complex weights
+    run in real arithmetic on their float64 view, and only a complex H takes
+    complex products.  This is an LU determinant, not an eigenvalue product,
+    so det_p's eigenvalue route stays independent of it.
     """
     h = np.asarray(h)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
+    block = _hessenberg_logdet_block if np.triu(h, 2).any() else _tridiagonal_logdet_block
     out = np.empty(zs.size, dtype=np.complex128)
     for start in range(0, zs.size, _LOGDET_CHUNK):
-        out[start:start + _LOGDET_CHUNK] = _hessenberg_logdet_block(
-            h, zs[start:start + _LOGDET_CHUNK])
+        out[start:start + _LOGDET_CHUNK] = block(h, zs[start:start + _LOGDET_CHUNK])
     return out
+
+
+def _tridiagonal_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """hessenberg_logdet of a tridiagonal H at the z of one block, by the pivots of
+    I + zH without row exchanges (_tridiagonal_pivots), O(N) per z.
+
+    Stability: the pivots follow the ratio recurrence
+    d_k = (1 + z a_k) - z^2 e_(k-1) / d_(k-1), with a the diagonal of H and
+    e_k = H[k, k+1] H[k+1, k].  Each entry is read once, so the computed
+    pivots are the exact pivots of a tridiagonal matrix whose diagonal entries
+    1 + z a_k and coupling products z^2 e_k carry relative perturbations of a
+    few rounding units.  The determinant of a tridiagonal matrix depends on
+    nothing else, so the result is the exact determinant of such a neighbour
+    of I + zH, however small a pivot gets: no growth factor enters, unlike
+    unpivoted elimination of a full matrix.  A block where a quotient
+    overflows or meets a zero pivot, so that some value is not finite, is
+    eliminated again at those z with the guard of _tridiagonal_pivots.  The
+    logs are real logs of the pivots' moduli; the phase is that of the
+    product of their unit phasors, which neither overflows nor underflows.
+    """
+    with np.errstate(all="ignore"):
+        out = _pivot_logs(_tridiagonal_pivots(h, z, guarded=False))
+        redo = ~np.isfinite(out)
+        if redo.any():
+            out[redo] = _pivot_logs(_tridiagonal_pivots(h, z[redo], guarded=True))
+    return out
+
+
+def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarray:
+    """The N x m pivots of I + zH, H tridiagonal, one column per z, whose product
+    is det(I + zH).
+
+    Row k starts as 1 + z a_k, and q[k] as z^2 e_k; step k turns q[k-1] into
+    the quotient z^2 e_(k-1) / d_(k-1) and subtracts it from row k.  Guarded,
+    a pivot with |d_(k-1)| <= tiny |z^2 e_(k-1)| (tiny the smallest normal
+    double), where the quotient would overflow or d_(k-1) is zero, is taken as
+    exactly zero.  Like the pivmin of LAPACK's dstebz, that changes a diagonal
+    entry by less than the rounding of z^2 e_(k-1).  Rows k-1 and k then form
+    a 2 x 2 block whose determinant is exactly -z^2 e_(k-1): row k-1 takes
+    that factor, row k the factor 1, and row k+1 starts afresh, since the
+    leading minor through row k-1 vanishes.  With e_(k-1) = 0 the factor is 0:
+    the matrix splits there and its determinant is exactly zero.
+    """
+    a = np.diagonal(h)
+    d = np.multiply.outer(a, z)
+    d += 1.0
+    q = np.multiply.outer(np.diagonal(h, 1) * np.diagonal(h, -1), z * z)
+    if not guarded:
+        for k in range(1, a.size):
+            np.divide(q[k - 1], d[k - 1], out=q[k - 1])
+            d[k] -= q[k - 1]
+        return d
+    closed = np.zeros(z.size, dtype=bool)  # row k-1 closed a 2 x 2 block
+    for k in range(1, a.size):
+        pair = ~closed & (np.abs(d[k - 1]) <= _TINY * np.abs(q[k - 1]))
+        quotient = np.where(closed | pair, 0.0, q[k - 1] / d[k - 1])
+        d[k - 1, pair] = -q[k - 1, pair]
+        d[k] -= quotient
+        d[k, pair] = 1.0
+        closed = pair
+    return d
+
+
+def _pivot_logs(d: np.ndarray) -> np.ndarray:
+    """log of the product of each column of the pivots d: the sum of the real logs
+    of their moduli plus i times the phase of the product of their unit phasors,
+    -inf where a pivot is zero."""
+    mod = np.abs(d)
+    out = np.log(mod).sum(axis=0) + 1j * np.angle(np.prod(d / mod, axis=0))
+    return np.where((mod == 0).any(axis=0), complex(-np.inf), out)
 
 
 def _hessenberg_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -253,8 +253,10 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     maps the disc in and the roots out: the search runs in w = sign*z on
     det(I + wK_N), reading K_N and H exactly as prepared, so no N x N copy of
     either is made, and negation is exact.  The contour samples
-    log det(I + wH) in batches at O(N^2) per point, in real arithmetic when H
-    is real (linalg.hessenberg_logdet); this is still an LU determinant, not
+    log det(I + wH) in batches (linalg.hessenberg_logdet): at O(N) per point
+    where H is tridiagonal, as prepare makes it for a symmetric or skew
+    Nystrom operator, and at O(N^2) per point otherwise, in real arithmetic
+    when H is real.  This is still an LU determinant, not
     the eigenvalue route, so the three det_p routes stay independent.  Every
     disc is one sampled circle.  A circle that passes through a zero
     (ZeroOnContourError) or whose moments do not settle (RefinementError) is

@@ -7,8 +7,8 @@ import fredet.determinants
 from fredet.determinants import (_newton_identities, det_from_eigs, det_p, det_series_eval,
                                  identity_residuals, plemelj_coeffs, prepare)
 from fredet.discretize import assemble, assemble_ncc, assemble_nystrom, assemble_singular
-from fredet.kernels import registry
-from fredet.linalg import DetOverflowError, eigenvalues, trace_powers
+from fredet.kernels import from_config, registry
+from fredet.linalg import DetOverflowError, eigenvalues, hessenberg, trace_powers
 from fredet.quadrature import gauss_legendre, rectangle
 
 
@@ -443,3 +443,52 @@ def test_prepared_values_agree_on_a_real_k_and_its_complex_copy(name, scheme):
         for z, u, v in zip(zs, got, want):
             tol = 1e-14 * (1.0 + _correction_size(traces[:p - 1], z))
             assert abs(u - v) <= tol * abs(v), (p, z)
+
+
+def _is_tridiagonal(h):
+    return not np.triu(h, 2).any() and not np.tril(h, -2).any()
+
+
+_SYMMETRIC_OR_SKEW = {
+    "green ngl": (registry("green"), "ngl", False),
+    "bernoulli ngl": (registry("bernoulli"), "ngl", False),
+    "sign rect zero_diag": (registry("sign"), "rect", True),
+    "bernoulli ncc (Clenshaw-Curtis)": (registry("bernoulli"), "ncc", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SYMMETRIC_OR_SKEW))
+def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
+    spec, scheme, zero_diag = _SYMMETRIC_OR_SKEW[case]
+    op = assemble(spec, scheme, 48, zero_diag)
+    assert op.weights is not None and np.all(op.weights > 0)
+    prep = prepare(op, 2)
+    assert _is_tridiagonal(prep.hess)
+    # matrix and traces stay those of K; only the reduction is of W^(1/2) K W^(-1/2)
+    assert prep.matrix is op.matrix
+    assert np.array_equal(prep.traces, trace_powers(op.matrix, 1))
+    # the values at 50 z, on and off the axes, are det_2 by its own LU to rounding
+    rng = np.random.default_rng(5)
+    zs = np.concatenate((rng.uniform(-30, 30, 20), 1j * rng.uniform(-30, 30, 10),
+                         rng.uniform(-30, 30, 20) + 1j * rng.uniform(-30, 30, 20)))
+    got = prep.values(zs)
+    want = np.array([det_p(op, 2, z).value for z in zs])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_form():
+    # x y^2 is neither symmetric nor antisymmetric, so W^(1/2) K W^(-1/2) is neither;
+    # abs_pow_iter2's two closed-form branches agree only to 1.1e-13 at N = 64, past
+    # SYMMETRY_TOL, so example 4's iterated-kernel matrix keeps its path.  Like a raw
+    # matrix and a split ncc or singular operator, they are reduced as they are
+    spec = from_config({"expr": {"k": "x * y * y"}, "domain": [0, 1]})
+    ops = [assemble(spec, "ngl", 24), assemble(registry("abs_pow_iter2"), "rect", 64, True),
+           assemble(registry("green"), "ncc", 24), assemble(registry("abs_pow"), "singular", 24)]
+    raw = assemble(registry("green"), "ngl", 24).matrix
+    assert ops[0].weights is not None and ops[1].weights is not None
+    assert ops[2].weights is None and ops[3].weights is None
+    for op in ops + [raw]:
+        prep = prepare(op, 1)
+        m = getattr(op, "matrix", op)
+        assert np.array_equal(prep.hess, hessenberg(m))
+        assert np.triu(prep.hess, 2).any()

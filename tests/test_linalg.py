@@ -400,3 +400,87 @@ def test_hessenberg_logdet_of_triangular_matrix_over_several_blocks():
     # a zero pivot in the third block with nothing below it: exactly singular
     a[2 * fredet.linalg._LOGDET_STEPS + 1, 2 * fredet.linalg._LOGDET_STEPS + 1] = 2.0
     assert hessenberg_logdet(a, [-0.5])[0].real == -np.inf
+
+
+def _tridiagonal(n, seed, kind):
+    """An n x n tridiagonal matrix of one of four kinds: real symmetric, real skew,
+    real general or complex general."""
+    rng = np.random.default_rng(seed)
+    diag, sup, sub = rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 1)
+    if kind == "symmetric":
+        sub = sup
+    elif kind == "skew":
+        diag, sub = 0.0 * diag, -sup
+    elif kind == "complex":
+        diag = diag + 1j * rng.normal(size=n)
+        sup = sup + 1j * rng.normal(size=n - 1)
+        sub = sub + 1j * rng.normal(size=n - 1)
+    return (np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)) / 2.0
+
+
+_TRIDIAGONALS = st.builds(_tridiagonal, st.sampled_from([1, 2, 3, 9, 40, 300]),
+                          st.integers(0, 2**32 - 1),
+                          st.sampled_from(["symmetric", "skew", "general", "complex"]))
+# on the real and the imaginary axis, and off both
+_AXES_AND_OFF = st.one_of(st.floats(-0.9, 0.9).map(complex),
+                          st.floats(-0.9, 0.9).map(lambda y: 1j * y), _HALF_DISC)
+
+
+@_PROPERTY
+@given(t=_TRIDIAGONALS, z=_AXES_AND_OFF)
+def test_tridiagonal_logdet_matches_slogdet_and_the_hessenberg_elimination(t, z):
+    # hessenberg_logdet takes the O(N) elimination for every tridiagonal H; it agrees
+    # with LAPACK's LU and with the pivoted O(N^2) elimination of the same H
+    n = t.shape[0]
+    got, = hessenberg_logdet(t, [z])
+    _assert_logdet_matches(got, np.eye(n) + z * t)
+    hess, = fredet.linalg._hessenberg_logdet_block(t, np.array([z], dtype=complex))
+    assert abs(got.real - hess.real) <= 1e-12 * max(1.0, abs(hess.real))
+    assert abs(np.exp(1j * (got.imag - hess.imag)) - 1.0) <= 1e-12
+
+
+def test_hessenberg_logdet_picks_the_elimination_by_structure(monkeypatch):
+    seen = []
+    for name in ("_tridiagonal_logdet_block", "_hessenberg_logdet_block"):
+        block = getattr(fredet.linalg, name)
+        monkeypatch.setattr(fredet.linalg, name,
+                            lambda h, z, name=name, block=block: seen.append(name) or block(h, z))
+    t = _tridiagonal(6, 1, "symmetric")
+    hessenberg_logdet(t, [0.5])
+    t[0, 2] = 1e-300  # one entry above the band, however small, needs the full elimination
+    hessenberg_logdet(t, [0.5])
+    assert seen == ["_tridiagonal_logdet_block", "_hessenberg_logdet_block"]
+
+
+def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
+    # at z = 1 the leading 2 x 2 minor of I + T is exactly zero, the determinant is not:
+    # the second pivot is 0, and the next row's quotient would divide by it
+    t = np.diag([1.0, -0.875, 2.0, 3.0]) + np.diag([0.5, 0.7, 0.2], 1) + np.diag([0.5, 0.7, 0.2], -1)
+    i_t = np.eye(4) + t
+    assert np.linalg.det(i_t[:2, :2]) == 0.0
+    for h in (t, t.astype(complex)):
+        got, = hessenberg_logdet(h, [1.0])
+        assert np.isfinite(got)
+        _assert_logdet_matches(got, i_t)
+    # a zero first pivot: I + H = [[0, 1], [1, 0]], det = -1
+    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
+    assert abs(got.real) <= 1e-15 and abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
+    # a first pivot 2^-52, past which the quotient 1e300 / 2^-52 would overflow:
+    # det = 2^-52 - 1e300
+    got, = hessenberg_logdet(np.array([[-1.0 + 2.0**-52, 1e150], [1e150, 0.0]]), [1.0])
+    assert abs(got.real - np.log(1e300)) <= 1e-15 * np.log(1e300)
+    assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
+
+
+def test_tridiagonal_logdet_of_an_exactly_singular_matrix_is_minus_inf():
+    # the same matrix split after its vanishing leading minor: det = 0 exactly
+    t = np.diag([1.0, -0.875, 2.0, 3.0]) + np.diag([0.5, 0.0, 0.2], 1) + np.diag([0.5, 0.7, 0.2], -1)
+    assert np.linalg.slogdet(np.eye(4) + t)[0] == 0.0
+    # and a zero last pivot, as in test_hessenberg_logdet_matches_slogdet
+    last = _tridiagonal(9, 3, "symmetric")
+    last[-1, -2] = 0.0
+    last[-1, -1] = 2.0
+    for h in (t, t.astype(complex)):
+        assert hessenberg_logdet(h, [1.0])[0] == complex(-np.inf)
+    assert hessenberg_logdet(last, [-0.5, 0.25])[0] == complex(-np.inf)
+    assert np.isfinite(hessenberg_logdet(last, [-0.5, 0.25])[1])

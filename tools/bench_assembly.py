@@ -45,15 +45,22 @@ With --parent DIR (a checkout of another commit, holding src/ and bench/)
 the parent is timed too, and for each listed workload (default locate, grid
 and converge) K alternating pairs of ``bench/run.py --trace 0`` runs are
 recorded, the parent first in even pairs, seeds counting up from --seed.
+Every script and run works on a copy of each tree's src/, bench/ and
+BENCHMARK.json, made first, in sibling directories ``parent`` and ``change``
+of one temporary directory: both trees then sit at paths of equal length,
+on the same file system and equally fresh, so the placement of a checkout
+does not read as a difference between the trees.
 The JSON goes to --out, or to stdout.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -236,6 +243,24 @@ print(json.dumps(out))
 """
 
 
+# what the scripts and bench runs read from a tree
+TREE_PARTS = ("src", "bench", "BENCHMARK.json")
+
+
+def sibling_copy(tree, parent_dir, tag):
+    """Copy TREE_PARTS of tree, without bytecode or bench output, to parent_dir/tag."""
+    dest = os.path.join(parent_dir, tag)
+    os.makedirs(dest)
+    for part in TREE_PARTS:
+        src = os.path.join(tree, part)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, part),
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        else:
+            shutil.copy2(src, dest)
+    return dest
+
+
 def _env(tree):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -310,22 +335,8 @@ def summarize(pairs):
     return out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", help="checkout of the commit to compare against")
-    ap.add_argument("--workloads", default="locate,grid,converge",
-                    help="comma-separated bench workloads")
-    ap.add_argument("--pairs", type=int, default=0, help="alternating run pairs per workload")
-    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run")
-    ap.add_argument("--seed", type=int, default=401, help="seed of the first pair")
-    ap.add_argument("--out")
-    args = ap.parse_args(argv)
-    if args.pairs and not args.parent:
-        ap.error("--pairs needs --parent")
-
-    trees = [("change", ROOT)]
-    if args.parent:
-        trees.insert(0, ("parent", os.path.abspath(args.parent)))
+def measure(trees, args):
+    """The report: layers, examples, locate stages, grid faults and bench pairs."""
     layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES])
     report = {"machine": _environment(args.seed),
               "layers": {tag: layer_report(rounds) for tag, rounds in layers.items()}}
@@ -350,6 +361,28 @@ def main(argv=None):
             report[f"{w}_pairs"] = pairs
         if len(pairs) >= 2:
             report[f"{w}_summary"] = summarize(pairs)
+    return report
+
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="checkout of the commit to compare against")
+    ap.add_argument("--workloads", default="locate,grid,converge",
+                    help="comma-separated bench workloads")
+    ap.add_argument("--pairs", type=int, default=0, help="alternating run pairs per workload")
+    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each bench run")
+    ap.add_argument("--seed", type=int, default=401, help="seed of the first pair")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    if args.pairs and not args.parent:
+        ap.error("--pairs needs --parent")
+
+    with tempfile.TemporaryDirectory(prefix="bench_assembly_") as copies:
+        sources = [("parent", args.parent)] if args.parent else []
+        trees = [(tag, sibling_copy(tree, copies, tag))
+                 for tag, tree in sources + [("change", ROOT)]]
+        report = measure(trees, args)
     text = json.dumps(report, indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
