@@ -8,9 +8,10 @@ from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matr
                      hessenberg_logdet)
 
 # W^(1/2) K W^(-1/2) counts as symmetric (skew) when no entry of S - S* (S + S*) exceeds
-# this share of its largest entry.  The scaling alone leaves at most 6.4e-16 on the
-# built-in symmetric and skew kernels for N = 2..2048, so 45 rounding units keep a margin
-# of 15 while a kernel whose evaluation is not symmetric to rounding stays on K
+# this share of its largest entry.  The scaling alone leaves at most 6.5e-16 on the
+# built-in symmetric and skew kernels (abs_pow_iter2 with zero_diag included) for
+# N = 2..2048, so 45 rounding units keep a margin of 15 while a kernel whose evaluation
+# is not symmetric to rounding stays on K
 SYMMETRY_TOL = 1e-14
 
 
@@ -107,9 +108,7 @@ def prepare(op, p: int) -> PreparedDet:
     plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2), which
     has the determinants of K, when S is symmetric or skew to SYMMETRY_TOL
     (Hermitian or skew-Hermitian if complex): green and bernoulli, and sign
-    with zero_diag.  abs_pow_iter2 qualifies only up to about N = 16: its two
-    branch formulas agree only to 1.1e-13 of its largest entry at N = 64 on
-    rect, and that gap grows about as N^2.  The Householder form of such an S
+    and abs_pow_iter2 with zero_diag.  The Householder form of such an S
     is tridiagonal up to its asymmetry, so its entries above the first
     superdiagonal are set to exactly zero, a change no larger than S - S* (or
     S + S*) and the reduction's own rounding.  PreparedDet.values then costs

@@ -80,7 +80,7 @@ def assemble_nystrom(spec: KernelSpec, rule: QuadRule, zero_diag: bool = False) 
     nodes = rule.nodes
     if not zero_diag and not np.all(np.isfinite(_real_values(spec.k1, nodes, nodes))):
         raise ValueError(f"kernel {spec.name or '(unnamed)'} is not finite on the diagonal"
-                         " x = y; zero_diag (--zero-diag) drops it")
+                         " x = y; ngl or rect with zero_diag (--zero-diag) drop it")
     matrix = _kernel_values(spec, nodes, skip_diag=zero_diag) * rule.weights[None, :]
     return DiscreteOperator(as_complex_matrix(matrix), nodes, rule.weights)
 

@@ -96,18 +96,12 @@ def _bernoulli(x, y):
     return 1.0 / 12.0 - 0.5 * np.abs(d) + 0.5 * d * d
 
 
-def _iter2_lower(x, y):
-    # closed form of int |x-s|^(-1/2) |s-y|^(-1/2) ds on [-1, 1] for y <= x;
-    # diverges logarithmically as y -> x
-    sp = np.sqrt((1.0 + x) * (1.0 + y))
-    sm = np.sqrt((1.0 - x) * (1.0 - y))
-    return -np.log(2.0 + x + y - 2.0 * sp) + np.pi + np.log(2.0 - x - y + 2.0 * sm)
-
-
-def _iter2_upper(x, y):
-    sp = np.sqrt((1.0 + x) * (1.0 + y))
-    sm = np.sqrt((1.0 - x) * (1.0 - y))
-    return -np.log(2.0 - x - y - 2.0 * sm) + np.pi + np.log(2.0 + x + y + 2.0 * sp)
+def _iter2(x, y):
+    # closed form of int |x-s|^(-1/2) |s-y|^(-1/2) ds on [-1, 1], free of cancellation
+    # and symmetric in floating point; diverges logarithmically as y -> x
+    p = np.sqrt(1.0 + x) + np.sqrt(1.0 + y)
+    m = np.sqrt(1.0 - x) + np.sqrt(1.0 - y)
+    return np.pi + 2.0 * np.log(p * m / np.abs(x - y))
 
 
 _REGISTRY = {
@@ -115,8 +109,7 @@ _REGISTRY = {
     "bernoulli": lambda: KernelSpec(0.0, 1.0, k1=_bernoulli, name="bernoulli"),
     "sign": lambda: KernelSpec(-1.0, 1.0, k1=_ones, k2=_neg_ones, name="sign"),
     "abs_pow": lambda alpha=0.5: KernelSpec(-1.0, 1.0, alpha=alpha, h=_ones, name="abs_pow"),
-    "abs_pow_iter2": lambda: KernelSpec(-1.0, 1.0, k1=_iter2_lower, k2=_iter2_upper,
-                                        name="abs_pow_iter2"),
+    "abs_pow_iter2": lambda: KernelSpec(-1.0, 1.0, k1=_iter2, name="abs_pow_iter2"),
 }
 
 KERNEL_NAMES = tuple(_REGISTRY)
@@ -129,7 +122,8 @@ def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
     bernoulli       1/12 - |x-y|/2 + (x-y)^2/2 on [0, 1]
     sign            +1 below the diagonal, -1 above, on [-1, 1]
     abs_pow         |x-y|^(-alpha) on [-1, 1]; params={"alpha": ...}, default 1/2
-    abs_pow_iter2   closed-form square of abs_pow(1/2); log-singular diagonal
+    abs_pow_iter2   pi + 2 log((sqrt(1+x) + sqrt(1+y)) (sqrt(1-x) + sqrt(1-y)) / |x-y|)
+                    on [-1, 1], the kernel of abs_pow(1/2) squared; log-singular diagonal
 
     Only abs_pow takes a parameter; any other raises ValueError.
     """
@@ -143,21 +137,24 @@ def registry(name: str, params: Optional[dict] = None) -> KernelSpec:
     return build(**params)
 
 
-# interior points at which has_diagonal_jump compares the two branches
+# interior points at which has_diagonal_jump probes the diagonal
 _JUMP_PROBES = 13
 
 
 def has_diagonal_jump(spec: KernelSpec) -> bool:
-    """True if the kernel is discontinuous (or singular) across the diagonal."""
+    """True if the kernel is discontinuous across the diagonal or not finite on it:
+    a singular kernel with alpha > 0, a smooth one whose k1 is not finite at a probe
+    point (x, x), or a split one whose branches are not finite there or disagree."""
     if spec.form == SINGULAR:
         return spec.alpha > 0.0
-    if spec.form == SMOOTH:
-        return False
     eps = 1e-7 * (spec.b - spec.a)
     xs = np.linspace(spec.a, spec.b, _JUMP_PROBES + 2)[1:-1]
-    # a diverging branch value on the diagonal is an expected outcome here
+    # a diverging value on the diagonal is an expected outcome here
     with np.errstate(all="ignore"):
-        lo, hi = spec.k1(xs, xs), spec.k2(xs, np.minimum(xs + eps, spec.b))
+        lo = spec.k1(xs, xs)
+        if spec.form == SMOOTH:
+            return not np.all(np.isfinite(lo))
+        hi = spec.k2(xs, np.minimum(xs + eps, spec.b))
         near = np.abs(lo - hi) <= 1e-5 * (1.0 + np.abs(lo) + np.abs(hi))
     return not np.all(np.isfinite(lo) & np.isfinite(hi) & near)
 

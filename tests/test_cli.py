@@ -349,10 +349,10 @@ def test_kernel_file_flow(tmp_path, capsys):
     # abs_pow_iter2 is log-singular at x = y, which ngl puts on the diagonal
     (["det", "--kernel", "abs_pow_iter2", "--scheme", "ngl", "--n", "8", "--z", "1,0"], 1,
      "configuration", "--zero-diag"),
-    # ncc evaluates both branches at x = y and takes no --zero-diag
+    # smooth ncc is Clenshaw-Curtis Nystrom, diagonal included, and takes no --zero-diag
     (["det", "--kernel", "abs_pow_iter2", "--scheme", "ncc", "--n", "8", "--z", "1,0"], 1,
-     "configuration", "where ncc evaluates both of its branches; ngl or rect with zero_diag"
-                      " (--zero-diag)"),
+     "configuration", "not finite on the diagonal x = y; ngl or rect with zero_diag"
+                      " (--zero-diag) drop it"),
     # p is refused before the search, on a disc without zeros (|z| ~ 5000) as on one with
     (["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "16", "--region", "5000,0,10",
       "--p", "0"], 1, "configuration", "p must be a positive integer, got 0"),
@@ -498,6 +498,25 @@ def test_bad_kernel_files_exit_one(expr, args, tmp_path, capsys):
                               "--z", "1,0", *args], capsys)
     assert code == 1 and out == ""
     assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, names", [
+    (["--scheme", "ncc"], "ngl or rect with zero_diag (--zero-diag) drop it"),
+    (["--scheme", "rect", "--p", "2"], "needs --zero-diag"),
+], ids=["ncc", "rect_p2"])
+@pytest.mark.parametrize("kernel", ["abs_pow_iter2", "log_expr"])
+def test_smooth_kernels_not_finite_on_the_diagonal_are_refused_with_advice_that_holds(
+        kernel, args, names, tmp_path, capsys):
+    # the advice names only what the scheme takes: ncc takes no --zero-diag, and
+    # p >= 2 on rect without it is the Hilbert-trick refusal
+    source = (["--kernel", kernel] if kernel == "abs_pow_iter2"
+              else ["--kernel-file", _expr_file(tmp_path, {"k": "log(abs(x - y))"})])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["det", *source, "--n", "8", "--z", "1,0", *args], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+    assert names in err
 
 
 def test_power_tower_kernel_file_exits_one_quickly(tmp_path):

@@ -476,17 +476,30 @@ def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+@pytest.mark.parametrize("scheme", ["rect", "ngl"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_iterated_kernel_operators_prepare_a_tridiagonal_form(scheme, n):
+    # abs_pow_iter2's one closed form is symmetric in floating point, so with
+    # zero_diag W^(1/2) K W^(-1/2) is symmetric to the scaling's rounding
+    op = assemble(registry("abs_pow_iter2"), scheme, n, True)
+    prep = prepare(op, 2)
+    assert _is_tridiagonal(prep.hess)
+    rng = np.random.default_rng(n)
+    zs = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+    got = prep.values(zs)
+    want = np.array([det_p(op, 2, z).value for z in zs])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_form():
-    # x y^2 is neither symmetric nor antisymmetric, so W^(1/2) K W^(-1/2) is neither;
-    # abs_pow_iter2's two closed-form branches agree only to 1.1e-13 at N = 64, past
-    # SYMMETRY_TOL, so example 4's iterated-kernel matrix keeps its path.  Like a raw
-    # matrix and a split ncc or singular operator, they are reduced as they are
+    # x y^2 is neither symmetric nor antisymmetric, so W^(1/2) K W^(-1/2) is neither.
+    # Like a raw matrix and a split ncc or singular operator, it is reduced as it is
     spec = from_config({"expr": {"k": "x * y * y"}, "domain": [0, 1]})
-    ops = [assemble(spec, "ngl", 24), assemble(registry("abs_pow_iter2"), "rect", 64, True),
-           assemble(registry("green"), "ncc", 24), assemble(registry("abs_pow"), "singular", 24)]
+    ops = [assemble(spec, "ngl", 24), assemble(registry("green"), "ncc", 24),
+           assemble(registry("abs_pow"), "singular", 24)]
     raw = assemble(registry("green"), "ngl", 24).matrix
-    assert ops[0].weights is not None and ops[1].weights is not None
-    assert ops[2].weights is None and ops[3].weights is None
+    assert ops[0].weights is not None
+    assert ops[1].weights is None and ops[2].weights is None
     for op in ops + [raw]:
         prep = prepare(op, 1)
         m = getattr(op, "matrix", op)

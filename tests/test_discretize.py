@@ -283,10 +283,24 @@ def test_builtin_kernels_assemble_a_float64_matrix(name, scheme, zero_diag, n):
 def test_ncc_refuses_a_branch_that_is_not_finite_on_the_diagonal(expr):
     # ncc evaluates both branches at x = y; the N diagonal values are checked
     # quietly (a RuntimeWarning fails this suite) and refused in one message
-    for spec in (registry("abs_pow_iter2"), from_config({"expr": expr, "domain": [0.0, 1.0]})):
-        with pytest.raises(ValueError, match="where ncc evaluates both of its branches; ngl or"
-                                             r" rect with zero_diag \(--zero-diag\) drop"):
-            assemble_ncc(spec, 8)
+    spec = from_config({"expr": expr, "domain": [0.0, 1.0]})
+    with pytest.raises(ValueError, match="where ncc evaluates both of its branches; ngl or"
+                                         r" rect with zero_diag \(--zero-diag\) drop"):
+        assemble_ncc(spec, 8)
+
+
+@pytest.mark.parametrize("spec", [
+    registry("abs_pow_iter2"),
+    from_config({"expr": {"k": "log(abs(x - y))"}, "domain": [0.0, 1.0]}),
+], ids=["abs_pow_iter2", "log_expr"])
+def test_ncc_refuses_a_smooth_kernel_not_finite_on_the_diagonal(spec):
+    # smooth ncc is Clenshaw-Curtis Nystrom, whose nodes hold the diagonal; ncc takes
+    # no zero_diag, so the refusal names the schemes that do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not finite on the diagonal x = y; ngl or rect"
+                                             r" with zero_diag \(--zero-diag\) drop it"):
+            assemble(spec, "ncc", 8)
 
 
 def _counted(calls, tag, fn):

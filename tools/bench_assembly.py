@@ -20,16 +20,22 @@ times eight layers at N in {64, 256, 512}, the first three at alpha in
                      Nystrom) and of green (split: spectral operators)
   plemelj_coeffs     the series of the bernoulli ncc matrix to min(N, 64)
                      terms, whose cost is its power traces
-  assemble_nystrom   the plain Nystrom matrix of each of NYSTROM_CASES: a
-                     smooth kernel (bernoulli ngl) and three split ones
-                     (green ngl; sign and abs_pow_iter2 rect with zero_diag)
+  assemble_nystrom   the plain Nystrom matrix of each of NYSTROM_CASES: two
+                     smooth kernels (bernoulli ngl, abs_pow_iter2 rect with
+                     zero_diag) and two split ones (green ngl, sign rect with
+                     zero_diag)
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds; the best time of the round is kept,
-and the report gives each layer's median over the rounds.  Each round also
-runs every packaged example once as a timed warm-up (the first example-4
-run fills its cached N = 512 reference; reported as first_runs) and
-EXAMPLE_REPEATS more times, and times locate_eigs on each of LOCATE_CASES,
+and the report gives each layer's median over the rounds.
+The packaged examples are timed in EXAMPLE_PAIRS process pairs, the tree that
+goes first alternating.  Each process runs every example once as a timed
+warm-up (the first example-4 run fills its cached N = 512 reference; reported
+as first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
+repeats, so a pair compares two processes that ran back to back.  The report
+gives each tree's per-process mins and their median, and with two trees the
+median over the pairs of the ratio change / parent and the pairs the change
+won.  Each round also times locate_eigs on each of LOCATE_CASES,
 the many-root and large-N searches that no benchmark workload covers: one
 warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
 (determinants.prepare), sampling (hessenberg_logdet) and polish (_aberth) as
@@ -71,7 +77,8 @@ REPEATS = 3
 BUDGET_S = 2.0
 ROUNDS = 2
 EXAMPLE_IDS = (1, 2, 3, 4)
-EXAMPLE_REPEATS = 3
+EXAMPLE_PAIRS = 6
+EXAMPLE_REPEATS = 5
 LOCATE_REPEATS = 3
 # name: kernel, quadrature rule, N, zero_diag, p, disc centre, disc radius
 LOCATE_CASES = {
@@ -276,10 +283,11 @@ def in_tree(tree, script, payload):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def alternate(trees, script, payload):
-    """Per tree tag, the ROUNDS results of script, the tree that goes first alternating."""
+def alternate(trees, script, payload, rounds=ROUNDS):
+    """Per tree tag, the results of script in each of rounds rounds, the tree that goes
+    first alternating."""
     results = {tag: [] for tag, _ in trees}
-    for r in range(ROUNDS):
+    for r in range(rounds):
         for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
             results[tag].append(in_tree(tree, script, payload))
     return results
@@ -290,6 +298,24 @@ def layer_report(rounds):
     return [{k: (statistics.median(r[i][k] for r in rounds) if k.endswith("_s") else v)
              for k, v in row.items()}
             for i, row in enumerate(rounds[0])]
+
+
+def example_report(by_tag):
+    """Per example and tree: the min of each process's repeats, their median and the
+    first runs; with two trees, the median per-pair ratio change / parent and the
+    pairs the change won."""
+    report = {}
+    for i in map(str, EXAMPLE_IDS):
+        mins = {tag: [min(res[i][1:]) for res in results] for tag, results in by_tag.items()}
+        entry = {tag: {"median": statistics.median(m), "mins": m,
+                       "first_runs": [res[i][0] for res in by_tag[tag]]}
+                 for tag, m in mins.items()}
+        if len(mins) == 2:
+            ratios = [c / p for p, c in zip(mins["parent"], mins["change"])]
+            entry["ratio_median"] = statistics.median(ratios)
+            entry["change_won"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+        report[i] = entry
+    return report
 
 
 def locate_report(by_tag):
@@ -340,14 +366,8 @@ def measure(trees, args):
     layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES])
     report = {"machine": _environment(args.seed),
               "layers": {tag: layer_report(rounds) for tag, rounds in layers.items()}}
-    examples = alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS])
-    report["run_example_s"] = {tag: {} for tag in examples}
-    for tag, rounds in examples.items():
-        for i in map(str, EXAMPLE_IDS):
-            ts = [t for r in rounds for t in r[i][1:]]
-            report["run_example_s"][tag][i] = {"median": statistics.median(ts), "min": min(ts),
-                                               "max": max(ts), "runs": ts,
-                                               "first_runs": [r[i][0] for r in rounds]}
+    report["run_example_s"] = example_report(
+        alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS], EXAMPLE_PAIRS))
     report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
                                                       [LOCATE_CASES, LOCATE_REPEATS]))
     report["grid_faults"] = {tag: {seed: in_tree(tree, _GRID_FAULTS, seed)
