@@ -1,4 +1,4 @@
-"""Eigenvalue location from determinant zeros: contour moments plus an Aberth polish."""
+"""Eigenvalue location from determinant zeros: contour moments plus a Borsch-Supan polish."""
 
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -12,7 +12,10 @@ MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
 CLUSTER_TOL = 1e-6        # polished zeros this close (relative) are one estimate
 _LOG_GUARD = np.log(1e-13)
-_POLISH_STEPS = 200       # an m-fold zero converges linearly, by (m - 1) / (m + 1) per step
+# an m-fold zero converges linearly, by (m - 1) / (m + 1) per step: 0.80 for the nine
+# coincident zeros of test_locate_eigs_ninefold_root_is_one_estimate, which settle in 96
+_POLISH_STEPS = 200
+_POWER_BLOCK = 2**16      # complex powers u^q that _exterior_log holds at once
 
 
 class ZeroOnContourError(RuntimeError):
@@ -33,7 +36,7 @@ class EigenEstimate:
 
     residual is |det_p| at z_root.  It is not scale-free: |det_p| grows with
     |z| along the axis, so equally accurate roots can have residuals many
-    decades apart.  step = |dz| / (1 + |z|) is the size of the last Newton
+    decades apart.  step = |dz| / (1 + |z|) is the size of the last polish
     step that placed z_root, relative to it, and so is the scale-free
     accuracy signal; for a cluster it is the largest step among its members.
     locate_eigs sets it; it is nan where no polish step was recorded, as in
@@ -194,39 +197,70 @@ def _estimate(z: complex, fz: complex) -> EigenEstimate:
 _BUMPS = (1.0, 1.0093, 1.0217, 1.0341)
 
 
-def _aberth(k: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Simultaneous Newton (Aberth) steps on all zeros of det(I + wK) at once.
+def _exterior_log(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """log G(u) = c_0 + sum_{q=1}^{m/2-1} c_q u^q at u clamped to |u| <= 1.
 
-    f'/f = tr((I + wK)^{-1} K) by Jacobi's formula, taken as
-    (N - tr((I + wK)^{-1})) / w from one inverse, since
-    (I + wK)^{-1} wK = I - (I + wK)^{-1}: K is read as it is, real or
-    complex, and never cast (tr K at w = 0).  Subtracting the pull of the
-    other iterates, sum_{j != i} 1 / (w_i - w_j), keeps near-coincident
-    zeros from collapsing onto one another.  An exactly singular I + w_i K
-    means w_i is a zero and it stays put.  The polish ends once every step is
-    within 1e-12 (1 + |w_i|) and returns the zeros with each one's last step
-    relative to it, |dw| / (1 + |w|); it raises RefinementError when that has
-    not happened after _POLISH_STEPS steps.
+    coeffs is _sample_circle's spectrum of the de-wound log of f on the unit
+    circle in u; its nonnegative frequencies are the log of the factor G of f
+    that has no zero inside.  The powers u^q are formed in blocks of at most
+    _POWER_BLOCK values, so their table stays bounded whatever m and the
+    number of u.
+    """
+    u = u / np.maximum(1.0, np.abs(u))
+    pos = coeffs[1:coeffs.size // 2]
+    out = np.full(u.shape, coeffs[0])
+    width = max(1, _POWER_BLOCK // max(u.size, 1))
+    lead = np.ones_like(u)
+    for q0 in range(0, pos.size, width):
+        q1 = min(q0 + width, pos.size)
+        block = lead[:, None] * np.cumprod(np.repeat(u[:, None], q1 - q0, axis=1), axis=1)
+        out += block @ pos[q0:q1]
+        lead = block[:, -1]
+    return out
+
+
+def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np.ndarray,
+            z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Simultaneous Borsch-Supan steps on all zeros of F(z) = det(I + sign z K) in a circle.
+
+    The circle is the one _sample_circle read coeffs from, u = (z - center) / radius.
+    On it F = Q G, where G = exp(_exterior_log) has no zero inside and
+    Q(u) = prod_j (u - u_j) is monic with exactly the n interior zeros, so the
+    Weierstrass corrections W_i = Q(u_i) / prod_{j != i} (u_i - u_j) take one
+    LU determinant of I + sign z_i K each (numpy.linalg.slogdet), K read as it
+    is, real or complex, and never inverted.  Each zero moves by
+    z_i -= radius W_i / (1 + sum_{j != i} W_j / (u_i - u_j)) (Borsch-Supan
+    1963), in z so it keeps its relative precision.  G sets only how fast the
+    steps converge: their fixed points are the zeros of the LU determinant of
+    K itself.  An exactly singular I + sign z_i K makes W_i = 0, and z_i stays
+    put.  The polish ends once every step is within 1e-12 (1 + |z_i|) and
+    returns the zeros with each one's last step relative to it,
+    |dz| / (1 + |z|); it raises RefinementError on a step that is not finite
+    (coincident iterates, or a correction past the double range), or when
+    it has not ended after _POLISH_STEPS steps.
     """
     n = k.shape[0]
+    phase, logabs = np.empty(z.size, dtype=np.complex128), np.empty(z.size)
     for _ in range(_POLISH_STEPS):
-        steps = np.zeros_like(w)
-        for i, wi in enumerate(w):
-            shifted = wi * k
+        for i, zi in enumerate(z):
+            shifted = (sign * zi) * k
             shifted.flat[::n + 1] += 1.0
-            try:
-                inv_trace = np.trace(np.linalg.inv(shifted))
-            except np.linalg.LinAlgError:
-                continue
-            dlog = (n - inv_trace) / wi if wi != 0 else np.trace(k)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = 1.0 / (dlog - np.sum(1.0 / (wi - np.delete(w, i))))
-            steps[i] = step if np.isfinite(step) else 0.0
-        w = w - steps
-        size, scale = np.abs(steps), 1.0 + np.abs(w)
+            phase[i], logabs[i] = np.linalg.slogdet(shifted)
+        u = (z - center) / radius
+        gaps = u[:, None] - u
+        gaps.flat[::z.size + 1] = 1.0
+        with np.errstate(all="ignore"):
+            corr = phase * np.exp(logabs - _exterior_log(coeffs, u) - np.log(gaps).sum(axis=1))
+            pull = corr / gaps
+            pull.flat[::z.size + 1] = 0.0
+            steps = radius * corr / (1.0 + pull.sum(axis=1))
+        if not np.all(np.isfinite(steps)):
+            raise RefinementError(f"polish of {z.size} zeros took a step that is not finite")
+        z = z - steps
+        size, scale = np.abs(steps), 1.0 + np.abs(z)
         if np.all(size <= 1e-12 * scale):
-            return w, size / scale
-    raise RefinementError(f"polish of {w.size} zeros did not settle within {_POLISH_STEPS}"
+            return z, size / scale
+    raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
 
 
@@ -250,14 +284,13 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     The zeros of det_p are those of det(I + sign*z*K_N), since the exp(poly)
     factor has none.  K_N is validated and reduced to Hessenberg form H once,
     by determinants.prepare, which keeps the reduction of a PreparedDet.  sign
-    maps the disc in and the roots out: the search runs in w = sign*z on
-    det(I + wK_N), reading K_N and H exactly as prepared, so no N x N copy of
-    either is made, and negation is exact.  The contour samples
-    log det(I + wH) in batches (linalg.hessenberg_logdet): at O(N) per point
-    where H is tridiagonal, as prepare makes it for a symmetric or skew
-    Nystrom operator, and at O(N^2) per point otherwise, in real arithmetic
-    when H is real.  This is still an LU determinant, not
-    the eigenvalue route, so the three det_p routes stay independent.  Every
+    enters only as the scalar sign*z: K_N and H are read exactly as prepared,
+    so no N x N copy of either is made, and negation is exact.  The contour
+    samples log det(I + sign z H) in batches (linalg.hessenberg_logdet): at
+    O(N) per point where H is tridiagonal, as prepare makes it for a symmetric
+    or skew Nystrom operator, and at O(N^2) per point otherwise, in real
+    arithmetic when H is real.  This is still an LU determinant, not the
+    eigenvalue route, so the three det_p routes stay independent.  Every
     disc is one sampled circle.  A circle that passes through a zero
     (ZeroOnContourError) or whose moments do not settle (RefinementError) is
     moved outward through _BUMPS, so the nominal disc stays covered; when no
@@ -266,21 +299,26 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     Delves & Lyness 1967); its sample count doubles only until n and those n
     moments settle, since the polish sets the final digits.  Newton's
     identities (shared with the series route) turn the moments into starting
-    values for all n zeros, the roots of sum_k (-1)^k e_k w^(n-k), and
-    simultaneous Newton steps on the unreduced K_N polish them together.  The
-    polish converges or raises RefinementError.  Zeros still within
-    CLUSTER_TOL of each other after the polish form one estimate whose
-    mult_estimate is the cluster size; residual is |det_p| there, one LU
-    finished with the p-1 traces of the search's one preparation, and step
-    the largest last polish step |dz| / (1 + |z|) among the cluster's zeros,
-    at most 1e-12 since the polish converged.  It does not certify a defective
-    multiple zero: J_3(0.5) under the orthogonal similarities of seeds 0..39,
-    disc 2±1, gives three simple roots 5.4e-6 to 2.3e-5 from z = 2 with
-    step <= 1e-12 for 14 seeds and RefinementError for 26.  Estimates come by
-    |z_root|, ties within CLUSTER_TOL by imaginary, then real part.  With the default
-    sign = -1 the reported eigenvalue is lam = 1/z_root.  A p that is not a
-    positive integer, a center or radius that is not finite, or a radius that
-    is not positive raises ValueError, before anything is searched.
+    values for all n zeros, the roots of sum_k (-1)^k e_k u^(n-k) on the
+    circle's scale u = (z - center) / radius.  The polish (_polish) then
+    takes simultaneous Borsch-Supan steps on all of them, each from one LU
+    determinant of the unreduced I + sign z K_N per zero and step, with the
+    zero-free factor that the circle's nonnegative frequencies give divided
+    out; it takes no inverse.  The polish converges or raises
+    RefinementError, as it does when a polished zero leaves the circle.
+    Zeros still within CLUSTER_TOL of each other after the polish form one
+    estimate whose mult_estimate is the cluster size; residual is |det_p|
+    there, one LU finished with the p-1 traces of the search's one
+    preparation, and step the largest last polish step |dz| / (1 + |z|)
+    among the cluster's zeros, at most 1e-12 since the polish converged.  It
+    does not certify a defective multiple zero: J_3(0.5) under the orthogonal
+    similarities of seeds 0..39, disc 2±1, gives three simple roots 1.2e-5 to
+    2.2e-5 from z = 2 with step <= 1e-12 for 3 seeds and RefinementError for
+    37.  Estimates come by |z_root|, ties within CLUSTER_TOL by imaginary,
+    then real part.  With the default sign = -1 the reported eigenvalue is
+    lam = 1/z_root.  A p that is not a positive integer, a center or radius
+    that is not finite, or a radius that is not positive raises ValueError,
+    before anything is searched.
     """
     _check_p(p)
     if sign not in (-1, 1):
@@ -302,8 +340,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
                                  f" radii tried: {tried}")
     k = np.arange(n + 1)  # c_{-k} = -s_k / k, s_k the k-th power sum of the scaled zeros
     starts = np.roots(_newton_identities(-k[1:] * coeffs[coeffs.size - k[1:]]) * (-1.0) ** k)
-    w, steps = _aberth(prep.matrix, sign * (center + contour * starts))
-    zeros = sign * w
+    zeros, steps = _polish(prep.matrix, sign, center, contour, coeffs, center + contour * starts)
     if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
         raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"
                               f" around {center}")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -277,8 +278,9 @@ def test_locate_eigs_validates_k_and_computes_its_traces_once(monkeypatch):
 
 
 def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
-    # the contours are sampled on the Hessenberg form; the only slogdet calls
-    # left are the residuals of the reported estimates, one LU each
+    # the contours are sampled on the Hessenberg form; the slogdet calls are the
+    # polish, one LU per root and step, and the residual of each reported estimate:
+    # the three roots settle in one step, so each takes two
     op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
     calls = []
     slogdet = np.linalg.slogdet
@@ -287,7 +289,8 @@ def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
     lam = np.linalg.eigvals(op.matrix)
     expect = np.sort((1.0 / lam[np.abs(1.0 / lam - 50.0) < 49.0]).real)
     assert np.allclose(sorted(e.z_root.real for e in ests), expect, rtol=1e-12, atol=0.0)
-    assert len(calls) == len(ests) == 3
+    assert len(ests) == 3
+    assert len(calls) == 2 * len(ests)
 
 
 def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
@@ -345,8 +348,8 @@ def test_contour_starts_recover_zeros_from_exact_moments(monkeypatch, zeros):
         coeffs[m - k] = -np.sum(zeros**k) / k
     starts = []
     monkeypatch.setattr(fredet.spectra, "_sample_circle", lambda *_: (zeros.size, coeffs))
-    monkeypatch.setattr(fredet.spectra, "_aberth",
-                        lambda k, w: starts.append(w) or (w, np.zeros(w.size)))
+    polish = lambda k, sign, center, radius, coeffs, z: starts.append(z) or (z, np.zeros(z.size))
+    monkeypatch.setattr(fredet.spectra, "_polish", polish)
     locate_eigs(np.eye(2), 1, 0.0, 1.0, sign=1)
     assert starts[0].size == zeros.size
     for z in zeros:
@@ -471,23 +474,48 @@ def test_step_is_scale_free_where_the_residual_is_not():
     assert min(residuals) < 1e-15 and max(residuals) > 1e8 * min(residuals)
 
 
+def test_locate_eigs_polishes_sixteen_roots_of_one_disc():
+    # disc 0 +- 2 on abs_pow holds 16 zeros of det_3; the Newton-identity starts
+    # are off by up to 0.07 of the radius, and the polish, which divides out the
+    # zero-free factor the contour measured, still takes each to its own zero
+    op = assemble_singular(registry("abs_pow"), 64)
+    expect = 1.0 / np.linalg.eigvals(op.matrix)
+    ests = locate_eigs(op, 3, 0.0, 2.0)
+    assert len(ests) == np.sum(np.abs(expect) < 2.0) == 16
+    assert all(e.mult_estimate == 1 for e in ests)
+    for e in ests:
+        assert np.min(np.abs(expect - e.z_root)) <= 1e-13 * abs(e.z_root)
+
+
+@pytest.mark.parametrize("radius", [2.5, 3.0])
+def test_locate_eigs_crowded_circle_raises_typed_error(radius):
+    # on discs 0 +- 2.5 and 0 +- 3 the zeros nearest the circle lie under 2% of the
+    # radius on either side of it; the polish gives up with RefinementError, and
+    # no overflow or invalid value escapes on the way
+    op = assemble_singular(registry("abs_pow"), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RefinementError):
+            locate_eigs(op, 3, 0.0, radius)
+
+
 def test_cluster_step_is_the_largest_of_its_members(monkeypatch):
-    # _aberth polishes w = sign * z and returns each zero's relative last step
+    # _polish returns the zeros z and each one's relative last step
     polished = []
-    aberth = fredet.spectra._aberth
-    monkeypatch.setattr(fredet.spectra, "_aberth",
-                        lambda k, w: polished.append(aberth(k, w)) or polished[-1])
+    polish = fredet.spectra._polish
+    monkeypatch.setattr(fredet.spectra, "_polish",
+                        lambda *args: polished.append(polish(*args)) or polished[-1])
     ests = locate_eigs(np.diag([0.5, 0.5, 0.25]), 1, 0.0, 5.0)
     assert [e.mult_estimate for e in ests] == [2, 1]
     (zeros, rel), = polished
-    double = np.abs(zeros + 2.0) < 1e-3  # z = 2 is w = -2 at the default sign = -1
+    double = np.abs(zeros - 2.0) < 1e-3
     assert ests[0].step == rel[double].max()
     assert ests[1].step == rel[~double].max()
     assert all(0.0 <= e.step <= 1e-12 for e in ests)
 
 
 def test_search_makes_no_matrix_sized_copies():
-    # K and H are read as prepared: besides I + wK and its inverse in the polish,
+    # K and H are read as prepared: besides I + wK and its LU in the polish,
     # no N x N array is made, neither a signed copy of K or H, nor an identity,
     # nor a complex copy of the real K
     n = 256

@@ -8,9 +8,12 @@ Usage, from the repository root:
                                     [--seconds S] [--seed N] [--out FILE]
 
 Every timing script runs in a fresh process per tree, with single-threaded
-BLAS, in ROUNDS rounds that alternate which tree goes first.  Each round
-times eight layers at N in {64, 256, 512}, the first three at alpha in
-{0.3, 0.5}:
+BLAS, in PAIRS process pairs, the tree that goes first alternating, so a
+pair compares two processes that ran back to back.  For each timing the
+report gives each tree's per-process values and their median, and with two
+trees the median over the pairs of the ratio change / parent and the pairs
+the change won.  Each layers process times eight layers at N in
+{64, 256, 512}, the first three at alpha in {0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
   assemble_singular  the whole product-quadrature matrix of abs_pow(alpha)
@@ -26,21 +29,17 @@ times eight layers at N in {64, 256, 512}, the first three at alpha in
                      zero_diag)
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
-its total stays under BUDGET_S seconds; the best time of the round is kept,
-and the report gives each layer's median over the rounds.
-The packaged examples are timed in EXAMPLE_PAIRS process pairs, the tree that
-goes first alternating.  Each process runs every example once as a timed
-warm-up (the first example-4 run fills its cached N = 512 reference; reported
-as first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
-repeats, so a pair compares two processes that ran back to back.  The report
-gives each tree's per-process mins and their median, and with two trees the
-median over the pairs of the ratio change / parent and the pairs the change
-won.  Each round also times locate_eigs on each of LOCATE_CASES,
-the many-root and large-N searches that no benchmark workload covers: one
+its total stays under BUDGET_S seconds, and the process keeps the best time.
+Each examples process runs every packaged example once as a timed warm-up
+(the first example-4 run fills its cached N = 512 reference; reported as
+first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
+repeats.  Each locate process times locate_eigs on each of LOCATE_CASES, the
+many-root and large-N searches that no benchmark workload covers: one
 warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
-(determinants.prepare), sampling (hessenberg_logdet) and polish (_aberth) as
-seen through spectra's names; the rest of a search is its residuals and
-bookkeeping.  The roots of both trees are compared.
+(determinants.prepare), sampling (hessenberg_logdet) and polish as seen
+through spectra's names (_polish, or _aberth in trees older than it); the
+rest of a search is its residuals and bookkeeping.  The process keeps each
+stage's min over its runs, and the roots of both trees are compared.
 The grid fault probe counts the minor page faults (ru_minflt) of every
 det_p of the first two bench ``grid`` passes, per surface and pass, in a
 fresh process per tree and seed in GRID_FAULT_SEEDS, run as bench/run.py
@@ -75,9 +74,8 @@ NS = (64, 256, 512)
 ALPHAS = (0.3, 0.5)
 REPEATS = 3
 BUDGET_S = 2.0
-ROUNDS = 2
+PAIRS = 6
 EXAMPLE_IDS = (1, 2, 3, 4)
-EXAMPLE_PAIRS = 6
 EXAMPLE_REPEATS = 5
 LOCATE_REPEATS = 3
 # name: kernel, quadrature rule, N, zero_diag, p, disc centre, disc radius
@@ -189,7 +187,8 @@ def timed(key, fn):
     return run
 
 spectra.prepare = timed("reduction_s", spectra.prepare)
-spectra._aberth = timed("polish_s", spectra._aberth)
+polish = "_polish" if hasattr(spectra, "_polish") else "_aberth"
+setattr(spectra, polish, timed("polish_s", getattr(spectra, polish)))
 logdet = timed("sampling_s", spectra.hessenberg_logdet)
 spectra.hessenberg_logdet = lambda h, zs: samples.append(len(zs)) or logdet(h, zs)
 
@@ -283,54 +282,63 @@ def in_tree(tree, script, payload):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def alternate(trees, script, payload, rounds=ROUNDS):
-    """Per tree tag, the results of script in each of rounds rounds, the tree that goes
-    first alternating."""
+def alternate(trees, script, payload, pairs=PAIRS):
+    """Per tree tag, the results of script in each of pairs process pairs, the tree that
+    goes first alternating."""
     results = {tag: [] for tag, _ in trees}
-    for r in range(rounds):
+    for r in range(pairs):
         for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
             results[tag].append(in_tree(tree, script, payload))
     return results
 
 
-def layer_report(rounds):
-    """The rows of one tree's layer timings, each time the median of its rounds."""
-    return [{k: (statistics.median(r[i][k] for r in rounds) if k.endswith("_s") else v)
+def paired(values):
+    """Per tree, its per-process values and their median; with two trees, the median
+    over the pairs of the ratio change / parent and the pairs the change won."""
+    entry = {tag: {"median": statistics.median(v), "per_process": v} for tag, v in values.items()}
+    if len(values) == 2:
+        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        entry["ratio_median"] = statistics.median(ratios)
+        entry["change_won"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+    return entry
+
+
+def layer_report(by_tag):
+    """The layer rows, each timing paired across the processes of the trees."""
+    first = next(iter(by_tag.values()))[0]
+    return [{k: (paired({tag: [res[i][k] for res in results] for tag, results in by_tag.items()})
+                 if k.endswith("_s") else v)
              for k, v in row.items()}
-            for i, row in enumerate(rounds[0])]
+            for i, row in enumerate(first)]
 
 
 def example_report(by_tag):
-    """Per example and tree: the min of each process's repeats, their median and the
-    first runs; with two trees, the median per-pair ratio change / parent and the
-    pairs the change won."""
+    """Per example: the min of each process's repeats, paired across the trees, and
+    each tree's first runs."""
     report = {}
     for i in map(str, EXAMPLE_IDS):
-        mins = {tag: [min(res[i][1:]) for res in results] for tag, results in by_tag.items()}
-        entry = {tag: {"median": statistics.median(m), "mins": m,
-                       "first_runs": [res[i][0] for res in by_tag[tag]]}
-                 for tag, m in mins.items()}
-        if len(mins) == 2:
-            ratios = [c / p for p, c in zip(mins["parent"], mins["change"])]
-            entry["ratio_median"] = statistics.median(ratios)
-            entry["change_won"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+        entry = paired({tag: [min(res[i][1:]) for res in results]
+                        for tag, results in by_tag.items()})
+        for tag, results in by_tag.items():
+            entry[tag]["first_runs"] = [res[i][0] for res in results]
         report[i] = entry
     return report
 
 
 def locate_report(by_tag):
-    """Per case and tree: the median of each stage over all runs, the sample
-    count, and, with two trees, the largest relative distance between their roots."""
+    """Per case and stage: each process's min over its runs, paired across the trees;
+    each tree's sample and root counts, and, with two trees, the largest relative
+    distance between their roots."""
     report = {}
     for case in LOCATE_CASES:
-        rounds = {tag: [res[case] for res in results] for tag, results in by_tag.items()}
-        entry = {tag: {"median": {s: statistics.median(r[s] for res in rs for r in res["runs"])
-                                  for s in LOCATE_STAGES},
-                       "samples": rs[-1]["samples"], "roots": len(rs[-1]["roots"]),
-                       "runs": [r for res in rs for r in res["runs"]]}
-                 for tag, rs in rounds.items()}
-        if len(rounds) == 2:
-            a, b = ([complex(*z) for z in rs[-1]["roots"]] for rs in rounds.values())
+        last = {tag: results[-1][case] for tag, results in by_tag.items()}
+        entry = {s: paired({tag: [min(r[s] for r in res[case]["runs"]) for res in results]
+                            for tag, results in by_tag.items()})
+                 for s in LOCATE_STAGES}
+        entry.update({tag: {"samples": res["samples"], "roots": len(res["roots"])}
+                      for tag, res in last.items()})
+        if len(last) == 2:
+            a, b = ([complex(*z) for z in res["roots"]] for res in last.values())
             entry["roots_max_rel"] = (max(abs(x - y) / abs(x) for x, y in zip(a, b))
                                       if len(a) == len(b) else None)
         report[case] = entry
@@ -364,10 +372,9 @@ def summarize(pairs):
 def measure(trees, args):
     """The report: layers, examples, locate stages, grid faults and bench pairs."""
     layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES])
-    report = {"machine": _environment(args.seed),
-              "layers": {tag: layer_report(rounds) for tag, rounds in layers.items()}}
+    report = {"machine": _environment(args.seed), "layers": layer_report(layers)}
     report["run_example_s"] = example_report(
-        alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS], EXAMPLE_PAIRS))
+        alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]))
     report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
                                                       [LOCATE_CASES, LOCATE_REPEATS]))
     report["grid_faults"] = {tag: {seed: in_tree(tree, _GRID_FAULTS, seed)
