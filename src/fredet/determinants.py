@@ -52,12 +52,17 @@ def _finish(p: int, z, phase, logdet, traces):
     return np.where(np.real(w) == -np.inf, 0.0, phase * np.exp(w))
 
 
+def _shifted(m: np.ndarray, w) -> np.ndarray:
+    """A new I + wK: float64 when K and w are both real, complex128 otherwise."""
+    shifted = (w.real if w.imag == 0 else w) * m
+    shifted.flat[::m.shape[0] + 1] += 1.0
+    return shifted
+
+
 def _lu_dets(m: np.ndarray, z: complex, traces, ps) -> list:
     """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet),
-    in float64 when K and z are both real, in complex128 otherwise."""
-    shifted = (z.real if z.imag == 0 else z) * m
-    shifted.flat[::m.shape[0] + 1] += 1.0
-    phase, logabs = np.linalg.slogdet(shifted)
+    in float64 when K and z are both real (_shifted)."""
+    phase, logabs = np.linalg.slogdet(_shifted(m, z))
     return [complex(_finish(p, z, phase, logabs, traces)) for p in ps]
 
 

@@ -206,9 +206,9 @@ def _tridiagonal_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     of I + zH, however small a pivot gets: no growth factor enters, unlike
     unpivoted elimination of a full matrix.  A block where a quotient
     overflows or meets a zero pivot, so that some value is not finite, is
-    eliminated again at those z with the guard of _tridiagonal_pivots.  The
-    logs are real logs of the pivots' moduli; the phase is that of the
-    product of their unit phasors, which neither overflows nor underflows.
+    eliminated again at those z with the guard of _tridiagonal_pivots.  Each
+    z takes one complex log of its pivots' product (_pivot_logs), and only a
+    product out of the normal double range the sum of its pivots' logs.
     """
     with np.errstate(all="ignore"):
         out = _pivot_logs(_tridiagonal_pivots(h, z, guarded=False))
@@ -238,9 +238,9 @@ def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarr
     d += 1.0
     q = np.multiply.outer(np.diagonal(h, 1) * np.diagonal(h, -1), z * z)
     if not guarded:
-        for k in range(1, a.size):
-            np.divide(q[k - 1], d[k - 1], out=q[k - 1])
-            d[k] -= q[k - 1]
+        for qk, dk, dnext in zip(q, d, d[1:]):  # q[k-1], d[k-1], d[k], bound once
+            np.divide(qk, dk, out=qk)
+            dnext -= qk
         return d
     closed = np.zeros(z.size, dtype=bool)  # row k-1 closed a 2 x 2 block
     for k in range(1, a.size):
@@ -254,12 +254,23 @@ def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarr
 
 
 def _pivot_logs(d: np.ndarray) -> np.ndarray:
-    """log of the product of each column of the pivots d: the sum of the real logs
-    of their moduli plus i times the phase of the product of their unit phasors,
-    -inf where a pivot is zero."""
-    mod = np.abs(d)
-    out = np.log(mod).sum(axis=0) + 1j * np.angle(np.prod(d / mod, axis=0))
-    return np.where((mod == 0).any(axis=0), complex(-np.inf), out)
+    """log of the product of each column of the pivots d, -inf where a pivot is zero.
+
+    Each column takes one complex log of its product.  Only a column whose product
+    is zero, below the smallest normal double or not finite takes the sum of the
+    real logs of its pivots' moduli plus i times the phase of the product of their
+    unit phasors, which neither overflows nor underflows.
+    """
+    prod = np.prod(d, axis=0)
+    out = np.log(prod)
+    mag = np.abs(prod)
+    redo = ~((mag >= _TINY) & (mag < np.inf))
+    if redo.any():
+        d = d[:, redo]
+        mod = np.abs(d)
+        sums = np.log(mod).sum(axis=0) + 1j * np.angle(np.prod(d / mod, axis=0))
+        out[redo] = np.where((mod == 0).any(axis=0), complex(-np.inf), sums)
+    return out
 
 
 def _hessenberg_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import _check_p, _lu_dets, _newton_identities, prepare
+from .determinants import _check_p, _lu_dets, _newton_identities, _shifted, prepare
 from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
@@ -230,7 +230,9 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
     LU determinant of I + sign z_i K each (numpy.linalg.slogdet), K read as it
     is, real or complex, and never inverted.  Each zero moves by
     z_i -= radius W_i / (1 + sum_{j != i} W_j / (u_i - u_j)) (Borsch-Supan
-    1963), in z so it keeps its relative precision.  G sets only how fast the
+    1963), in z so it keeps its relative precision.  Real starts z (float64)
+    stand for real zeros: each takes only the real part of its step, so z stays
+    real and, for a real K, every LU is a float64 one.  G sets only how fast the
     steps converge: their fixed points are the zeros of the LU determinant of
     K itself.  An exactly singular I + sign z_i K makes W_i = 0, and z_i stays
     put.  The polish ends once every step is within 1e-12 (1 + |z_i|) and
@@ -239,13 +241,11 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
     (coincident iterates, or a correction past the double range), or when
     it has not ended after _POLISH_STEPS steps.
     """
-    n = k.shape[0]
+    real = not np.iscomplexobj(z)
     phase, logabs = np.empty(z.size, dtype=np.complex128), np.empty(z.size)
     for _ in range(_POLISH_STEPS):
         for i, zi in enumerate(z):
-            shifted = (sign * zi) * k
-            shifted.flat[::n + 1] += 1.0
-            phase[i], logabs[i] = np.linalg.slogdet(shifted)
+            phase[i], logabs[i] = np.linalg.slogdet(_shifted(k, sign * zi))
         u = (z - center) / radius
         gaps = u[:, None] - u
         gaps.flat[::z.size + 1] = 1.0
@@ -254,6 +254,8 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
             pull = corr / gaps
             pull.flat[::z.size + 1] = 0.0
             steps = radius * corr / (1.0 + pull.sum(axis=1))
+        if real:
+            steps = steps.real
         if not np.all(np.isfinite(steps)):
             raise RefinementError(f"polish of {z.size} zeros took a step that is not finite")
         z = z - steps
@@ -262,6 +264,18 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
             return z, size / scale
     raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
+
+
+def _real_zeros(h: np.ndarray) -> bool:
+    """Whether every zero of det(I + wH) is real and simple, read from the structure of H.
+
+    They are when H is real, tridiagonal (nothing above its first superdiagonal) and
+    every coupling product H[k, k+1] H[k+1, k] is positive: then H = D T D^-1 with D
+    a positive diagonal and T real, symmetric and unreduced, whose eigenvalues are
+    real and distinct (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 7).
+    """
+    return (not np.iscomplexobj(h) and not np.triu(h, 2).any()
+            and bool(np.all(np.diagonal(h, 1) * np.diagonal(h, -1) > 0)))
 
 
 def _clusters(zeros) -> list:
@@ -304,8 +318,17 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     takes simultaneous Borsch-Supan steps on all of them, each from one LU
     determinant of the unreduced I + sign z K_N per zero and step, with the
     zero-free factor that the circle's nonnegative frequencies give divided
-    out; it takes no inverse.  The polish converges or raises
-    RefinementError, as it does when a polished zero leaves the circle.
+    out; it takes no inverse.  Where H shows every zero to be real and simple
+    (_real_zeros: H real and tridiagonal with positive couplings, as prepare
+    makes it for green and bernoulli on ngl, rect and smooth ncc, and for
+    abs_pow_iter2 with zero_diag), the starts are projected onto the real
+    axis and the polish keeps them there, so a real K_N is factored in
+    float64 at every step and for every residual.  Skew operators (negative
+    couplings), singular and split-kernel ncc operators and general matrices
+    keep the complex polish.  The polish converges or raises RefinementError,
+    re-raised with the zero count n and the largest start |u|, which past 1
+    says that zeros crowd the circle; a polished zero that leaves the circle
+    raises it too.
     Zeros still within CLUSTER_TOL of each other after the polish form one
     estimate whose mult_estimate is the cluster size; residual is |det_p|
     there, one LU finished with the p-1 traces of the search's one
@@ -339,8 +362,22 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         raise ZeroOnContourError(f"no contour around {center} resolved its zeros;"
                                  f" radii tried: {tried}")
     k = np.arange(n + 1)  # c_{-k} = -s_k / k, s_k the k-th power sum of the scaled zeros
-    starts = np.roots(_newton_identities(-k[1:] * coeffs[coeffs.size - k[1:]]) * (-1.0) ** k)
-    zeros, steps = _polish(prep.matrix, sign, center, contour, coeffs, center + contour * starts)
+    u = np.roots(_newton_identities(-k[1:] * coeffs[coeffs.size - k[1:]]) * (-1.0) ** k)
+    starts = center + contour * u
+    if _real_zeros(prep.hess):
+        # rounding can make a conjugate pair a +- ib of two close real zeros; it goes
+        # to a +- b, not twice to a (found by ==, not np.unique, whose first call
+        # adds 1.5 MB of resident pages to a search)
+        real = starts.real
+        coincide = np.count_nonzero(real[:, None] == real) > real.size
+        starts = real + starts.imag if coincide else real
+    try:
+        zeros, steps = _polish(prep.matrix, sign, center, contour, coeffs, starts)
+    except RefinementError as exc:
+        reach = np.abs(u).max()
+        where = "crowd the circle" if reach > 1.0 else "lie in the circle"
+        raise RefinementError(f"{n} zeros {where} of radius {contour:.3g} around {center}:"
+                              f" starts reach |u| = {reach:.4g}; {exc}") from exc
     if not np.all(np.abs(zeros - center) <= contour * (1.0 + 1e-9)):
         raise RefinementError(f"polished zeros left the contour of radius {contour:.3g}"
                               f" around {center}")

@@ -484,3 +484,33 @@ def test_tridiagonal_logdet_of_an_exactly_singular_matrix_is_minus_inf():
         assert hessenberg_logdet(h, [1.0])[0] == complex(-np.inf)
     assert hessenberg_logdet(last, [-0.5, 0.25])[0] == complex(-np.inf)
     assert np.isfinite(hessenberg_logdet(last, [-0.5, 0.25])[1])
+
+
+# n, diagonal, coupling and the z of each case: pivots near 1e20 whose product
+# overflows, pivots near 2^-48 whose product is subnormal, about 1e-318, or
+# underflows to zero, and a second pivot 1 - z^2 / 4 that is exactly zero
+_PAST_THE_PRODUCT_RANGE = {
+    "overflow": (16, 1e20, 1.0, [2.0, 2.0 + 1e-4j]),
+    "subnormal": (22, -0.5 + 2.0**-49, 1e-40, [2.0, 2.0 + 1e-15j]),
+    "underflow": (23, -0.5 + 2.0**-49, 1e-40, [2.0, 2.0 + 1e-15j]),
+    "zero": (2, 0.0, 0.5, [2.0, -2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAST_THE_PRODUCT_RANGE))
+def test_tridiagonal_logdet_past_the_product_range_matches_slogdet(kind):
+    # each z takes one log of its pivots' product; a product that overflows, is
+    # subnormal or is zero takes the sum of the pivots' logs instead, -inf for zero
+    n, diag, coupling, zs = _PAST_THE_PRODUCT_RANGE[kind]
+    t = np.diag(np.full(n, diag)) + coupling * (np.eye(n, k=1) + np.eye(n, k=-1))
+    zs = np.array(zs)
+    with np.errstate(all="ignore"):
+        mag = np.abs(np.prod(fredet.linalg._tridiagonal_pivots(t, zs, guarded=False), axis=0))
+    assert {"overflow": np.all(mag == np.inf),
+            "subnormal": np.all((0.0 < mag) & (mag < np.finfo(float).tiny))}.get(kind, np.all(mag == 0.0))
+    for z, got in zip(zs, hessenberg_logdet(t, zs)):
+        sign, logabs = np.linalg.slogdet(np.eye(n) + z * t)
+        if kind == "zero":
+            assert sign == 0.0 and got == complex(-np.inf)
+        else:
+            assert abs(np.exp(got - logabs - 1j * np.angle(sign)) - 1.0) <= 1e-12

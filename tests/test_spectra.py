@@ -495,7 +495,7 @@ def test_locate_eigs_crowded_circle_raises_typed_error(radius):
     op = assemble_singular(registry("abs_pow"), 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RefinementError):
+        with pytest.raises(RefinementError, match=r"zeros crowd the circle .*: starts reach \|u\| = 1\."):
             locate_eigs(op, 3, 0.0, radius)
 
 
@@ -582,3 +582,103 @@ def test_fit_order_validation():
         fit_order([10, 20, 40, 80], [1.0, 0.5, 0.25, 0.0])
     with pytest.raises(ValueError):
         fit_order([10, 20], [1.0, 0.5, 0.2, 0.1])
+
+
+def _slogdet_dtypes(monkeypatch):
+    """The dtype of every operand np.linalg.slogdet is handed from here on."""
+    seen = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: seen.append(m.dtype) or slogdet(m))
+    return seen
+
+
+# operator, p, disc centre and radius
+_ARITHMETIC_CASES = {
+    "green-ngl": (lambda: assemble(registry("green"), "ngl", 64), 1, 50.0, 49.0),
+    "bernoulli-ngl": (lambda: assemble(registry("bernoulli"), "ngl", 64), 1, 4 * np.pi**2, 10.0),
+    "bernoulli-ncc": (lambda: assemble(registry("bernoulli"), "ncc", 64), 1, 4 * np.pi**2, 10.0),
+    "sign-rect": (lambda: assemble(registry("sign"), "rect", 64, zero_diag=True), 2, 0.0, 1.2),
+    "abs_pow-singular": (lambda: assemble_singular(registry("abs_pow"), 64), 3, 0.0, 1.5),
+    "green-ncc": (lambda: assemble(registry("green"), "ncc", 64), 1, 50.0, 49.0),
+    "diagonal": (lambda: np.diag([0.5, 0.5, 0.2]), 1, 0.0, 6.0),
+}
+
+
+@pytest.mark.parametrize("name", ["green-ngl", "bernoulli-ngl", "bernoulli-ncc"])
+def test_symmetric_searches_factor_in_float64(monkeypatch, name):
+    # W^(1/2) K W^(-1/2) is symmetric, so its tridiagonal form has positive couplings
+    # and real, simple zeros: every polish and residual LU factors I + s x K in float64,
+    # and the roots match the general, complex search on the raw matrix
+    make, p, center, radius = _ARITHMETIC_CASES[name]
+    op = make()
+    seen = _slogdet_dtypes(monkeypatch)
+    ests = locate_eigs(op, p, center, radius)
+    monkeypatch.undo()
+    assert ests and set(seen) == {np.dtype(np.float64)}
+    assert all(e.z_root.imag == 0.0 and e.lam.imag == 0.0 for e in ests)
+    seen = _slogdet_dtypes(monkeypatch)
+    raw = locate_eigs(op.matrix, p, center, radius)
+    assert np.dtype(np.complex128) in seen
+    assert len(raw) == len(ests)
+    for u, v in zip(ests, raw):
+        assert abs(u.z_root - v.z_root) <= 1e-12 * abs(v.z_root)
+
+
+@pytest.mark.parametrize("name", ["sign-rect", "abs_pow-singular", "green-ncc", "diagonal"])
+def test_other_searches_polish_in_complex_arithmetic(monkeypatch, name):
+    # a skew operator (negative couplings), the singular and split-kernel schemes
+    # and a raw diagonal matrix (zero couplings) keep the complex polish
+    make, p, center, radius = _ARITHMETIC_CASES[name]
+    op = make()
+    seen = _slogdet_dtypes(monkeypatch)
+    assert locate_eigs(op, p, center, radius)
+    assert set(seen) == {np.dtype(np.complex128)}
+
+
+def _wilkinson_w21():
+    """Wilkinson's W_21^+: diagonal |-10..10|, couplings 1; its top two eigenvalues
+    differ by 7.1e-14."""
+    return np.diag(np.abs(np.arange(-10.0, 11.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
+
+
+@pytest.mark.parametrize("center, radius", [(1.0 / 10.7462, 0.05), (0.0, 0.2)])
+def test_near_double_real_zeros_are_one_estimate(center, radius):
+    # W_21^+ takes the float64 polish; each of its close pairs of zeros, up to
+    # up to 4.6e-7 apart in z, is still one estimate with mult_estimate 2 at the pair's mean
+    w = _wilkinson_w21()
+    zeros = 1.0 / np.linalg.eigvalsh(w)
+    assert fredet.spectra._real_zeros(prepare(w, 1).hess)
+    ests = locate_eigs(w, 1, center, radius)
+    inside = zeros[np.abs(zeros - center) < radius]
+    assert sum(e.mult_estimate for e in ests) == inside.size
+    assert sum(e.mult_estimate == 2 for e in ests) >= 4
+    for e in ests:
+        assert e.z_root.imag == 0.0
+        members = inside[np.abs(inside - e.z_root) <= fredet.spectra.CLUSTER_TOL * (1.0 + abs(e.z_root))]
+        assert members.size == e.mult_estimate
+        assert abs(e.z_root - members.mean()) <= 1e-13 * abs(e.z_root)
+
+
+def test_coincident_projected_starts_stay_apart(monkeypatch):
+    # det(I - zT) = 5 (z - z_1)(z - z_2) for T = [[2, 1], [1, 3]]; moments fed in as
+    # those of the conjugate pair 0.5 +- 0.3i put both starts on 0.5 once projected
+    # onto the real axis, so the guard places them at 0.5 +- 0.3, and the polish
+    # takes each to its own zero
+    t = np.array([[2.0, 1.0], [1.0, 3.0]])
+    pair = np.array([0.5 + 0.3j, 0.5 - 0.3j])
+    m = 64
+    coeffs = np.zeros(m, dtype=np.complex128)
+    coeffs[0] = np.log(5.0)  # the zero-free factor G = 5 on the unit circle
+    for k in (1, 2):
+        coeffs[m - k] = -np.sum(pair**k) / k
+    monkeypatch.setattr(fredet.spectra, "_sample_circle", lambda *_: (2, coeffs))
+    starts = []
+    polish = fredet.spectra._polish
+    monkeypatch.setattr(fredet.spectra, "_polish",
+                        lambda *args: starts.append(args[-1]) or polish(*args))
+    ests = locate_eigs(t, 1, 0.0, 1.0)
+    assert np.allclose(np.sort(starts[0]), [0.2, 0.8], rtol=0.0, atol=1e-12)
+    assert np.isrealobj(starts[0])
+    expect = np.sort(1.0 / np.linalg.eigvalsh(t))
+    assert [e.mult_estimate for e in ests] == [1, 1]
+    assert np.allclose([e.z_root for e in ests], expect, rtol=1e-14, atol=0.0)
