@@ -16,7 +16,7 @@ from .determinants import det_from_eigs, det_p, prepare
 from .discretize import assemble
 from .kernels import registry
 from .linalg import eigenvalues, trace_powers
-from .references import det_bernoulli, det_green, det_iter2_p2, det_sign_p2
+from .references import REFERENCES
 from .spectra import fit_order, locate_eigs
 
 EXAMPLE_IDS = (1, 2, 3, 4)
@@ -110,22 +110,21 @@ def run_example(example_id: int, outdir: str) -> dict:
     return summary
 
 
-# kernel, analytic reference, convergence curves as (scheme, z), and the disc
-# (centre, radius) searched for roots on the N = 128 Gauss-Legendre matrix
+# kernel, convergence curves as (scheme, z) against the kernel's REFERENCES entry,
+# and the disc (centre, radius) searched for roots on the N = 128 Gauss-Legendre matrix
 _SMOOTH_EXAMPLES = {
     # Green kernel on [0, 1]: simple eigenvalues 1/(n pi)^2, d(z) = sin(sqrt z)/sqrt z
-    1: ("green", det_green,
-        [("ngl", np.pi**2), ("ngl", 1.0), ("ncc", np.pi**2), ("ncc", 1.0)], (50.0, 49.0)),
+    1: ("green", [("ngl", np.pi**2), ("ngl", 1.0), ("ncc", np.pi**2), ("ncc", 1.0)],
+        (50.0, 49.0)),
     # periodic Bernoulli kernel: double eigenvalues 1/(2n pi)^2, d(z) = (2-2cos sqrt z)/z;
     # the N = 128 matrix splits the first double into two close roots, 39.46450 and 39.46646
-    2: ("bernoulli", det_bernoulli,
-        [("ngl", 4 * np.pi**2), ("ngl", 1.0), ("ncc", 1.0)], (4 * np.pi**2, 10.0)),
+    2: ("bernoulli", [("ngl", 4 * np.pi**2), ("ngl", 1.0), ("ncc", 1.0)], (4 * np.pi**2, 10.0)),
 }
 
 
 def _smooth_example(table_row, out):
-    kernel, ref, curves, (center, radius) = table_row
-    spec = registry(kernel)
+    kernel, curves, (center, radius) = table_row
+    spec, ref = registry(kernel), REFERENCES[kernel][0]
     ns = [10, 20, 40, 80, 160, 320]
     schemes = list(dict.fromkeys(s for s, _ in curves))
     # one assembly per (scheme, n), shared by every z of that scheme
@@ -144,13 +143,13 @@ def _smooth_example(table_row, out):
 
 def _example3(out):
     # antisymmetric jump kernel, rectangle rule with zeroed diagonal, p = 2
-    spec = registry("sign")
+    spec, ref = registry("sign"), REFERENCES["sign"][0]
     ns = [25, 50, 100, 200, 400]
     grid = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.linspace(-1.0, 1.0, 9)]
-    grid_ref = [det_sign_p2(z) for z in grid]
+    grid_ref = [ref(z) for z in grid]
 
     surface, prepared = [], {}
-    curves = [("rect", z, det_sign_p2(z), []) for z in (1j * np.pi / 4, 1.0)]
+    curves = [("rect", z, ref(z), []) for z in (1j * np.pi / 4, 1.0)]
     zs = -np.array(grid + [z for _, z, _, _ in curves])
     for n in ns:
         # one reduction per n serves the grid, the curves and, at n = 200, locate_eigs
@@ -226,7 +225,7 @@ def _example4(out):
               cons_rows)
 
     w = 0.01  # z = 0.1 in the det_2(I - z^2 K_2) variable
-    ref = det_iter2_p2(w)
+    ref = REFERENCES["abs_pow_iter2"][0](w)
     ns = [32, 64, 128, 256]
     errs = [abs(det_p(assemble(it2, "rect", n, zero_diag=True), 2, -w).value - ref) for n in ns]
     slopes = _convergence(out, ns, [("rect_iter2", w, ref, errs)])

@@ -1,5 +1,6 @@
 """Analytic reference determinants d(z) = det_p(I - zK) for the built-in kernels."""
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -8,32 +9,27 @@ from . import discretize, kernels, linalg
 from .determinants import det_from_eigs
 
 
-def _entire_series(z, s: int) -> complex:
-    """sum_k (s+1)! (-z)^k / (2k+s+1)! for s = 0 or 1, summed term by term.
-
-    Each term is the previous one times -z / ((2k+s)(2k+s+1)).  The series is
-    entire, so it sidesteps the square-root branch cut and grids crossing the
-    negative real axis evaluate cleanly.
-    """
-    z = complex(z)
-    term = 1.0 + 0.0j
-    total = term
-    for k in range(1, 400):
-        term *= -z / ((2.0 * k + s) * (2.0 * k + s + 1.0))
-        total += term
-        if abs(term) < 1e-18 * (1.0 + abs(total)):
-            return total
-    raise ValueError(f"reference series did not converge at z = {z}")
+def _sinc_power(z, k: int) -> complex:
+    """(sin v / v)^k at v = sqrt(z)/k, 1 at z = 0, exact to rounding; even in v, so either
+    root serves.  ValueError where it overflows double precision (|Im sqrt z| >~ 710)."""
+    v = cmath.sqrt(complex(z)) / k
+    try:
+        value = (cmath.sin(v) / v if v else 1.0 + 0.0j) ** k
+    except OverflowError:
+        value = cmath.inf
+    if not cmath.isfinite(value):
+        raise ValueError(f"reference determinant is not finite in double precision at z = {z}")
+    return value
 
 
 def det_green(z) -> complex:
-    """d(z) = sin(sqrt z)/sqrt z for the green kernel: sum_k (-z)^k / (2k+1)!."""
-    return _entire_series(z, 0)
+    """d(z) = sin(w)/w, w = sqrt z, for the green kernel."""
+    return _sinc_power(z, 1)
 
 
 def det_bernoulli(z) -> complex:
-    """d(z) = (2 - 2 cos(sqrt z))/z for the bernoulli kernel: sum_k 2 (-z)^k / (2k+2)!."""
-    return _entire_series(z, 1)
+    """d(z) = (sin(w/2) / (w/2))^2 = (2 - 2 cos w)/z, w = sqrt z, for the bernoulli kernel."""
+    return _sinc_power(z, 2)
 
 
 def det_sign_p2(z) -> complex:
@@ -50,14 +46,14 @@ def _abs_pow_eigs(n_ref: int) -> np.ndarray:
     return lam
 
 
-def det_iter2_p2(w, n_ref: int = 512) -> complex:
+def det_iter2_p2(w) -> complex:
     """Reference det_2(I - w K^2) for K the abs_pow(1/2) operator on [-1, 1].
 
     There is no elementary closed form; the value is the full eigenvalue
-    product built from the product-quadrature discretization of K at a large
-    reference size, using l(K^2) = l(K)^2.
+    product built from the product-quadrature discretization of K at N = 512,
+    using l(K^2) = l(K)^2.
     """
-    lam = _abs_pow_eigs(n_ref)
+    lam = _abs_pow_eigs(512)
     return det_from_eigs(lam * lam, 2, -complex(w)).value
 
 

@@ -406,14 +406,15 @@ def _ordered(ests) -> list:
 
 
 def fit_order(ns, errs) -> OrderFit:
-    """The slope of log(err) against log(n), by least squares (>= 4 points)."""
+    """The least-squares slope of log(err) on log(n); ValueError unless there are
+    at least 4 points, all positive and finite."""
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if ns.shape != errs.shape or ns.ndim != 1:
         raise ValueError("ns and errs must be 1-D arrays of equal length")
     if ns.size < 4:
         raise ValueError(f"need at least 4 points to fit an order, got {ns.size}")
-    if np.any(ns <= 0) or np.any(errs <= 0):
-        raise ValueError("ns and errs must be positive")
+    if not np.all(np.isfinite(ns) & np.isfinite(errs) & (ns > 0) & (errs > 0)):
+        raise ValueError("ns and errs must be positive and finite")
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     return OrderFit(float(slope))

@@ -582,6 +582,9 @@ def test_fit_order_validation():
         fit_order([10, 20, 40, 80], [1.0, 0.5, 0.25, 0.0])
     with pytest.raises(ValueError):
         fit_order([10, 20], [1.0, 0.5, 0.2, 0.1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            fit_order([1, 2, 3, 4], [1.0, bad, 1.0, 1.0])
 
 
 def _slogdet_dtypes(monkeypatch):

@@ -34,12 +34,17 @@ Each examples process runs every packaged example once as a timed warm-up
 (the first example-4 run fills its cached N = 512 reference; reported as
 first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
 repeats.  Each locate process times locate_eigs on each of LOCATE_CASES, the
-many-root and large-N searches that no benchmark workload covers: one
+many-root and large-N searches that no benchmark workload covers (two on a
+tridiagonal form, abs_pow singular on the full Hessenberg one): one
 warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
-(determinants.prepare), sampling (hessenberg_logdet) and polish as seen
-through spectra's names (_polish, or _aberth in trees older than it); the
-rest of a search is its residuals and bookkeeping.  The process keeps each
-stage's min over its runs, and the roots of both trees are compared.
+(determinants.prepare), sampling (hessenberg_logdet) and polish (_polish)
+as seen through spectra's names; the rest of a search is its residuals and
+bookkeeping.  The process keeps each stage's min over its runs, and the
+roots of both trees are compared.  Before timing, where glibc's mallopt can
+be reached, the process fixes its mmap threshold at 32 MB and its trim
+threshold at 64 MB (LOCATE_MALLOPT), so the N x N temporaries of a stage
+do not come back as fresh pages or not depending on what the stage before
+freed; the report records the setting each tree's processes ran with.
 The grid fault probe counts the minor page faults (ru_minflt) of every
 det_p of the first two bench ``grid`` passes, per surface and pass, in a
 fresh process per tree and seed in GRID_FAULT_SEEDS, run as bench/run.py
@@ -78,11 +83,14 @@ PAIRS = 6
 EXAMPLE_IDS = (1, 2, 3, 4)
 EXAMPLE_REPEATS = 5
 LOCATE_REPEATS = 3
-# name: kernel, quadrature rule, N, zero_diag, p, disc centre, disc radius
+# name: kernel, scheme, N, zero_diag, p, disc centre, disc radius
 LOCATE_CASES = {
-    "green_ngl_400": ("green", "gauss_legendre", 400, False, 1, 1500.0, 1499.0),
-    "sign_rect_400": ("sign", "rectangle", 400, True, 2, 0.0, 1.2),
+    "green_ngl_400": ("green", "ngl", 400, False, 1, 1500.0, 1499.0),
+    "sign_rect_400": ("sign", "rect", 400, True, 2, 0.0, 1.2),
+    "abs_pow_singular_400": ("abs_pow", "singular", 400, False, 3, 0.0, 1.5),
 }
+# glibc mallopt parameter numbers (malloc.h) and the values the locate processes set
+LOCATE_MALLOPT = {"M_TRIM_THRESHOLD": (-1, 64 << 20), "M_MMAP_THRESHOLD": (-3, 32 << 20)}
 # name: kernel, quadrature rule, zero_diag
 NYSTROM_CASES = {
     "bernoulli_ngl": ("bernoulli", "gauss_legendre", False),
@@ -96,7 +104,7 @@ END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
               "peak_rss_mb": "lower"}
 
 # The scripts below run in the tree under test, so they call only names that the
-# trees compared share: assemble_nystrom with a rule, not discretize.assemble.
+# trees compared share.
 
 # Older trees take one scalar x per singular_moments call.
 _LAYERS = r"""
@@ -170,12 +178,23 @@ print(json.dumps(out))
 
 
 _LOCATE = r"""
-import json, sys, time
-from fredet import discretize, kernels, quadrature, spectra
+import ctypes, json, sys, time
+from fredet import discretize, kernels, spectra
 
-cases, repeats = json.loads(sys.argv[1])
+cases, repeats, settings = json.loads(sys.argv[1])
 spent = {}
 samples = []
+
+def pin_heap():
+    # the settings applied, or None where this process cannot reach mallopt
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if not all(mallopt(param, value) == 1 for param, value in settings.values()):
+        return None
+    return {name: value for name, (_, value) in settings.items()}
 
 def timed(key, fn):
     def run(*args):
@@ -187,16 +206,13 @@ def timed(key, fn):
     return run
 
 spectra.prepare = timed("reduction_s", spectra.prepare)
-polish = "_polish" if hasattr(spectra, "_polish") else "_aberth"
-setattr(spectra, polish, timed("polish_s", getattr(spectra, polish)))
+spectra._polish = timed("polish_s", spectra._polish)
 logdet = timed("sampling_s", spectra.hessenberg_logdet)
 spectra.hessenberg_logdet = lambda h, zs: samples.append(len(zs)) or logdet(h, zs)
 
-out = {}
-for name, (kernel, rule, n, zero_diag, p, centre, radius) in cases.items():
-    spec = kernels.registry(kernel)
-    op = discretize.assemble_nystrom(spec, getattr(quadrature, rule)(n, *spec.domain),
-                                     zero_diag=zero_diag)
+out = {"mallopt": pin_heap(), "cases": {}}
+for name, (kernel, scheme, n, zero_diag, p, centre, radius) in cases.items():
+    op = discretize.assemble(kernels.registry(kernel), scheme, n, zero_diag)
     spectra.locate_eigs(op, p, centre, radius)
     runs = []
     for _ in range(repeats):
@@ -205,8 +221,8 @@ for name, (kernel, rule, n, zero_diag, p, centre, radius) in cases.items():
         t0 = time.perf_counter()
         ests = spectra.locate_eigs(op, p, centre, radius)
         runs.append(dict(spent, total_s=time.perf_counter() - t0))
-    out[name] = {"runs": runs, "samples": sum(samples),
-                 "roots": [[e.z_root.real, e.z_root.imag] for e in ests]}
+    out["cases"][name] = {"runs": runs, "samples": sum(samples),
+                          "roots": [[e.z_root.real, e.z_root.imag] for e in ests]}
 print(json.dumps(out))
 """
 
@@ -328,11 +344,13 @@ def example_report(by_tag):
 def locate_report(by_tag):
     """Per case and stage: each process's min over its runs, paired across the trees;
     each tree's sample and root counts, and, with two trees, the largest relative
-    distance between their roots."""
-    report = {}
+    distance between their roots.  Under "mallopt", each tree's heap settings, or
+    None where a process could not set them."""
+    report = {"mallopt": {tag: results[-1]["mallopt"] for tag, results in by_tag.items()}}
     for case in LOCATE_CASES:
-        last = {tag: results[-1][case] for tag, results in by_tag.items()}
-        entry = {s: paired({tag: [min(r[s] for r in res[case]["runs"]) for res in results]
+        last = {tag: results[-1]["cases"][case] for tag, results in by_tag.items()}
+        entry = {s: paired({tag: [min(r[s] for r in res["cases"][case]["runs"])
+                                  for res in results]
                             for tag, results in by_tag.items()})
                  for s in LOCATE_STAGES}
         entry.update({tag: {"samples": res["samples"], "roots": len(res["roots"])}
@@ -375,8 +393,8 @@ def measure(trees, args):
     report = {"machine": _environment(args.seed), "layers": layer_report(layers)}
     report["run_example_s"] = example_report(
         alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]))
-    report["locate_stages"] = locate_report(alternate(trees, _LOCATE,
-                                                      [LOCATE_CASES, LOCATE_REPEATS]))
+    report["locate_stages"] = locate_report(
+        alternate(trees, _LOCATE, [LOCATE_CASES, LOCATE_REPEATS, LOCATE_MALLOPT]))
     report["grid_faults"] = {tag: {seed: in_tree(tree, _GRID_FAULTS, seed)
                                    for seed in GRID_FAULT_SEEDS} for tag, tree in trees}
     for w in filter(None, args.workloads.split(",")):
