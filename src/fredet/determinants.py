@@ -77,8 +77,6 @@ def det_p(op, p: int, z) -> DetValue:
     m = _matrix_of(op)
     _check_p(p)
     z = _finite(complex(z))
-    if z == 0:
-        return DetValue(1.0 + 0.0j)
     return DetValue(_lu_dets(m, z, _trace_powers(m, p - 1), (p,))[0])
 
 

@@ -10,7 +10,7 @@ from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
-CLUSTER_TOL = 1e-6        # polished zeros this close (relative) are one estimate
+_STEP_TOL = 1e-12         # the polish ends once every step is this small (relative)
 _LOG_GUARD = np.log(1e-13)
 # an m-fold zero converges linearly, by (m - 1) / (m + 1) per step: 0.80 for the nine
 # coincident zeros of test_locate_eigs_ninefold_root_is_one_estimate, which settle in 96
@@ -39,8 +39,10 @@ class EigenEstimate:
     decades apart.  step = |dz| / (1 + |z|) is the size of the last polish
     step that placed z_root, relative to it, and so is the scale-free
     accuracy signal; for a cluster it is the largest step among its members.
-    locate_eigs sets it; it is nan where no polish step was recorded, as in
-    refine_zero's estimates.
+    Polished zeros within pi times the larger of their steps form one
+    cluster: an m-fold zero's iterates sit (m - 1) sin(pi / m) steps apart,
+    below pi for every m.  locate_eigs sets it; it is nan where no polish
+    step was recorded, as in refine_zero's estimates.
     """
 
     z_root: complex
@@ -235,7 +237,7 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
     real and, for a real K, every LU is a float64 one.  G sets only how fast the
     steps converge: their fixed points are the zeros of the LU determinant of
     K itself.  An exactly singular I + sign z_i K makes W_i = 0, and z_i stays
-    put.  The polish ends once every step is within 1e-12 (1 + |z_i|) and
+    put.  The polish ends once every step is within _STEP_TOL (1 + |z_i|) and
     returns the zeros with each one's last step relative to it,
     |dz| / (1 + |z|); it raises RefinementError on a step that is not finite
     (coincident iterates, or a correction past the double range), or when
@@ -260,7 +262,7 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
             raise RefinementError(f"polish of {z.size} zeros took a step that is not finite")
         z = z - steps
         size, scale = np.abs(steps), 1.0 + np.abs(z)
-        if np.all(size <= 1e-12 * scale):
+        if np.all(size <= _STEP_TOL * scale):
             return z, size / scale
     raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
@@ -278,13 +280,22 @@ def _real_zeros(h: np.ndarray) -> bool:
             and bool(np.all(np.diagonal(h, 1) * np.diagonal(h, -1) > 0)))
 
 
-def _clusters(zeros) -> list:
-    """Indices into zeros, grouped by chains of zeros within CLUSTER_TOL (relative)."""
+def _clusters(zeros, steps) -> list:
+    """Indices into zeros, grouped by chains of zeros the polish left unresolved.
+
+    Two polished zeros chain when |z_i - z_j| <= pi max(step_i, step_j) (1 + |z|),
+    steps being _polish's last relative steps.  The polish converges on an m-fold
+    zero with its m iterates on a regular m-gon of radius r, and the Borsch-Supan
+    step moves each by 2r / (m + 1), so a last step s leaves neighbours
+    (m - 1) sin(pi / m) s apart, below pi s for every m.  Zeros the polish has
+    resolved stay apart however close they are.
+    """
     groups = []
     for i in sorted(range(len(zeros)), key=lambda i: abs(zeros[i])):
         z = zeros[i]
         for g in groups:
-            if any(abs(z - zeros[j]) <= CLUSTER_TOL * (1.0 + abs(z)) for j in g):
+            if any(abs(z - zeros[j]) <= np.pi * max(steps[i], steps[j]) * (1.0 + abs(z))
+                   for j in g):
                 g.append(i)
                 break
         else:
@@ -329,15 +340,18 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     re-raised with the zero count n and the largest start |u|, which past 1
     says that zeros crowd the circle; a polished zero that leaves the circle
     raises it too.
-    Zeros still within CLUSTER_TOL of each other after the polish form one
-    estimate whose mult_estimate is the cluster size; residual is |det_p|
-    there, one LU finished with the p-1 traces of the search's one
-    preparation, and step the largest last polish step |dz| / (1 + |z|)
-    among the cluster's zeros, at most 1e-12 since the polish converged.  It
-    does not certify a defective multiple zero: J_3(0.5) under the orthogonal
-    similarities of seeds 0..39, disc 2±1, gives three simple roots 1.2e-5 to
-    2.2e-5 from z = 2 with step <= 1e-12 for 3 seeds and RefinementError for
-    37.  Estimates come by |z_root|, ties within CLUSTER_TOL by imaginary,
+    Zeros the polish left unresolved, within pi times the larger of their
+    last relative steps of each other (_clusters), form one estimate whose
+    mult_estimate is the cluster size; pi is above the (m - 1) sin(pi / m)
+    last steps that separate the iterates of an m-fold zero, which the
+    polish leaves on a regular m-gon.  Zeros it resolved stay apart,
+    however close.  residual is |det_p| there, one LU finished with the p-1
+    traces of the search's one preparation, and step the largest last
+    polish step |dz| / (1 + |z|) among the cluster's zeros, at most
+    _STEP_TOL since the polish converged.  It does not certify a defective
+    multiple zero: J_3(0.5) under the orthogonal similarities of seeds
+    0..39, disc 2±1, gives three simple roots 1.2e-5 to 2.2e-5 from z = 2
+    with step <= 1e-12 for 3 seeds and RefinementError for 37.  Estimates come by |z_root|, ties within _STEP_TOL by imaginary,
     then real part.  With the default sign = -1 the reported eigenvalue is
     lam = 1/z_root.  A p that is not a positive integer, a center or radius
     that is not finite, or a radius that is not positive raises ValueError,
@@ -385,7 +399,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     inside = np.abs(zeros - center) <= radius * (1.0 + 1e-9)
     zeros, steps = zeros[inside], steps[inside]
     ests = []
-    for group in _clusters(zeros):
+    for group in _clusters(zeros, steps):
         z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
         residual = abs(_lu_dets(prep.matrix, sign * z, prep.traces, (p,))[0])
@@ -394,13 +408,13 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
 
 
 def _ordered(ests) -> list:
-    """Estimates by |z_root|; moduli within CLUSTER_TOL of the first of their run
+    """Estimates by |z_root|; moduli within _STEP_TOL of the first of their run
     go by imaginary, then real part, so a conjugate pair keeps one order."""
     by_modulus = sorted(ests, key=lambda e: abs(e.z_root))
     lead = []
     for e in by_modulus:
         r = abs(e.z_root)
-        lead.append(lead[-1] if lead and r - lead[-1] <= CLUSTER_TOL * (1.0 + lead[-1]) else r)
+        lead.append(lead[-1] if lead and r - lead[-1] <= _STEP_TOL * (1.0 + lead[-1]) else r)
     ranked = sorted(zip(lead, by_modulus), key=lambda t: (t[0], t[1].z_root.imag, t[1].z_root.real))
     return [e for _, e in ranked]
 

@@ -551,6 +551,7 @@ def test_bad_usage_exits_one(capsys):
         # flags a command does not read are refused, not dropped
         (["example", "--id", "2", "--format", "csv"], "unrecognized arguments: --format csv"),
         (_DET + ["--z", "5,0", "--grid", "0,1,0,0,2"], "argument --grid: not allowed with"),
+        (_DET + ["--z", "1,0", "--sign", "x"], "argument --sign: expected + or -, got 'x'"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -8,8 +8,9 @@ import pytest
 import fredet.determinants
 import fredet.discretize
 from fredet.discretize import assemble_nystrom, assemble_singular
-from fredet.examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, SLOPE_FLOOR, dump_json,
-                             resolved_slope, root_row, run_example, write_csv, write_summary)
+from fredet.examples import (ROOT_CSV_HEADER, ROOT_JSON_KEYS, SLOPE_FLOOR, _pair_tail_bound,
+                             dump_json, resolved_slope, root_row, run_example, write_csv,
+                             write_summary)
 from fredet.kernels import registry
 from fredet.linalg import eigenvalues
 from fredet.quadrature import gauss_legendre
@@ -95,6 +96,14 @@ def test_resolved_slope_fits_only_errors_above_rounding():
     # the floor scales with a reference above 1: at |ref| = 1e12 only 1e-2 is above it
     assert resolved_slope(ns, errs, 1e12) is None
     assert resolved_slope(ns[:3], errs[:3], 1.0) is None  # fewer than 4 points
+
+
+@pytest.mark.parametrize("tail, z", [([0.5, 1.0], 1.0), ([0.1, -0.5], -2.0), ([0.2j], 6.0)])
+def test_pair_tail_bound_is_infinite_once_some_z_lambda_reaches_one(tail, z):
+    # the bound |log E_2(u)| <= |u|^2 / (2 (1 - |u|)) holds only for |u| < 1
+    assert _pair_tail_bound(tail, z) == float("inf")
+    u = np.abs(z * np.asarray(tail[:1])) ** 2 * 0.25  # the same tail at half z, |u| < 1
+    assert _pair_tail_bound(tail[:1], z / 2) == np.expm1(np.sum(u * u / (2.0 * (1.0 - u))))
 
 
 def test_example2_files_and_summary(ex2):

@@ -63,6 +63,14 @@ def test_gauss_legendre_validation():
         gauss_legendre(4, 0.0, np.inf)
 
 
+def test_rectangle_validation():
+    for n in (0, MAX_NODES + 1):
+        with pytest.raises(ValueError):
+            rectangle(n)
+    with pytest.raises(ValueError):
+        rectangle(4, 1.0, 1.0)
+
+
 def test_rectangle_midpoints():
     rule = rectangle(4, 0.0, 1.0)
     assert np.allclose(rule.nodes, [0.125, 0.375, 0.625, 0.875], atol=1e-15)

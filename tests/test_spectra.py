@@ -9,7 +9,7 @@ import fredet.linalg
 import fredet.spectra
 from fredet.determinants import det_p, prepare
 from fredet.discretize import assemble, assemble_nystrom, assemble_singular
-from fredet.kernels import registry
+from fredet.kernels import KernelSpec, registry
 from fredet.linalg import hessenberg, hessenberg_logdet
 from fredet.quadrature import gauss_legendre
 from fredet.spectra import (OrderFit, RefinementError, ZeroOnContourError, _sample_circle,
@@ -211,6 +211,15 @@ def test_locate_eigs_names_radii_tried(monkeypatch):
     monkeypatch.setattr(fredet.spectra, "_sample_circle", unsettled)
     with pytest.raises(ZeroOnContourError, match="radii tried: 2, 2.0186, 2.0434, 2.0682"):
         locate_eigs(np.diag([0.5]), 1, 0.0, 2.0)
+
+
+def test_locate_eigs_refuses_polished_zeros_off_the_contour(monkeypatch):
+    # a polish whose zeros leave the circle it was started in is not trusted
+    monkeypatch.setattr(fredet.spectra, "_polish",
+                        lambda k, sign, center, radius, coeffs, z: (z + 3.0 * radius,
+                                                                    np.zeros(z.size)))
+    with pytest.raises(RefinementError, match="polished zeros left the contour of radius 5"):
+        locate_eigs(np.diag([0.5]), 1, 0.0, 5.0)
 
 
 def test_locate_eigs_empty_region():
@@ -646,20 +655,67 @@ def _wilkinson_w21():
 
 @pytest.mark.parametrize("center, radius", [(1.0 / 10.7462, 0.05), (0.0, 0.2)])
 def test_near_double_real_zeros_are_one_estimate(center, radius):
-    # W_21^+ takes the float64 polish; each of its close pairs of zeros, up to
-    # up to 4.6e-7 apart in z, is still one estimate with mult_estimate 2 at the pair's mean
+    # W_21^+ takes the float64 polish; only its two closest pairs of zeros, 6.7e-15
+    # and 6.1e-12 apart (relative), are left unresolved by it and come back as one
+    # estimate with mult_estimate 2; the pairs 8.7e-10 apart and more are resolved
+    # and stay two simple estimates: 6 estimates of 8 zeros on the first disc, 9 of
+    # 11 on the second, each within 1e-11 of as many zeros as it counts
     w = _wilkinson_w21()
     zeros = 1.0 / np.linalg.eigvalsh(w)
     assert fredet.spectra._real_zeros(prepare(w, 1).hess)
     ests = locate_eigs(w, 1, center, radius)
     inside = zeros[np.abs(zeros - center) < radius]
-    assert sum(e.mult_estimate for e in ests) == inside.size
-    assert sum(e.mult_estimate == 2 for e in ests) >= 4
+    assert [e.mult_estimate for e in ests] == [2, 2] + [1] * (inside.size - 4)
     for e in ests:
         assert e.z_root.imag == 0.0
-        members = inside[np.abs(inside - e.z_root) <= fredet.spectra.CLUSTER_TOL * (1.0 + abs(e.z_root))]
-        assert members.size == e.mult_estimate
-        assert abs(e.z_root - members.mean()) <= 1e-13 * abs(e.z_root)
+        nearest = np.sort(np.abs(inside - e.z_root))
+        assert nearest[e.mult_estimate - 1] <= 1e-11 * abs(e.z_root)
+
+
+@pytest.mark.parametrize("s", [8.0, 10.0])
+def test_sine_kernel_near_multiple_zeros_come_back_simple(s):
+    # the sine kernel sinc(x - y) on [0, s] has eigenvalues crowding just below 1,
+    # the closest 6.2e-13 from it at s = 10; the polish resolves each of them, so
+    # each is its own simple estimate
+    op = assemble(KernelSpec(0.0, s, k1=lambda x, y: np.sinc(x - y)), "ngl", 64)
+    root = np.sqrt(op.weights)
+    zeros = 1.0 / np.linalg.eigvalsh(root[:, None] * op.matrix / root)
+    ests = locate_eigs(op, 1, 2.0, 1.0)
+    assert len(ests) == int(s)
+    assert all(e.mult_estimate == 1 for e in ests)
+    for e in ests:
+        assert np.min(np.abs(zeros - e.z_root)) <= 1e-13 * abs(e.z_root)
+
+
+def _rotated(vals, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(vals), len(vals))))
+    return q @ np.diag(vals) @ q.T
+
+
+@pytest.mark.parametrize("a, center, radius, m", [
+    (np.diag([0.5, 0.5, 0.25]), 0.0, 5.0, 2),
+    (_rotated([0.5] * 9 + [0.3, 0.2, 0.1], 1), 2.0, 1.0, 9),
+    (_rotated([0.5] * 3 + [0.25], 2), 2.0, 1.0, 3)], ids=["double", "ninefold", "triple"])
+def test_unresolved_zeros_sit_on_a_polygon_of_the_last_step(monkeypatch, a, center, radius, m):
+    # the polish leaves an m-fold zero's iterates on a regular m-gon whose
+    # neighbours lie (m - 1) sin(pi / m) last steps apart, below the pi by which
+    # _clusters chains them into one estimate
+    polished = []
+    polish = fredet.spectra._polish
+    monkeypatch.setattr(fredet.spectra, "_polish",
+                        lambda *args: polished.append(polish(*args)) or polished[-1])
+    ests = locate_eigs(a, 1, center, radius)
+    assert ests[0].mult_estimate == m
+    (zeros, rel), = polished
+    member = np.abs(zeros - 2.0) < 1e-3
+    assert fredet.spectra._clusters(zeros, rel)[0] == sorted(np.flatnonzero(member),
+                                                              key=lambda i: abs(zeros[i]))
+    z, step = zeros[member], rel[member]
+    assert np.all(step <= fredet.spectra._STEP_TOL)
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    ratio = gaps.min(axis=1) / (1.0 + np.abs(z)) / step
+    assert np.allclose(ratio, (m - 1) * np.sin(np.pi / m), rtol=1e-3, atol=0.0)
 
 
 def test_coincident_projected_starts_stay_apart(monkeypatch):
