@@ -19,11 +19,11 @@ from .references import REFERENCES
 from .spectra import RefinementError, ZeroOnContourError, locate_eigs
 
 # det evaluates more points than this through one Hessenberg reduction
-# (determinants.prepare), fewer through one LU each: the reduction breaks
-# even at 4-16 points for N = 32-800.  A symmetric or skew Nystrom operator
-# pays about the same for its tridiagonal reduction, and each point after it
-# is O(N) instead of O(N^2), so it breaks even at 5-13 points over that range
-# (green ngl, against a det_p at a complex z).
+# (determinants.prepare), fewer through one LU each.  Against a det_p at a
+# complex z, single-threaded BLAS on a 2-core x86 machine, N = 32-800: the
+# general reduction (green ncc) breaks even at 5-18 points, the tridiagonal
+# one of a symmetric or skew Nystrom operator (green ngl), cheaper to make
+# and O(N) per point after it, at 4-13
 PREPARE_MIN_Z = 16
 
 # --grid takes at most this many STEPS per axis, so at most 2^16 points

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matrix, hessenberg,
-                     hessenberg_logdet)
+                     hessenberg_logdet, tridiagonalize)
 
 # W^(1/2) K W^(-1/2) counts as symmetric (skew) when no entry of S - S* (S + S*) exceeds
 # this share of its largest entry.  The scaling alone leaves at most 6.5e-16 on the
@@ -105,27 +105,30 @@ class PreparedDet:
 
 def prepare(op, p: int) -> PreparedDet:
     """det_p(I + zK) prepared for many z: K validated once, its p-1 trace
-    corrections computed once, and K reduced once to Hessenberg form.
+    corrections computed once, and K reduced once to Hessenberg form (_reduce).
 
     An operator whose quadrature weights W are all positive (op.weights, the
     plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2), which
     has the determinants of K, when S is symmetric or skew to SYMMETRY_TOL
     (Hermitian or skew-Hermitian if complex): green and bernoulli, and sign
-    and abs_pow_iter2 with zero_diag.  The Householder form of such an S
-    is tridiagonal up to its asymmetry, so its entries above the first
-    superdiagonal are set to exactly zero, a change no larger than S - S* (or
-    S + S*) and the reduction's own rounding.  PreparedDet.values then costs
-    O(N) per z (linalg.hessenberg_logdet picks the elimination by that
+    and abs_pow_iter2 with zero_diag.  Such an S is replaced by its symmetric
+    (skew) part (S + S*)/2 ((S - S*)/2), a change no larger than the asymmetry
+    SYMMETRY_TOL admits, and reduced by linalg.tridiagonalize to a tridiagonal
+    form exactly of that kind: its couplings mirror each other bit for bit,
+    and a real skew form has an exactly zero diagonal.  PreparedDet.values then
+    costs O(N) per z (linalg.hessenberg_logdet picks the elimination by that
     structure).  Any other operator or matrix, a weighted one that is neither
-    symmetric nor skew included, is reduced as it is and costs O(N^2) per z.
-    The reduction costs about as much as 4-16 single-z det_p calls (N =
-    32-800).  It is still an LU determinant, not the eigenvalue route, so the
-    three det_p routes stay independent; the values agree with det_p to
-    rounding, not bit for bit, since det_p factors I + zK itself.  matrix and
-    traces are those of K either way.  A matrix or operator is reduced on
-    every call, a PreparedDet never again: one of this p comes back as it is,
-    one of another p with only the new p's traces, so a caller that evaluates
-    one operator in several places passes the PreparedDet along.
+    symmetric nor skew included, is reduced as it is by linalg.hessenberg and
+    costs O(N^2) per z.  Either reduction costs about as much as 4-18
+    single-z det_p calls at a complex z (N = 32-800; 4-13 for the
+    tridiagonal one).  It is still an LU determinant, not the eigenvalue
+    route, so the three det_p routes stay independent; the values agree with
+    det_p to rounding, not bit for bit, since det_p factors I + zK itself.
+    matrix and traces are those of K either way.  A matrix or operator is
+    reduced on every call, a PreparedDet never again: one of this p comes
+    back as it is, one of another p with only the new p's traces, so a caller
+    that evaluates one operator in several places passes the PreparedDet
+    along.
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
@@ -136,15 +139,19 @@ def prepare(op, p: int) -> PreparedDet:
 
 
 def _reduce(m: np.ndarray, weights) -> np.ndarray:
-    """The Hessenberg form prepare keeps: the tridiagonal form of S = W^(1/2) K W^(-1/2)
-    where the weights allow it, else hessenberg(K)."""
+    """The Hessenberg form prepare keeps: where the weights are all positive and S =
+    W^(1/2) K W^(-1/2) is symmetric or skew to SYMMETRY_TOL, tridiagonalize of its
+    symmetric or skew part; else hessenberg(K)."""
     if weights is not None and weights.shape == m.shape[:1] and np.all(weights > 0):
         root = np.sqrt(weights)
         s = m * np.outer(root, 1.0 / root)
         adj = s.conj().T
         bound = SYMMETRY_TOL * np.abs(s).max()
-        if np.abs(s - adj).max() <= bound or np.abs(s + adj).max() <= bound:
-            return np.tril(hessenberg(s), 1)
+        twice_sym, twice_skew = s + adj, s - adj
+        if np.abs(twice_skew).max() <= bound:
+            return tridiagonalize(0.5 * twice_sym, skew=False)
+        if np.abs(twice_sym).max() <= bound:
+            return tridiagonalize(0.5 * twice_skew, skew=True)
     return hessenberg(m)
 
 

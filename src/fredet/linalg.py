@@ -164,6 +164,76 @@ def hessenberg(a) -> np.ndarray:
     return np.ascontiguousarray(g.T)
 
 
+def tridiagonalize(a, skew: bool) -> np.ndarray:
+    """Tridiagonal T with A = Q T Q* for a unitary Q, for a Hermitian A (skew False)
+    or a skew-Hermitian one (skew True), by Householder reflections (Golub & Van
+    Loan, Matrix Computations, 4th ed., 2013, section 8.3).
+
+    The symmetry is assumed, not checked: each reflector is read from row k,
+    which is column k conjugated (and negated if skew).  T is exactly of A's
+    kind: T[k+1, k] = sigma conj(T[k, k+1]) with sigma = -1 if skew else 1,
+    bit for bit, and a diagonal that is real if A is Hermitian and imaginary,
+    exactly zero for a real A, if skew.  Every entry off the three diagonals
+    is an exact zero.  Q is not formed: T
+    serves det(I + zA) = det(I + zT).  T has the dtype of as_complex_matrix(a).
+    With u the reflector scaled so that I - u u* is the reflection, step k is
+    one matrix-vector product p = A u over the rows below row k and the update
+    A -= w u* + sigma u w*, w = p - (u* p / 2) u, as one rank-2 product: two
+    passes over A to hessenberg's three.  u and p are kept zero-padded to
+    length N, so the update covers whole rows of A, one contiguous block, where
+    the trailing square alone would be a strided one (about 4x slower to update
+    at N=64).
+    """
+    m = as_complex_matrix(a).copy()
+    n = m.shape[0]
+    sigma = -1.0 if skew else 1.0
+    cplx = np.iscomplexobj(m)
+    combine = np.subtract if skew else np.add  # conj(d) u + sigma p
+    sup = np.zeros(n - 1, dtype=m.dtype)  # T[k, k+1]
+    q = np.zeros((3, n), dtype=m.dtype)  # rows p, u, r
+    p, u, r = q
+    prod = np.empty_like(m)
+    for k in range(n - 2):
+        u[k] = r[k] = 0.0  # zero at and above row k; left over from step k - 1
+        x = m[k, k + 1:]  # A[k, k+1:], the conjugate of the column A[k+1:, k] times sigma
+        x0 = m.item(k, k + 1)
+        norm = math.sqrt(np.vdot(x, x).real)
+        if norm == 0.0:
+            continue
+        # I - u u* maps conj(x) to -conj(phase) |x| e_1, so row k becomes -phase |x| e_1;
+        # the sign avoids cancellation
+        phase = x0 / abs(x0) if x0 != 0 else 1.0
+        scale = 1.0 / math.sqrt(norm * (norm + abs(x0)))
+        uk = u[k + 1:]
+        np.multiply(x.conj() if cplx else x, scale, out=uk)
+        uk[0] = (x0 + phase * norm).conjugate() * scale
+        rows = m[k + 1:]
+        pk = p[k + 1:]
+        np.matmul(rows, u, out=pk)
+        # w u* + sigma u w* = p u* + u r* for w = p + c u, c = -(u* p) / 2:
+        # r = sigma p + conj(d) u, d = c + sigma conj(c)
+        c = -0.5 * np.vdot(uk, pk)
+        rk = r[k + 1:]
+        np.multiply(uk, c.conjugate() + sigma * c, out=rk)
+        combine(rk, pk, out=rk)
+        right = q[1:]  # u*, r* over the columns
+        block = prod[:n - k - 1]
+        np.matmul(q[:2, k + 1:].T, right.conj() if cplx else right, out=block)
+        rows -= block
+        sup[k] = -phase * norm
+    if n > 1:
+        sup[-1] = m[-2, -1]
+    diag = m.diagonal()
+    t = np.zeros_like(m)
+    if skew:
+        t.flat[::n + 1] = 1j * diag.imag if cplx else 0.0
+    else:
+        t.flat[::n + 1] = diag.real
+    t.flat[1::n + 1] = sup
+    t.flat[n::n + 1] = sigma * sup.conj()
+    return t
+
+
 def hessenberg_logdet(h, zs) -> np.ndarray:
     """log det(I + zH) for every z in zs, for an upper Hessenberg H.
 

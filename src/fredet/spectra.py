@@ -232,7 +232,9 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
     LU determinant of I + sign z_i K each (numpy.linalg.slogdet), K read as it
     is, real or complex, and never inverted.  Each zero moves by
     z_i -= radius W_i / (1 + sum_{j != i} W_j / (u_i - u_j)) (Borsch-Supan
-    1963), in z so it keeps its relative precision.  Real starts z (float64)
+    1963), in z so it keeps its relative precision; a step that would carry an
+    iterate out of the circle is cut short (_within_circle), though the full
+    step still decides when the polish ends.  Real starts z (float64)
     stand for real zeros: each takes only the real part of its step, so z stays
     real and, for a real K, every LU is a float64 one.  G sets only how fast the
     steps converge: their fixed points are the zeros of the LU determinant of
@@ -260,12 +262,40 @@ def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np
             steps = steps.real
         if not np.all(np.isfinite(steps)):
             raise RefinementError(f"polish of {z.size} zeros took a step that is not finite")
-        z = z - steps
+        # the full step, not the share taken, decides when the polish has ended
+        z = z - steps * _within_circle(u, steps / radius)
         size, scale = np.abs(steps), 1.0 + np.abs(z)
         if np.all(size <= _STEP_TOL * scale):
             return z, size / scale
     raise RefinementError(f"polish of {z.size} zeros did not settle within {_POLISH_STEPS}"
                           f" steps (last step {np.abs(steps).max():.3g})")
+
+
+def _within_circle(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per iterate, the share t of its step u -> u - d that _polish takes: half the
+    way to where the step leaves the unit circle, for a step that crosses the circle
+    and ends outside it; 1 for any other step (the scalar 1 when no step ends outside).
+
+    Every zero of Q lies in the circle and G is read on it only (_exterior_log
+    clamps |u| to 1), so a step that leaves it has no meaning.  From near a
+    crowded zero the Weierstrass correction can throw an iterate far out, where
+    it diverges: on the sine kernel s = 8 and 10, N = 64, disc 2±1, 8 and 24 of
+    120 symmetric perturbations of K_N at rounding level raised RefinementError
+    with full steps, none with steps cut here.  Near a zero the step ends
+    inside, so the fixed points are those of the full steps.
+    """
+    out = np.abs(u - d) > 1.0
+    if not out.any():
+        return 1.0
+    dd = np.abs(d) ** 2
+    out &= dd > 0.0
+    u, d, dd = u[out], d[out], dd[out]
+    du = (np.conj(u) * d).real
+    disc = du * du + dd * (1.0 - np.abs(u) ** 2)
+    leave = (du + np.sqrt(np.maximum(disc, 0.0))) / dd  # larger root of |u - t d| = 1
+    t = np.ones(out.shape)
+    t[out] = np.where((disc >= 0.0) & (leave > 0.0) & (leave < 1.0), 0.5 * leave, 1.0)
+    return t
 
 
 def _real_zeros(h: np.ndarray) -> bool:

@@ -81,8 +81,9 @@ def test_det_grid_matches_eigenvalue_route(capsys):
 
 def test_det_reduces_only_grids_past_break_even(monkeypatch, capsys):
     calls = []
-    reduce = fredet.determinants.hessenberg
-    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    reduce = fredet.determinants._reduce
+    monkeypatch.setattr(fredet.determinants, "_reduce",
+                        lambda m, w: calls.append(1) or reduce(m, w))
     args = ["det", "--kernel", "sign", "--scheme", "rect", "--n", "40", "--p", "2", "--zero-diag"]
     code, out, _ = run(args + ["--grid=-1,1,-1,1,4"], capsys)  # 16 points: one LU each
     assert code == 0 and calls == []

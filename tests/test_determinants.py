@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import fredet.determinants
 from fredet.determinants import (_newton_identities, det_from_eigs, det_p, det_series_eval,
                                  identity_residuals, plemelj_coeffs, prepare)
-from fredet.discretize import assemble, assemble_ncc, assemble_nystrom, assemble_singular
+from fredet.discretize import (DiscreteOperator, assemble, assemble_ncc, assemble_nystrom,
+                               assemble_singular)
 from fredet.kernels import from_config, registry
 from fredet.linalg import DetOverflowError, eigenvalues, hessenberg, trace_powers
 from fredet.quadrature import gauss_legendre, rectangle
@@ -339,8 +340,9 @@ def test_prepared_values_keep_det_p_semantics():
 
 def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
     calls = []
-    reduce = fredet.determinants.hessenberg
-    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    reduce = fredet.determinants._reduce
+    monkeypatch.setattr(fredet.determinants, "_reduce",
+                        lambda m, w: calls.append(1) or reduce(m, w))
     op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
     first, second = prepare(op, 1), prepare(op, 3)
     assert len(calls) == 2
@@ -359,7 +361,7 @@ def test_prepare_keeps_a_prepared_reduction(monkeypatch):
     assert prepare(prep, prep.p) is prep
     # another p validates and reduces nothing again: it adds only the traces of that p
     monkeypatch.setattr(fredet.determinants, "as_complex_matrix", _never)
-    monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
+    monkeypatch.setattr(fredet.determinants, "_reduce", _never)
     third = prepare(prep, 3)
     assert third.p == 3 and third.matrix is prep.matrix and third.hess is prep.hess
     assert np.array_equal(third.traces, trace_powers(op.matrix, 2))
@@ -489,6 +491,64 @@ def test_iterated_kernel_operators_prepare_a_tridiagonal_form(scheme, n):
     got = prep.values(zs)
     want = np.array([det_p(op, 2, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _weighted(s_matrix, n):
+    """A hand-built weighted operator whose W^(1/2) K W^(-1/2) is s_matrix, on the
+    Gauss-Legendre weights of n points."""
+    rule = gauss_legendre(n, 0.0, 1.0)
+    root = np.sqrt(rule.weights)
+    return DiscreteOperator(s_matrix * np.outer(1.0 / root, root), rule.nodes, rule.weights)
+
+
+def _complex_hermitian(n, skew):
+    # spectral norm about 1, so I + zS is well conditioned for |z| <= 1/2
+    rng = np.random.default_rng(n)
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / (2.0 * np.sqrt(n))
+    return (a - a.conj().T) / 2.0 if skew else (a + a.conj().T) / 2.0
+
+
+_TRIDIAGONAL_CASES = {
+    "green ngl": lambda: assemble(registry("green"), "ngl", 64),
+    "sign rect zero_diag": lambda: assemble(registry("sign"), "rect", 64, True),
+    # rank one, and its first node x = 0 gives a zero row: the first reflector is skipped
+    "x y ncc": lambda: assemble(from_config({"expr": {"k": "x * y"}, "domain": [0, 1]}),
+                                "ncc", 24),
+    "complex hermitian": lambda: _weighted(_complex_hermitian(40, False), 40),
+    "complex skew-hermitian": lambda: _weighted(_complex_hermitian(40, True), 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIDIAGONAL_CASES))
+def test_prepared_tridiagonal_form_has_the_determinants_of_k(monkeypatch, case):
+    # symmetric and skew operators never reach the general Hessenberg reduction; their
+    # tridiagonal form has det(I + zK) to 1e-13 relative, on and off the axes, where
+    # I + zK is well conditioned
+    op = _TRIDIAGONAL_CASES[case]()
+    monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
+    h = prepare(op, 1).hess
+    assert _is_tridiagonal(h) and h.dtype == op.matrix.dtype
+    n = h.shape[0]
+    for z in (0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5):
+        sign, logabs = np.linalg.slogdet(np.eye(n) + z * op.matrix)
+        got_sign, got_logabs = np.linalg.slogdet(np.eye(n) + z * h)
+        assert abs(got_logabs - logabs) <= 1e-13 and abs(got_sign - sign) <= 1e-13, z
+
+
+def test_x_y_kernel_form_skips_its_zero_row():
+    h = prepare(_TRIDIAGONAL_CASES["x y ncc"](), 1).hess
+    assert h[0, 0] == h[0, 1] == h[1, 0] == 0.0
+
+
+def test_skew_forms_come_out_exact():
+    # sign with zero_diag: W^(1/2) K W^(-1/2) is skew, and its prepared form is exactly
+    # the form of a skew matrix: zero diagonal, couplings b_k and -b_k bit for bit
+    for n in (64, 200):
+        h = prepare(assemble(registry("sign"), "rect", n, True), 2).hess
+        assert h.dtype == np.float64
+        assert not np.diagonal(h).any()
+        assert np.array_equal(np.diagonal(h, -1), -np.diagonal(h, 1))
+        assert np.all(np.diagonal(h, 1) != 0.0)
 
 
 def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_form():

@@ -197,8 +197,9 @@ def test_example4_reduces_each_matrix_once(monkeypatch, tmp_path):
     # the iterated-kernel matrix its det_2 values; the roots are those of a
     # standalone search, bit for bit
     calls = []
-    reduce = fredet.determinants.hessenberg
-    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    reduce = fredet.determinants._reduce
+    monkeypatch.setattr(fredet.determinants, "_reduce",
+                        lambda m, w: calls.append(1) or reduce(m, w))
     summary = run_example(4, str(tmp_path))
     assert len(calls) == 2
     monkeypatch.undo()

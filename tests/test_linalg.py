@@ -10,7 +10,7 @@ from fredet.determinants import det_p, prepare
 from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
 from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
-                           hessenberg_logdet, trace_powers)
+                           hessenberg_logdet, trace_powers, tridiagonalize)
 from fredet.quadrature import gauss_legendre, rectangle
 
 
@@ -514,3 +514,71 @@ def test_tridiagonal_logdet_past_the_product_range_matches_slogdet(kind):
             assert sign == 0.0 and got == complex(-np.inf)
         else:
             assert abs(np.exp(got - logabs - 1j * np.angle(sign)) - 1.0) <= 1e-12
+
+
+def _hermitian(n, seed, cplx, skew):
+    """A random Hermitian (skew False) or skew-Hermitian matrix of spectral norm about 1,
+    exactly of its kind."""
+    a = _random_matrix(n, seed, cplx)
+    return (a - a.conj().T) / 2.0 if skew else (a + a.conj().T) / 2.0
+
+
+def _spectrum(a, skew):
+    """The eigenvalues of a Hermitian a, or of -i a for a skew-Hermitian one, ascending."""
+    return np.linalg.eigvalsh(-1j * a if skew else a)
+
+
+def _assert_tridiagonal_of_its_kind(t, a, skew):
+    """t is tridiagonal with exact zeros off its three diagonals, of a's dtype, and exactly
+    of a's kind: couplings mirrored bit for bit, diagonal real (imaginary, zero if real)."""
+    assert t.dtype == as_complex_matrix(a).dtype
+    assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
+    sigma = -1.0 if skew else 1.0
+    assert np.array_equal(np.diagonal(t, -1), sigma * np.diagonal(t, 1).conj())
+    diag = np.diagonal(t)
+    assert not (diag.real.any() if skew else np.imag(diag).any())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
+def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
+    a = _hermitian(n, n, cplx, skew)
+    t = tridiagonalize(a, skew)
+    _assert_tridiagonal_of_its_kind(t, a, skew)
+    want = _spectrum(a, skew)
+    assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * np.abs(want).max()
+    if not cplx:
+        # the couplings b of a real form give its eigenvalues on their own: a real skew
+        # T with couplings b, -b is i times the symmetric one with couplings b, zero diagonal
+        linalg = pytest.importorskip("scipy.linalg")
+        got = linalg.eigh_tridiagonal(np.diagonal(t).copy(), np.diagonal(t, 1).copy(),
+                                      eigvals_only=True)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@_PROPERTY
+@given(n=st.sampled_from([1, 2, 3, 17, 64]), seed=st.integers(0, 2**32 - 1),
+       cplx=st.booleans(), skew=st.booleans(), z=_HALF_DISC)
+def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, cplx, skew, z):
+    a = _hermitian(n, seed, cplx, skew)
+    t = tridiagonalize(a, skew)
+    _assert_tridiagonal_of_its_kind(t, a, skew)
+    want = _spectrum(a, skew)
+    assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    eye = np.eye(n)
+    _assert_logdet_matches(hessenberg_logdet(t, [z])[0], eye + z * a)
+    assert np.array_equal(tridiagonalize(a.copy(), skew), t)  # a is read, not changed
+
+
+def test_tridiagonalize_splits_at_an_exactly_decoupled_block():
+    # no coupling between the blocks: row 4 has nothing right of the diagonal once
+    # its block is reduced, so its reflector is skipped and must not read step 3's
+    a = np.zeros((12, 12))
+    a[:5, :5] = _hermitian(5, 1, False, False)
+    a[5:, 5:] = _hermitian(7, 2, False, False)
+    t = tridiagonalize(a, skew=False)
+    assert t[4, 5] == t[5, 4] == 0.0
+    for block in (slice(0, 5), slice(5, 12)):
+        want = np.linalg.eigvalsh(a[block, block])
+        assert np.abs(np.linalg.eigvalsh(t[block, block]) - want).max() <= 1e-14

@@ -8,7 +8,7 @@ import fredet.determinants
 import fredet.linalg
 import fredet.spectra
 from fredet.determinants import det_p, prepare
-from fredet.discretize import assemble, assemble_nystrom, assemble_singular
+from fredet.discretize import DiscreteOperator, assemble, assemble_nystrom, assemble_singular
 from fredet.kernels import KernelSpec, registry
 from fredet.linalg import hessenberg, hessenberg_logdet
 from fredet.quadrature import gauss_legendre
@@ -449,8 +449,9 @@ def test_locate_eigs_many_root_green_disc(monkeypatch):
 
 def test_locate_eigs_reuses_a_prepared_reduction(monkeypatch):
     calls = []
-    reduce = fredet.determinants.hessenberg
-    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda m: calls.append(1) or reduce(m))
+    reduce = fredet.determinants._reduce
+    monkeypatch.setattr(fredet.determinants, "_reduce",
+                        lambda m, w: calls.append(1) or reduce(m, w))
     op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
     first = locate_eigs(op, 1, 50.0, 49.0)
     second = locate_eigs(op.matrix, 1, 50.0, 49.0)
@@ -685,6 +686,37 @@ def test_sine_kernel_near_multiple_zeros_come_back_simple(s):
     assert all(e.mult_estimate == 1 for e in ests)
     for e in ests:
         assert np.min(np.abs(zeros - e.z_root)) <= 1e-13 * abs(e.z_root)
+
+
+@pytest.mark.parametrize("s", [8.0, 10.0])
+def test_crowded_zeros_survive_rounding_level_changes_of_k(s):
+    # the sine kernel's crowded zeros near the circle: a step from near them can throw
+    # an iterate far out of the circle, where it diverged before steps were cut to stay
+    # in it (seed 11 at s = 8 and seed 5 at s = 10 among these raised RefinementError);
+    # every symmetric perturbation of K at rounding level keeps every zero simple
+    op = assemble(KernelSpec(0.0, s, k1=lambda x, y: np.sinc(x - y)), "ngl", 64)
+    root = np.sqrt(op.weights)
+    for seed in range(12):
+        e = np.random.default_rng(seed).normal(size=op.matrix.shape) * 2e-16
+        e = (e + e.T) / 2.0 * np.abs(op.matrix).max()
+        k = op.matrix + e * np.outer(1.0 / root, root)  # S + E, E symmetric
+        zeros = 1.0 / np.linalg.eigvalsh(root[:, None] * k / root)
+        ests = locate_eigs(DiscreteOperator(k, op.nodes, op.weights), 1, 2.0, 1.0)
+        assert [e.mult_estimate for e in ests] == [1] * int(s), seed
+        for est in ests:
+            assert np.min(np.abs(zeros - est.z_root)) <= 1e-13 * abs(est.z_root), seed
+
+
+def test_steps_that_would_leave_the_circle_stop_half_way_to_it():
+    # half the way to where a step leaves the unit circle, from inside it or through
+    # it from outside; a step that ends inside, or one that never enters, in full
+    u = np.array([0.5, -0.9 + 0.1j, 1.5, 0.5, 1.5])
+    d = np.array([-1.0, -0.5j, 3.0, 0.2, -1.0])
+    t = fredet.spectra._within_circle(u, d)
+    assert t[0] == 0.25  # leaves at u - 0.5 d = 1
+    assert 0.0 < t[1] < 0.5 and abs(abs(u[1] - 2.0 * t[1] * d[1]) - 1.0) <= 1e-15
+    assert abs(t[2] - 5.0 / 12.0) <= 1e-15  # enters at t = 1/6, leaves at t = 5/6
+    assert t[3] == t[4] == 1.0
 
 
 def _rotated(vals, seed):

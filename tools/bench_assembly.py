@@ -12,7 +12,7 @@ BLAS, in PAIRS process pairs, the tree that goes first alternating, so a
 pair compares two processes that ran back to back.  For each timing the
 report gives each tree's per-process values and their median, and with two
 trees the median over the pairs of the ratio change / parent and the pairs
-the change won.  Each layers process times eight layers at N in
+the change won.  Each layers process times nine layers at N in
 {64, 256, 512}, the first three at alpha in {0.3, 0.5}:
 
   singular_moments   the moments of all N rows of one matrix
@@ -27,6 +27,9 @@ the change won.  Each layers process times eight layers at N in
                      smooth kernels (bernoulli ngl, abs_pow_iter2 rect with
                      zero_diag) and two split ones (green ngl, sign rect with
                      zero_diag)
+  prepare            determinants.prepare of each of those matrices at p = 1:
+                     its reduction, tridiagonal for all four (three symmetric,
+                     sign skew)
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds, and the process keeps the best time.
@@ -152,6 +155,8 @@ for n in ns:
         r = getattr(quadrature, rule)(n, *spec.domain)
         row[f"assemble_nystrom_{name}_s"] = best(
             lambda: discretize.assemble_nystrom(spec, r, zero_diag=zero_diag))
+        op = discretize.assemble_nystrom(spec, r, zero_diag=zero_diag)
+        row[f"prepare_{name}_s"] = best(lambda: determinants.prepare(op, 1))
     out.append(row)
 print(json.dumps(out))
 """
