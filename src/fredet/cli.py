@@ -21,9 +21,9 @@ from .spectra import RefinementError, ZeroOnContourError, locate_eigs
 # det evaluates more points than this through one Hessenberg reduction
 # (determinants.prepare), fewer through one LU each.  Against a det_p at a
 # complex z, single-threaded BLAS on a 2-core x86 machine, N = 32-800: the
-# general reduction (green ncc) breaks even at 5-18 points, the tridiagonal
+# general reduction (green ncc) breaks even at 6-17 points, the tridiagonal
 # one of a symmetric or skew Nystrom operator (green ngl), cheaper to make
-# and O(N) per point after it, at 4-13
+# and O(N) per point after it, at 3-7
 PREPARE_MIN_Z = 16
 
 # --grid takes at most this many STEPS per axis, so at most 2^16 points

@@ -86,21 +86,25 @@ class PreparedDet:
 
     matrix is the validated K, hess an upper Hessenberg H with
     det(I + zK) = det(I + zH), tridiagonal for a symmetric or skew Nystrom
-    operator (see prepare), and traces[j-1] = tr(K^j) for j < p.  It can
-    stand for K wherever an operator is taken: det_p and locate_eigs read
-    matrix, and locate_eigs reuses hess instead of reducing K again.
+    operator (see prepare), and traces[j-1] = tr(K^j) for j < p.  tridiagonal
+    records whether H is tridiagonal, so that no evaluation scans H for it
+    again.  It can stand for K wherever an operator is taken: det_p and
+    locate_eigs read matrix, and locate_eigs reuses hess instead of reducing
+    K again.
     """
 
     p: int
     matrix: np.ndarray
     hess: np.ndarray
     traces: np.ndarray
+    tridiagonal: bool
 
     def values(self, zs) -> np.ndarray:
         """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
         I + zK is singular, DetOverflowError past the double range, ValueError at a z not finite."""
         zs = _finite(np.asarray(zs, dtype=np.complex128).ravel())
-        return _finish(self.p, zs, 1.0, hessenberg_logdet(self.hess, zs), self.traces)
+        logdets = hessenberg_logdet(self.hess, zs, self.tridiagonal)
+        return _finish(self.p, zs, 1.0, logdets, self.traces)
 
 
 def prepare(op, p: int) -> PreparedDet:
@@ -119,9 +123,9 @@ def prepare(op, p: int) -> PreparedDet:
     costs O(N) per z (linalg.hessenberg_logdet picks the elimination by that
     structure).  Any other operator or matrix, a weighted one that is neither
     symmetric nor skew included, is reduced as it is by linalg.hessenberg and
-    costs O(N^2) per z.  Either reduction costs about as much as 4-18
-    single-z det_p calls at a complex z (N = 32-800; 4-13 for the
-    tridiagonal one).  It is still an LU determinant, not the eigenvalue
+    costs O(N^2) per z.  The general reduction costs about as much as 6-17
+    single-z det_p calls at a complex z, the tridiagonal one 3-7 (N =
+    32-800).  It is still an LU determinant, not the eigenvalue
     route, so the three det_p routes stay independent; the values agree with
     det_p to rounding, not bit for bit, since det_p factors I + zK itself.
     matrix and traces are those of K either way.  A matrix or operator is
@@ -133,15 +137,19 @@ def prepare(op, p: int) -> PreparedDet:
     _check_p(p)
     if isinstance(op, PreparedDet):
         m = op.matrix
-        return op if op.p == p else PreparedDet(p, m, op.hess, _trace_powers(m, p - 1))
+        if op.p == p:
+            return op
+        return PreparedDet(p, m, op.hess, _trace_powers(m, p - 1), op.tridiagonal)
     m = _matrix_of(op)
-    return PreparedDet(p, m, _reduce(m, getattr(op, "weights", None)), _trace_powers(m, p - 1))
+    hess, tridiagonal = _reduce(m, getattr(op, "weights", None))
+    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), tridiagonal)
 
 
-def _reduce(m: np.ndarray, weights) -> np.ndarray:
-    """The Hessenberg form prepare keeps: where the weights are all positive and S =
-    W^(1/2) K W^(-1/2) is symmetric or skew to SYMMETRY_TOL, tridiagonalize of its
-    symmetric or skew part; else hessenberg(K)."""
+def _reduce(m: np.ndarray, weights):
+    """The Hessenberg form prepare keeps and whether it is tridiagonal: where the
+    weights are all positive and S = W^(1/2) K W^(-1/2) is symmetric or skew to
+    SYMMETRY_TOL, tridiagonalize of its symmetric or skew part; else hessenberg(K),
+    tridiagonal only where every entry above its first superdiagonal is zero."""
     if weights is not None and weights.shape == m.shape[:1] and np.all(weights > 0):
         root = np.sqrt(weights)
         s = m * np.outer(root, 1.0 / root)
@@ -149,10 +157,11 @@ def _reduce(m: np.ndarray, weights) -> np.ndarray:
         bound = SYMMETRY_TOL * np.abs(s).max()
         twice_sym, twice_skew = s + adj, s - adj
         if np.abs(twice_skew).max() <= bound:
-            return tridiagonalize(0.5 * twice_sym, skew=False)
+            return tridiagonalize(0.5 * twice_sym, skew=False), True
         if np.abs(twice_sym).max() <= bound:
-            return tridiagonalize(0.5 * twice_skew, skew=True)
-    return hessenberg(m)
+            return tridiagonalize(0.5 * twice_skew, skew=True), True
+    h = hessenberg(m)
+    return h, not np.triu(h, 2).any()
 
 
 def _newton_identities(s) -> np.ndarray:

@@ -68,20 +68,25 @@ def _dewound_spectrum(logs, radius):
     circular neighbours, raises ZeroOnContourError: the circle passes through
     a zero.  Growth along the circle, however steep, is not such a dip.
     """
-    if not np.all(np.isfinite(logs)):
+    if not np.isfinite(logs).all():
         raise ZeroOnContourError(f"f vanishes or is not finite on contour radius {radius:.3g}")
-    mags = logs.real
+    mags, args = logs.real, logs.imag
     ring = np.concatenate((mags[-1:], mags, mags[:1]))  # circular neighbours in one copy
     dip = mags - np.minimum(ring[:-2], ring[2:])
     if not dip.min() > _LOG_GUARD:
         raise ZeroOnContourError(f"|f| falls to {np.exp(dip.min()):.3g} of its neighbours"
                                  f" on contour radius {radius:.3g}")
     m = logs.size
-    steps = np.angle(np.exp(1j * np.diff(logs.imag, append=logs.imag[0])))
-    n = int(np.rint(np.sum(steps) / (2.0 * np.pi)))
-    phase = logs.imag[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    theta = 2.0 * np.pi * np.arange(m) / m
-    return n, np.fft.fft(logs.real + 1j * (phase - n * theta)) / m
+    steps = np.angle(np.exp(1j * (np.concatenate((args[1:], args[:1])) - args)))
+    n = round(steps.sum() / (2.0 * np.pi))
+    g = np.empty(m, dtype=np.complex128)  # log f - n i theta, dewound
+    g.real = mags
+    phase = g.imag
+    phase[0] = 0.0
+    np.cumsum(steps[:-1], out=phase[1:])
+    phase += args[0]
+    phase -= n * (2.0 * np.pi * np.arange(m) / m)
+    return n, np.fft.fft(g) / m
 
 
 def _disc(center, radius):
@@ -298,16 +303,19 @@ def _within_circle(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return t
 
 
-def _real_zeros(h: np.ndarray) -> bool:
-    """Whether every zero of det(I + wH) is real and simple, read from the structure of H.
+def _real_zeros(prep) -> bool:
+    """Whether every zero of det(I + wH) is real and simple, read from the structure of
+    the PreparedDet's H.
 
-    They are when H is real, tridiagonal (nothing above its first superdiagonal) and
-    every coupling product H[k, k+1] H[k+1, k] is positive: then H = D T D^-1 with D
-    a positive diagonal and T real, symmetric and unreduced, whose eigenvalues are
-    real and distinct (Parlett, The Symmetric Eigenvalue Problem, 1980, ch. 7).
+    They are when H is real, tridiagonal (nothing above its first superdiagonal, as
+    prep.tridiagonal records) and every coupling product H[k, k+1] H[k+1, k] is
+    positive: then H = D T D^-1 with D a positive diagonal and T real, symmetric and
+    unreduced, whose eigenvalues are real and distinct (Parlett, The Symmetric
+    Eigenvalue Problem, 1980, ch. 7).
     """
-    return (not np.iscomplexobj(h) and not np.triu(h, 2).any()
-            and bool(np.all(np.diagonal(h, 1) * np.diagonal(h, -1) > 0)))
+    h = prep.hess
+    return (prep.tridiagonal and not np.iscomplexobj(h)
+            and bool((np.diagonal(h, 1) * np.diagonal(h, -1) > 0).all()))
 
 
 def _clusters(zeros, steps) -> list:
@@ -343,7 +351,8 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     so no N x N copy of either is made, and negation is exact.  The contour
     samples log det(I + sign z H) in batches (linalg.hessenberg_logdet): at
     O(N) per point where H is tridiagonal, as prepare makes it for a symmetric
-    or skew Nystrom operator, and at O(N^2) per point otherwise, in real
+    or skew Nystrom operator and records it (PreparedDet.tridiagonal, so no
+    sample scans H for it), and at O(N^2) per point otherwise, in real
     arithmetic when H is real.  This is still an LU determinant, not the
     eigenvalue route, so the three det_p routes stay independent.  Every
     disc is one sampled circle.  A circle that passes through a zero
@@ -381,11 +390,12 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     _STEP_TOL since the polish converged.  It does not certify a defective
     multiple zero: J_3(0.5) under the orthogonal similarities of seeds
     0..39, disc 2±1, gives three simple roots 1.2e-5 to 2.2e-5 from z = 2
-    with step <= 1e-12 for 3 seeds and RefinementError for 37.  Estimates come by |z_root|, ties within _STEP_TOL by imaginary,
-    then real part.  With the default sign = -1 the reported eigenvalue is
-    lam = 1/z_root.  A p that is not a positive integer, a center or radius
-    that is not finite, or a radius that is not positive raises ValueError,
-    before anything is searched.
+    with step <= 1e-12 for 3 seeds and RefinementError for 37.  Estimates
+    come by |z_root|, ties within _STEP_TOL by imaginary, then real part.
+    With the default sign = -1 the reported eigenvalue is lam = 1/z_root.  A
+    p that is not a positive integer, a center or radius that is not finite,
+    or a radius that is not positive raises ValueError, before anything is
+    searched.
     """
     _check_p(p)
     if sign not in (-1, 1):
@@ -393,7 +403,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     center = _disc(center, radius)
 
     prep = prepare(op, p)
-    logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs)
+    logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs, prep.tridiagonal)
     for bump in _BUMPS:
         contour = radius * bump
         try:
@@ -408,7 +418,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     k = np.arange(n + 1)  # c_{-k} = -s_k / k, s_k the k-th power sum of the scaled zeros
     u = np.roots(_newton_identities(-k[1:] * coeffs[coeffs.size - k[1:]]) * (-1.0) ** k)
     starts = center + contour * u
-    if _real_zeros(prep.hess):
+    if _real_zeros(prep):
         # rounding can make a conjugate pair a +- ib of two close real zeros; it goes
         # to a +- b, not twice to a (found by ==, not np.unique, whose first call
         # adds 1.5 MB of resident pages to a search)

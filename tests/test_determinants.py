@@ -465,7 +465,7 @@ def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
     op = assemble(spec, scheme, 48, zero_diag)
     assert op.weights is not None and np.all(op.weights > 0)
     prep = prepare(op, 2)
-    assert _is_tridiagonal(prep.hess)
+    assert _is_tridiagonal(prep.hess) and prep.tridiagonal
     # matrix and traces stay those of K; only the reduction is of W^(1/2) K W^(-1/2)
     assert prep.matrix is op.matrix
     assert np.array_equal(prep.traces, trace_powers(op.matrix, 1))
@@ -564,4 +564,4 @@ def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_fo
         prep = prepare(op, 1)
         m = getattr(op, "matrix", op)
         assert np.array_equal(prep.hess, hessenberg(m))
-        assert np.triu(prep.hess, 2).any()
+        assert np.triu(prep.hess, 2).any() and not prep.tridiagonal

@@ -539,7 +539,11 @@ def _assert_tridiagonal_of_its_kind(t, a, skew):
     assert not (diag.real.any() if skew else np.imag(diag).any())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+_CROSSOVER = fredet.linalg._TRIDIAGONAL_CROSSOVER
+
+
+# below the crossover every reflector is taken on its own; from it on, panels of them
+@pytest.mark.parametrize("n", [1, 2, 3, 64, _CROSSOVER - 1, _CROSSOVER, 257, 400])
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
 def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
@@ -547,14 +551,17 @@ def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
     t = tridiagonalize(a, skew)
     _assert_tridiagonal_of_its_kind(t, a, skew)
     want = _spectrum(a, skew)
-    assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * np.abs(want).max()
+    # rounding grows with n: at n = 400 eigvalsh alone moves the spectrum of a
+    # permuted copy of a by up to 8.5e-15 of its largest eigenvalue
+    tol = 1e-14 * max(1, n // 200) * np.abs(want).max()
+    assert np.abs(_spectrum(t, skew) - want).max() <= tol
     if not cplx:
         # the couplings b of a real form give its eigenvalues on their own: a real skew
         # T with couplings b, -b is i times the symmetric one with couplings b, zero diagonal
         linalg = pytest.importorskip("scipy.linalg")
         got = linalg.eigh_tridiagonal(np.diagonal(t).copy(), np.diagonal(t, 1).copy(),
                                       eigvals_only=True)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol
 
 
 @_PROPERTY
@@ -569,6 +576,49 @@ def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, cplx, skew, z):
     eye = np.eye(n)
     _assert_logdet_matches(hessenberg_logdet(t, [z])[0], eye + z * a)
     assert np.array_equal(tridiagonalize(a.copy(), skew), t)  # a is read, not changed
+
+
+def _one_at_a_time(monkeypatch, a, skew):
+    """tridiagonalize(a, skew) with no panel, whatever the order of a."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fredet.linalg, "_TRIDIAGONAL_CROSSOVER", MAX_DIM + 1)
+        return tridiagonalize(a, skew)
+
+
+@pytest.mark.parametrize("n", [_CROSSOVER, 400])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
+def test_blocked_and_unblocked_forms_have_the_same_determinants(monkeypatch, n, cplx, skew):
+    # the panels reorder the rounding, so the two forms differ, but det(I + zT) agrees
+    # to 1e-13 relative on and off the axes
+    a = _hermitian(n, n + 1, cplx, skew)
+    blocked, unblocked = tridiagonalize(a, skew), _one_at_a_time(monkeypatch, a, skew)
+    assert not np.array_equal(blocked, unblocked)
+    zs = np.array([0.4, 0.3j, 0.25 + 0.2j, -0.1 - 0.45j])
+    got, want = hessenberg_logdet(blocked, zs), hessenberg_logdet(unblocked, zs)
+    assert np.abs(np.exp(got - want) - 1.0).max() <= 1e-13
+
+
+def test_panels_run_only_from_the_crossover_on(monkeypatch):
+    panels = []
+    panel = fredet.linalg._tridiagonal_panel
+
+    def spy(m, k0, *rest):
+        panels.append((m.shape[0], k0))
+        return panel(m, k0, *rest)
+
+    monkeypatch.setattr(fredet.linalg, "_tridiagonal_panel", spy)
+    for skew in (False, True):
+        tridiagonalize(_hermitian(_CROSSOVER - 1, 3, False, skew), skew)
+    prepare(assemble_nystrom(registry("green"), gauss_legendre(_CROSSOVER - 1, 0.0, 1.0)), 1)
+    assert panels == []
+    tridiagonalize(_hermitian(_CROSSOVER, 3, False, False), False)
+    # panels while the part left has the crossover's order; the rest one at a time
+    width = fredet.linalg._TRIDIAGONAL_PANEL
+    assert panels == [(_CROSSOVER, 0)]
+    panels.clear()
+    tridiagonalize(_hermitian(400, 3, True, True), True)
+    assert panels == [(400, k0) for k0 in range(0, 400 - _CROSSOVER + 1, width)]
 
 
 def test_tridiagonalize_splits_at_an_exactly_decoupled_block():

@@ -387,7 +387,7 @@ def _counted_logdet(monkeypatch):
     sizes = []
     logdet = fredet.spectra.hessenberg_logdet
     monkeypatch.setattr(fredet.spectra, "hessenberg_logdet",
-                        lambda h, zs: sizes.append(np.size(zs)) or logdet(h, zs))
+                        lambda h, zs, *kind: sizes.append(np.size(zs)) or logdet(h, zs, *kind))
     return sizes
 
 
@@ -637,6 +637,21 @@ def test_symmetric_searches_factor_in_float64(monkeypatch, name):
         assert abs(u.z_root - v.z_root) <= 1e-12 * abs(v.z_root)
 
 
+@pytest.mark.parametrize("name", ["green-ngl", "sign-rect"])
+def test_tridiagonal_searches_never_rescan_the_form(monkeypatch, name):
+    # prepare records that the form it made is tridiagonal, so neither a contour
+    # sample nor the test for real zeros scans the N x N form for that again
+    make, p, center, radius = _ARITHMETIC_CASES[name]
+    op = make()
+
+    def triu(*args, **kwargs):
+        raise AssertionError("np.triu scanned a form")
+
+    monkeypatch.setattr(np, "triu", triu)
+    assert locate_eigs(op, p, center, radius)
+    assert np.all(np.isfinite(prepare(op, p).values([0.5, 0.3j])))
+
+
 @pytest.mark.parametrize("name", ["sign-rect", "abs_pow-singular", "green-ncc", "diagonal"])
 def test_other_searches_polish_in_complex_arithmetic(monkeypatch, name):
     # a skew operator (negative couplings), the singular and split-kernel schemes
@@ -663,7 +678,7 @@ def test_near_double_real_zeros_are_one_estimate(center, radius):
     # 11 on the second, each within 1e-11 of as many zeros as it counts
     w = _wilkinson_w21()
     zeros = 1.0 / np.linalg.eigvalsh(w)
-    assert fredet.spectra._real_zeros(prepare(w, 1).hess)
+    assert fredet.spectra._real_zeros(prepare(w, 1))
     ests = locate_eigs(w, 1, center, radius)
     inside = zeros[np.abs(zeros - center) < radius]
     assert [e.mult_estimate for e in ests] == [2, 2] + [1] * (inside.size - 4)

@@ -37,17 +37,18 @@ Each examples process runs every packaged example once as a timed warm-up
 (the first example-4 run fills its cached N = 512 reference; reported as
 first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
 repeats.  Each locate process times locate_eigs on each of LOCATE_CASES, the
-many-root and large-N searches that no benchmark workload covers (two on a
-tridiagonal form, abs_pow singular on the full Hessenberg one): one
-warm-up search, then LOCATE_REPEATS timed ones, each split into reduction
-(determinants.prepare), sampling (hessenberg_logdet) and polish (_polish)
-as seen through spectra's names; the rest of a search is its residuals and
-bookkeeping.  The process keeps each stage's min over its runs, and the
-roots of both trees are compared.  Before timing, where glibc's mallopt can
-be reached, the process fixes its mmap threshold at 32 MB and its trim
-threshold at 64 MB (LOCATE_MALLOPT), so the N x N temporaries of a stage
-do not come back as fresh pages or not depending on what the stage before
-freed; the report records the setting each tree's processes ran with.
+many-root and large-N searches that no benchmark workload covers (green ngl
+and sign rect at N = 400 and 1500 on a tridiagonal form, abs_pow singular on
+the full Hessenberg one): one warm-up search, then LOCATE_REPEATS timed
+ones, each split into reduction (determinants.prepare), sampling
+(hessenberg_logdet) and polish (_polish) as seen through spectra's names;
+the rest of a search is its residuals and bookkeeping.  The process keeps
+each stage's min over its runs, and the roots of both trees are compared.
+Before timing, where glibc's mallopt can be reached, the process fixes its
+mmap threshold at 32 MB and its trim threshold at 64 MB (LOCATE_MALLOPT),
+so the N x N temporaries of a stage do not come back as fresh pages or not
+depending on what the stage before freed; the report records the setting
+each tree's processes ran with.
 The grid fault probe counts the minor page faults (ru_minflt) of every
 det_p of the first two bench ``grid`` passes, per surface and pass, in a
 fresh process per tree and seed in GRID_FAULT_SEEDS, run as bench/run.py
@@ -91,6 +92,8 @@ LOCATE_CASES = {
     "green_ngl_400": ("green", "ngl", 400, False, 1, 1500.0, 1499.0),
     "sign_rect_400": ("sign", "rect", 400, True, 2, 0.0, 1.2),
     "abs_pow_singular_400": ("abs_pow", "singular", 400, False, 3, 0.0, 1.5),
+    "green_ngl_1500": ("green", "ngl", 1500, False, 1, 50.0, 49.0),
+    "sign_rect_1500": ("sign", "rect", 1500, True, 2, 0.0, 1.2),
 }
 # glibc mallopt parameter numbers (malloc.h) and the values the locate processes set
 LOCATE_MALLOPT = {"M_TRIM_THRESHOLD": (-1, 64 << 20), "M_MMAP_THRESHOLD": (-3, 32 << 20)}
@@ -213,7 +216,7 @@ def timed(key, fn):
 spectra.prepare = timed("reduction_s", spectra.prepare)
 spectra._polish = timed("polish_s", spectra._polish)
 logdet = timed("sampling_s", spectra.hessenberg_logdet)
-spectra.hessenberg_logdet = lambda h, zs: samples.append(len(zs)) or logdet(h, zs)
+spectra.hessenberg_logdet = lambda h, zs, *kind: samples.append(len(zs)) or logdet(h, zs, *kind)
 
 out = {"mallopt": pin_heap(), "cases": {}}
 for name, (kernel, scheme, n, zero_diag, p, centre, radius) in cases.items():
