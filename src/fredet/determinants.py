@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, as_complex_matrix, hessenberg,
-                     hessenberg_logdet, tridiagonalize)
+from .linalg import (_LOG_HUGE, DetOverflowError, _trace_powers, _tridiagonalize,
+                     as_complex_matrix, hessenberg, hessenberg_logdet)
 
 # W^(1/2) K W^(-1/2) counts as symmetric (skew) when no entry of S - S* (S + S*) exceeds
 # this share of its largest entry.  The scaling alone leaves at most 6.5e-16 on the
@@ -85,12 +85,12 @@ class PreparedDet:
     """det_p(I + zK) at many z on one reduction of K; made by prepare.
 
     matrix is the validated K, hess an upper Hessenberg H with
-    det(I + zK) = det(I + zH), tridiagonal for a symmetric or skew Nystrom
-    operator (see prepare), and traces[j-1] = tr(K^j) for j < p.  tridiagonal
-    records whether H is tridiagonal, so that no evaluation scans H for it
-    again.  It can stand for K wherever an operator is taken: det_p and
-    locate_eigs read matrix, and locate_eigs reuses hess instead of reducing
-    K again.
+    det(I + zK) = det(I + zH): tridiagonal for a symmetric or skew Nystrom
+    operator (see prepare), else hessenberg's Fortran-ordered view.  traces[j-1]
+    = tr(K^j) for j < p.  tridiagonal records whether H is tridiagonal, and
+    hessenberg_logdet takes it as given, so no evaluation scans H for it.  It
+    can stand for K wherever an operator is taken: det_p and locate_eigs read
+    matrix, and locate_eigs reuses hess instead of reducing K again.
     """
 
     p: int
@@ -113,26 +113,23 @@ def prepare(op, p: int) -> PreparedDet:
 
     An operator whose quadrature weights W are all positive (op.weights, the
     plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2), which
-    has the determinants of K, when S is symmetric or skew to SYMMETRY_TOL
-    (Hermitian or skew-Hermitian if complex): green and bernoulli, and sign
-    and abs_pow_iter2 with zero_diag.  Such an S is replaced by its symmetric
-    (skew) part (S + S*)/2 ((S - S*)/2), a change no larger than the asymmetry
-    SYMMETRY_TOL admits, and reduced by linalg.tridiagonalize to a tridiagonal
-    form exactly of that kind: its couplings mirror each other bit for bit,
-    and a real skew form has an exactly zero diagonal.  PreparedDet.values then
-    costs O(N) per z (linalg.hessenberg_logdet picks the elimination by that
-    structure).  Any other operator or matrix, a weighted one that is neither
-    symmetric nor skew included, is reduced as it is by linalg.hessenberg and
-    costs O(N^2) per z.  The general reduction costs about as much as 6-17
-    single-z det_p calls at a complex z, the tridiagonal one 3-7 (N =
-    32-800).  It is still an LU determinant, not the eigenvalue
-    route, so the three det_p routes stay independent; the values agree with
-    det_p to rounding, not bit for bit, since det_p factors I + zK itself.
-    matrix and traces are those of K either way.  A matrix or operator is
-    reduced on every call, a PreparedDet never again: one of this p comes
-    back as it is, one of another p with only the new p's traces, so a caller
-    that evaluates one operator in several places passes the PreparedDet
-    along.
+    has the determinants of K, when S is finite and symmetric or skew to
+    SYMMETRY_TOL (Hermitian or skew-Hermitian if complex): green and bernoulli,
+    and sign and abs_pow_iter2 with zero_diag.  Its symmetric (skew) part
+    (S + S*)/2 ((S - S*)/2), a change no larger than SYMMETRY_TOL admits, is
+    reduced in place by linalg._tridiagonalize to a tridiagonal form exactly
+    of that kind: couplings that mirror each other bit for bit, and an exactly
+    zero diagonal for a real skew S.  PreparedDet.values then costs O(N) per
+    z.  Any other operator or matrix is reduced as it is by linalg.hessenberg
+    and costs O(N^2) per z.  The general reduction costs about as much as 6-17
+    single-z det_p calls at a complex z, the tridiagonal one 3-7 (N = 32-800).
+    It is still an LU determinant, not the eigenvalue route, so the three
+    det_p routes stay independent; the values agree with det_p to rounding,
+    not bit for bit, since det_p factors I + zK itself.  matrix and traces are
+    those of K either way.  A matrix or operator is reduced on every call, a
+    PreparedDet never again: one of this p comes back as it is, one of another
+    p with only the new p's traces, so a caller that evaluates one operator in
+    several places passes the PreparedDet along.
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
@@ -146,22 +143,31 @@ def prepare(op, p: int) -> PreparedDet:
 
 
 def _reduce(m: np.ndarray, weights):
-    """The Hessenberg form prepare keeps and whether it is tridiagonal: where the
-    weights are all positive and S = W^(1/2) K W^(-1/2) is symmetric or skew to
-    SYMMETRY_TOL, tridiagonalize of its symmetric or skew part; else hessenberg(K),
-    tridiagonal only where every entry above its first superdiagonal is zero."""
-    if weights is not None and weights.shape == m.shape[:1] and np.all(weights > 0):
-        root = np.sqrt(weights)
-        s = m * np.outer(root, 1.0 / root)
-        adj = s.conj().T
-        bound = SYMMETRY_TOL * np.abs(s).max()
-        twice_sym, twice_skew = s + adj, s - adj
-        if np.abs(twice_skew).max() <= bound:
-            return tridiagonalize(0.5 * twice_sym, skew=False), True
-        if np.abs(twice_sym).max() <= bound:
-            return tridiagonalize(0.5 * twice_skew, skew=True), True
+    """The Hessenberg form prepare keeps and whether it is tridiagonal: _tridiagonalize of
+    the part _symmetric_part returns, if any; else hessenberg(K), kept as its Fortran-ordered
+    view, tridiagonal where its nonzeros all lie on its three diagonals (counted in place)."""
+    part = _symmetric_part(m, weights)
+    if part is not None:
+        return _tridiagonalize(*part), True
     h = hessenberg(m)
-    return h, not np.triu(h, 2).any()
+    return h, np.count_nonzero(h) == sum(np.count_nonzero(h.diagonal(k)) for k in (-1, 0, 1))
+
+
+def _symmetric_part(m: np.ndarray, weights):
+    """(part, skew), part the symmetric (skew False) or skew part of S = W^(1/2) K W^(-1/2)
+    in one new buffer, where the weights are all positive and S is finite and symmetric
+    or skew to SYMMETRY_TOL; else None.  S is freed on return, before any reduction."""
+    if weights is None or weights.shape != m.shape[:1] or not np.all(weights > 0):
+        return None
+    root = np.sqrt(weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # an S not finite is refused below
+        s = m * np.outer(root, 1.0 / root)
+    adj, part = s.conj().T, np.empty_like(s)
+    bound = SYMMETRY_TOL * np.abs(s).max()
+    for skew, other, keep in ((False, np.subtract, np.add), (True, np.add, np.subtract)):
+        if np.isfinite(bound) and np.abs(other(s, adj, out=part)).max() <= bound:
+            return np.multiply(keep(s, adj, out=part), 0.5, out=part), skew
+    return None
 
 
 def _newton_identities(s) -> np.ndarray:

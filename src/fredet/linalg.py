@@ -23,7 +23,7 @@ _LOGDET_STEPS = 8
 # cap on the baby steps s in _trace_powers; its working set is O(s N^2)
 _TRACE_BABY_STEPS = 8
 
-# tridiagonalize takes reflectors _TRIDIAGONAL_PANEL at a time while the part left to
+# _tridiagonalize takes reflectors _TRIDIAGONAL_PANEL at a time while the part left to
 # reduce has at least order _TRIDIAGONAL_CROSSOVER.  Measured on green ngl and sign rect
 # S, one BLAS thread: a panel of 32 in place of 32 single steps at order r takes 1.05x
 # their time at r = 96, 0.98-1.03x at 128, 0.91x at 160 and 0.87x at 256.  The whole
@@ -138,9 +138,9 @@ def hessenberg(a) -> np.ndarray:
     Entries below the subdiagonal are exact zeros.  Q is not formed: H serves
     det(I + zA) = det(I + zH).  H has the dtype of as_complex_matrix(a): a
     real matrix is reduced in real arithmetic and gives a real H.  The work
-    array is H transposed, so the columns H[:, k+1:] that reflector k
-    changes, from the left and from the right, are one contiguous block,
-    updated by one rank-2 product.
+    array is H^T, in which the columns H[:, k+1:] that reflector k changes are
+    one contiguous block, updated by one rank-2 product; H is returned as its
+    transposed view (Fortran order), which _hessenberg_logdet_block reads.
     """
     m = as_complex_matrix(a)
     g = m.T.copy()  # g = H^T
@@ -173,46 +173,42 @@ def hessenberg(a) -> np.ndarray:
         blk -= d @ e
         x[0] = -phase * norm
         x[1:] = 0.0
-    return np.ascontiguousarray(g.T)
+    return g.T
 
 
-def tridiagonalize(a, skew: bool) -> np.ndarray:
-    """Tridiagonal T with A = Q T Q* for a unitary Q, for a Hermitian A (skew False)
-    or a skew-Hermitian one (skew True), by Householder reflections (Golub & Van
-    Loan, Matrix Computations, 4th ed., 2013, section 8.3).
+def _tridiagonalize(m: np.ndarray, skew: bool) -> np.ndarray:
+    """m, C-contiguous, Hermitian (skew False) or skew-Hermitian (skew True),
+    reduced in place to a tridiagonal T with m = Q T Q* for a unitary Q by
+    Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
+    2013, section 8.3), and returned.  Nothing validates or copies m: its one
+    caller, determinants._reduce, has checked that it is finite and of its kind.
 
-    The symmetry is assumed, not checked: each reflector is read from row k,
-    which is column k conjugated (and negated if skew).  T is exactly of A's
-    kind: T[k+1, k] = sigma conj(T[k, k+1]) with sigma = -1 if skew else 1,
-    bit for bit, and a diagonal that is real if A is Hermitian and imaginary,
-    exactly zero for a real A, if skew.  Every entry off the three diagonals
-    is an exact zero.  Q is not formed: T serves det(I + zA) = det(I + zT).
-    T has the dtype of as_complex_matrix(a).  While the part left to reduce
-    has order _TRIDIAGONAL_CROSSOVER or more, its reflectors are taken
-    _TRIDIAGONAL_PANEL at a time (_tridiagonal_panel); the rest, and all of a
-    smaller A, one at a time (_tridiagonal_steps).
+    Each reflector is read from row k, which is column k conjugated (and
+    negated if skew).  T is exactly of m's kind: T[k+1, k] = sigma conj(T[k, k+1])
+    with sigma = -1 if skew else 1, bit for bit, a diagonal that is real if m
+    is Hermitian and imaginary, exactly zero for a real m, if skew, and exact
+    zeros off the three diagonals.  While the part left to reduce has order
+    _TRIDIAGONAL_CROSSOVER or more, its reflectors are taken _TRIDIAGONAL_PANEL
+    at a time (_tridiagonal_panel); the rest, and all of a smaller m, one at a
+    time (_tridiagonal_steps).
     """
-    m = as_complex_matrix(a).copy()
     n = m.shape[0]
-    sigma = -1.0 if skew else 1.0
-    cplx = np.iscomplexobj(m)
     diag = np.empty(n, dtype=m.dtype)
     sup = np.zeros(max(n - 1, 0), dtype=m.dtype)  # T[k, k+1]
-    k0 = 0
+    k0, rest = 0, m
     while n - k0 >= _TRIDIAGONAL_CROSSOVER:
-        _tridiagonal_panel(m, k0, skew, diag, sup)
+        update = _tridiagonal_panel(m, k0, skew, diag, sup)
         k0 += _TRIDIAGONAL_PANEL
-    rest = m[k0:, k0:].copy() if k0 else m
+        # the single steps run twice as fast on the contiguous update as on m's square
+        rest = m[k0:, k0:] if n - k0 >= _TRIDIAGONAL_CROSSOVER else update
+        np.subtract(m[k0:, k0:], update, out=rest)
     _tridiagonal_steps(rest, skew, sup[k0:])
     diag[k0:] = rest.diagonal()
-    t = np.zeros_like(m)
-    if skew:
-        t.flat[::n + 1] = 1j * diag.imag if cplx else 0.0
-    else:
-        t.flat[::n + 1] = diag.real
-    t.flat[1::n + 1] = sup
-    t.flat[n::n + 1] = sigma * sup.conj()
-    return t
+    m.fill(0.0)
+    m.flat[::n + 1] = (1j * diag.imag if np.iscomplexobj(m) else 0.0) if skew else diag.real
+    m.flat[1::n + 1] = sup
+    m.flat[n::n + 1] = (-1.0 if skew else 1.0) * sup.conj()  # sigma conj(T[k, k+1])
+    return m
 
 
 def _tridiagonal_steps(m: np.ndarray, skew: bool, sup: np.ndarray):
@@ -280,9 +276,9 @@ def _tridiagonal_panel(m: np.ndarray, k0: int, skew: bool, diag: np.ndarray, sup
 
     Row k is read as A[k, k:] less the updates of the panel's earlier steps, and
     p = A u as one matrix-vector product with the trailing square of A less
-    their share; A itself is updated once at the end of the panel, its trailing
-    square less Y^T conj(Z), Y having rows w_j and sigma u_j and Z rows u_j and
-    w_j.  diag[k] and sup[k] take T[k, k] and T[k, k+1] for the panel's steps.
+    their share.  m is not written: the trailing square's update, Y^T conj(Z)
+    with Y having rows w_j and sigma u_j and Z rows u_j and w_j, is returned.
+    diag[k] and sup[k] take T[k, k] and T[k, k+1] for the panel's steps.
     """
     n = m.shape[0]
     cplx = np.iscomplexobj(m)
@@ -318,23 +314,23 @@ def _tridiagonal_panel(m: np.ndarray, k0: int, skew: bool, diag: np.ndarray, sup
         zc[2 * j + 1, k + 1:] = w.conj() if cplx else w
         sup[k] = -phase * norm
     k1 = k0 + nb
-    m[k1:, k1:] -= y[:, k1:].T @ zc[:, k1:]
+    return y[:, k1:].T @ zc[:, k1:]
 
 
-def hessenberg_logdet(h, zs, tridiagonal=None) -> np.ndarray:
+def hessenberg_logdet(h, zs, tridiagonal: bool) -> np.ndarray:
     """log det(I + zH) for every z in zs, for an upper Hessenberg H.
 
     Each value is log|det| + i arg(det) on some branch of the argument, with
-    real part -inf where the determinant is exactly zero.  The structure of H
-    picks the elimination: tridiagonal says whether every entry above its
-    first superdiagonal is exactly zero, as determinants.PreparedDet records
-    it, and None has it read from H, a scan of all N^2 entries.  A tridiagonal
-    H takes _tridiagonal_logdet_block, O(N) per z: determinants.prepare gives
-    one for the symmetric and skew Nystrom operators.  Any other H takes
-    Gaussian elimination with partial pivoting between rows k and k+1, each
-    combined row rescaled by a factor of modulus 1, so the pivot choice needs
-    no branch.  Only row k+1 has an entry left of the diagonal, so a z costs
-    O(N^2).  Either way the z are eliminated together, in blocks of
+    real part -inf where the determinant is exactly zero.  tridiagonal, whether
+    every entry above the first superdiagonal of H is exactly zero, is taken as
+    determinants.PreparedDet records it, never read from H, and picks the
+    elimination.  A tridiagonal H, which prepare makes of a symmetric or skew
+    Nystrom operator, takes _tridiagonal_logdet_block, O(N) per z.  Any other
+    takes Gaussian elimination with partial pivoting between rows k and k+1,
+    each combined row rescaled by a factor of modulus 1, so the pivot choice
+    needs no branch.  Only row k+1 has an entry left of the diagonal, so a z
+    costs O(N^2); H^T is read in C order, a view of the Fortran-ordered H that
+    hessenberg returns.  Either way the z are eliminated together, in blocks of
     _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  A real H
     (every built-in kernel gives one) is never upcast: in the O(N^2)
     elimination its products with the complex weights run in real arithmetic
@@ -344,8 +340,6 @@ def hessenberg_logdet(h, zs, tridiagonal=None) -> np.ndarray:
     """
     h = np.asarray(h)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
-    if tridiagonal is None:
-        tridiagonal = not np.triu(h, 2).any()
     block = _tridiagonal_logdet_block if tridiagonal else _hessenberg_logdet_block
     out = np.empty(zs.size, dtype=np.complex128)
     for start in range(0, zs.size, _LOGDET_CHUNK):

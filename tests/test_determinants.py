@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import fredet.determinants
+import fredet.linalg
 from fredet.determinants import (_newton_identities, det_from_eigs, det_p, det_series_eval,
                                  identity_residuals, plemelj_coeffs, prepare)
 from fredet.discretize import (DiscreteOperator, assemble, assemble_ncc, assemble_nystrom,
@@ -526,7 +529,13 @@ def test_prepared_tridiagonal_form_has_the_determinants_of_k(monkeypatch, case):
     # I + zK is well conditioned
     op = _TRIDIAGONAL_CASES[case]()
     monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
+    # K is validated once; its symmetric or skew part is reduced in its own buffer
+    validated, checked = [], fredet.linalg.as_complex_matrix
+    for module in (fredet.determinants, fredet.linalg):
+        monkeypatch.setattr(module, "as_complex_matrix",
+                            lambda a: validated.append(a) or checked(a))
     h = prepare(op, 1).hess
+    assert len(validated) == 1
     assert _is_tridiagonal(h) and h.dtype == op.matrix.dtype
     n = h.shape[0]
     for z in (0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5):
@@ -551,6 +560,53 @@ def test_skew_forms_come_out_exact():
         assert np.all(np.diagonal(h, 1) != 0.0)
 
 
+# kernel, scheme, zero_diag and whether prepare makes a tridiagonal form
+_PREPARE_CASES = {
+    "green ngl": ("green", "ngl", False, True),
+    "sign rect zero_diag": ("sign", "rect", True, True),
+    "abs_pow singular": ("abs_pow", "singular", False, False),
+    "green ncc": ("green", "ncc", False, False),
+}
+# the peak of one prepare, in units of N^2 entries of K, on each path.  Tridiagonal: S,
+# one buffer for its symmetric or skew part and |S - S*| (3.00 measured at N = 400, 3.09
+# at N = 64; 6.26-6.38 when S took five N x N arrays).  General: H^T and the rank-2
+# product of hessenberg (2.01-2.10; 2.13-2.19 with a copy of H and an N x N scan of it)
+_PREPARE_PEAK = {True: 4.2, False: 2.2}
+
+
+@pytest.mark.parametrize("n", [64, 400])
+@pytest.mark.parametrize("case", sorted(_PREPARE_CASES))
+def test_prepare_builds_each_form_once(case, n):
+    name, scheme, zero_diag, tridiagonal = _PREPARE_CASES[case]
+    op = assemble(registry(name), scheme, n, zero_diag)
+    tracemalloc.start()
+    try:
+        prep = prepare(op, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep.tridiagonal == tridiagonal
+    units = peak / (n * n * op.matrix.itemsize)
+    assert units <= _PREPARE_PEAK[tridiagonal], units
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, "ratio"])
+def test_weights_that_are_not_finite_keep_the_full_form(bad):
+    # a weight that is inf or nan, or two whose ratio is past the double range (the
+    # square roots of 5e-324 and 1e300), leaves S with an entry that is not finite:
+    # K is reduced as it is, and its values are det_p's
+    op = assemble(registry("green"), "ngl", 24)
+    weights = op.weights.copy()
+    weights[:2] = (5e-324, 1e300) if bad == "ratio" else (bad, 1.0)
+    op = DiscreteOperator(op.matrix, op.nodes, weights)
+    prep = prepare(op, 2)
+    assert not prep.tridiagonal
+    assert np.array_equal(prep.hess, hessenberg(op.matrix))
+    zs = np.array([3.0, -2.5, 1.0 + 4.0j])
+    want = np.array([det_p(op, 2, z).value for z in zs])
+    assert np.all(np.abs(prep.values(zs) - want) <= 1e-12 * np.abs(want))
+
+
 def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_form():
     # x y^2 is neither symmetric nor antisymmetric, so W^(1/2) K W^(-1/2) is neither.
     # Like a raw matrix and a split ncc or singular operator, it is reduced as it is
@@ -565,3 +621,5 @@ def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_fo
         m = getattr(op, "matrix", op)
         assert np.array_equal(prep.hess, hessenberg(m))
         assert np.triu(prep.hess, 2).any() and not prep.tridiagonal
+        # kept as hessenberg returns it, the transposed layout the sampler reads
+        assert prep.hess.flags.f_contiguous

@@ -9,8 +9,8 @@ import fredet.linalg
 from fredet.determinants import det_p, prepare
 from fredet.discretize import assemble_ncc, assemble_nystrom, assemble_singular
 from fredet.kernels import registry
-from fredet.linalg import (MAX_DIM, as_complex_matrix, eigenvalues, hessenberg,
-                           hessenberg_logdet, trace_powers, tridiagonalize)
+from fredet.linalg import (MAX_DIM, _tridiagonalize, as_complex_matrix, eigenvalues,
+                           hessenberg, hessenberg_logdet, trace_powers)
 from fredet.quadrature import gauss_legendre, rectangle
 
 
@@ -305,13 +305,13 @@ def test_hessenberg_after_an_already_reduced_column():
 def test_hessenberg_logdet_matches_slogdet(a, z):
     n = a.shape[0]
     h = hessenberg(a)
-    at_zero, at_z = hessenberg_logdet(h, [0.0, z])
+    at_zero, at_z = hessenberg_logdet(h, [0.0, z], False)
     assert at_zero == 0.0
     _assert_logdet_matches(at_z, np.eye(n) + z * a)
     # a last row of I - H/2 that is exactly zero: still Hessenberg, exactly singular
     h[-1] = 0.0
     h[-1, -1] = 2.0
-    singular, = hessenberg_logdet(h, [-0.5])
+    singular, = hessenberg_logdet(h, [-0.5], False)
     assert singular.real == -np.inf
     _assert_logdet_matches(singular, np.eye(n) - 0.5 * h)
 
@@ -323,9 +323,9 @@ def test_hessenberg_logdet_zero_pivot_and_swap():
     a[1, 1] = 2.0
     h = hessenberg(a)
     assert np.array_equal(h, a)
-    assert hessenberg_logdet(h, [-0.5])[0].real == -np.inf
+    assert hessenberg_logdet(h, [-0.5], False)[0].real == -np.inf
     # I + H = [[0, 1], [1, 0]] needs the row swap: det = -1
-    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
+    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0], False)
     assert abs(got.real) <= 1e-15
     assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
 
@@ -338,13 +338,13 @@ def test_real_hessenberg_logdet_matches_its_complex_copy(a, z):
     h = hessenberg(a)
     assert h.dtype == np.float64
     zs = np.array([0.0, z, np.conj(z), -z, 0.5j, -0.5])
-    real, cplx = hessenberg_logdet(h, zs), hessenberg_logdet(h.astype(complex), zs)
+    real, cplx = hessenberg_logdet(h, zs, False), hessenberg_logdet(h.astype(complex), zs, False)
     assert np.all(np.abs(np.exp(real) - np.exp(cplx)) <= 1e-13 * np.abs(np.exp(cplx)))
     # the exactly singular last row of test_hessenberg_logdet_matches_slogdet
     h[-1] = 0.0
     h[-1, -1] = 2.0
     for hh in (h, h.astype(complex)):
-        singular, = hessenberg_logdet(hh, [-0.5])
+        singular, = hessenberg_logdet(hh, [-0.5], False)
         assert singular.real == -np.inf
 
 
@@ -373,12 +373,12 @@ def test_real_hessenberg_products_run_in_real_arithmetic(monkeypatch):
     # the real branch multiplies float64 by float64: no row of H is upcast
     h = hessenberg(_random_matrix(40, 3, False))
     zs = np.exp(2j * np.pi * np.arange(32) / 32)
-    want = hessenberg_logdet(h.astype(complex), zs)
+    want = hessenberg_logdet(h.astype(complex), zs, False)
     seen = {}
     for kind, hh in (("real", h), ("complex", h.astype(complex))):
         rec = _ProductDtypes()
         monkeypatch.setattr(fredet.linalg, "np", rec)
-        got = hessenberg_logdet(hh, zs)
+        got = hessenberg_logdet(hh, zs, False)
         monkeypatch.undo()
         seen[kind] = rec.seen
         assert np.all(np.abs(np.exp(got) - np.exp(want)) <= 1e-13 * np.abs(np.exp(want)))
@@ -394,12 +394,12 @@ def test_hessenberg_logdet_of_triangular_matrix_over_several_blocks():
     a = np.triu(np.random.default_rng(8).normal(size=(n, n))) / 4.0
     zs = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
     for h in (a, a.astype(complex)):
-        got = hessenberg_logdet(h, zs)
+        got = hessenberg_logdet(h, zs, False)
         want = np.prod(1.0 + np.multiply.outer(zs, np.diagonal(a)), axis=1)
         assert np.all(np.abs(np.exp(got) - want) <= 1e-13 * np.abs(want))
     # a zero pivot in the third block with nothing below it: exactly singular
     a[2 * fredet.linalg._LOGDET_STEPS + 1, 2 * fredet.linalg._LOGDET_STEPS + 1] = 2.0
-    assert hessenberg_logdet(a, [-0.5])[0].real == -np.inf
+    assert hessenberg_logdet(a, [-0.5], False)[0].real == -np.inf
 
 
 def _tridiagonal(n, seed, kind):
@@ -432,7 +432,7 @@ def test_tridiagonal_logdet_matches_slogdet_and_the_hessenberg_elimination(t, z)
     # hessenberg_logdet takes the O(N) elimination for every tridiagonal H; it agrees
     # with LAPACK's LU and with the pivoted O(N^2) elimination of the same H
     n = t.shape[0]
-    got, = hessenberg_logdet(t, [z])
+    got, = hessenberg_logdet(t, [z], True)
     _assert_logdet_matches(got, np.eye(n) + z * t)
     hess, = fredet.linalg._hessenberg_logdet_block(t, np.array([z], dtype=complex))
     assert abs(got.real - hess.real) <= 1e-12 * max(1.0, abs(hess.real))
@@ -445,11 +445,18 @@ def test_hessenberg_logdet_picks_the_elimination_by_structure(monkeypatch):
         block = getattr(fredet.linalg, name)
         monkeypatch.setattr(fredet.linalg, name,
                             lambda h, z, name=name, block=block: seen.append(name) or block(h, z))
+    # the structure is given, as determinants.PreparedDet records it, never read from H
     t = _tridiagonal(6, 1, "symmetric")
-    hessenberg_logdet(t, [0.5])
-    t[0, 2] = 1e-300  # one entry above the band, however small, needs the full elimination
-    hessenberg_logdet(t, [0.5])
+    got = [hessenberg_logdet(t, [0.5], tridiagonal) for tridiagonal in (True, False)]
     assert seen == ["_tridiagonal_logdet_block", "_hessenberg_logdet_block"]
+    assert abs(np.exp(got[0] - got[1]) - 1.0) <= 1e-14
+    with pytest.raises(TypeError):
+        hessenberg_logdet(t, [0.5])
+    # prepare reads it once from the reduced form: one entry above the band, however
+    # small, needs the full elimination
+    assert prepare(t, 1).tridiagonal
+    t[0, 2] = 1e-300
+    assert not prepare(t, 1).tridiagonal
 
 
 def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
@@ -459,15 +466,15 @@ def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
     i_t = np.eye(4) + t
     assert np.linalg.det(i_t[:2, :2]) == 0.0
     for h in (t, t.astype(complex)):
-        got, = hessenberg_logdet(h, [1.0])
+        got, = hessenberg_logdet(h, [1.0], True)
         assert np.isfinite(got)
         _assert_logdet_matches(got, i_t)
     # a zero first pivot: I + H = [[0, 1], [1, 0]], det = -1
-    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
+    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0], True)
     assert abs(got.real) <= 1e-15 and abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
     # a first pivot 2^-52, past which the quotient 1e300 / 2^-52 would overflow:
     # det = 2^-52 - 1e300
-    got, = hessenberg_logdet(np.array([[-1.0 + 2.0**-52, 1e150], [1e150, 0.0]]), [1.0])
+    got, = hessenberg_logdet(np.array([[-1.0 + 2.0**-52, 1e150], [1e150, 0.0]]), [1.0], True)
     assert abs(got.real - np.log(1e300)) <= 1e-15 * np.log(1e300)
     assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
 
@@ -481,9 +488,9 @@ def test_tridiagonal_logdet_of_an_exactly_singular_matrix_is_minus_inf():
     last[-1, -2] = 0.0
     last[-1, -1] = 2.0
     for h in (t, t.astype(complex)):
-        assert hessenberg_logdet(h, [1.0])[0] == complex(-np.inf)
-    assert hessenberg_logdet(last, [-0.5, 0.25])[0] == complex(-np.inf)
-    assert np.isfinite(hessenberg_logdet(last, [-0.5, 0.25])[1])
+        assert hessenberg_logdet(h, [1.0], True)[0] == complex(-np.inf)
+    assert hessenberg_logdet(last, [-0.5, 0.25], True)[0] == complex(-np.inf)
+    assert np.isfinite(hessenberg_logdet(last, [-0.5, 0.25], True)[1])
 
 
 # n, diagonal, coupling and the z of each case: pivots near 1e20 whose product
@@ -508,7 +515,7 @@ def test_tridiagonal_logdet_past_the_product_range_matches_slogdet(kind):
         mag = np.abs(np.prod(fredet.linalg._tridiagonal_pivots(t, zs, guarded=False), axis=0))
     assert {"overflow": np.all(mag == np.inf),
             "subnormal": np.all((0.0 < mag) & (mag < np.finfo(float).tiny))}.get(kind, np.all(mag == 0.0))
-    for z, got in zip(zs, hessenberg_logdet(t, zs)):
+    for z, got in zip(zs, hessenberg_logdet(t, zs, True)):
         sign, logabs = np.linalg.slogdet(np.eye(n) + z * t)
         if kind == "zero":
             assert sign == 0.0 and got == complex(-np.inf)
@@ -542,18 +549,27 @@ def _assert_tridiagonal_of_its_kind(t, a, skew):
 _CROSSOVER = fredet.linalg._TRIDIAGONAL_CROSSOVER
 
 
+def _backward_tol(a):
+    """How far the eigenvalues of a tridiagonal form may lie from those of a: 16 eps ||a||_F.
+
+    The computed T is exactly unitarily similar to a + E with ||E||_F a small multiple
+    of eps ||a||_F (Golub & Van Loan, Matrix Computations, 4th ed., 2013, section 8.3),
+    and eigvalsh adds a backward error of the same kind on a and on T; by Weyl's
+    inequality each moves an eigenvalue by at most its norm.  The largest gap seen on
+    the cases here is 6.3 eps ||a||_F (n = 255, real Hermitian, one BLAS thread)."""
+    return 16.0 * np.finfo(np.float64).eps * np.linalg.norm(a)
+
+
 # below the crossover every reflector is taken on its own; from it on, panels of them
 @pytest.mark.parametrize("n", [1, 2, 3, 64, _CROSSOVER - 1, _CROSSOVER, 257, 400])
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
 def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
     a = _hermitian(n, n, cplx, skew)
-    t = tridiagonalize(a, skew)
+    t = _tridiagonalize(a.copy(), skew)
     _assert_tridiagonal_of_its_kind(t, a, skew)
     want = _spectrum(a, skew)
-    # rounding grows with n: at n = 400 eigvalsh alone moves the spectrum of a
-    # permuted copy of a by up to 8.5e-15 of its largest eigenvalue
-    tol = 1e-14 * max(1, n // 200) * np.abs(want).max()
+    tol = _backward_tol(a)
     assert np.abs(_spectrum(t, skew) - want).max() <= tol
     if not cplx:
         # the couplings b of a real form give its eigenvalues on their own: a real skew
@@ -569,20 +585,21 @@ def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
        cplx=st.booleans(), skew=st.booleans(), z=_HALF_DISC)
 def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, cplx, skew, z):
     a = _hermitian(n, seed, cplx, skew)
-    t = tridiagonalize(a, skew)
+    buf = a.copy()
+    t = _tridiagonalize(buf, skew)
+    assert t is buf  # reduced in place
     _assert_tridiagonal_of_its_kind(t, a, skew)
     want = _spectrum(a, skew)
     assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     eye = np.eye(n)
-    _assert_logdet_matches(hessenberg_logdet(t, [z])[0], eye + z * a)
-    assert np.array_equal(tridiagonalize(a.copy(), skew), t)  # a is read, not changed
+    _assert_logdet_matches(hessenberg_logdet(t, [z], True)[0], eye + z * a)
 
 
 def _one_at_a_time(monkeypatch, a, skew):
-    """tridiagonalize(a, skew) with no panel, whatever the order of a."""
+    """_tridiagonalize of a copy of a with no panel, whatever the order of a."""
     with monkeypatch.context() as patch:
         patch.setattr(fredet.linalg, "_TRIDIAGONAL_CROSSOVER", MAX_DIM + 1)
-        return tridiagonalize(a, skew)
+        return _tridiagonalize(a.copy(), skew)
 
 
 @pytest.mark.parametrize("n", [_CROSSOVER, 400])
@@ -592,10 +609,10 @@ def test_blocked_and_unblocked_forms_have_the_same_determinants(monkeypatch, n, 
     # the panels reorder the rounding, so the two forms differ, but det(I + zT) agrees
     # to 1e-13 relative on and off the axes
     a = _hermitian(n, n + 1, cplx, skew)
-    blocked, unblocked = tridiagonalize(a, skew), _one_at_a_time(monkeypatch, a, skew)
+    blocked, unblocked = _tridiagonalize(a.copy(), skew), _one_at_a_time(monkeypatch, a, skew)
     assert not np.array_equal(blocked, unblocked)
     zs = np.array([0.4, 0.3j, 0.25 + 0.2j, -0.1 - 0.45j])
-    got, want = hessenberg_logdet(blocked, zs), hessenberg_logdet(unblocked, zs)
+    got, want = hessenberg_logdet(blocked, zs, True), hessenberg_logdet(unblocked, zs, True)
     assert np.abs(np.exp(got - want) - 1.0).max() <= 1e-13
 
 
@@ -609,26 +626,35 @@ def test_panels_run_only_from_the_crossover_on(monkeypatch):
 
     monkeypatch.setattr(fredet.linalg, "_tridiagonal_panel", spy)
     for skew in (False, True):
-        tridiagonalize(_hermitian(_CROSSOVER - 1, 3, False, skew), skew)
+        _tridiagonalize(_hermitian(_CROSSOVER - 1, 3, False, skew), skew)
     prepare(assemble_nystrom(registry("green"), gauss_legendre(_CROSSOVER - 1, 0.0, 1.0)), 1)
     assert panels == []
-    tridiagonalize(_hermitian(_CROSSOVER, 3, False, False), False)
+    _tridiagonalize(_hermitian(_CROSSOVER, 3, False, False), False)
     # panels while the part left has the crossover's order; the rest one at a time
     width = fredet.linalg._TRIDIAGONAL_PANEL
     assert panels == [(_CROSSOVER, 0)]
     panels.clear()
-    tridiagonalize(_hermitian(400, 3, True, True), True)
+    _tridiagonalize(_hermitian(400, 3, True, True), True)
     assert panels == [(400, k0) for k0 in range(0, 400 - _CROSSOVER + 1, width)]
 
 
 def test_tridiagonalize_splits_at_an_exactly_decoupled_block():
-    # no coupling between the blocks: row 4 has nothing right of the diagonal once
-    # its block is reduced, so its reflector is skipped and must not read step 3's
-    a = np.zeros((12, 12))
-    a[:5, :5] = _hermitian(5, 1, False, False)
-    a[5:, 5:] = _hermitian(7, 2, False, False)
-    t = tridiagonalize(a, skew=False)
-    assert t[4, 5] == t[5, 4] == 0.0
-    for block in (slice(0, 5), slice(5, 12)):
-        want = np.linalg.eigvalsh(a[block, block])
-        assert np.abs(np.linalg.eigvalsh(t[block, block]) - want).max() <= 1e-14
+    # no coupling between the blocks: the last row of the first block has nothing right
+    # of the diagonal once that block is reduced, so its reflector is skipped and must
+    # not read the step before.  At order 12 one reflector at a time; at order 300,
+    # split after row 19, inside the first panel
+    width = fredet.linalg._TRIDIAGONAL_PANEL
+    for n, split, kinds in ((12, 5, [(False, False)]),
+                            (_CROSSOVER + 44, width - 12, [(c, s) for c in (False, True)
+                                                           for s in (False, True)])):
+        for cplx, skew in kinds:
+            a = np.zeros((n, n), dtype=complex if cplx else float)
+            a[:split, :split] = _hermitian(split, 1, cplx, skew)
+            a[split:, split:] = _hermitian(n - split, 2, cplx, skew)
+            t = _tridiagonalize(a.copy(), skew)
+            _assert_tridiagonal_of_its_kind(t, a, skew)
+            assert t[split - 1, split] == t[split, split - 1] == 0.0
+            for block in (slice(0, split), slice(split, n)):
+                want = _spectrum(a[block, block], skew)
+                got = _spectrum(t[block, block], skew)
+                assert np.abs(got - want).max() <= _backward_tol(a[block, block]), (n, cplx, skew)

@@ -306,7 +306,7 @@ def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
     # a zero near 0.97, just inside the unit circle, makes the sampler double
     # well past one evaluation block; the block size must not change the samples
     h = hessenberg(np.diag([-1.0 / 0.97, 0.3, -0.2]) + 0.01)
-    logfun = lambda zs: hessenberg_logdet(h, zs)
+    logfun = lambda zs: hessenberg_logdet(h, zs, False)
     n, coeffs = _sample_circle(logfun, 0.0, 1.0)
     assert n == 1
     assert coeffs.size > 4 * fredet.linalg._LOGDET_CHUNK

@@ -27,9 +27,13 @@ the change won.  Each layers process times nine layers at N in
                      smooth kernels (bernoulli ngl, abs_pow_iter2 rect with
                      zero_diag) and two split ones (green ngl, sign rect with
                      zero_diag)
-  prepare            determinants.prepare of each of those matrices at p = 1:
-                     its reduction, tridiagonal for all four (three symmetric,
-                     sign skew)
+  prepare            determinants.prepare at p = 1 of each of those matrices,
+                     whose reductions are tridiagonal (three symmetric, sign
+                     skew), and of GENERAL_CASES, which keep the full
+                     Hessenberg form (abs_pow singular, green ncc); beside
+                     each time, prepare_<case>_peak_n2, the peak that
+                     tracemalloc records over one untimed call, in units of
+                     N^2 entries of K (the matrix itself not counted)
 
 Each layer is timed at least once and repeated, up to REPEATS times, while
 its total stays under BUDGET_S seconds, and the process keeps the best time.
@@ -104,6 +108,11 @@ NYSTROM_CASES = {
     "sign_rect_zd": ("sign", "rectangle", True),
     "abs_pow_iter2_rect_zd": ("abs_pow_iter2", "rectangle", True),
 }
+# name: kernel, scheme; the operators of the prepare layer that take the general path
+GENERAL_CASES = {
+    "abs_pow_singular": ("abs_pow", "singular"),
+    "green_ncc": ("green", "ncc"),
+}
 LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
 GRID_FAULT_SEEDS = range(1, 11)
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
@@ -114,11 +123,11 @@ END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
 
 # Older trees take one scalar x per singular_moments call.
 _LAYERS = r"""
-import json, sys, time
+import json, sys, time, tracemalloc
 import numpy as np
 from fredet import determinants, discretize, kernels, quadrature
 
-ns, alphas, repeats, budget, nystrom = json.loads(sys.argv[1])
+ns, alphas, repeats, budget, nystrom, general = json.loads(sys.argv[1])
 
 def moments(alpha, nodes, n):
     try:
@@ -133,6 +142,17 @@ def best(fn):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+def prepared(row, name, op):
+    # the peak of one untimed prepare in units of N^2 entries of K, then its best time
+    size = op.matrix.size * op.matrix.itemsize
+    tracemalloc.start()
+    try:
+        determinants.prepare(op, 1)
+        row[f"prepare_{name}_peak_n2"] = tracemalloc.get_traced_memory()[1] / size
+    finally:
+        tracemalloc.stop()
+    row[f"prepare_{name}_s"] = best(lambda: determinants.prepare(op, 1))
 
 out = []
 for alpha in alphas:
@@ -158,8 +178,9 @@ for n in ns:
         r = getattr(quadrature, rule)(n, *spec.domain)
         row[f"assemble_nystrom_{name}_s"] = best(
             lambda: discretize.assemble_nystrom(spec, r, zero_diag=zero_diag))
-        op = discretize.assemble_nystrom(spec, r, zero_diag=zero_diag)
-        row[f"prepare_{name}_s"] = best(lambda: determinants.prepare(op, 1))
+        prepared(row, name, discretize.assemble_nystrom(spec, r, zero_diag=zero_diag))
+    for name, (kernel, scheme) in general.items():
+        prepared(row, name, discretize.assemble(kernels.registry(kernel), scheme, n))
     out.append(row)
 print(json.dumps(out))
 """
@@ -328,12 +349,18 @@ def paired(values):
 
 
 def layer_report(by_tag):
-    """The layer rows, each timing paired across the processes of the trees."""
+    """The layer rows, each timing paired across the processes of the trees, and each
+    peak, which does not vary between processes, per tree from its first one."""
     first = next(iter(by_tag.values()))[0]
-    return [{k: (paired({tag: [res[i][k] for res in results] for tag, results in by_tag.items()})
-                 if k.endswith("_s") else v)
-             for k, v in row.items()}
-            for i, row in enumerate(first)]
+
+    def entry(i, k, v):
+        if k.endswith("_s"):
+            return paired({tag: [res[i][k] for res in results] for tag, results in by_tag.items()})
+        if k.endswith("_peak_n2"):
+            return {tag: results[0][i][k] for tag, results in by_tag.items()}
+        return v
+
+    return [{k: entry(i, k, v) for k, v in row.items()} for i, row in enumerate(first)]
 
 
 def example_report(by_tag):
@@ -397,7 +424,8 @@ def summarize(pairs):
 
 def measure(trees, args):
     """The report: layers, examples, locate stages, grid faults and bench pairs."""
-    layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES])
+    layers = alternate(trees, _LAYERS, [NS, ALPHAS, REPEATS, BUDGET_S, NYSTROM_CASES,
+                                        GENERAL_CASES])
     report = {"machine": _environment(args.seed), "layers": layer_report(layers)}
     report["run_example_s"] = example_report(
         alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]))
