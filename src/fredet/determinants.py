@@ -1,6 +1,7 @@
 """Regularized determinants det_p(I + zK) of discrete operators, by three routes."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,12 +86,15 @@ class PreparedDet:
     """det_p(I + zK) at many z on one reduction of K; made by prepare.
 
     matrix is the validated K, hess an upper Hessenberg H with
-    det(I + zK) = det(I + zH): tridiagonal for a symmetric or skew Nystrom
-    operator (see prepare), else hessenberg's Fortran-ordered view.  traces[j-1]
-    = tr(K^j) for j < p.  tridiagonal records whether H is tridiagonal, and
-    hessenberg_logdet takes it as given, so no evaluation scans H for it.  It
-    can stand for K wherever an operator is taken: det_p and locate_eigs read
-    matrix, and locate_eigs reuses hess instead of reducing K again.
+    det(I + zK) = det(I + z 2^log2_scale H): tridiagonal for a symmetric or
+    skew Nystrom operator (see prepare), else hessenberg's Fortran-ordered
+    view.  log2_scale is 0, and H has the determinants of K itself, unless K
+    is so large or so small that its reduction would leave the double range
+    (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  tridiagonal records
+    whether H is tridiagonal, and hessenberg_logdet takes it as given, so no
+    evaluation scans H for it.  It can stand for K wherever an operator is
+    taken: det_p and locate_eigs read matrix, and locate_eigs samples logdet
+    instead of reducing K again.
     """
 
     p: int
@@ -98,13 +102,26 @@ class PreparedDet:
     hess: np.ndarray
     traces: np.ndarray
     tridiagonal: bool
+    log2_scale: int
+
+    def logdet(self, zs) -> np.ndarray:
+        """log det(I + zK) for every z in zs, as hessenberg_logdet gives it for H at
+        z 2^log2_scale; DetOverflowError where that z leaves the double range."""
+        zs = np.asarray(zs, dtype=np.complex128).ravel()
+        if self.log2_scale:
+            with np.errstate(over="ignore"):
+                scaled = _times_power_of_two(zs, self.log2_scale)
+            bad = ~np.isfinite(scaled)
+            if bad.any():
+                raise DetOverflowError(f"z K is out of double range at z = {zs[bad][0]}")
+            zs = scaled
+        return hessenberg_logdet(self.hess, zs, self.tridiagonal)
 
     def values(self, zs) -> np.ndarray:
         """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
         I + zK is singular, DetOverflowError past the double range, ValueError at a z not finite."""
         zs = _finite(np.asarray(zs, dtype=np.complex128).ravel())
-        logdets = hessenberg_logdet(self.hess, zs, self.tridiagonal)
-        return _finish(self.p, zs, 1.0, logdets, self.traces)
+        return _finish(self.p, zs, 1.0, self.logdet(zs), self.traces)
 
 
 def prepare(op, p: int) -> PreparedDet:
@@ -129,17 +146,36 @@ def prepare(op, p: int) -> PreparedDet:
     those of K either way.  A matrix or operator is reduced on every call, a
     PreparedDet never again: one of this p comes back as it is, one of another
     p with only the new p's traces, so a caller that evaluates one operator in
-    several places passes the PreparedDet along.
+    several places passes the PreparedDet along.  A K whose reduction would
+    leave the double range is reduced as 2^-e K for the power of two that
+    _log2_scale picks, and its values read H at z 2^e; any other K is reduced
+    as it is.
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
-        m = op.matrix
         if op.p == p:
             return op
-        return PreparedDet(p, m, op.hess, _trace_powers(m, p - 1), op.tridiagonal)
+        return replace(op, p=p, traces=_trace_powers(op.matrix, p - 1))
     m = _matrix_of(op)
-    hess, tridiagonal = _reduce(m, getattr(op, "weights", None))
-    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), tridiagonal)
+    e = _log2_scale(m)
+    hess, tridiagonal = _reduce(_times_power_of_two(m, -e) if e else m,
+                                getattr(op, "weights", None))
+    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), tridiagonal, e)
+
+
+def _log2_scale(m: np.ndarray) -> int:
+    """0 where every product of three numbers of size N max|K| is a normal double, as
+    the Householder reductions form them (a squared norm times an entry); else the e
+    with N max|K| 2^-e in [1/4, 1), which keeps them normal for 2^-e K."""
+    e = math.frexp(float(np.abs(m).max()))[1] + m.shape[0].bit_length()  # N max|K| < 2^e
+    info = np.finfo(np.float64)
+    return 0 if 3 * (e - 2) >= info.minexp and 3 * e < info.maxexp else e
+
+
+def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
+    """A new a 2^e, exact wherever it stays a normal double; a is a contiguous float64 or
+    complex128 array."""
+    return np.ldexp(a.view(np.float64), e).view(a.dtype)
 
 
 def _reduce(m: np.ndarray, weights):

@@ -89,9 +89,11 @@ def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
     jmax = 0 gives the empty array, the traces det_p's correction reads at p = 1.
     """
     out = np.empty(jmax, dtype=m.dtype)
+    if jmax == 0:
+        return out
     if jmax <= 3:
         p = m
-        out[:1] = np.trace(p)
+        out[0] = np.trace(p)
         for j in range(1, jmax - 1):
             p = p @ m
             out[j] = np.trace(p)

@@ -9,6 +9,13 @@ from . import discretize, kernels, linalg
 from .determinants import det_from_eigs
 
 
+def _finite(value: complex, z) -> complex:
+    """value, a reference determinant at z; ValueError if it is not finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"reference determinant is not finite in double precision at z = {z}")
+    return value
+
+
 def _sinc_power(z, k: int) -> complex:
     """(sin v / v)^k at v = sqrt(z)/k, 1 at z = 0, exact to rounding; even in v, so either
     root serves.  ValueError where it overflows double precision (|Im sqrt z| >~ 710)."""
@@ -17,9 +24,7 @@ def _sinc_power(z, k: int) -> complex:
         value = (cmath.sin(v) / v if v else 1.0 + 0.0j) ** k
     except OverflowError:
         value = cmath.inf
-    if not cmath.isfinite(value):
-        raise ValueError(f"reference determinant is not finite in double precision at z = {z}")
-    return value
+    return _finite(value, z)
 
 
 def det_green(z) -> complex:
@@ -33,8 +38,11 @@ def det_bernoulli(z) -> complex:
 
 
 def det_sign_p2(z) -> complex:
-    """d_2(z) = cosh(2z) for the sign kernel with zeroed diagonal."""
-    return complex(np.cosh(2.0 * complex(z)))
+    """d_2(z) = cosh(2z) for the sign kernel with zeroed diagonal.  ValueError where it
+    overflows double precision (|Re z| >~ 355)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.cosh(2.0 * complex(z)))
+    return _finite(value, z)
 
 
 @lru_cache(maxsize=8)

@@ -6,7 +6,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .determinants import _check_p, _lu_dets, _newton_identities, _shifted, prepare
-from .linalg import hessenberg_logdet
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -349,7 +348,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     by determinants.prepare, which keeps the reduction of a PreparedDet.  sign
     enters only as the scalar sign*z: K_N and H are read exactly as prepared,
     so no N x N copy of either is made, and negation is exact.  The contour
-    samples log det(I + sign z H) in batches (linalg.hessenberg_logdet): at
+    samples log det(I + sign z H) in batches (PreparedDet.logdet): at
     O(N) per point where H is tridiagonal, as prepare makes it for a symmetric
     or skew Nystrom operator and records it (PreparedDet.tridiagonal, so no
     sample scans H for it), and at O(N^2) per point otherwise, in real
@@ -403,7 +402,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     center = _disc(center, radius)
 
     prep = prepare(op, p)
-    logdet = lambda zs: hessenberg_logdet(prep.hess, sign * zs, prep.tridiagonal)
+    logdet = lambda zs: prep.logdet(sign * zs)
     for bump in _BUMPS:
         contour = radius * bump
         try:

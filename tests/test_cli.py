@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import fredet
 import fredet.cli
 import fredet.determinants
+from fredet import SCHEMES
 from fredet.cli import MAX_GRID_STEPS, _parse_grid, main
 from fredet.determinants import det_from_eigs, det_p
 from fredet.discretize import assemble_nystrom, assemble_singular
@@ -274,22 +277,31 @@ def test_eigs_weakly_singular_disc(capsys):
 
 
 def test_eigs_csv_format(capsys):
-    code, out, _ = run(["eigs", "--kernel", "green", "--scheme", "ngl", "--n", "48",
-                        "--region", "12,0,8", "--format", "csv"], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("z_root_re,z_root_im,lam_re,lam_im")
-    assert len(lines) == 2
+    # a header, then one line per root: green's ground root; the 17 roots of one disc
+    # at N = 128 and at N = 400, each with its last polish step; det_3's nine on abs_pow
+    for args, roots in (
+        (["--kernel", "green", "--scheme", "ngl", "--n", "48", "--region", "12,0,8"], 1),
+        (["--kernel", "green", "--scheme", "ngl", "--n", "128", "--region", "1500,0,1499"], 17),
+        (["--kernel", "green", "--scheme", "ngl", "--n", "400", "--region", "1500,0,1499"], 17),
+        (["--kernel", "abs_pow", "--scheme", "singular", "--p", "3", "--n", "64",
+          "--region", "0,0,1.5"], 9),
+    ):
+        code, out, _ = run(["eigs", *args, "--format", "csv"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("z_root_re,z_root_im,lam_re,lam_im")
+        assert lines[0].endswith(",step")
+        assert out.count("\n") == len(lines) == 1 + roots, args
 
 
 def test_identity_passes(capsys):
-    code, out, _ = run(["identity", "--trials", "5", "--seed", "3",
-                        "--format", "json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ok"] is True
-    assert max(v for k, v in payload["residuals"].items()
-               if k != "sign:closed_form_squared") < 1e-8
+    for args in (["--trials", "5", "--seed", "3"], ["--trials", "20"]):
+        code, out, _ = run(["identity", *args, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is True
+        assert max(v for k, v in payload["residuals"].items()
+                   if k != "sign:closed_form_squared") < 1e-8
 
 
 def test_example_runs_and_writes_files(tmp_path, capsys):
@@ -302,10 +314,102 @@ def test_example_runs_and_writes_files(tmp_path, capsys):
     assert "slopes" in payload and "residuals" in payload
 
 
+_EXAMPLES = """
+import contextlib, sys
+from fredet.cli import main
+for k in "1234":
+    with open(f"{sys.argv[1]}/stdout-{k}.json", "w") as fh, contextlib.redirect_stdout(fh):
+        code = main(["example", "--id", k, "--out", f"{sys.argv[1]}/files"])
+    if code:
+        sys.exit(code)
+"""
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fredet.__file__)))
+
+
+def test_examples_write_the_same_bytes_in_a_second_process(tmp_path):
+    # examples 1-4 through the CLI in each of two processes, one after the other (side
+    # by side, their BLAS threads would share the cores): the same files and the same
+    # stdout, bit for bit; example 3's grid is a header and 81 points
+    outputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        result = subprocess.run([sys.executable, "-c", _EXAMPLES, str(tmp_path / name)],
+                                env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append({str(f.relative_to(tmp_path / name)): f.read_bytes()
+                        for f in (tmp_path / name).rglob("*") if f.is_file()})
+    assert len(outputs[0]) == 4 + 3 + 3 + 5 + 4  # four stdouts, then each example's files
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["files/example3_grid.csv"].count(b"\n") == 82
+
+
 def test_example_stdout_matches_summary_file(tmp_path, capsys):
     code, out, _ = run(["example", "--id", "1", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert out.encode("utf-8") == (tmp_path / "example1_summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_det_per_scheme(scheme, capsys):
+    kernel = "abs_pow" if scheme == "singular" else "green"
+    code, out, _ = run(["det", "--kernel", kernel, "--scheme", scheme, "--n", "16",
+                        "--z", "1,0"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+def test_split_kernel_not_finite_off_its_own_side_runs_with_an_empty_stderr(tmp_path, capsys):
+    # sqrt(x - y) is read only where x >= y, sqrt(y - x) only where y >= x
+    path = _expr_file(tmp_path, {"k1": "sqrt(x - y)", "k2": "sqrt(y - x)"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["det", "--kernel-file", path, "--scheme", "ngl", "--n", "16",
+                            "--z", "1,0"], capsys)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("alpha, z", [(0.999, "0.001,0"), (0.3, "0.5,0")])
+def test_weakly_singular_det_at_n512_takes_under_a_minute(alpha, z, tmp_path, capsys):
+    # the product-quadrature moments come from a recurrence, however close alpha is to 1
+    path = tmp_path / "abs_pow.json"
+    path.write_text(json.dumps({"name": "abs_pow", "alpha": alpha}))
+    start = time.perf_counter()
+    code, _, _ = run(["det", "--kernel-file", str(path), "--scheme", "singular", "--n", "512",
+                      "--z", z], capsys)
+    assert code == 0 and time.perf_counter() - start < 60.0
+
+
+def test_ncc_det_at_max_dim_matches_the_closed_form(capsys):
+    code, out, _ = run(["det", "--kernel", "green", "--scheme", "ncc", "--n", str(MAX_DIM),
+                        "--z", "3,0", "--format", "json"], capsys)
+    assert code == 0
+    value = json.loads(out)["rows"][0]["value_re"]
+    assert abs(value - math.sin(math.sqrt(3)) / math.sqrt(3)) <= 1e-7
+
+
+def test_converge_at_large_z_against_its_closed_form_reference(capsys):
+    # green ncc at z = 1500, where det_green is sin(w)/w exact to rounding
+    code, out, _ = run(["converge", "--kernel", "green", "--scheme", "ncc",
+                        "--n-sweep", "64:512:geometric", "--z", "1500", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    err = {row["n"]: row["abs_err"] for row in payload["rows"]}[512]
+    (slope,) = payload["slopes"].values()
+    assert err < 6e-3
+    assert -3.3 <= slope <= -3.1
+
+
+def test_converge_refuses_a_reference_past_the_double_range(capsys):
+    # cosh(2z) overflows at z = 400, so no error can be measured against it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["converge", "--kernel", "sign", "--scheme", "rect", "--zero-diag",
+                              "--p", "2", "--n-sweep", "8:64:geometric", "--z", "400"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+    assert "reference determinant is not finite" in err
 
 
 def test_kernel_file_flow(tmp_path, capsys):
@@ -482,23 +586,30 @@ def _expr_file(tmp_path, expr):
     ({"k": "-" * 5000 + "x"}, []),
     ({"k": "x" + "+x" * 200000}, []),
     ({"k": "-" * 100000 + "x"}, []),
+    ({"k": "x+" * 199999 + "x"}, []),
+    ({"k": "q" * 100000}, []),
+    ({"k": '"' + "a" * 100000 + '"'}, []),
     ({"k1": "1/0", "k2": "x"}, ["--p", "2", "--scheme", "rect"]),
     ("missing.json", []),
     (".", []),
 ], ids=["one_over_zero", "zero_to_minus_one", "exp_overflow", "int_power_overflow",
         "int_literal_overflow", "call_no_argument", "call_two_arguments", "call_three_arguments",
-        "minus_chain_5000", "plus_chain_200000", "minus_chain_100000", "split_one_over_zero",
-        "missing_file", "directory"])
+        "minus_chain_5000", "plus_chain_200000", "minus_chain_100000", "plus_chain_199999",
+        "long_name", "long_string", "split_one_over_zero", "missing_file", "directory"])
 def test_bad_kernel_files_exit_one(expr, args, tmp_path, capsys):
     # each was a traceback, a numpy message or an output error (exit 2) before;
-    # a string names a path under tmp_path instead of an expression
+    # a string names a path under tmp_path instead of an expression.  The one
+    # line stays short, whatever the length of the expression it refuses
     path = str(tmp_path / expr) if isinstance(expr, str) else _expr_file(tmp_path, expr)
+    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(["det", "--kernel-file", path, "--scheme", "ngl", "--n", "8",
                               "--z", "1,0", *args], capsys)
+    assert time.perf_counter() - start < 10.0
     assert code == 1 and out == ""
     assert err.startswith("fredet: configuration: ") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 1024
 
 
 @pytest.mark.parametrize("args, names", [
@@ -522,13 +633,13 @@ def test_smooth_kernels_not_finite_on_the_diagonal_are_refused_with_advice_that_
 
 def test_power_tower_kernel_file_exits_one_quickly(tmp_path):
     # as Python integers 9**9**9 has 370 million digits; in float64 it is inf
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fredet.__file__)))
     result = subprocess.run([sys.executable, "-W", "error", "-m", "fredet.cli", "det",
                              "--kernel-file", _expr_file(tmp_path, {"k": "9**9**9"}),
                              "--scheme", "ngl", "--n", "8", "--z", "1,0"],
-                            env=env, capture_output=True, text=True, timeout=10)
+                            env=_src_env(), capture_output=True, text=True, timeout=10)
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("fredet: configuration: ") and result.stderr.count("\n") == 1
+    assert len(result.stderr.encode("utf-8")) < 1024
 
 
 def test_det_n_past_max_dim_exits_one(capsys):

@@ -482,18 +482,40 @@ def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
 
 
 @pytest.mark.parametrize("scheme", ["rect", "ngl"])
-@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n", [64, 256, 1024])
 def test_iterated_kernel_operators_prepare_a_tridiagonal_form(scheme, n):
     # abs_pow_iter2's one closed form is symmetric in floating point, so with
-    # zero_diag W^(1/2) K W^(-1/2) is symmetric to the scaling's rounding
+    # zero_diag W^(1/2) K W^(-1/2) is symmetric to the scaling's rounding.  N = 1024
+    # is reduced in panels, and checked at eight z to keep its LUs few
     op = assemble(registry("abs_pow_iter2"), scheme, n, True)
     prep = prepare(op, 2)
     assert _is_tridiagonal(prep.hess)
     rng = np.random.default_rng(n)
-    zs = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
+    zs = (np.linspace(-3.0, 3.0, 8) + 0.5j if n == 1024
+          else rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20))
     got = prep.values(zs)
     want = np.array([det_p(op, 2, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("name, scheme, n, skew", [
+    ("green", "ngl", 400, False), ("sign", "rect", 200, True), ("sign", "rect", 400, True)],
+    ids=["green-ngl-400", "sign-rect-200", "sign-rect-400"])
+def test_tridiagonal_form_keeps_the_eigenvalues_of_s(monkeypatch, name, scheme, n, skew):
+    # T has the eigenvalues of S = W^(1/2) K W^(-1/2) (of -i S, Hermitian, if S is
+    # skew) to 1e-13 of the largest, in panels at N = 400 and one reflector at a time
+    # at N = 200
+    assert 200 < fredet.linalg._TRIDIAGONAL_CROSSOVER <= 400
+    monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
+    op = assemble(registry(name), scheme, n, skew)
+    prep = prepare(op, 1)
+    t = prep.hess
+    assert prep.tridiagonal and not np.triu(t, 2).any()
+    root = np.sqrt(op.weights)
+    s = root[:, None] * op.matrix / root
+    want = np.linalg.eigvalsh(-1j * s if skew else (s + s.T) / 2)
+    got = np.linalg.eigvalsh(-1j * t if skew else t)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _weighted(s_matrix, n):
@@ -588,6 +610,41 @@ def test_prepare_builds_each_form_once(case, n):
     assert prep.tridiagonal == tridiagonal
     units = peak / (n * n * op.matrix.itemsize)
     assert units <= _PREPARE_PEAK[tridiagonal], units
+
+
+@pytest.mark.parametrize("op, zs", [
+    # S's symmetric part (S + S^T) / 2 would overflow in its sum
+    (DiscreteOperator(np.array([[1e308, 2e307], [2e307, 1e308]]), np.array([0.0, 1.0]),
+                      np.array([1.0, 1.0])), [1e-309, 2e-309j, -3e-309 + 1e-309j]),
+    # a squared Householder norm would overflow, or underflow
+    (np.full((4, 4), 2e307) + 1e308 * np.eye(4), [1e-309, 3e-309, 1e-309 + 2e-309j]),
+    (np.full((4, 4), 2e-307) + 1e-306 * np.eye(4), [1e305, 1e306, -2e305j]),
+], ids=["symmetric", "general", "general_tiny"])
+def test_operators_near_the_ends_of_the_double_range_are_reduced_scaled(op, zs):
+    # K is reduced as 2^-e K and its values read at z 2^e, e a power of two that
+    # keeps the reduction's products normal: finite values, det_p's to rounding
+    prep = prepare(op, 1)
+    assert prep.log2_scale != 0
+    got = prep.values(zs)
+    want = np.array([det_p(op, 1, z).value for z in zs])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_a_z_whose_scaled_value_leaves_the_double_range_overflows():
+    # z 2^e = 2^1024 leaves the double range, and with it z K
+    prep = prepare(np.full((4, 4), 2e307) + 1e308 * np.eye(4), 1)
+    with pytest.raises(DetOverflowError, match="out of double range"):
+        prep.values([1e-309, np.ldexp(1.0, 1024 - prep.log2_scale)])
+
+
+def test_operators_of_moderate_size_are_reduced_as_they_are():
+    for op in (assemble(registry("green"), "ngl", 400), assemble(registry("green"), "ncc", 64),
+               1e100 * np.ones((8, 8)), 1e-100 * np.ones((8, 8)), np.zeros((3, 3))):
+        prep = prepare(op, 1)
+        assert prep.log2_scale == 0
+        m = getattr(op, "matrix", op)
+        if not prep.tridiagonal:
+            assert np.array_equal(prep.hess, hessenberg(m))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, "ratio"])

@@ -139,13 +139,15 @@ def test_locate_eigs_samples_one_contour(monkeypatch):
 
 def test_locate_eigs_ninefold_root_is_one_estimate():
     # nine coincident roots come from one disc's moments; the polish converges
-    # on them linearly and the cluster rule makes them one estimate
+    # on them linearly and the cluster rule makes them one estimate, on a rotated
+    # matrix and on an exactly diagonal one, which takes the general path
     q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(12, 12)))
-    a = q @ np.diag([0.5] * 9 + [0.3, 0.2, 0.1]) @ q.T
-    ests = locate_eigs(a, 1, 2.0, 1.0)
-    assert len(ests) == 1
-    assert ests[0].mult_estimate == 9
-    assert abs(ests[0].z_root - 2.0) < 1e-6
+    rotated = q @ np.diag([0.5] * 9 + [0.3, 0.2, 0.1]) @ q.T
+    for a, center, radius in ((rotated, 2.0, 1.0), (np.diag([0.5] * 9 + [0.1]), 0.0, 5.0)):
+        ests = locate_eigs(a, 1, center, radius)
+        assert len(ests) == 1
+        assert ests[0].mult_estimate == 9
+        assert abs(ests[0].z_root - 2.0) < 1e-6
 
 
 def test_locate_eigs_defective_root_raises():
@@ -385,8 +387,8 @@ def test_locate_eigs_orders_conjugate_pair():
 
 def _counted_logdet(monkeypatch):
     sizes = []
-    logdet = fredet.spectra.hessenberg_logdet
-    monkeypatch.setattr(fredet.spectra, "hessenberg_logdet",
+    logdet = fredet.determinants.hessenberg_logdet
+    monkeypatch.setattr(fredet.determinants, "hessenberg_logdet",
                         lambda h, zs, *kind: sizes.append(np.size(zs)) or logdet(h, zs, *kind))
     return sizes
 
@@ -635,6 +637,60 @@ def test_symmetric_searches_factor_in_float64(monkeypatch, name):
     assert len(raw) == len(ests)
     for u, v in zip(ests, raw):
         assert abs(u.z_root - v.z_root) <= 1e-12 * abs(v.z_root)
+
+
+def _raising(message):
+    """A stand-in that raises AssertionError, which no search catches, as it
+    might a LinAlgError from a singular matrix."""
+    def spy(*args, **kwargs):
+        raise AssertionError(message)
+    return spy
+
+
+def _gap_to_eigs(op, ests):
+    """The largest relative distance from an estimate to the nearest 1/lam of K."""
+    expect = 1.0 / np.linalg.eigvals(getattr(op, "matrix", op))
+    return max(np.min(np.abs(expect - e.z_root)) / abs(e.z_root) for e in ests)
+
+
+def test_green_search_at_n400_is_tridiagonal_float64_and_inverse_free(monkeypatch):
+    # green ngl N = 400, 17 real roots in 1500 +- 1499: past the panel crossover the
+    # form is still tridiagonal, the polish and residuals factor float64 matrices and
+    # take no inverse, and the roots are K's and the general search's on the raw matrix
+    assert 200 < fredet.linalg._TRIDIAGONAL_CROSSOVER <= 400
+    green = assemble(registry("green"), "ngl", 400)
+    monkeypatch.setattr(np.linalg, "inv", _raising("the polish took an inverse"))
+    monkeypatch.setattr(fredet.determinants, "hessenberg",
+                        _raising("a symmetric operator took linalg.hessenberg"))
+    seen = _slogdet_dtypes(monkeypatch)
+    tri = locate_eigs(green, 1, 1500.0, 1499.0)
+    assert set(seen) == {np.dtype(np.float64)}
+    monkeypatch.setattr(fredet.determinants, "hessenberg", hessenberg)
+    assert len(tri) == 17
+    assert all(e.z_root.imag == 0.0 for e in tri)
+    assert _gap_to_eigs(green, tri) <= 1e-12
+    full = locate_eigs(green.matrix, 1, 1500.0, 1499.0)
+    assert len(full) == 17
+    assert max(abs(a.z_root - b.z_root) / abs(b.z_root) for a, b in zip(tri, full)) <= 1e-12
+
+
+def test_complex_polish_searches_take_no_inverse(monkeypatch):
+    # sign rect, skew, on either side of the panel crossover, with no general reduction:
+    # its roots are imaginary, so its polish factors complex matrices; abs_pow singular
+    # takes the general path.  Each root is 1/lam of K to 1e-12
+    monkeypatch.setattr(np.linalg, "inv", _raising("the polish took an inverse"))
+    monkeypatch.setattr(fredet.determinants, "hessenberg",
+                        _raising("a skew operator took linalg.hessenberg"))
+    for n in (200, 400):
+        sign = assemble(registry("sign"), "rect", n, zero_diag=True)
+        ests = locate_eigs(sign, 2, 0.0, 1.2)
+        assert len(ests) == 2, n
+        assert _gap_to_eigs(sign, ests) <= 1e-12, n
+    monkeypatch.setattr(fredet.determinants, "hessenberg", hessenberg)
+    singular = assemble(registry("abs_pow"), "singular", 64)
+    ests = locate_eigs(singular, 3, 0.0, 2.0)
+    assert len(ests) == 16
+    assert _gap_to_eigs(singular, ests) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["green-ngl", "sign-rect"])

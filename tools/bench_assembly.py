@@ -45,9 +45,10 @@ many-root and large-N searches that no benchmark workload covers (green ngl
 and sign rect at N = 400 and 1500 on a tridiagonal form, abs_pow singular on
 the full Hessenberg one): one warm-up search, then LOCATE_REPEATS timed
 ones, each split into reduction (determinants.prepare), sampling
-(hessenberg_logdet) and polish (_polish) as seen through spectra's names;
-the rest of a search is its residuals and bookkeeping.  The process keeps
-each stage's min over its runs, and the roots of both trees are compared.
+(hessenberg_logdet) and polish (_polish) as seen through the names
+locate_eigs calls them by; the rest of a search is its residuals and
+bookkeeping.  The process keeps each stage's min over its runs, and the
+roots of both trees are compared.
 Before timing, where glibc's mallopt can be reached, the process fixes its
 mmap threshold at 32 MB and its trim threshold at 64 MB (LOCATE_MALLOPT),
 so the N x N temporaries of a stage do not come back as fresh pages or not
@@ -208,7 +209,7 @@ print(json.dumps(out))
 
 _LOCATE = r"""
 import ctypes, json, sys, time
-from fredet import discretize, kernels, spectra
+from fredet import determinants, discretize, kernels, linalg, spectra
 
 cases, repeats, settings = json.loads(sys.argv[1])
 spent = {}
@@ -236,8 +237,12 @@ def timed(key, fn):
 
 spectra.prepare = timed("reduction_s", spectra.prepare)
 spectra._polish = timed("polish_s", spectra._polish)
-logdet = timed("sampling_s", spectra.hessenberg_logdet)
-spectra.hessenberg_logdet = lambda h, zs, *kind: samples.append(len(zs)) or logdet(h, zs, *kind)
+logdet = timed("sampling_s", linalg.hessenberg_logdet)
+# locate_eigs samples through determinants' name (PreparedDet.logdet); a tree from
+# before that samples through spectra's
+for module in (spectra, determinants):
+    if hasattr(module, "hessenberg_logdet"):
+        module.hessenberg_logdet = lambda h, zs, *kind: samples.append(len(zs)) or logdet(h, zs, *kind)
 
 out = {"mallopt": pin_heap(), "cases": {}}
 for name, (kernel, scheme, n, zero_diag, p, centre, radius) in cases.items():
