@@ -44,10 +44,13 @@ def _finish(p: int, z, phase, logdet, traces):
     """det_p(I + zK) = phase exp(logdet + sum_{j<p} (-z)^j traces[j-1] / j), for one z
     or an array of them, from a factored det(I + zK) = phase exp(logdet): slogdet's,
     or phase 1 and hessenberg_logdet's complex log.  Exactly 0 where logdet is -inf
-    (I + zK singular); DetOverflowError when a value leaves the double range.
+    (I + zK singular); DetOverflowError when a value leaves the double range, or
+    is nan: finite K and z give nan only where a step of the elimination overflowed.
     """
     w = logdet + sum(((-z) ** j * traces[j - 1] / j for j in range(1, p)), 0j)
     top = np.max(np.real(w), initial=-np.inf)
+    if np.isnan(top):
+        raise DetOverflowError(f"det_{p} overflowed the double range as it was formed")
     if top > _LOG_HUGE:
         raise DetOverflowError(f"|det_{p}| ~ exp({top:.4g}) is out of double range")
     return np.where(np.real(w) == -np.inf, 0.0, phase * np.exp(w))
@@ -113,7 +116,8 @@ class PreparedDet:
                 scaled = _times_power_of_two(zs, self.log2_scale)
             bad = ~np.isfinite(scaled)
             if bad.any():
-                raise DetOverflowError(f"z K is out of double range at z = {zs[bad][0]}")
+                raise DetOverflowError(f"z 2^{self.log2_scale} is out of double range"
+                                       f" at z = {zs[bad][0]}")
             zs = scaled
         return hessenberg_logdet(self.hess, zs, self.tridiagonal)
 
@@ -164,12 +168,18 @@ def prepare(op, p: int) -> PreparedDet:
 
 
 def _log2_scale(m: np.ndarray) -> int:
-    """0 where every product of three numbers of size N max|K| is a normal double, as
-    the Householder reductions form them (a squared norm times an entry); else the e
-    with N max|K| 2^-e in [1/4, 1), which keeps them normal for 2^-e K."""
+    """The e with which prepare reduces 2^-e K: 0 where K's reduction keeps its
+    products normal doubles as it is, else the e of least size that does.  With
+    N max|K| < 2^e, the Householder reductions form products of three numbers of
+    size N max|K| (a squared norm times an entry), and of one such number and the
+    squared norm of a column that may be only rounding residue, down to 2^-104 of
+    it: all normal for e in [low, high].  So z 2^e leaves the double range only
+    where an entry of z K does (for any N below 2^338)."""
     e = math.frexp(float(np.abs(m).max()))[1] + m.shape[0].bit_length()  # N max|K| < 2^e
     info = np.finfo(np.float64)
-    return 0 if 3 * (e - 2) >= info.minexp and 3 * e < info.maxexp else e
+    # N max|K| >= 2^(e-2): 3 e < maxexp, and 3 (e-2) - 4 nmant >= minexp
+    high, low = (info.maxexp - 1) // 3, 2 - (-info.minexp - 4 * info.nmant) // 3
+    return e - min(max(e, low), high)
 
 
 def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:

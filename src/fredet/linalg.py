@@ -399,6 +399,9 @@ def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarr
             qk /= dk
             dnext -= qk
         return d
+    # where z^2 overflows, z^2 e_k as the product of z H's two couplings
+    q = np.where(np.isfinite(q), q, np.multiply.outer(np.diagonal(h, 1), z)
+                 * np.multiply.outer(np.diagonal(h, -1), z))
     closed = np.zeros(z.size, dtype=bool)  # row k-1 closed a 2 x 2 block
     for k in range(1, a.size):
         pair = ~closed & (np.abs(d[k - 1]) <= _TINY * np.abs(q[k - 1]))

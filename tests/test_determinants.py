@@ -619,7 +619,13 @@ def test_prepare_builds_each_form_once(case, n):
     # a squared Householder norm would overflow, or underflow
     (np.full((4, 4), 2e307) + 1e308 * np.eye(4), [1e-309, 3e-309, 1e-309 + 2e-309j]),
     (np.full((4, 4), 2e-307) + 1e-306 * np.eye(4), [1e305, 1e306, -2e305j]),
-], ids=["symmetric", "general", "general_tiny"])
+    # a squared norm of rounding residue times an entry would underflow
+    (np.ldexp(np.full((4, 4), 0.2) + np.eye(4), -330),
+     [2.0 ** 330, 3 * 2.0 ** 330, -2j * 2.0 ** 330]),
+    # scaled no further than the reduction needs, so z 2^e stays finite wherever z K
+    # does, though its square (read by the tridiagonal elimination) does not
+    (np.array([[0.0, 1e308], [0.0, 0.0]]), [0.25, 1.7, -1e-300, 0.5j]),
+], ids=["symmetric", "general", "general_tiny", "residue_tiny", "nilpotent"])
 def test_operators_near_the_ends_of_the_double_range_are_reduced_scaled(op, zs):
     # K is reduced as 2^-e K and its values read at z 2^e, e a power of two that
     # keeps the reduction's products normal: finite values, det_p's to rounding
@@ -637,9 +643,28 @@ def test_a_z_whose_scaled_value_leaves_the_double_range_overflows():
         prep.values([1e-309, np.ldexp(1.0, 1024 - prep.log2_scale)])
 
 
+def test_a_tridiagonal_form_at_a_z_whose_square_overflows():
+    # z^2 overflows, but z T's couplings and their product do not
+    op = np.array([[1e-80, 1e-300], [1e-300, 1e-80]])
+    prep = prepare(op, 1)
+    assert prep.log2_scale == 0 and prep.tridiagonal
+    zs = [1e160, 1e200, -1e180j]
+    got = prep.values(zs)
+    want = np.array([det_p(op, 1, z).value for z in zs])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_an_elimination_that_overflows_raises_instead_of_giving_nan():
+    # |det| ~ exp(958) leaves the double range inside the tridiagonal elimination
+    op = DiscreteOperator(np.array([[1e308, 2e307], [2e307, 1e308]]), np.array([0.0, 1.0]),
+                          np.array([1.0, 1.0]))
+    with pytest.raises(DetOverflowError, match="double range"):
+        prepare(op, 1).values([1e-309, 1e-100])
+
+
 def test_operators_of_moderate_size_are_reduced_as_they_are():
     for op in (assemble(registry("green"), "ngl", 400), assemble(registry("green"), "ncc", 64),
-               1e100 * np.ones((8, 8)), 1e-100 * np.ones((8, 8)), np.zeros((3, 3))):
+               1e100 * np.ones((8, 8)), 1e-70 * np.ones((8, 8)), np.zeros((3, 3))):
         prep = prepare(op, 1)
         assert prep.log2_scale == 0
         m = getattr(op, "matrix", op)
