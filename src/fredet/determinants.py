@@ -65,8 +65,10 @@ def _shifted(m: np.ndarray, w) -> np.ndarray:
 
 def _lu_dets(m: np.ndarray, z: complex, traces, ps) -> list:
     """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet),
-    in float64 when K and z are both real (_shifted)."""
-    phase, logabs = np.linalg.slogdet(_shifted(m, z))
+    in float64 when K and z are both real (_shifted).  An entry of zK or a step of the
+    LU that overflows gives no warning: _finish refuses the nan or inf it leaves."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase, logabs = np.linalg.slogdet(_shifted(m, z))
     return [complex(_finish(p, z, phase, logabs, traces)) for p in ps]
 
 
@@ -89,8 +91,8 @@ class PreparedDet:
     """det_p(I + zK) at many z on one reduction of K; made by prepare.
 
     matrix is the validated K, hess an upper Hessenberg H with
-    det(I + zK) = det(I + z 2^log2_scale H): tridiagonal for a symmetric or
-    skew Nystrom operator (see prepare), else hessenberg's Fortran-ordered
+    det(I + zK) = det(I + z 2^log2_scale H): tridiagonal for a real symmetric
+    or skew Nystrom operator (see prepare), else hessenberg's Fortran-ordered
     view.  log2_scale is 0, and H has the determinants of K itself, unless K
     is so large or so small that its reduction would leave the double range
     (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  tridiagonal records
@@ -132,28 +134,28 @@ def prepare(op, p: int) -> PreparedDet:
     """det_p(I + zK) prepared for many z: K validated once, its p-1 trace
     corrections computed once, and K reduced once to Hessenberg form (_reduce).
 
-    An operator whose quadrature weights W are all positive (op.weights, the
-    plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2), which
-    has the determinants of K, when S is finite and symmetric or skew to
-    SYMMETRY_TOL (Hermitian or skew-Hermitian if complex): green and bernoulli,
-    and sign and abs_pow_iter2 with zero_diag.  Its symmetric (skew) part
-    (S + S*)/2 ((S - S*)/2), a change no larger than SYMMETRY_TOL admits, is
-    reduced in place by linalg._tridiagonalize to a tridiagonal form exactly
-    of that kind: couplings that mirror each other bit for bit, and an exactly
-    zero diagonal for a real skew S.  PreparedDet.values then costs O(N) per
-    z.  Any other operator or matrix is reduced as it is by linalg.hessenberg
-    and costs O(N^2) per z.  The general reduction costs about as much as 6-17
-    single-z det_p calls at a complex z, the tridiagonal one 3-7 (N = 32-800).
-    It is still an LU determinant, not the eigenvalue route, so the three
-    det_p routes stay independent; the values agree with det_p to rounding,
-    not bit for bit, since det_p factors I + zK itself.  matrix and traces are
-    those of K either way.  A matrix or operator is reduced on every call, a
-    PreparedDet never again: one of this p comes back as it is, one of another
-    p with only the new p's traces, so a caller that evaluates one operator in
-    several places passes the PreparedDet along.  A K whose reduction would
-    leave the double range is reduced as 2^-e K for the power of two that
-    _log2_scale picks, and its values read H at z 2^e; any other K is reduced
-    as it is.
+    A real operator whose quadrature weights W are all positive (op.weights,
+    the plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2),
+    which has the determinants of K, when S is finite and symmetric or skew to
+    SYMMETRY_TOL: green and bernoulli, and sign and abs_pow_iter2 with
+    zero_diag.  Its symmetric (skew) part (S + S^T)/2 ((S - S^T)/2), a change
+    no larger than SYMMETRY_TOL admits, is reduced in place by
+    linalg._tridiagonalize to a tridiagonal form exactly of that kind:
+    couplings that mirror each other bit for bit, and an exactly zero diagonal
+    for a skew S.  PreparedDet.values then costs O(N) per z.  Any other
+    operator or matrix, a complex weighted one included, is reduced as it is
+    by linalg.hessenberg and costs O(N^2) per z.  The general reduction costs
+    about as much as 6-17 single-z det_p calls at a complex z, the tridiagonal
+    one 3-7 (N = 32-800).  It is still an LU determinant, not the eigenvalue
+    route, so the three det_p routes stay independent; the values agree with
+    det_p to rounding, not bit for bit, since det_p factors I + zK itself.
+    matrix and traces are those of K either way.  A matrix or operator is
+    reduced on every call, a PreparedDet never again: one of this p comes back
+    as it is, one of another p with only the new p's traces, so a caller that
+    evaluates one operator in several places passes the PreparedDet along.  A
+    K whose reduction would leave the double range is reduced as 2^-e K for
+    the power of two that _log2_scale picks, and its values read H at z 2^e;
+    any other K is reduced as it is.
     """
     _check_p(p)
     if isinstance(op, PreparedDet):
@@ -201,18 +203,20 @@ def _reduce(m: np.ndarray, weights):
 
 def _symmetric_part(m: np.ndarray, weights):
     """(part, skew), part the symmetric (skew False) or skew part of S = W^(1/2) K W^(-1/2)
-    in one new buffer, where the weights are all positive and S is finite and symmetric
-    or skew to SYMMETRY_TOL; else None.  S is freed on return, before any reduction."""
-    if weights is None or weights.shape != m.shape[:1] or not np.all(weights > 0):
+    in one new buffer, where K is real, the weights are all positive and S is finite and
+    symmetric or skew to SYMMETRY_TOL; else None.  S is freed on return, before any
+    reduction."""
+    if (np.iscomplexobj(m) or weights is None or weights.shape != m.shape[:1]
+            or not np.all(weights > 0)):
         return None
     root = np.sqrt(weights)
     with np.errstate(over="ignore", invalid="ignore"):  # an S not finite is refused below
         s = m * np.outer(root, 1.0 / root)
-    adj, part = s.conj().T, np.empty_like(s)
+    part = np.empty_like(s)
     bound = SYMMETRY_TOL * np.abs(s).max()
     for skew, other, keep in ((False, np.subtract, np.add), (True, np.add, np.subtract)):
-        if np.isfinite(bound) and np.abs(other(s, adj, out=part)).max() <= bound:
-            return np.multiply(keep(s, adj, out=part), 0.5, out=part), skew
+        if np.isfinite(bound) and np.abs(other(s, s.T, out=part)).max() <= bound:
+            return np.multiply(keep(s, s.T, out=part), 0.5, out=part), skew
     return None
 
 

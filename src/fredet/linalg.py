@@ -179,24 +179,23 @@ def hessenberg(a) -> np.ndarray:
 
 
 def _tridiagonalize(m: np.ndarray, skew: bool) -> np.ndarray:
-    """m, C-contiguous, Hermitian (skew False) or skew-Hermitian (skew True),
-    reduced in place to a tridiagonal T with m = Q T Q* for a unitary Q by
+    """m, real, C-contiguous and symmetric (skew False) or skew (skew True),
+    reduced in place to a tridiagonal T with m = Q T Q^T for an orthogonal Q by
     Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
     2013, section 8.3), and returned.  Nothing validates or copies m: its one
     caller, determinants._reduce, has checked that it is finite and of its kind.
 
-    Each reflector is read from row k, which is column k conjugated (and
-    negated if skew).  T is exactly of m's kind: T[k+1, k] = sigma conj(T[k, k+1])
-    with sigma = -1 if skew else 1, bit for bit, a diagonal that is real if m
-    is Hermitian and imaginary, exactly zero for a real m, if skew, and exact
+    Each reflector is read from row k, which is column k (negated if skew).  T
+    is exactly of m's kind: T[k+1, k] = sigma T[k, k+1] with sigma = -1 if skew
+    else 1, bit for bit, a diagonal that is exactly zero if skew, and exact
     zeros off the three diagonals.  While the part left to reduce has order
     _TRIDIAGONAL_CROSSOVER or more, its reflectors are taken _TRIDIAGONAL_PANEL
     at a time (_tridiagonal_panel); the rest, and all of a smaller m, one at a
     time (_tridiagonal_steps).
     """
     n = m.shape[0]
-    diag = np.empty(n, dtype=m.dtype)
-    sup = np.zeros(max(n - 1, 0), dtype=m.dtype)  # T[k, k+1]
+    diag = np.empty(n)
+    sup = np.zeros(max(n - 1, 0))  # T[k, k+1]
     k0, rest = 0, m
     while n - k0 >= _TRIDIAGONAL_CROSSOVER:
         update = _tridiagonal_panel(m, k0, skew, diag, sup)
@@ -207,67 +206,67 @@ def _tridiagonalize(m: np.ndarray, skew: bool) -> np.ndarray:
     _tridiagonal_steps(rest, skew, sup[k0:])
     diag[k0:] = rest.diagonal()
     m.fill(0.0)
-    m.flat[::n + 1] = (1j * diag.imag if np.iscomplexobj(m) else 0.0) if skew else diag.real
+    m.flat[::n + 1] = 0.0 if skew else diag
     m.flat[1::n + 1] = sup
-    m.flat[n::n + 1] = (-1.0 if skew else 1.0) * sup.conj()  # sigma conj(T[k, k+1])
+    m.flat[n::n + 1] = -sup if skew else sup  # sigma T[k, k+1]
     return m
 
 
+def _reflector(x: np.ndarray, u: np.ndarray):
+    """T[k, k+1] = -sign(x_0) |x| for the row x = A[k, k+1:], with u (which may be x
+    itself) set to the Householder vector scaled so that I - u u^T maps x to
+    -sign(x_0) |x| e_1; None, u not written, where x is zero.  The sign avoids
+    cancellation."""
+    x0 = x.item(0)
+    norm = math.sqrt(np.dot(x, x))
+    if norm == 0.0:
+        return None
+    sign = -1.0 if x0 < 0 else 1.0
+    scale = 1.0 / math.sqrt(norm * (norm + abs(x0)))
+    np.multiply(x, scale, out=u)
+    u[0] = (x0 + sign * norm) * scale
+    return -sign * norm
+
+
 def _tridiagonal_steps(m: np.ndarray, skew: bool, sup: np.ndarray):
-    """Reduce m, Hermitian or skew-Hermitian, to tridiagonal form in place, one
+    """Reduce m, real symmetric or skew, to tridiagonal form in place, one
     reflector at a time (LAPACK's dsytd2), and write T[k, k+1] to sup.
 
-    Only the three diagonals of m are left meaningful.  With u the reflector
-    scaled so that I - u u* is the reflection, step k is one matrix-vector
-    product p = A u over the rows below row k and the update
-    A -= w u* + sigma u w*, w = p - (u* p / 2) u, as one rank-2 product: two
-    passes over A to hessenberg's three.  u and p are kept zero-padded to
-    length N, so the update covers whole rows of A, one contiguous block, where
-    the trailing square alone would be a strided one (about 4x slower to update
-    at N=64).  u* p = u* A u is real for a Hermitian A and imaginary for a skew
-    one, so it is zero for a real skew A, whose update then takes p alone.
+    Only the three diagonals of m are left meaningful.  With u the reflector of
+    _reflector, step k is one matrix-vector product p = A u over the rows below
+    row k and the update A -= w u^T + sigma u w^T, w = p - (u^T p / 2) u, as one
+    rank-2 product: two passes over A to hessenberg's three.  u and p are kept
+    zero-padded to length N, so the update covers whole rows of A, one
+    contiguous block, where the trailing square alone would be a strided one
+    (about 4x slower to update at N=64).  u^T p = u^T A u is zero for a skew A,
+    whose update then takes p alone.
     """
     n = m.shape[0]
-    cplx = np.iscomplexobj(m)
-    dot = np.vdot if cplx else np.dot
-    q = np.zeros((3, n), dtype=m.dtype)  # rows p, u, r
+    q = np.zeros((3, n))  # rows p, u, r
     p, u, r = q
     left = q[:2].T  # columns p, u
     right = q[1:]  # rows u, r
     prod = np.empty_like(m)
     for k in range(n - 2):
         u[k] = r[k] = 0.0  # zero at and above row k; left over from step k - 1
-        x = m[k, k + 1:]  # A[k, k+1:], the conjugate of the column A[k+1:, k] times sigma
-        x0 = m.item(k, k + 1)
-        norm = math.sqrt(dot(x, x).real)
-        if norm == 0.0:
-            continue
-        # I - u u* maps conj(x) to -conj(phase) |x| e_1, so row k becomes -phase |x| e_1;
-        # the sign avoids cancellation
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        scale = 1.0 / math.sqrt(norm * (norm + abs(x0)))
         uk = u[k + 1:]
-        np.multiply(x.conj() if cplx else x, scale, out=uk)
-        uk[0] = (x0 + phase * norm).conjugate() * scale
+        coupling = _reflector(m[k, k + 1:], uk)
+        if coupling is None:
+            continue
         rows = m[k + 1:]
         pk = p[k + 1:]
         np.dot(rows, u, out=pk)
-        # w u* + sigma u w* = p u* + u r* for r = sigma p - conj(u* p) u, the last
-        # term taken as the real (imaginary if skew) part that u* p has exactly
+        # w u^T + sigma u w^T = p u^T + u r^T for r = sigma p - (u^T p) u
         rk = r[k + 1:]
-        if skew and not cplx:
+        if skew:
             np.negative(pk, out=rk)
         else:
-            s = dot(uk, pk)
-            np.multiply(uk, complex(0.0, s.imag) if skew else -s.real, out=rk)
-            if skew:
-                rk -= pk
-            else:
-                rk += pk
+            np.multiply(uk, -np.dot(uk, pk), out=rk)
+            rk += pk
         block = prod[:n - k - 1]
-        np.dot(left[k + 1:], right.conj() if cplx else right, out=block)
+        np.dot(left[k + 1:], right, out=block)
         rows -= block
-        sup[k] = -phase * norm
+        sup[k] = coupling
     if n > 1:
         sup[-1] = m[-2, -1]
 
@@ -278,45 +277,35 @@ def _tridiagonal_panel(m: np.ndarray, k0: int, skew: bool, diag: np.ndarray, sup
 
     Row k is read as A[k, k:] less the updates of the panel's earlier steps, and
     p = A u as one matrix-vector product with the trailing square of A less
-    their share.  m is not written: the trailing square's update, Y^T conj(Z)
-    with Y having rows w_j and sigma u_j and Z rows u_j and w_j, is returned.
-    diag[k] and sup[k] take T[k, k] and T[k, k+1] for the panel's steps.
+    their share.  m is not written: the trailing square's update, Y^T Z with Y
+    having rows w_j and sigma u_j and Z rows u_j and w_j, is returned.  diag[k]
+    and sup[k] take T[k, k] and T[k, k+1] for the panel's steps.
     """
     n = m.shape[0]
-    cplx = np.iscomplexobj(m)
-    dot = np.vdot if cplx else np.dot
     sigma = -1.0 if skew else 1.0
     nb = _TRIDIAGONAL_PANEL
-    y = np.zeros((2 * nb, n), dtype=m.dtype)  # rows w_j, sigma u_j
-    zc = np.zeros((2 * nb, n), dtype=m.dtype)  # rows conj(u_j), conj(w_j)
+    y = np.zeros((2 * nb, n))  # rows w_j, sigma u_j
+    z = np.zeros((2 * nb, n))  # rows u_j, w_j
     for j in range(nb):
         k = k0 + j
-        row = m[k, k:] - y[:2 * j, k] @ zc[:2 * j, k:]
+        row = m[k, k:] - y[:2 * j, k] @ z[:2 * j, k:]
         diag[k] = row[0]
-        x = row[1:]
-        x0 = x.item(0)
-        norm = math.sqrt(dot(x, x).real)
-        if norm == 0.0:
+        u = row[1:]
+        coupling = _reflector(u, u)
+        if coupling is None:
             continue
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        scale = 1.0 / math.sqrt(norm * (norm + abs(x0)))
-        u = x.conj() if cplx else x
-        u *= scale
-        u[0] = (x0 + phase * norm).conjugate() * scale
         w = m[k + 1:, k + 1:] @ u
-        w -= y[:2 * j, k + 1:].T @ (zc[:2 * j, k + 1:] @ u)
-        # w = p - (u* p / 2) u, u* p taken as the real (imaginary if skew) number it is
-        # exactly; zero for a real skew A
-        if cplx or not skew:
-            s = dot(u, w)
-            w += (complex(0.0, -0.5 * s.imag) if skew else -0.5 * s.real) * u
+        w -= y[:2 * j, k + 1:].T @ (z[:2 * j, k + 1:] @ u)
+        # w = p - (u^T p / 2) u; u^T p is zero for a skew A
+        if not skew:
+            w += (-0.5 * np.dot(u, w)) * u
         y[2 * j, k + 1:] = w
         y[2 * j + 1, k + 1:] = sigma * u
-        zc[2 * j, k + 1:] = u.conj() if cplx else u
-        zc[2 * j + 1, k + 1:] = w.conj() if cplx else w
-        sup[k] = -phase * norm
+        z[2 * j, k + 1:] = u
+        z[2 * j + 1, k + 1:] = w
+        sup[k] = coupling
     k1 = k0 + nb
-    return y[:, k1:].T @ zc[:, k1:]
+    return y[:, k1:].T @ z[:, k1:]
 
 
 def hessenberg_logdet(h, zs, tridiagonal: bool) -> np.ndarray:
@@ -326,8 +315,8 @@ def hessenberg_logdet(h, zs, tridiagonal: bool) -> np.ndarray:
     real part -inf where the determinant is exactly zero.  tridiagonal, whether
     every entry above the first superdiagonal of H is exactly zero, is taken as
     determinants.PreparedDet records it, never read from H, and picks the
-    elimination.  A tridiagonal H, which prepare makes of a symmetric or skew
-    Nystrom operator, takes _tridiagonal_logdet_block, O(N) per z.  Any other
+    elimination.  A tridiagonal H, which prepare makes of a real symmetric or
+    skew Nystrom operator, takes _tridiagonal_logdet_block, O(N) per z.  Any other
     takes Gaussian elimination with partial pivoting between rows k and k+1,
     each combined row rescaled by a factor of modulus 1, so the pivot choice
     needs no branch.  Only row k+1 has an entry left of the diagonal, so a z

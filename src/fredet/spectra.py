@@ -349,9 +349,9 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     enters only as the scalar sign*z: K_N and H are read exactly as prepared,
     so no N x N copy of either is made, and negation is exact.  The contour
     samples log det(I + sign z H) in batches (PreparedDet.logdet): at
-    O(N) per point where H is tridiagonal, as prepare makes it for a symmetric
-    or skew Nystrom operator and records it (PreparedDet.tridiagonal, so no
-    sample scans H for it), and at O(N^2) per point otherwise, in real
+    O(N) per point where H is tridiagonal, as prepare makes it for a real
+    symmetric or skew Nystrom operator and records it (PreparedDet.tridiagonal,
+    so no sample scans H for it), and at O(N^2) per point otherwise, in real
     arithmetic when H is real.  This is still an LU determinant, not the
     eigenvalue route, so the three det_p routes stay independent.  Every
     disc is one sampled circle.  A circle that passes through a zero

@@ -643,6 +643,18 @@ def test_power_tower_kernel_file_exits_one_quickly(tmp_path):
     assert len(result.stderr.encode("utf-8")) < 1024
 
 
+def test_an_lu_that_overflows_exits_two_with_one_line(tmp_path):
+    # z k2 = 1e10 * 1e308 leaves the double range as I + zK is formed; in a process
+    # with the default warning filters no numpy warning precedes the refusal
+    path = _expr_file(tmp_path, {"k1": "0 * x", "k2": "1e308 + 0 * x"})
+    result = subprocess.run([sys.executable, "-m", "fredet.cli", "det", "--kernel-file", path,
+                             "--scheme", "ngl", "--n", "8", "--z", "1e10,0"],
+                            env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("fredet: determinant evaluation: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_det_n_past_max_dim_exits_one(capsys):
     assert main(["det", "--kernel", "green", "--scheme", "ngl", "--n", str(MAX_DIM + 1),
                  "--z", "1,0"]) == 1

@@ -14,6 +14,7 @@ from fredet.discretize import (DiscreteOperator, assemble, assemble_ncc, assembl
 from fredet.kernels import from_config, registry
 from fredet.linalg import DetOverflowError, eigenvalues, hessenberg, trace_powers
 from fredet.quadrature import gauss_legendre, rectangle
+from fredet.spectra import locate_eigs
 
 
 def test_det_p_at_zero_is_one():
@@ -97,6 +98,10 @@ def test_det_p_overflow_raises():
     # (1 + 20)^300 ~ exp(913), past the double range
     with pytest.raises(DetOverflowError):
         det_p(20.0 * np.eye(300), 1, 1.0)
+    # 1e10 * 1e308 is inf in I + zK, and the LU of it nan: the refusal is all that
+    # surfaces, under the suite's error filter for RuntimeWarning too
+    with pytest.raises(DetOverflowError, match="overflowed the double range"):
+        det_p([[0.0, 1e308], [0.0, 0.0]], 1, 1e10)
 
 
 def test_plemelj_coeffs_are_elementary_symmetric():
@@ -539,8 +544,6 @@ _TRIDIAGONAL_CASES = {
     # rank one, and its first node x = 0 gives a zero row: the first reflector is skipped
     "x y ncc": lambda: assemble(from_config({"expr": {"k": "x * y"}, "domain": [0, 1]}),
                                 "ncc", 24),
-    "complex hermitian": lambda: _weighted(_complex_hermitian(40, False), 40),
-    "complex skew-hermitian": lambda: _weighted(_complex_hermitian(40, True), 40),
 }
 
 
@@ -564,6 +567,40 @@ def test_prepared_tridiagonal_form_has_the_determinants_of_k(monkeypatch, case):
         sign, logabs = np.linalg.slogdet(np.eye(n) + z * op.matrix)
         got_sign, got_logabs = np.linalg.slogdet(np.eye(n) + z * h)
         assert abs(got_logabs - logabs) <= 1e-13 and abs(got_sign - sign) <= 1e-13, z
+
+
+def _complex_copy(op):
+    return DiscreteOperator(op.matrix.astype(np.complex128), op.nodes, op.weights)
+
+
+# operator, disc centre and radius
+_COMPLEX_WEIGHTED = {
+    "complex hermitian": (lambda: _weighted(_complex_hermitian(40, False), 40), 0.0, 1.5),
+    "complex skew-hermitian": (lambda: _weighted(_complex_hermitian(40, True), 40), 0.0, 1.5),
+    # S is symmetric as well as Hermitian, in complex128
+    "complex copy of green ngl": (lambda: _complex_copy(assemble(registry("green"), "ngl", 64)),
+                                  50.0, 49.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPLEX_WEIGHTED))
+def test_complex_weighted_operators_keep_the_full_form(monkeypatch, case):
+    # only a real S is tridiagonalized: a complex K keeps hessenberg's full form, which
+    # has det(I + zK) to 1e-13 relative and gives locate_eigs the roots of K's raw matrix
+    make, centre, radius = _COMPLEX_WEIGHTED[case]
+    op = make()
+    calls, reduce = [], fredet.determinants.hessenberg
+    monkeypatch.setattr(fredet.determinants, "hessenberg", lambda a: calls.append(a) or reduce(a))
+    prep = prepare(op, 1)
+    assert len(calls) == 1 and not prep.tridiagonal
+    n = op.matrix.shape[0]
+    zs = np.array([0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5])
+    want = np.array([np.linalg.det(np.eye(n) + z * op.matrix) for z in zs])
+    assert np.all(np.abs(prep.values(zs) - want) <= 1e-13 * np.abs(want))
+    got = locate_eigs(op, 1, centre, radius)
+    raw = locate_eigs(op.matrix, 1, centre, radius)
+    assert len(got) == len(raw) > 0
+    assert all(abs(u.z_root - v.z_root) <= 1e-12 * abs(v.z_root) for u, v in zip(got, raw))
 
 
 def test_x_y_kernel_form_skips_its_zero_row():
@@ -590,7 +627,7 @@ _PREPARE_CASES = {
     "green ncc": ("green", "ncc", False, False),
 }
 # the peak of one prepare, in units of N^2 entries of K, on each path.  Tridiagonal: S,
-# one buffer for its symmetric or skew part and |S - S*| (3.00 measured at N = 400, 3.09
+# one buffer for its symmetric or skew part and |S - S^T| (3.00 measured at N = 400, 3.09
 # at N = 64; 6.26-6.38 when S took five N x N arrays).  General: H^T and the rank-2
 # product of hessenberg (2.01-2.10; 2.13-2.19 with a copy of H and an N x N scan of it)
 _PREPARE_PEAK = {True: 4.2, False: 2.2}

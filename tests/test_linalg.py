@@ -523,27 +523,26 @@ def test_tridiagonal_logdet_past_the_product_range_matches_slogdet(kind):
             assert abs(np.exp(got - logabs - 1j * np.angle(sign)) - 1.0) <= 1e-12
 
 
-def _hermitian(n, seed, cplx, skew):
-    """A random Hermitian (skew False) or skew-Hermitian matrix of spectral norm about 1,
+def _symmetric(n, seed, skew):
+    """A random real symmetric (skew False) or skew matrix of spectral norm about 1,
     exactly of its kind."""
-    a = _random_matrix(n, seed, cplx)
-    return (a - a.conj().T) / 2.0 if skew else (a + a.conj().T) / 2.0
+    a = _random_matrix(n, seed, False)
+    return (a - a.T) / 2.0 if skew else (a + a.T) / 2.0
 
 
 def _spectrum(a, skew):
-    """The eigenvalues of a Hermitian a, or of -i a for a skew-Hermitian one, ascending."""
+    """The eigenvalues of a symmetric a, or of -i a (Hermitian) for a skew one, ascending."""
     return np.linalg.eigvalsh(-1j * a if skew else a)
 
 
-def _assert_tridiagonal_of_its_kind(t, a, skew):
-    """t is tridiagonal with exact zeros off its three diagonals, of a's dtype, and exactly
-    of a's kind: couplings mirrored bit for bit, diagonal real (imaginary, zero if real)."""
-    assert t.dtype == as_complex_matrix(a).dtype
+def _assert_tridiagonal_of_its_kind(t, skew):
+    """t is real and tridiagonal with exact zeros off its three diagonals, and exactly
+    symmetric or skew: couplings mirrored bit for bit, and a zero diagonal if skew."""
+    assert t.dtype == np.float64
     assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
     sigma = -1.0 if skew else 1.0
-    assert np.array_equal(np.diagonal(t, -1), sigma * np.diagonal(t, 1).conj())
-    diag = np.diagonal(t)
-    assert not (diag.real.any() if skew else np.imag(diag).any())
+    assert np.array_equal(np.diagonal(t, -1), sigma * np.diagonal(t, 1))
+    assert not (skew and np.diagonal(t).any())
 
 
 _CROSSOVER = fredet.linalg._TRIDIAGONAL_CROSSOVER
@@ -556,39 +555,37 @@ def _backward_tol(a):
     of eps ||a||_F (Golub & Van Loan, Matrix Computations, 4th ed., 2013, section 8.3),
     and eigvalsh adds a backward error of the same kind on a and on T; by Weyl's
     inequality each moves an eigenvalue by at most its norm.  The largest gap seen on
-    the cases here is 6.3 eps ||a||_F (n = 255, real Hermitian, one BLAS thread)."""
+    the cases here is 6.3 eps ||a||_F (n = 255, symmetric, one BLAS thread)."""
     return 16.0 * np.finfo(np.float64).eps * np.linalg.norm(a)
 
 
 # below the crossover every reflector is taken on its own; from it on, panels of them
 @pytest.mark.parametrize("n", [1, 2, 3, 64, _CROSSOVER - 1, _CROSSOVER, 257, 400])
-@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
-def test_tridiagonalize_keeps_the_eigenvalues(n, cplx, skew):
-    a = _hermitian(n, n, cplx, skew)
+@pytest.mark.parametrize("skew", [False, True], ids=["hermitian-real", "skew-real"])
+def test_tridiagonalize_keeps_the_eigenvalues(n, skew):
+    a = _symmetric(n, n, skew)
     t = _tridiagonalize(a.copy(), skew)
-    _assert_tridiagonal_of_its_kind(t, a, skew)
+    _assert_tridiagonal_of_its_kind(t, skew)
     want = _spectrum(a, skew)
     tol = _backward_tol(a)
     assert np.abs(_spectrum(t, skew) - want).max() <= tol
-    if not cplx:
-        # the couplings b of a real form give its eigenvalues on their own: a real skew
-        # T with couplings b, -b is i times the symmetric one with couplings b, zero diagonal
-        linalg = pytest.importorskip("scipy.linalg")
-        got = linalg.eigh_tridiagonal(np.diagonal(t).copy(), np.diagonal(t, 1).copy(),
-                                      eigvals_only=True)
-        assert np.abs(got - want).max() <= tol
+    # the couplings b of the form give its eigenvalues on their own: a skew T with
+    # couplings b, -b is i times the symmetric one with couplings b, zero diagonal
+    linalg = pytest.importorskip("scipy.linalg")
+    got = linalg.eigh_tridiagonal(np.diagonal(t).copy(), np.diagonal(t, 1).copy(),
+                                  eigvals_only=True)
+    assert np.abs(got - want).max() <= tol
 
 
 @_PROPERTY
 @given(n=st.sampled_from([1, 2, 3, 17, 64]), seed=st.integers(0, 2**32 - 1),
-       cplx=st.booleans(), skew=st.booleans(), z=_HALF_DISC)
-def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, cplx, skew, z):
-    a = _hermitian(n, seed, cplx, skew)
+       skew=st.booleans(), z=_HALF_DISC)
+def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, skew, z):
+    a = _symmetric(n, seed, skew)
     buf = a.copy()
     t = _tridiagonalize(buf, skew)
     assert t is buf  # reduced in place
-    _assert_tridiagonal_of_its_kind(t, a, skew)
+    _assert_tridiagonal_of_its_kind(t, skew)
     want = _spectrum(a, skew)
     assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     eye = np.eye(n)
@@ -603,12 +600,11 @@ def _one_at_a_time(monkeypatch, a, skew):
 
 
 @pytest.mark.parametrize("n", [_CROSSOVER, 400])
-@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("skew", [False, True], ids=["hermitian", "skew"])
-def test_blocked_and_unblocked_forms_have_the_same_determinants(monkeypatch, n, cplx, skew):
+@pytest.mark.parametrize("skew", [False, True], ids=["hermitian-real", "skew-real"])
+def test_blocked_and_unblocked_forms_have_the_same_determinants(monkeypatch, n, skew):
     # the panels reorder the rounding, so the two forms differ, but det(I + zT) agrees
     # to 1e-13 relative on and off the axes
-    a = _hermitian(n, n + 1, cplx, skew)
+    a = _symmetric(n, n + 1, skew)
     blocked, unblocked = _tridiagonalize(a.copy(), skew), _one_at_a_time(monkeypatch, a, skew)
     assert not np.array_equal(blocked, unblocked)
     zs = np.array([0.4, 0.3j, 0.25 + 0.2j, -0.1 - 0.45j])
@@ -626,15 +622,15 @@ def test_panels_run_only_from_the_crossover_on(monkeypatch):
 
     monkeypatch.setattr(fredet.linalg, "_tridiagonal_panel", spy)
     for skew in (False, True):
-        _tridiagonalize(_hermitian(_CROSSOVER - 1, 3, False, skew), skew)
+        _tridiagonalize(_symmetric(_CROSSOVER - 1, 3, skew), skew)
     prepare(assemble_nystrom(registry("green"), gauss_legendre(_CROSSOVER - 1, 0.0, 1.0)), 1)
     assert panels == []
-    _tridiagonalize(_hermitian(_CROSSOVER, 3, False, False), False)
+    _tridiagonalize(_symmetric(_CROSSOVER, 3, False), False)
     # panels while the part left has the crossover's order; the rest one at a time
     width = fredet.linalg._TRIDIAGONAL_PANEL
     assert panels == [(_CROSSOVER, 0)]
     panels.clear()
-    _tridiagonalize(_hermitian(400, 3, True, True), True)
+    _tridiagonalize(_symmetric(400, 3, True), True)
     assert panels == [(400, k0) for k0 in range(0, 400 - _CROSSOVER + 1, width)]
 
 
@@ -644,17 +640,15 @@ def test_tridiagonalize_splits_at_an_exactly_decoupled_block():
     # not read the step before.  At order 12 one reflector at a time; at order 300,
     # split after row 19, inside the first panel
     width = fredet.linalg._TRIDIAGONAL_PANEL
-    for n, split, kinds in ((12, 5, [(False, False)]),
-                            (_CROSSOVER + 44, width - 12, [(c, s) for c in (False, True)
-                                                           for s in (False, True)])):
-        for cplx, skew in kinds:
-            a = np.zeros((n, n), dtype=complex if cplx else float)
-            a[:split, :split] = _hermitian(split, 1, cplx, skew)
-            a[split:, split:] = _hermitian(n - split, 2, cplx, skew)
+    for n, split, kinds in ((12, 5, [False]), (_CROSSOVER + 44, width - 12, [False, True])):
+        for skew in kinds:
+            a = np.zeros((n, n))
+            a[:split, :split] = _symmetric(split, 1, skew)
+            a[split:, split:] = _symmetric(n - split, 2, skew)
             t = _tridiagonalize(a.copy(), skew)
-            _assert_tridiagonal_of_its_kind(t, a, skew)
+            _assert_tridiagonal_of_its_kind(t, skew)
             assert t[split - 1, split] == t[split, split - 1] == 0.0
             for block in (slice(0, split), slice(split, n)):
                 want = _spectrum(a[block, block], skew)
                 got = _spectrum(t[block, block], skew)
-                assert np.abs(got - want).max() <= _backward_tol(a[block, block]), (n, cplx, skew)
+                assert np.abs(got - want).max() <= _backward_tol(a[block, block]), (n, skew)

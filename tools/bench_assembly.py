@@ -122,19 +122,11 @@ END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
 # The scripts below run in the tree under test, so they call only names that the
 # trees compared share.
 
-# Older trees take one scalar x per singular_moments call.
 _LAYERS = r"""
 import json, sys, time, tracemalloc
-import numpy as np
 from fredet import determinants, discretize, kernels, quadrature
 
 ns, alphas, repeats, budget, nystrom, general = json.loads(sys.argv[1])
-
-def moments(alpha, nodes, n):
-    try:
-        return quadrature.singular_moments(alpha, nodes, n)
-    except (TypeError, ValueError):
-        return np.array([quadrature.singular_moments(alpha, x, n) for x in nodes])
 
 def best(fn):
     times = []
@@ -161,7 +153,7 @@ for alpha in alphas:
     for n in ns:
         nodes = quadrature.spectral_ops(n).points
         out.append({"alpha": alpha, "n": n,
-                    "singular_moments_s": best(lambda: moments(alpha, nodes, n)),
+                    "singular_moments_s": best(lambda: quadrature.singular_moments(alpha, nodes, n)),
                     "assemble_singular_s": best(lambda: discretize.assemble_singular(spec, n)),
                     "spectral_ops_s": best(lambda: quadrature.spectral_ops(n))})
 smooth, split = kernels.registry("bernoulli"), kernels.registry("green")
@@ -238,11 +230,8 @@ def timed(key, fn):
 spectra.prepare = timed("reduction_s", spectra.prepare)
 spectra._polish = timed("polish_s", spectra._polish)
 logdet = timed("sampling_s", linalg.hessenberg_logdet)
-# locate_eigs samples through determinants' name (PreparedDet.logdet); a tree from
-# before that samples through spectra's
-for module in (spectra, determinants):
-    if hasattr(module, "hessenberg_logdet"):
-        module.hessenberg_logdet = lambda h, zs, *kind: samples.append(len(zs)) or logdet(h, zs, *kind)
+# locate_eigs samples through determinants' name (PreparedDet.logdet)
+determinants.hessenberg_logdet = lambda h, zs, *kind: samples.append(len(zs)) or logdet(h, zs, *kind)
 
 out = {"mallopt": pin_heap(), "cases": {}}
 for name, (kernel, scheme, n, zero_diag, p, centre, radius) in cases.items():
