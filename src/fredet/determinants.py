@@ -91,22 +91,21 @@ class PreparedDet:
     """det_p(I + zK) at many z on one reduction of K; made by prepare.
 
     matrix is the validated K, hess an upper Hessenberg H with
-    det(I + zK) = det(I + z 2^log2_scale H): tridiagonal for a real symmetric
-    or skew Nystrom operator (see prepare), else hessenberg's Fortran-ordered
-    view.  log2_scale is 0, and H has the determinants of K itself, unless K
-    is so large or so small that its reduction would leave the double range
-    (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  tridiagonal records
-    whether H is tridiagonal, and hessenberg_logdet takes it as given, so no
-    evaluation scans H for it.  It can stand for K wherever an operator is
-    taken: det_p and locate_eigs read matrix, and locate_eigs samples logdet
-    instead of reducing K again.
+    det(I + zK) = det(I + z 2^log2_scale H): a tridiagonal H as the tuple
+    (diag, sup, sub) of its three diagonals, as a real symmetric or skew
+    Nystrom operator or a tridiagonal K gives it (see prepare), else
+    hessenberg's Fortran-ordered view; hessenberg_logdet picks its
+    elimination by that form.  log2_scale is 0, and H has the determinants of
+    K itself, unless K is so large or so small that its reduction would leave
+    the double range (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  It can
+    stand for K wherever an operator is taken: det_p and locate_eigs read
+    matrix, and locate_eigs samples logdet instead of reducing K again.
     """
 
     p: int
     matrix: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | tuple
     traces: np.ndarray
-    tridiagonal: bool
     log2_scale: int
 
     def logdet(self, zs) -> np.ndarray:
@@ -121,7 +120,7 @@ class PreparedDet:
                 raise DetOverflowError(f"z 2^{self.log2_scale} is out of double range"
                                        f" at z = {zs[bad][0]}")
             zs = scaled
-        return hessenberg_logdet(self.hess, zs, self.tridiagonal)
+        return hessenberg_logdet(self.hess, zs)
 
     def values(self, zs) -> np.ndarray:
         """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
@@ -139,12 +138,14 @@ def prepare(op, p: int) -> PreparedDet:
     which has the determinants of K, when S is finite and symmetric or skew to
     SYMMETRY_TOL: green and bernoulli, and sign and abs_pow_iter2 with
     zero_diag.  Its symmetric (skew) part (S + S^T)/2 ((S - S^T)/2), a change
-    no larger than SYMMETRY_TOL admits, is reduced in place by
-    linalg._tridiagonalize to a tridiagonal form exactly of that kind:
+    no larger than SYMMETRY_TOL admits, is reduced by linalg._tridiagonalize
+    to a tridiagonal form exactly of that kind, kept as its three diagonals:
     couplings that mirror each other bit for bit, and an exactly zero diagonal
-    for a skew S.  PreparedDet.values then costs O(N) per z.  Any other
-    operator or matrix, a complex weighted one included, is reduced as it is
-    by linalg.hessenberg and costs O(N^2) per z.  The general reduction costs
+    for a skew S.  PreparedDet.values then costs O(N) per z, and the form
+    keeps about 3N floats.  Any other operator or matrix, a complex weighted
+    one included, is reduced as it is by linalg.hessenberg and costs O(N^2)
+    per z, unless its H is tridiagonal, which is kept as its three diagonals
+    too.  The general reduction costs
     about as much as 6-17 single-z det_p calls at a complex z, the tridiagonal
     one 3-7 (N = 32-800).  It is still an LU determinant, not the eigenvalue
     route, so the three det_p routes stay independent; the values agree with
@@ -164,9 +165,8 @@ def prepare(op, p: int) -> PreparedDet:
         return replace(op, p=p, traces=_trace_powers(op.matrix, p - 1))
     m = _matrix_of(op)
     e = _log2_scale(m)
-    hess, tridiagonal = _reduce(_times_power_of_two(m, -e) if e else m,
-                                getattr(op, "weights", None))
-    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), tridiagonal, e)
+    hess = _reduce(_times_power_of_two(m, -e) if e else m, getattr(op, "weights", None))
+    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), e)
 
 
 def _log2_scale(m: np.ndarray) -> int:
@@ -191,14 +191,15 @@ def _times_power_of_two(a: np.ndarray, e: int) -> np.ndarray:
 
 
 def _reduce(m: np.ndarray, weights):
-    """The Hessenberg form prepare keeps and whether it is tridiagonal: _tridiagonalize of
-    the part _symmetric_part returns, if any; else hessenberg(K), kept as its Fortran-ordered
-    view, tridiagonal where its nonzeros all lie on its three diagonals (counted in place)."""
+    """The Hessenberg form prepare keeps: _tridiagonalize's (diag, sup, sub) of the part
+    _symmetric_part returns, if any; else hessenberg(K), kept as its Fortran-ordered view,
+    or as copies of its three diagonals where its nonzeros all lie on them."""
     part = _symmetric_part(m, weights)
     if part is not None:
-        return _tridiagonalize(*part), True
+        return _tridiagonalize(*part)
     h = hessenberg(m)
-    return h, np.count_nonzero(h) == sum(np.count_nonzero(h.diagonal(k)) for k in (-1, 0, 1))
+    bands = tuple(h.diagonal(k).copy() for k in (0, 1, -1))
+    return h if np.count_nonzero(h) > sum(map(np.count_nonzero, bands)) else bands
 
 
 def _symmetric_part(m: np.ndarray, weights):

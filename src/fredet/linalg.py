@@ -178,24 +178,25 @@ def hessenberg(a) -> np.ndarray:
     return g.T
 
 
-def _tridiagonalize(m: np.ndarray, skew: bool) -> np.ndarray:
-    """m, real, C-contiguous and symmetric (skew False) or skew (skew True),
-    reduced in place to a tridiagonal T with m = Q T Q^T for an orthogonal Q by
-    Householder reflections (Golub & Van Loan, Matrix Computations, 4th ed.,
-    2013, section 8.3), and returned.  Nothing validates or copies m: its one
-    caller, determinants._reduce, has checked that it is finite and of its kind.
+def _tridiagonalize(m: np.ndarray, skew: bool) -> tuple:
+    """The tridiagonal T with m = Q T Q^T for an orthogonal Q, m real,
+    C-contiguous and symmetric (skew False) or skew (skew True), by Householder
+    reflections (Golub & Van Loan, Matrix Computations, 4th ed., 2013, section
+    8.3), as the tuple (diag, sup, sub) of its diagonal, superdiagonal
+    T[k, k+1] and subdiagonal T[k+1, k].  m is the work array and is left
+    overwritten; nothing validates or copies it: its one caller,
+    determinants._reduce, has checked that it is finite and of its kind.
 
     Each reflector is read from row k, which is column k (negated if skew).  T
-    is exactly of m's kind: T[k+1, k] = sigma T[k, k+1] with sigma = -1 if skew
-    else 1, bit for bit, a diagonal that is exactly zero if skew, and exact
-    zeros off the three diagonals.  While the part left to reduce has order
+    is exactly of m's kind: sub is sup itself, or -sup if skew, whose diag is
+    exactly zero.  While the part left to reduce has order
     _TRIDIAGONAL_CROSSOVER or more, its reflectors are taken _TRIDIAGONAL_PANEL
     at a time (_tridiagonal_panel); the rest, and all of a smaller m, one at a
     time (_tridiagonal_steps).
     """
     n = m.shape[0]
     diag = np.empty(n)
-    sup = np.zeros(max(n - 1, 0))  # T[k, k+1]
+    sup = np.zeros(max(n - 1, 0))
     k0, rest = 0, m
     while n - k0 >= _TRIDIAGONAL_CROSSOVER:
         update = _tridiagonal_panel(m, k0, skew, diag, sup)
@@ -204,12 +205,10 @@ def _tridiagonalize(m: np.ndarray, skew: bool) -> np.ndarray:
         rest = m[k0:, k0:] if n - k0 >= _TRIDIAGONAL_CROSSOVER else update
         np.subtract(m[k0:, k0:], update, out=rest)
     _tridiagonal_steps(rest, skew, sup[k0:])
+    if skew:
+        return np.zeros(n), sup, -sup
     diag[k0:] = rest.diagonal()
-    m.fill(0.0)
-    m.flat[::n + 1] = 0.0 if skew else diag
-    m.flat[1::n + 1] = sup
-    m.flat[n::n + 1] = -sup if skew else sup  # sigma T[k, k+1]
-    return m
+    return diag, sup, sup
 
 
 def _reflector(x: np.ndarray, u: np.ndarray):
@@ -308,18 +307,18 @@ def _tridiagonal_panel(m: np.ndarray, k0: int, skew: bool, diag: np.ndarray, sup
     return y[:, k1:].T @ z[:, k1:]
 
 
-def hessenberg_logdet(h, zs, tridiagonal: bool) -> np.ndarray:
+def hessenberg_logdet(h, zs) -> np.ndarray:
     """log det(I + zH) for every z in zs, for an upper Hessenberg H.
 
     Each value is log|det| + i arg(det) on some branch of the argument, with
-    real part -inf where the determinant is exactly zero.  tridiagonal, whether
-    every entry above the first superdiagonal of H is exactly zero, is taken as
-    determinants.PreparedDet records it, never read from H, and picks the
-    elimination.  A tridiagonal H, which prepare makes of a real symmetric or
-    skew Nystrom operator, takes _tridiagonal_logdet_block, O(N) per z.  Any other
-    takes Gaussian elimination with partial pivoting between rows k and k+1,
-    each combined row rescaled by a factor of modulus 1, so the pivot choice
-    needs no branch.  Only row k+1 has an entry left of the diagonal, so a z
+    real part -inf where the determinant is exactly zero.  The form of h picks
+    the elimination.  A tridiagonal H given as the 3-tuple (diag, sup, sub) of
+    its diagonals, the form prepare keeps for a real symmetric or skew Nystrom
+    operator, takes _tridiagonal_logdet_block, O(N) per z.  Any other h, a
+    tridiagonal matrix included, is read as a matrix by np.asarray (so a 3 x 3
+    one is not given as a tuple) and takes Gaussian elimination with partial
+    pivoting between rows k and k+1, each combined row rescaled by a factor of
+    modulus 1, so the pivot choice needs no branch.  Only row k+1 has an entry left of the diagonal, so a z
     costs O(N^2); H^T is read in C order, a view of the Fortran-ordered H that
     hessenberg returns.  Either way the z are eliminated together, in blocks of
     _LOGDET_CHUNK so the working set stays O(_LOGDET_CHUNK * N).  A real H
@@ -329,25 +328,26 @@ def hessenberg_logdet(h, zs, tridiagonal: bool) -> np.ndarray:
     is an LU determinant, not an eigenvalue product, so det_p's eigenvalue
     route stays independent of it.
     """
-    h = np.asarray(h)
+    block = (_tridiagonal_logdet_block if isinstance(h, tuple) and len(h) == 3
+             else _hessenberg_logdet_block)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
-    block = _tridiagonal_logdet_block if tridiagonal else _hessenberg_logdet_block
     out = np.empty(zs.size, dtype=np.complex128)
     for start in range(0, zs.size, _LOGDET_CHUNK):
         out[start:start + _LOGDET_CHUNK] = block(h, zs[start:start + _LOGDET_CHUNK])
     return out
 
 
-def _tridiagonal_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """hessenberg_logdet of a tridiagonal H at the z of one block, by the pivots of
-    I + zH without row exchanges (_tridiagonal_pivots), O(N) per z.
+def _tridiagonal_logdet_block(h: tuple, z: np.ndarray) -> np.ndarray:
+    """hessenberg_logdet of a tridiagonal H, the tuple h = (diag, sup, sub) of its
+    diagonals, at the z of one block, by the pivots of I + zH without row
+    exchanges (_tridiagonal_pivots), O(N) per z.
 
     Stability: the pivots follow the ratio recurrence
-    d_k = (1 + z a_k) - z^2 e_(k-1) / d_(k-1), with a the diagonal of H and
-    e_k = H[k, k+1] H[k+1, k].  Each entry is read once, so the computed
-    pivots are the exact pivots of a tridiagonal matrix whose diagonal entries
-    1 + z a_k and coupling products z^2 e_k carry relative perturbations of a
-    few rounding units.  The determinant of a tridiagonal matrix depends on
+    d_k = (1 + z a_k) - z^2 e_(k-1) / d_(k-1), with a = diag and
+    e_k = sup[k] sub[k] = H[k, k+1] H[k+1, k].  Each entry is read once, so
+    the computed pivots are the exact pivots of a tridiagonal matrix whose
+    diagonal entries 1 + z a_k and coupling products z^2 e_k carry relative
+    perturbations of a few rounding units.  The determinant of a tridiagonal matrix depends on
     nothing else, so the result is the exact determinant of such a neighbour
     of I + zH, however small a pivot gets: no growth factor enters, unlike
     unpivoted elimination of a full matrix.  A block where a quotient
@@ -364,9 +364,9 @@ def _tridiagonal_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarray:
-    """The N x m pivots of I + zH, H tridiagonal, one column per z, whose product
-    is det(I + zH).
+def _tridiagonal_pivots(h: tuple, z: np.ndarray, guarded: bool) -> np.ndarray:
+    """The N x m pivots of I + zH, H tridiagonal and h = (diag, sup, sub) its
+    diagonals, one column per z, whose product is det(I + zH).
 
     Row k starts as 1 + z a_k, and q[k] as z^2 e_k; step k turns q[k-1] into
     the quotient z^2 e_(k-1) / d_(k-1) and subtracts it from row k.  Guarded,
@@ -379,18 +379,17 @@ def _tridiagonal_pivots(h: np.ndarray, z: np.ndarray, guarded: bool) -> np.ndarr
     leading minor through row k-1 vanishes.  With e_(k-1) = 0 the factor is 0:
     the matrix splits there and its determinant is exactly zero.
     """
-    a = np.diagonal(h)
+    a, sup, sub = h
     d = np.multiply.outer(a, z)
     d += 1.0
-    q = np.multiply.outer(np.diagonal(h, 1) * np.diagonal(h, -1), z * z)
+    q = np.multiply.outer(sup * sub, z * z)
     if not guarded:
         for qk, dk, dnext in zip(q, d, d[1:]):  # q[k-1], d[k-1], d[k], bound once
             qk /= dk
             dnext -= qk
         return d
     # where z^2 overflows, z^2 e_k as the product of z H's two couplings
-    q = np.where(np.isfinite(q), q, np.multiply.outer(np.diagonal(h, 1), z)
-                 * np.multiply.outer(np.diagonal(h, -1), z))
+    q = np.where(np.isfinite(q), q, np.multiply.outer(sup, z) * np.multiply.outer(sub, z))
     closed = np.zeros(z.size, dtype=bool)  # row k-1 closed a 2 x 2 block
     for k in range(1, a.size):
         pair = ~closed & (np.abs(d[k - 1]) <= _TINY * np.abs(q[k - 1]))
@@ -438,6 +437,7 @@ def _hessenberg_logdet_block(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     # h[k0:k+1, k], and rescales all of it but g[t], which it has used up.  Every
     # rescale factor has modulus at most 1, so no weight grows, and nothing is ever
     # divided by a product of them.
+    h = np.asarray(h)
     n, m, S = h.shape[0], z.size, _LOGDET_STEPS
     real = not np.iscomplexobj(h)
     # a real H multiplies the float64 view of the complex rows: (re, im) pairs

@@ -306,15 +306,15 @@ def _real_zeros(prep) -> bool:
     """Whether every zero of det(I + wH) is real and simple, read from the structure of
     the PreparedDet's H.
 
-    They are when H is real, tridiagonal (nothing above its first superdiagonal, as
-    prep.tridiagonal records) and every coupling product H[k, k+1] H[k+1, k] is
+    They are when H is real, tridiagonal (kept as the tuple (diag, sup, sub) of its
+    diagonals) and every coupling product H[k, k+1] H[k+1, k] = sup[k] sub[k] is
     positive: then H = D T D^-1 with D a positive diagonal and T real, symmetric and
     unreduced, whose eigenvalues are real and distinct (Parlett, The Symmetric
     Eigenvalue Problem, 1980, ch. 7).
     """
-    h = prep.hess
-    return (prep.tridiagonal and not np.iscomplexobj(h)
-            and bool((np.diagonal(h, 1) * np.diagonal(h, -1) > 0).all()))
+    h = prep.hess  # (diag, sup, sub) if tridiagonal
+    return (isinstance(h, tuple) and not np.iscomplexobj(h[0])
+            and bool((h[1] * h[2] > 0).all()))
 
 
 def _clusters(zeros, steps) -> list:
@@ -350,7 +350,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     so no N x N copy of either is made, and negation is exact.  The contour
     samples log det(I + sign z H) in batches (PreparedDet.logdet): at
     O(N) per point where H is tridiagonal, as prepare makes it for a real
-    symmetric or skew Nystrom operator and records it (PreparedDet.tridiagonal,
+    symmetric or skew Nystrom operator and keeps it (as its three diagonals,
     so no sample scans H for it), and at O(N^2) per point otherwise, in real
     arithmetic when H is real.  This is still an LU determinant, not the
     eigenvalue route, so the three det_p routes stay independent.  Every

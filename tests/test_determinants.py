@@ -354,7 +354,7 @@ def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
     op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
     first, second = prepare(op, 1), prepare(op, 3)
     assert len(calls) == 2
-    assert np.array_equal(first.hess, second.hess)
+    assert all(np.array_equal(u, v) for u, v in zip(first.hess, second.hess))
     assert np.array_equal(first.matrix, op.matrix)
     assert det_p(second, 3, 0.4 - 0.2j) == det_p(op, 3, 0.4 - 0.2j)
 
@@ -455,8 +455,10 @@ def test_prepared_values_agree_on_a_real_k_and_its_complex_copy(name, scheme):
             assert abs(u - v) <= tol * abs(v), (p, z)
 
 
-def _is_tridiagonal(h):
-    return not np.triu(h, 2).any() and not np.tril(h, -2).any()
+def _dense(t):
+    """The tridiagonal matrix whose three diagonals are the tuple t = (diag, sup, sub)."""
+    diag, sup, sub = t
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
 _SYMMETRIC_OR_SKEW = {
@@ -473,7 +475,7 @@ def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
     op = assemble(spec, scheme, 48, zero_diag)
     assert op.weights is not None and np.all(op.weights > 0)
     prep = prepare(op, 2)
-    assert _is_tridiagonal(prep.hess) and prep.tridiagonal
+    assert isinstance(prep.hess, tuple)
     # matrix and traces stay those of K; only the reduction is of W^(1/2) K W^(-1/2)
     assert prep.matrix is op.matrix
     assert np.array_equal(prep.traces, trace_powers(op.matrix, 1))
@@ -494,7 +496,7 @@ def test_iterated_kernel_operators_prepare_a_tridiagonal_form(scheme, n):
     # is reduced in panels, and checked at eight z to keep its LUs few
     op = assemble(registry("abs_pow_iter2"), scheme, n, True)
     prep = prepare(op, 2)
-    assert _is_tridiagonal(prep.hess)
+    assert isinstance(prep.hess, tuple)
     rng = np.random.default_rng(n)
     zs = (np.linspace(-3.0, 3.0, 8) + 0.5j if n == 1024
           else rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20))
@@ -514,8 +516,8 @@ def test_tridiagonal_form_keeps_the_eigenvalues_of_s(monkeypatch, name, scheme, 
     monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
     op = assemble(registry(name), scheme, n, skew)
     prep = prepare(op, 1)
-    t = prep.hess
-    assert prep.tridiagonal and not np.triu(t, 2).any()
+    assert isinstance(prep.hess, tuple)
+    t = _dense(prep.hess)
     root = np.sqrt(op.weights)
     s = root[:, None] * op.matrix / root
     want = np.linalg.eigvalsh(-1j * s if skew else (s + s.T) / 2)
@@ -559,9 +561,10 @@ def test_prepared_tridiagonal_form_has_the_determinants_of_k(monkeypatch, case):
     for module in (fredet.determinants, fredet.linalg):
         monkeypatch.setattr(module, "as_complex_matrix",
                             lambda a: validated.append(a) or checked(a))
-    h = prepare(op, 1).hess
+    t = prepare(op, 1).hess
     assert len(validated) == 1
-    assert _is_tridiagonal(h) and h.dtype == op.matrix.dtype
+    assert isinstance(t, tuple) and all(b.dtype == op.matrix.dtype for b in t)
+    h = _dense(t)
     n = h.shape[0]
     for z in (0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5):
         sign, logabs = np.linalg.slogdet(np.eye(n) + z * op.matrix)
@@ -592,7 +595,7 @@ def test_complex_weighted_operators_keep_the_full_form(monkeypatch, case):
     calls, reduce = [], fredet.determinants.hessenberg
     monkeypatch.setattr(fredet.determinants, "hessenberg", lambda a: calls.append(a) or reduce(a))
     prep = prepare(op, 1)
-    assert len(calls) == 1 and not prep.tridiagonal
+    assert len(calls) == 1 and isinstance(prep.hess, np.ndarray)
     n = op.matrix.shape[0]
     zs = np.array([0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5])
     want = np.array([np.linalg.det(np.eye(n) + z * op.matrix) for z in zs])
@@ -604,19 +607,19 @@ def test_complex_weighted_operators_keep_the_full_form(monkeypatch, case):
 
 
 def test_x_y_kernel_form_skips_its_zero_row():
-    h = prepare(_TRIDIAGONAL_CASES["x y ncc"](), 1).hess
-    assert h[0, 0] == h[0, 1] == h[1, 0] == 0.0
+    diag, sup, sub = prepare(_TRIDIAGONAL_CASES["x y ncc"](), 1).hess
+    assert diag[0] == sup[0] == sub[0] == 0.0
 
 
 def test_skew_forms_come_out_exact():
     # sign with zero_diag: W^(1/2) K W^(-1/2) is skew, and its prepared form is exactly
     # the form of a skew matrix: zero diagonal, couplings b_k and -b_k bit for bit
     for n in (64, 200):
-        h = prepare(assemble(registry("sign"), "rect", n, True), 2).hess
-        assert h.dtype == np.float64
-        assert not np.diagonal(h).any()
-        assert np.array_equal(np.diagonal(h, -1), -np.diagonal(h, 1))
-        assert np.all(np.diagonal(h, 1) != 0.0)
+        diag, sup, sub = prepare(assemble(registry("sign"), "rect", n, True), 2).hess
+        assert diag.dtype == sup.dtype == np.float64
+        assert not diag.any()
+        assert np.array_equal(sub, -sup)
+        assert np.all(sup != 0.0)
 
 
 # kernel, scheme, zero_diag and whether prepare makes a tridiagonal form
@@ -644,9 +647,26 @@ def test_prepare_builds_each_form_once(case, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prep.tridiagonal == tridiagonal
+    assert isinstance(prep.hess, tuple) == tridiagonal
     units = peak / (n * n * op.matrix.itemsize)
     assert units <= _PREPARE_PEAK[tridiagonal], units
+
+
+@pytest.mark.parametrize("n", [64, 400])
+@pytest.mark.parametrize("case", ["green ngl", "sign rect zero_diag"])
+def test_prepare_keeps_o_n_floats_for_a_tridiagonal_form(case, n):
+    # T is kept as its three diagonals: besides K, assembled before tracing starts,
+    # what prepare keeps is at most 8N floats, where an N x N T took N^2
+    name, scheme, zero_diag, _ = _PREPARE_CASES[case]
+    op = assemble(registry(name), scheme, n, zero_diag)
+    tracemalloc.start()
+    try:
+        prep = prepare(op, 2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(prep.hess, tuple)
+    assert kept <= 8 * n * 8, kept / (8 * n)
 
 
 @pytest.mark.parametrize("op, zs", [
@@ -684,7 +704,7 @@ def test_a_tridiagonal_form_at_a_z_whose_square_overflows():
     # z^2 overflows, but z T's couplings and their product do not
     op = np.array([[1e-80, 1e-300], [1e-300, 1e-80]])
     prep = prepare(op, 1)
-    assert prep.log2_scale == 0 and prep.tridiagonal
+    assert prep.log2_scale == 0 and isinstance(prep.hess, tuple)
     zs = [1e160, 1e200, -1e180j]
     got = prep.values(zs)
     want = np.array([det_p(op, 1, z).value for z in zs])
@@ -705,7 +725,7 @@ def test_operators_of_moderate_size_are_reduced_as_they_are():
         prep = prepare(op, 1)
         assert prep.log2_scale == 0
         m = getattr(op, "matrix", op)
-        if not prep.tridiagonal:
+        if isinstance(prep.hess, np.ndarray):
             assert np.array_equal(prep.hess, hessenberg(m))
 
 
@@ -719,7 +739,7 @@ def test_weights_that_are_not_finite_keep_the_full_form(bad):
     weights[:2] = (5e-324, 1e300) if bad == "ratio" else (bad, 1.0)
     op = DiscreteOperator(op.matrix, op.nodes, weights)
     prep = prepare(op, 2)
-    assert not prep.tridiagonal
+    assert isinstance(prep.hess, np.ndarray)
     assert np.array_equal(prep.hess, hessenberg(op.matrix))
     zs = np.array([3.0, -2.5, 1.0 + 4.0j])
     want = np.array([det_p(op, 2, z).value for z in zs])
@@ -739,6 +759,6 @@ def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_fo
         prep = prepare(op, 1)
         m = getattr(op, "matrix", op)
         assert np.array_equal(prep.hess, hessenberg(m))
-        assert np.triu(prep.hess, 2).any() and not prep.tridiagonal
+        assert np.triu(prep.hess, 2).any()
         # kept as hessenberg returns it, the transposed layout the sampler reads
         assert prep.hess.flags.f_contiguous

@@ -305,13 +305,13 @@ def test_hessenberg_after_an_already_reduced_column():
 def test_hessenberg_logdet_matches_slogdet(a, z):
     n = a.shape[0]
     h = hessenberg(a)
-    at_zero, at_z = hessenberg_logdet(h, [0.0, z], False)
+    at_zero, at_z = hessenberg_logdet(h, [0.0, z])
     assert at_zero == 0.0
     _assert_logdet_matches(at_z, np.eye(n) + z * a)
     # a last row of I - H/2 that is exactly zero: still Hessenberg, exactly singular
     h[-1] = 0.0
     h[-1, -1] = 2.0
-    singular, = hessenberg_logdet(h, [-0.5], False)
+    singular, = hessenberg_logdet(h, [-0.5])
     assert singular.real == -np.inf
     _assert_logdet_matches(singular, np.eye(n) - 0.5 * h)
 
@@ -323,9 +323,9 @@ def test_hessenberg_logdet_zero_pivot_and_swap():
     a[1, 1] = 2.0
     h = hessenberg(a)
     assert np.array_equal(h, a)
-    assert hessenberg_logdet(h, [-0.5], False)[0].real == -np.inf
+    assert hessenberg_logdet(h, [-0.5])[0].real == -np.inf
     # I + H = [[0, 1], [1, 0]] needs the row swap: det = -1
-    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0], False)
+    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0])
     assert abs(got.real) <= 1e-15
     assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
 
@@ -338,13 +338,13 @@ def test_real_hessenberg_logdet_matches_its_complex_copy(a, z):
     h = hessenberg(a)
     assert h.dtype == np.float64
     zs = np.array([0.0, z, np.conj(z), -z, 0.5j, -0.5])
-    real, cplx = hessenberg_logdet(h, zs, False), hessenberg_logdet(h.astype(complex), zs, False)
+    real, cplx = hessenberg_logdet(h, zs), hessenberg_logdet(h.astype(complex), zs)
     assert np.all(np.abs(np.exp(real) - np.exp(cplx)) <= 1e-13 * np.abs(np.exp(cplx)))
     # the exactly singular last row of test_hessenberg_logdet_matches_slogdet
     h[-1] = 0.0
     h[-1, -1] = 2.0
     for hh in (h, h.astype(complex)):
-        singular, = hessenberg_logdet(hh, [-0.5], False)
+        singular, = hessenberg_logdet(hh, [-0.5])
         assert singular.real == -np.inf
 
 
@@ -373,12 +373,12 @@ def test_real_hessenberg_products_run_in_real_arithmetic(monkeypatch):
     # the real branch multiplies float64 by float64: no row of H is upcast
     h = hessenberg(_random_matrix(40, 3, False))
     zs = np.exp(2j * np.pi * np.arange(32) / 32)
-    want = hessenberg_logdet(h.astype(complex), zs, False)
+    want = hessenberg_logdet(h.astype(complex), zs)
     seen = {}
     for kind, hh in (("real", h), ("complex", h.astype(complex))):
         rec = _ProductDtypes()
         monkeypatch.setattr(fredet.linalg, "np", rec)
-        got = hessenberg_logdet(hh, zs, False)
+        got = hessenberg_logdet(hh, zs)
         monkeypatch.undo()
         seen[kind] = rec.seen
         assert np.all(np.abs(np.exp(got) - np.exp(want)) <= 1e-13 * np.abs(np.exp(want)))
@@ -394,12 +394,12 @@ def test_hessenberg_logdet_of_triangular_matrix_over_several_blocks():
     a = np.triu(np.random.default_rng(8).normal(size=(n, n))) / 4.0
     zs = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
     for h in (a, a.astype(complex)):
-        got = hessenberg_logdet(h, zs, False)
+        got = hessenberg_logdet(h, zs)
         want = np.prod(1.0 + np.multiply.outer(zs, np.diagonal(a)), axis=1)
         assert np.all(np.abs(np.exp(got) - want) <= 1e-13 * np.abs(want))
     # a zero pivot in the third block with nothing below it: exactly singular
     a[2 * fredet.linalg._LOGDET_STEPS + 1, 2 * fredet.linalg._LOGDET_STEPS + 1] = 2.0
-    assert hessenberg_logdet(a, [-0.5], False)[0].real == -np.inf
+    assert hessenberg_logdet(a, [-0.5])[0].real == -np.inf
 
 
 def _tridiagonal(n, seed, kind):
@@ -418,6 +418,18 @@ def _tridiagonal(n, seed, kind):
     return (np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)) / 2.0
 
 
+def _bands(t):
+    """The tuple (diag, sup, sub) of the three diagonals of a tridiagonal matrix t, the
+    form hessenberg_logdet eliminates in O(N) per z."""
+    return tuple(np.diagonal(t, k).copy() for k in (0, 1, -1))
+
+
+def _dense(t):
+    """The tridiagonal matrix whose three diagonals are the tuple t = (diag, sup, sub)."""
+    diag, sup, sub = t
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+
+
 _TRIDIAGONALS = st.builds(_tridiagonal, st.sampled_from([1, 2, 3, 9, 40, 300]),
                           st.integers(0, 2**32 - 1),
                           st.sampled_from(["symmetric", "skew", "general", "complex"]))
@@ -429,34 +441,36 @@ _AXES_AND_OFF = st.one_of(st.floats(-0.9, 0.9).map(complex),
 @_PROPERTY
 @given(t=_TRIDIAGONALS, z=_AXES_AND_OFF)
 def test_tridiagonal_logdet_matches_slogdet_and_the_hessenberg_elimination(t, z):
-    # hessenberg_logdet takes the O(N) elimination for every tridiagonal H; it agrees
-    # with LAPACK's LU and with the pivoted O(N^2) elimination of the same H
+    # hessenberg_logdet takes the O(N) elimination for every tridiagonal H given as its
+    # diagonals; it agrees with LAPACK's LU and with the pivoted O(N^2) elimination of
+    # the same H given as a matrix
     n = t.shape[0]
-    got, = hessenberg_logdet(t, [z], True)
+    got, = hessenberg_logdet(_bands(t), [z])
     _assert_logdet_matches(got, np.eye(n) + z * t)
-    hess, = fredet.linalg._hessenberg_logdet_block(t, np.array([z], dtype=complex))
+    hess, = hessenberg_logdet(t, [z])
     assert abs(got.real - hess.real) <= 1e-12 * max(1.0, abs(hess.real))
     assert abs(np.exp(1j * (got.imag - hess.imag)) - 1.0) <= 1e-12
 
 
-def test_hessenberg_logdet_picks_the_elimination_by_structure(monkeypatch):
+def test_hessenberg_logdet_picks_the_elimination_by_the_form_s_type(monkeypatch):
     seen = []
     for name in ("_tridiagonal_logdet_block", "_hessenberg_logdet_block"):
         block = getattr(fredet.linalg, name)
         monkeypatch.setattr(fredet.linalg, name,
                             lambda h, z, name=name, block=block: seen.append(name) or block(h, z))
-    # the structure is given, as determinants.PreparedDet records it, never read from H
+    # a 3-tuple of diagonals takes the O(N) elimination; a 2-D array the full one, even
+    # a tridiagonal array, whose structure is never read from it
     t = _tridiagonal(6, 1, "symmetric")
-    got = [hessenberg_logdet(t, [0.5], tridiagonal) for tridiagonal in (True, False)]
-    assert seen == ["_tridiagonal_logdet_block", "_hessenberg_logdet_block"]
-    assert abs(np.exp(got[0] - got[1]) - 1.0) <= 1e-14
-    with pytest.raises(TypeError):
-        hessenberg_logdet(t, [0.5])
-    # prepare reads it once from the reduced form: one entry above the band, however
-    # small, needs the full elimination
-    assert prepare(t, 1).tridiagonal
+    got = [hessenberg_logdet(h, [0.5]) for h in (_bands(t), t, t.tolist())]
+    assert seen == ["_tridiagonal_logdet_block"] + 2 * ["_hessenberg_logdet_block"]
+    assert abs(np.exp(got[0] - got[1]) - 1.0) <= 1e-14 and got[1] == got[2]
+    # prepare reads the structure once from the reduced form and keeps a tridiagonal one
+    # as its diagonals: one entry above the band, however small, keeps the full form
+    bands = prepare(t, 1).hess
+    assert isinstance(bands, tuple)
+    assert all(np.array_equal(b, want) for b, want in zip(bands, _bands(hessenberg(t))))
     t[0, 2] = 1e-300
-    assert not prepare(t, 1).tridiagonal
+    assert isinstance(prepare(t, 1).hess, np.ndarray)
 
 
 def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
@@ -466,15 +480,15 @@ def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
     i_t = np.eye(4) + t
     assert np.linalg.det(i_t[:2, :2]) == 0.0
     for h in (t, t.astype(complex)):
-        got, = hessenberg_logdet(h, [1.0], True)
+        got, = hessenberg_logdet(_bands(h), [1.0])
         assert np.isfinite(got)
         _assert_logdet_matches(got, i_t)
     # a zero first pivot: I + H = [[0, 1], [1, 0]], det = -1
-    got, = hessenberg_logdet(np.array([[-1.0, 1.0], [1.0, -1.0]]), [1.0], True)
+    got, = hessenberg_logdet(_bands(np.array([[-1.0, 1.0], [1.0, -1.0]])), [1.0])
     assert abs(got.real) <= 1e-15 and abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
     # a first pivot 2^-52, past which the quotient 1e300 / 2^-52 would overflow:
     # det = 2^-52 - 1e300
-    got, = hessenberg_logdet(np.array([[-1.0 + 2.0**-52, 1e150], [1e150, 0.0]]), [1.0], True)
+    got, = hessenberg_logdet(_bands(np.array([[-1.0 + 2.0**-52, 1e150], [1e150, 0.0]])), [1.0])
     assert abs(got.real - np.log(1e300)) <= 1e-15 * np.log(1e300)
     assert abs(np.exp(1j * got.imag) + 1.0) <= 1e-15
 
@@ -488,9 +502,9 @@ def test_tridiagonal_logdet_of_an_exactly_singular_matrix_is_minus_inf():
     last[-1, -2] = 0.0
     last[-1, -1] = 2.0
     for h in (t, t.astype(complex)):
-        assert hessenberg_logdet(h, [1.0], True)[0] == complex(-np.inf)
-    assert hessenberg_logdet(last, [-0.5, 0.25], True)[0] == complex(-np.inf)
-    assert np.isfinite(hessenberg_logdet(last, [-0.5, 0.25], True)[1])
+        assert hessenberg_logdet(_bands(h), [1.0])[0] == complex(-np.inf)
+    got = hessenberg_logdet(_bands(last), [-0.5, 0.25])
+    assert got[0] == complex(-np.inf) and np.isfinite(got[1])
 
 
 # n, diagonal, coupling and the z of each case: pivots near 1e20 whose product
@@ -512,10 +526,11 @@ def test_tridiagonal_logdet_past_the_product_range_matches_slogdet(kind):
     t = np.diag(np.full(n, diag)) + coupling * (np.eye(n, k=1) + np.eye(n, k=-1))
     zs = np.array(zs)
     with np.errstate(all="ignore"):
-        mag = np.abs(np.prod(fredet.linalg._tridiagonal_pivots(t, zs, guarded=False), axis=0))
+        mag = np.abs(np.prod(fredet.linalg._tridiagonal_pivots(_bands(t), zs, guarded=False),
+                             axis=0))
     assert {"overflow": np.all(mag == np.inf),
             "subnormal": np.all((0.0 < mag) & (mag < np.finfo(float).tiny))}.get(kind, np.all(mag == 0.0))
-    for z, got in zip(zs, hessenberg_logdet(t, zs, True)):
+    for z, got in zip(zs, hessenberg_logdet(_bands(t), zs)):
         sign, logabs = np.linalg.slogdet(np.eye(n) + z * t)
         if kind == "zero":
             assert sign == 0.0 and got == complex(-np.inf)
@@ -536,13 +551,16 @@ def _spectrum(a, skew):
 
 
 def _assert_tridiagonal_of_its_kind(t, skew):
-    """t is real and tridiagonal with exact zeros off its three diagonals, and exactly
-    symmetric or skew: couplings mirrored bit for bit, and a zero diagonal if skew."""
-    assert t.dtype == np.float64
-    assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
-    sigma = -1.0 if skew else 1.0
-    assert np.array_equal(np.diagonal(t, -1), sigma * np.diagonal(t, 1))
-    assert not (skew and np.diagonal(t).any())
+    """t is the tuple (diag, sup, sub) of a real tridiagonal form of order n, exactly
+    symmetric or skew: sub is sup itself, or -sup bit for bit and a zero diagonal if
+    skew."""
+    diag, sup, sub = t
+    assert diag.dtype == sup.dtype == sub.dtype == np.float64
+    assert diag.shape == (sup.size + 1,) and sub.shape == sup.shape
+    if skew:
+        assert np.array_equal(sub, -sup) and not diag.any()
+    else:
+        assert sub is sup
 
 
 _CROSSOVER = fredet.linalg._TRIDIAGONAL_CROSSOVER
@@ -568,12 +586,11 @@ def test_tridiagonalize_keeps_the_eigenvalues(n, skew):
     _assert_tridiagonal_of_its_kind(t, skew)
     want = _spectrum(a, skew)
     tol = _backward_tol(a)
-    assert np.abs(_spectrum(t, skew) - want).max() <= tol
+    assert np.abs(_spectrum(_dense(t), skew) - want).max() <= tol
     # the couplings b of the form give its eigenvalues on their own: a skew T with
     # couplings b, -b is i times the symmetric one with couplings b, zero diagonal
     linalg = pytest.importorskip("scipy.linalg")
-    got = linalg.eigh_tridiagonal(np.diagonal(t).copy(), np.diagonal(t, 1).copy(),
-                                  eigvals_only=True)
+    got = linalg.eigh_tridiagonal(t[0], t[1], eigvals_only=True)
     assert np.abs(got - want).max() <= tol
 
 
@@ -582,14 +599,12 @@ def test_tridiagonalize_keeps_the_eigenvalues(n, skew):
        skew=st.booleans(), z=_HALF_DISC)
 def test_tridiagonalize_is_a_similarity_of_its_kind(n, seed, skew, z):
     a = _symmetric(n, seed, skew)
-    buf = a.copy()
-    t = _tridiagonalize(buf, skew)
-    assert t is buf  # reduced in place
+    t = _tridiagonalize(a.copy(), skew)
     _assert_tridiagonal_of_its_kind(t, skew)
     want = _spectrum(a, skew)
-    assert np.abs(_spectrum(t, skew) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert np.abs(_spectrum(_dense(t), skew) - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     eye = np.eye(n)
-    _assert_logdet_matches(hessenberg_logdet(t, [z], True)[0], eye + z * a)
+    _assert_logdet_matches(hessenberg_logdet(t, [z])[0], eye + z * a)
 
 
 def _one_at_a_time(monkeypatch, a, skew):
@@ -606,9 +621,9 @@ def test_blocked_and_unblocked_forms_have_the_same_determinants(monkeypatch, n, 
     # to 1e-13 relative on and off the axes
     a = _symmetric(n, n + 1, skew)
     blocked, unblocked = _tridiagonalize(a.copy(), skew), _one_at_a_time(monkeypatch, a, skew)
-    assert not np.array_equal(blocked, unblocked)
+    assert not np.array_equal(_dense(blocked), _dense(unblocked))
     zs = np.array([0.4, 0.3j, 0.25 + 0.2j, -0.1 - 0.45j])
-    got, want = hessenberg_logdet(blocked, zs, True), hessenberg_logdet(unblocked, zs, True)
+    got, want = hessenberg_logdet(blocked, zs), hessenberg_logdet(unblocked, zs)
     assert np.abs(np.exp(got - want) - 1.0).max() <= 1e-13
 
 
@@ -647,8 +662,8 @@ def test_tridiagonalize_splits_at_an_exactly_decoupled_block():
             a[split:, split:] = _symmetric(n - split, 2, skew)
             t = _tridiagonalize(a.copy(), skew)
             _assert_tridiagonal_of_its_kind(t, skew)
-            assert t[split - 1, split] == t[split, split - 1] == 0.0
+            assert t[1][split - 1] == t[2][split - 1] == 0.0
             for block in (slice(0, split), slice(split, n)):
                 want = _spectrum(a[block, block], skew)
-                got = _spectrum(t[block, block], skew)
+                got = _spectrum(_dense(t)[block, block], skew)
                 assert np.abs(got - want).max() <= _backward_tol(a[block, block]), (n, skew)

@@ -308,7 +308,7 @@ def test_contour_past_one_chunk_matches_unchunked(monkeypatch):
     # a zero near 0.97, just inside the unit circle, makes the sampler double
     # well past one evaluation block; the block size must not change the samples
     h = hessenberg(np.diag([-1.0 / 0.97, 0.3, -0.2]) + 0.01)
-    logfun = lambda zs: hessenberg_logdet(h, zs, False)
+    logfun = lambda zs: hessenberg_logdet(h, zs)
     n, coeffs = _sample_circle(logfun, 0.0, 1.0)
     assert n == 1
     assert coeffs.size > 4 * fredet.linalg._LOGDET_CHUNK
@@ -389,7 +389,7 @@ def _counted_logdet(monkeypatch):
     sizes = []
     logdet = fredet.determinants.hessenberg_logdet
     monkeypatch.setattr(fredet.determinants, "hessenberg_logdet",
-                        lambda h, zs, *kind: sizes.append(np.size(zs)) or logdet(h, zs, *kind))
+                        lambda h, zs: sizes.append(np.size(zs)) or logdet(h, zs))
     return sizes
 
 
