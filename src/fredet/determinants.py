@@ -56,19 +56,20 @@ def _finish(p: int, z, phase, logdet, traces):
     return np.where(np.real(w) == -np.inf, 0.0, phase * np.exp(w))
 
 
-def _shifted(m: np.ndarray, w) -> np.ndarray:
-    """A new I + wK: float64 when K and w are both real, complex128 otherwise."""
-    shifted = (w.real if w.imag == 0 else w) * m
-    shifted.flat[::m.shape[0] + 1] += 1.0
-    return shifted
+def _lu_slogdet(m: np.ndarray, w):
+    """(phase, log|det|) of a new I + wK from one LU (numpy.linalg.slogdet), in float64
+    when K and w are both real, complex128 otherwise.  An entry of wK or a step of the
+    LU that overflows gives no warning, and leaves a nan or inf for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = (w.real if w.imag == 0 else w) * m
+        shifted.flat[::m.shape[0] + 1] += 1.0
+        return np.linalg.slogdet(shifted)
 
 
 def _lu_dets(m: np.ndarray, z: complex, traces, ps) -> list:
-    """det_p(I + zK) for every p in ps from one LU of I + zK (numpy.linalg.slogdet),
-    in float64 when K and z are both real (_shifted).  An entry of zK or a step of the
-    LU that overflows gives no warning: _finish refuses the nan or inf it leaves."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, logabs = np.linalg.slogdet(_shifted(m, z))
+    """det_p(I + zK) for every p in ps from one LU of I + zK (_lu_slogdet); _finish
+    refuses the nan or inf that an overflow leaves."""
+    phase, logabs = _lu_slogdet(m, z)
     return [complex(_finish(p, z, phase, logabs, traces)) for p in ps]
 
 
@@ -98,8 +99,10 @@ class PreparedDet:
     elimination by that form.  log2_scale is 0, and H has the determinants of
     K itself, unless K is so large or so small that its reduction would leave
     the double range (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  It can
-    stand for K wherever an operator is taken: det_p and locate_eigs read
-    matrix, and locate_eigs samples logdet instead of reducing K again.
+    stand for K wherever an operator is taken: det_p reads matrix, and
+    locate_eigs samples logdet instead of reducing K again, polishes with
+    lu_slogdet, asks real_zeros whether its zeros are real, and finishes its
+    residuals on matrix.
     """
 
     p: int
@@ -110,17 +113,44 @@ class PreparedDet:
 
     def logdet(self, zs) -> np.ndarray:
         """log det(I + zK) for every z in zs, as hessenberg_logdet gives it for H at
-        z 2^log2_scale; DetOverflowError where that z leaves the double range."""
+        z 2^log2_scale, with real part -inf where I + zK is exactly singular.
+        DetOverflowError where z 2^log2_scale leaves the double range, or where a
+        value is nan or has real part +inf, which an overflowed elimination leaves;
+        either names the z given."""
         zs = np.asarray(zs, dtype=np.complex128).ravel()
-        if self.log2_scale:
-            with np.errstate(over="ignore"):
-                scaled = _times_power_of_two(zs, self.log2_scale)
-            bad = ~np.isfinite(scaled)
-            if bad.any():
-                raise DetOverflowError(f"z 2^{self.log2_scale} is out of double range"
-                                       f" at z = {zs[bad][0]}")
-            zs = scaled
-        return hessenberg_logdet(self.hess, zs)
+        with np.errstate(over="ignore"):
+            scaled = _times_power_of_two(zs, self.log2_scale) if self.log2_scale else zs
+        bad = ~np.isfinite(scaled)
+        if bad.any():
+            raise DetOverflowError(f"z 2^{self.log2_scale} is out of double range"
+                                   f" at z = {zs[bad][0]}")
+        logs = hessenberg_logdet(self.hess, scaled)
+        bad = np.isnan(logs) | (logs.real == np.inf)
+        if bad.any():
+            raise DetOverflowError(f"det(I + zK) overflowed the double range at z = {zs[bad][0]}")
+        return logs
+
+    def lu_slogdet(self, ws):
+        """(phases, log-moduli) of det(I + wK) for every w of the array ws, each from
+        one LU of I + wK itself (_lu_slogdet), matrix read unscaled: float64 where K
+        and w are both real.  A singular I + wK gives phase 0 and log-modulus -inf."""
+        # reshaped so that no w still gives two columns
+        out = np.array([_lu_slogdet(self.matrix, w) for w in ws], np.complex128).reshape(-1, 2)
+        return out[:, 0], out[:, 1].real
+
+    @property
+    def real_zeros(self) -> bool:
+        """Whether every zero of det(I + wH) is real and simple, read from the structure of H.
+
+        They are when H is real, tridiagonal (kept as the tuple (diag, sup, sub) of its
+        diagonals) and every coupling product H[k, k+1] H[k+1, k] = sup[k] sub[k] is
+        positive: then H = D T D^-1 with D a positive diagonal and T real, symmetric and
+        unreduced, whose eigenvalues are real and distinct (Parlett, The Symmetric
+        Eigenvalue Problem, 1980, ch. 7).  prepare makes such an H for green and
+        bernoulli on ngl, rect and smooth ncc, and for abs_pow_iter2 with zero_diag.
+        """
+        h = self.hess
+        return isinstance(h, tuple) and not np.iscomplexobj(h[0]) and bool((h[1] * h[2] > 0).all())
 
     def values(self, zs) -> np.ndarray:
         """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where

@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import _check_p, _lu_dets, _newton_identities, _shifted, prepare
+from .determinants import _check_p, _lu_dets, _newton_identities, prepare
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -225,35 +225,36 @@ def _exterior_log(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(k: np.ndarray, sign: int, center: complex, radius: float, coeffs: np.ndarray,
+def _polish(lu: Callable, center: complex, radius: float, coeffs: np.ndarray,
             z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Simultaneous Borsch-Supan steps on all zeros of F(z) = det(I + sign z K) in a circle.
+    """Simultaneous Borsch-Supan steps on all zeros of a function F in a circle.
 
-    The circle is the one _sample_circle read coeffs from, u = (z - center) / radius.
-    On it F = Q G, where G = exp(_exterior_log) has no zero inside and
-    Q(u) = prod_j (u - u_j) is monic with exactly the n interior zeros, so the
-    Weierstrass corrections W_i = Q(u_i) / prod_{j != i} (u_i - u_j) take one
-    LU determinant of I + sign z_i K each (numpy.linalg.slogdet), K read as it
-    is, real or complex, and never inverted.  Each zero moves by
+    lu(z) is (phase, log|F|) at every point of the array z: for locate_eigs the
+    phases and log-moduli of det(I + sign z K), one LU each, from
+    PreparedDet.lu_slogdet.  The circle is the one _sample_circle read coeffs
+    from, u = (z - center) / radius.  On it F = Q G, where G =
+    exp(_exterior_log) has no zero inside and Q(u) = prod_j (u - u_j) is monic
+    with exactly the n interior zeros, so the Weierstrass corrections
+    W_i = Q(u_i) / prod_{j != i} (u_i - u_j) take one call of lu per step and
+    no inverse.  Each zero moves by
     z_i -= radius W_i / (1 + sum_{j != i} W_j / (u_i - u_j)) (Borsch-Supan
     1963), in z so it keeps its relative precision; a step that would carry an
     iterate out of the circle is cut short (_within_circle), though the full
     step still decides when the polish ends.  Real starts z (float64)
     stand for real zeros: each takes only the real part of its step, so z stays
     real and, for a real K, every LU is a float64 one.  G sets only how fast the
-    steps converge: their fixed points are the zeros of the LU determinant of
-    K itself.  An exactly singular I + sign z_i K makes W_i = 0, and z_i stays
-    put.  The polish ends once every step is within _STEP_TOL (1 + |z_i|) and
+    steps converge: their fixed points are the zeros of whatever lu evaluates,
+    for locate_eigs the LU determinant of K itself.  A phase of 0 (F(z_i) = 0
+    exactly, as an exactly singular I + sign z_i K gives) makes W_i = 0, and
+    z_i stays put.  The polish ends once every step is within _STEP_TOL (1 + |z_i|) and
     returns the zeros with each one's last step relative to it,
     |dz| / (1 + |z|); it raises RefinementError on a step that is not finite
     (coincident iterates, or a correction past the double range), or when
     it has not ended after _POLISH_STEPS steps.
     """
     real = not np.iscomplexobj(z)
-    phase, logabs = np.empty(z.size, dtype=np.complex128), np.empty(z.size)
     for _ in range(_POLISH_STEPS):
-        for i, zi in enumerate(z):
-            phase[i], logabs[i] = np.linalg.slogdet(_shifted(k, sign * zi))
+        phase, logabs = lu(z)
         u = (z - center) / radius
         gaps = u[:, None] - u
         gaps.flat[::z.size + 1] = 1.0
@@ -302,21 +303,6 @@ def _within_circle(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return t
 
 
-def _real_zeros(prep) -> bool:
-    """Whether every zero of det(I + wH) is real and simple, read from the structure of
-    the PreparedDet's H.
-
-    They are when H is real, tridiagonal (kept as the tuple (diag, sup, sub) of its
-    diagonals) and every coupling product H[k, k+1] H[k+1, k] = sup[k] sub[k] is
-    positive: then H = D T D^-1 with D a positive diagonal and T real, symmetric and
-    unreduced, whose eigenvalues are real and distinct (Parlett, The Symmetric
-    Eigenvalue Problem, 1980, ch. 7).
-    """
-    h = prep.hess  # (diag, sup, sub) if tridiagonal
-    return (isinstance(h, tuple) and not np.iscomplexobj(h[0])
-            and bool((h[1] * h[2] > 0).all()))
-
-
 def _clusters(zeros, steps) -> list:
     """Indices into zeros, grouped by chains of zeros the polish left unresolved.
 
@@ -357,7 +343,9 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     disc is one sampled circle.  A circle that passes through a zero
     (ZeroOnContourError) or whose moments do not settle (RefinementError) is
     moved outward through _BUMPS, so the nominal disc stays covered; when no
-    radius resolves, ZeroOnContourError names the radii tried.  The circle
+    radius resolves, ZeroOnContourError names the radii tried.  A sample that
+    an overflowed elimination leaves nan or +inf raises DetOverflowError
+    from the first circle, which no bump would cure.  The circle
     gives the count n and the power sums of the zeros (contour moments,
     Delves & Lyness 1967); its sample count doubles only until n and those n
     moments settle, since the polish sets the final digits.  Newton's
@@ -365,12 +353,12 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     values for all n zeros, the roots of sum_k (-1)^k e_k u^(n-k) on the
     circle's scale u = (z - center) / radius.  The polish (_polish) then
     takes simultaneous Borsch-Supan steps on all of them, each from one LU
-    determinant of the unreduced I + sign z K_N per zero and step, with the
+    determinant of the unreduced I + sign z K_N per zero and step, read
+    through the PreparedDet (PreparedDet.lu_slogdet at sign z), with the
     zero-free factor that the circle's nonnegative frequencies give divided
-    out; it takes no inverse.  Where H shows every zero to be real and simple
-    (_real_zeros: H real and tridiagonal with positive couplings, as prepare
-    makes it for green and bernoulli on ngl, rect and smooth ncc, and for
-    abs_pow_iter2 with zero_diag), the starts are projected onto the real
+    out; it takes no inverse.  Where the prepared form shows every zero to be
+    real and simple (PreparedDet.real_zeros: H real and tridiagonal with
+    positive couplings), the starts are projected onto the real
     axis and the polish keeps them there, so a real K_N is factored in
     float64 at every step and for every residual.  Skew operators (negative
     couplings), singular and split-kernel ncc operators and general matrices
@@ -402,11 +390,10 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     center = _disc(center, radius)
 
     prep = prepare(op, p)
-    logdet = lambda zs: prep.logdet(sign * zs)
     for bump in _BUMPS:
         contour = radius * bump
         try:
-            n, coeffs = _sample_circle(logdet, center, contour)
+            n, coeffs = _sample_circle(lambda zs: prep.logdet(sign * zs), center, contour)
             break
         except (ZeroOnContourError, RefinementError):
             continue
@@ -417,7 +404,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     k = np.arange(n + 1)  # c_{-k} = -s_k / k, s_k the k-th power sum of the scaled zeros
     u = np.roots(_newton_identities(-k[1:] * coeffs[coeffs.size - k[1:]]) * (-1.0) ** k)
     starts = center + contour * u
-    if _real_zeros(prep):
+    if prep.real_zeros:
         # rounding can make a conjugate pair a +- ib of two close real zeros; it goes
         # to a +- b, not twice to a (found by ==, not np.unique, whose first call
         # adds 1.5 MB of resident pages to a search)
@@ -425,7 +412,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         coincide = np.count_nonzero(real[:, None] == real) > real.size
         starts = real + starts.imag if coincide else real
     try:
-        zeros, steps = _polish(prep.matrix, sign, center, contour, coeffs, starts)
+        zeros, steps = _polish(lambda zs: prep.lu_slogdet(sign * zs), center, contour, coeffs, starts)
     except RefinementError as exc:
         reach = np.abs(u).max()
         where = "crowd the circle" if reach > 1.0 else "lie in the circle"

@@ -10,7 +10,7 @@ import fredet.spectra
 from fredet.determinants import det_p, prepare
 from fredet.discretize import DiscreteOperator, assemble, assemble_nystrom, assemble_singular
 from fredet.kernels import KernelSpec, registry
-from fredet.linalg import hessenberg, hessenberg_logdet
+from fredet.linalg import DetOverflowError, hessenberg, hessenberg_logdet
 from fredet.quadrature import gauss_legendre
 from fredet.spectra import (OrderFit, RefinementError, ZeroOnContourError, _sample_circle,
                             count_zeros, fit_order, locate_eigs, refine_zero)
@@ -218,10 +218,47 @@ def test_locate_eigs_names_radii_tried(monkeypatch):
 def test_locate_eigs_refuses_polished_zeros_off_the_contour(monkeypatch):
     # a polish whose zeros leave the circle it was started in is not trusted
     monkeypatch.setattr(fredet.spectra, "_polish",
-                        lambda k, sign, center, radius, coeffs, z: (z + 3.0 * radius,
-                                                                    np.zeros(z.size)))
+                        lambda lu, center, radius, coeffs, z: (z + 3.0 * radius,
+                                                               np.zeros(z.size)))
     with pytest.raises(RefinementError, match="polished zeros left the contour of radius 5"):
         locate_eigs(np.diag([0.5]), 1, 0.0, 5.0)
+
+
+def test_locate_eigs_refuses_an_overflowed_elimination(monkeypatch):
+    # det(I - zK) = (1 - z)(1 - z/2) has no zero near the circle, but K is reduced as
+    # 2^-685 K and z 2^685 times its coupling overflows: every sample is nan, which
+    # the first contour refuses as an overflow, not as a zero on the circle
+    radii = []
+    sample = fredet.spectra._sample_circle
+    monkeypatch.setattr(fredet.spectra, "_sample_circle",
+                        lambda logfun, center, radius: radii.append(radius)
+                        or sample(logfun, center, radius))
+    with pytest.raises(DetOverflowError, match="overflowed the double range at z = "):
+        locate_eigs(np.array([[1.0, 1e308], [0.0, 0.5]]), 1, 0.0, 3.0)
+    assert radii == [3.0]
+
+
+def test_polish_converges_to_the_zeros_of_the_function_it_evaluates():
+    # F(z) = (z - 0.5)(z + 0.3 - 0.4i)(z - 0.2 + 0.6i) exp(0.7 z) with no matrix behind
+    # it: from slightly perturbed starts, the polish lands on F's zeros
+    zeros = np.array([0.5, -0.3 + 0.4j, 0.2 - 0.6j])
+
+    def logf(z):
+        return np.log(z[:, None] - zeros).sum(axis=1) + 0.7 * z
+
+    def lu(z):
+        # slogdet's convention at an exact zero, which an iterate can reach: phase 0
+        f = np.prod(z[:, None] - zeros, axis=1) * np.exp(0.7 * z)
+        mag = np.abs(f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mag == 0.0, 0.0, f / mag), np.log(mag)
+
+    n, coeffs = _sample_circle(logf, 0.0, 1.0)
+    assert n == zeros.size
+    starts = zeros + np.array([1e-3, -2e-3j, 1.5e-3 + 1e-3j])
+    got, steps = fredet.spectra._polish(lu, 0.0, 1.0, coeffs, starts)
+    assert np.all(np.abs(got - zeros) <= 1e-13)
+    assert np.all(steps <= fredet.spectra._STEP_TOL)
 
 
 def test_locate_eigs_empty_region():
@@ -359,7 +396,7 @@ def test_contour_starts_recover_zeros_from_exact_moments(monkeypatch, zeros):
         coeffs[m - k] = -np.sum(zeros**k) / k
     starts = []
     monkeypatch.setattr(fredet.spectra, "_sample_circle", lambda *_: (zeros.size, coeffs))
-    polish = lambda k, sign, center, radius, coeffs, z: starts.append(z) or (z, np.zeros(z.size))
+    polish = lambda lu, center, radius, coeffs, z: starts.append(z) or (z, np.zeros(z.size))
     monkeypatch.setattr(fredet.spectra, "_polish", polish)
     locate_eigs(np.eye(2), 1, 0.0, 1.0, sign=1)
     assert starts[0].size == zeros.size
@@ -734,7 +771,7 @@ def test_near_double_real_zeros_are_one_estimate(center, radius):
     # 11 on the second, each within 1e-11 of as many zeros as it counts
     w = _wilkinson_w21()
     zeros = 1.0 / np.linalg.eigvalsh(w)
-    assert fredet.spectra._real_zeros(prepare(w, 1))
+    assert prepare(w, 1).real_zeros
     ests = locate_eigs(w, 1, center, radius)
     inside = zeros[np.abs(zeros - center) < radius]
     assert [e.mult_estimate for e in ests] == [2, 2] + [1] * (inside.size - 4)

@@ -15,20 +15,16 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 @pytest.fixture(scope="module")
 def compare():
-    # the tool imports bench/run.py, which sets BLAS thread variables and puts bench/
-    # on sys.path; leave the interpreter as it was
+    # importing the tool leaves the interpreter as it was: bench/run.py, which sets
+    # BLAS thread variables, is imported only when a report is measured
     environ, path, modules = dict(os.environ), list(sys.path), set(sys.modules)
     spec = importlib.util.spec_from_file_location("compare", TOOL)
     module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        for name in set(os.environ) - set(environ):
-            del os.environ[name]
-        os.environ.update(environ)
-        sys.path[:] = path
-        for name in set(sys.modules) - modules:
-            del sys.modules[name]
+    spec.loader.exec_module(module)
+    assert dict(os.environ) == environ
+    assert sys.path == path
+    assert set(sys.modules) == modules
+    assert "run" not in sys.modules
     return module
 
 

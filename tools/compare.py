@@ -50,8 +50,6 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
-from run import _environment  # noqa: E402  the benchmark's record of numpy, BLAS and threads
 PAIRS = 6
 EXAMPLE_IDS = (1, 2, 3, 4)
 EXAMPLE_REPEATS = 5
@@ -259,7 +257,10 @@ def summarize(pairs):
 
 def measure(trees, args):
     """The report: examples, locate stages and, for each workload of the parent's
-    BENCHMARK.json, its bench pairs and their summary."""
+    BENCHMARK.json, its bench pairs and their summary.  It imports bench/run.py
+    here, not at the tool's import, since that module sets BLAS thread variables."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from run import _environment  # the benchmark's record of numpy, BLAS and threads
     report = {"machine": _environment(args.seed)}
     report["run_example_s"] = example_report(
         alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]))
