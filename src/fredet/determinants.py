@@ -114,10 +114,10 @@ class PreparedDet:
     def logdet(self, zs) -> np.ndarray:
         """log det(I + zK) for every z in zs, as hessenberg_logdet gives it for H at
         z 2^log2_scale, with real part -inf where I + zK is exactly singular.
-        DetOverflowError where z 2^log2_scale leaves the double range, or where a
-        value is nan or has real part +inf, which an overflowed elimination leaves;
-        either names the z given."""
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
+        ValueError at a z not finite.  DetOverflowError where z 2^log2_scale leaves
+        the double range, or where a value is nan or has real part +inf, which an
+        overflowed elimination leaves; either names the z given."""
+        zs = _finite(np.asarray(zs, dtype=np.complex128).ravel())
         with np.errstate(over="ignore"):
             scaled = _times_power_of_two(zs, self.log2_scale) if self.log2_scale else zs
         bad = ~np.isfinite(scaled)
@@ -155,7 +155,7 @@ class PreparedDet:
     def values(self, zs) -> np.ndarray:
         """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
         I + zK is singular, DetOverflowError past the double range, ValueError at a z not finite."""
-        zs = _finite(np.asarray(zs, dtype=np.complex128).ravel())
+        zs = np.asarray(zs, dtype=np.complex128).ravel()
         return _finish(self.p, zs, 1.0, self.logdet(zs), self.traces)
 
 

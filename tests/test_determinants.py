@@ -154,6 +154,7 @@ def test_every_route_refuses_a_non_finite_z(z):
     routes = {
         "det_p": lambda: det_p(a, 2, z),
         "values": lambda: prepare(a, 2).values([0.5, z]),
+        "logdet": lambda: prepare(a, 2).logdet([0.5, z]),
         "det_series_eval": lambda: det_series_eval(plemelj_coeffs(a, 2, 3), z),
         "det_from_eigs": lambda: det_from_eigs(np.diag(a), 2, z),
         "identity_residuals": lambda: identity_residuals(a, z),
