@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .determinants import det_p, identity_residuals, prepare
+from .determinants import _check_p, det_p, identity_residuals, prepare
 from .discretize import SCHEMES, assemble
 from .examples import (EXAMPLE_IDS, ROOT_CSV_HEADER, dump_json, resolved_slope, root_row,
                        roots_json, run_example, write_csv, write_summary)
@@ -113,7 +113,9 @@ def _resolve_kernel(args):
     return registry(args.kernel)
 
 
-def _check_hilbert_trick(spec, args):
+def _check_p_options(spec, args):
+    # --p is refused before anything is assembled, in determinants' own words
+    _check_p(args.p)
     if args.p >= 2 and args.scheme == "rect" and not args.zero_diag and has_diagonal_jump(spec):
         raise ValueError(
             "p >= 2 with the rectangle rule on a kernel that jumps across the "
@@ -152,7 +154,7 @@ def _config_echo(args, spec, extra):
 
 def cmd_det(args):
     spec = _resolve_kernel(args)
-    _check_hilbert_trick(spec, args)
+    _check_p_options(spec, args)
     if args.grid:
         zs = _parse_grid(args.grid)
     elif args.z:
@@ -162,7 +164,7 @@ def cmd_det(args):
     op = assemble(spec, args.scheme, args.n, args.zero_diag)
     signed = [args.sign * z for z in zs]
     if len(zs) > PREPARE_MIN_Z:  # one Hessenberg reduction for all of them
-        vals = prepare(op, args.p).values(signed).tolist()
+        vals = prepare(op).values(args.p, signed).tolist()
     else:
         vals = [det_p(op, args.p, z).value for z in signed]
     rows = [(z.real, z.imag, v.real, v.imag, "LU_TRACE") for z, v in zip(zs, vals)]
@@ -175,7 +177,7 @@ def cmd_det(args):
 
 def cmd_converge(args):
     spec = _resolve_kernel(args)
-    _check_hilbert_trick(spec, args)
+    _check_p_options(spec, args)
     ns = _parse_sweep(args.n_sweep)
     z = _parse_complex(args.z, "--z") if args.z else complex(1.0)
     ref = _resolve_reference(args, spec)
@@ -204,7 +206,7 @@ def cmd_converge(args):
 
 def cmd_eigs(args):
     spec = _resolve_kernel(args)
-    _check_hilbert_trick(spec, args)
+    _check_p_options(spec, args)
     center, radius = _parse_region(args.region)
     op = assemble(spec, args.scheme, args.n, args.zero_diag)
     ests = locate_eigs(op, args.p, center, radius, sign=args.sign)

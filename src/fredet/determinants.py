@@ -1,7 +1,7 @@
 """Regularized determinants det_p(I + zK) of discrete operators, by three routes."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,17 +98,15 @@ class PreparedDet:
     hessenberg's Fortran-ordered view; hessenberg_logdet picks its
     elimination by that form.  log2_scale is 0, and H has the determinants of
     K itself, unless K is so large or so small that its reduction would leave
-    the double range (_log2_scale).  traces[j-1] = tr(K^j) for j < p.  It can
-    stand for K wherever an operator is taken: det_p reads matrix, and
-    locate_eigs samples logdet instead of reducing K again, polishes with
-    lu_slogdet, asks real_zeros whether its zeros are real, and finishes its
-    residuals on matrix.
+    the double range (_log2_scale).  It holds no p: values takes p, as det_p
+    does.  It can stand for K wherever an operator is taken: det_p reads
+    matrix, and locate_eigs samples logdet instead of reducing K again,
+    polishes with lu_slogdet, asks real_zeros whether its zeros are real, and
+    finishes its residuals on matrix.
     """
 
-    p: int
     matrix: np.ndarray
     hess: np.ndarray | tuple
-    traces: np.ndarray
     log2_scale: int
 
     def logdet(self, zs) -> np.ndarray:
@@ -152,16 +150,19 @@ class PreparedDet:
         h = self.hess
         return isinstance(h, tuple) and not np.iscomplexobj(h[0]) and bool((h[1] * h[2] > 0).all())
 
-    def values(self, zs) -> np.ndarray:
-        """det_p(I + zK) for every z in zs, finished as det_p is (_finish): exactly 0 where
-        I + zK is singular, DetOverflowError past the double range, ValueError at a z not finite."""
+    def values(self, p: int, zs) -> np.ndarray:
+        """det_p(I + zK) for every z in zs, finished as det_p is (_finish) with the p-1
+        traces of matrix: exactly 0 where I + zK is singular, DetOverflowError past the
+        double range, ValueError at a z not finite, or for a p that is not a positive
+        integer, before any elimination."""
+        _check_p(p)
         zs = np.asarray(zs, dtype=np.complex128).ravel()
-        return _finish(self.p, zs, 1.0, self.logdet(zs), self.traces)
+        return _finish(p, zs, 1.0, self.logdet(zs), _trace_powers(self.matrix, p - 1))
 
 
-def prepare(op, p: int) -> PreparedDet:
-    """det_p(I + zK) prepared for many z: K validated once, its p-1 trace
-    corrections computed once, and K reduced once to Hessenberg form (_reduce).
+def prepare(op) -> PreparedDet:
+    """det(I + zK) prepared for many z and any p: K validated once and reduced
+    once to Hessenberg form (_reduce).
 
     A real operator whose quadrature weights W are all positive (op.weights,
     the plain Nystrom schemes) is reduced through S = W^(1/2) K W^(-1/2),
@@ -171,32 +172,28 @@ def prepare(op, p: int) -> PreparedDet:
     no larger than SYMMETRY_TOL admits, is reduced by linalg._tridiagonalize
     to a tridiagonal form exactly of that kind, kept as its three diagonals:
     couplings that mirror each other bit for bit, and an exactly zero diagonal
-    for a skew S.  PreparedDet.values then costs O(N) per z, and the form
-    keeps about 3N floats.  Any other operator or matrix, a complex weighted
-    one included, is reduced as it is by linalg.hessenberg and costs O(N^2)
-    per z, unless its H is tridiagonal, which is kept as its three diagonals
-    too.  The general reduction costs
-    about as much as 6-17 single-z det_p calls at a complex z, the tridiagonal
-    one 3-7 (N = 32-800).  It is still an LU determinant, not the eigenvalue
+    for a skew S.  PreparedDet.values then costs O(N) per z, past the p-1
+    traces it takes once per call, and the form keeps about 3N floats.  Any
+    other operator or matrix, a complex weighted one included, is reduced as
+    it is by linalg.hessenberg and costs O(N^2) per z, unless its H is
+    tridiagonal, which is kept as its three diagonals too.  The general
+    reduction costs about as much as 6-17 single-z det_p calls at a complex z,
+    the tridiagonal one 3-7 (N = 32-800).  It is still an LU determinant, not the eigenvalue
     route, so the three det_p routes stay independent; the values agree with
     det_p to rounding, not bit for bit, since det_p factors I + zK itself.
-    matrix and traces are those of K either way.  A matrix or operator is
-    reduced on every call, a PreparedDet never again: one of this p comes back
-    as it is, one of another p with only the new p's traces, so a caller that
-    evaluates one operator in several places passes the PreparedDet along.  A
-    K whose reduction would leave the double range is reduced as 2^-e K for
-    the power of two that _log2_scale picks, and its values read H at z 2^e;
-    any other K is reduced as it is.
+    matrix is K either way.  A matrix or operator is reduced on every call, a
+    PreparedDet never again: it comes back as it is, so a caller that
+    evaluates one operator in several places, at one p or several, passes the
+    PreparedDet along.  A K whose reduction would leave the double range is
+    reduced as 2^-e K for the power of two that _log2_scale picks, and its
+    values read H at z 2^e; any other K is reduced as it is.
     """
-    _check_p(p)
     if isinstance(op, PreparedDet):
-        if op.p == p:
-            return op
-        return replace(op, p=p, traces=_trace_powers(op.matrix, p - 1))
+        return op
     m = _matrix_of(op)
     e = _log2_scale(m)
     hess = _reduce(_times_power_of_two(m, -e) if e else m, getattr(op, "weights", None))
-    return PreparedDet(p, m, hess, _trace_powers(m, p - 1), e)
+    return PreparedDet(m, hess, e)
 
 
 def _log2_scale(m: np.ndarray) -> int:

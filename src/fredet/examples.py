@@ -153,8 +153,8 @@ def _example3(out):
     zs = -np.array(grid + [z for _, z, _, _ in curves])
     for n in ns:
         # one reduction per n serves the grid, the curves and, at n = 200, locate_eigs
-        prep = prepared[n] = prepare(assemble(spec, "rect", n, zero_diag=True), 2)
-        vals = prep.values(zs)
+        prep = prepared[n] = prepare(assemble(spec, "rect", n, zero_diag=True))
+        vals = prep.values(2, zs)
         # the values at the last, largest n are also the example3_grid.csv table
         grid_vals = vals[:len(grid)]
         surface.append(max(abs(v - r) for v, r in zip(grid_vals, grid_ref)))
@@ -201,14 +201,14 @@ def _example4(out):
     # reduction of each matrix serves its values, and K_64's the root search
     spec = registry("abs_pow")
     it2 = registry("abs_pow_iter2")
-    prep64 = prepare(assemble(spec, "singular", 64), 3)
+    prep64 = prepare(assemble(spec, "singular", 64))
     lam = eigenvalues(prep64.matrix)
     top5, tail = lam[:5], lam[5:]
     ests = locate_eigs(prep64, 3, 0.0, 1.1)
 
     zs = np.arange(1, 12) / 11
-    fulls = prep64.values(-zs) * prep64.values(zs)
-    rhss = prepare(assemble(it2, "rect", 64, zero_diag=True), 2).values(-zs * zs)
+    fulls = prep64.values(3, -zs) * prep64.values(3, zs)
+    rhss = prepare(assemble(it2, "rect", 64, zero_diag=True)).values(2, -zs * zs)
     cons_rows, cons, trunc, bound, cross = [], [], [], [], []
     for z, full, rhs in zip(zs, fulls, rhss):
         lhs = det_from_eigs(top5, 3, -z).value * det_from_eigs(top5, 3, z).value

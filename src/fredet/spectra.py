@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import _check_p, _lu_dets, _newton_identities, prepare
+from .determinants import _check_p, _lu_dets, _newton_identities, _trace_powers, prepare
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -372,7 +372,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     last steps that separate the iterates of an m-fold zero, which the
     polish leaves on a regular m-gon.  Zeros it resolved stay apart,
     however close.  residual is |det_p| there, one LU finished with the p-1
-    traces of the search's one preparation, and step the largest last
+    traces of K_N that the search takes once, and step the largest last
     polish step |dz| / (1 + |z|) among the cluster's zeros, at most
     _STEP_TOL since the polish converged.  It does not certify a defective
     multiple zero: J_3(0.5) under the orthogonal similarities of seeds
@@ -389,7 +389,8 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
         raise ValueError("sign must be +1 or -1")
     center = _disc(center, radius)
 
-    prep = prepare(op, p)
+    prep = prepare(op)
+    traces = _trace_powers(prep.matrix, p - 1)  # for the residuals
     for bump in _BUMPS:
         contour = radius * bump
         try:
@@ -428,7 +429,7 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     for group in _clusters(zeros, steps):
         z = complex(np.mean(zeros[group]))
         # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        residual = abs(_lu_dets(prep.matrix, sign * z, prep.traces, (p,))[0])
+        residual = abs(_lu_dets(prep.matrix, sign * z, traces, (p,))[0])
         ests.append(EigenEstimate(z, -sign / z, residual, len(group), float(steps[group].max())))
     return _ordered(ests)
 

@@ -506,10 +506,17 @@ def _never(*args, **kwargs):
     (["identity", "--n", str(MAX_DIM + 1)], "must be in [1, "),
     (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "1024:4096:geometric"],
      f"2 <= A <= B <= {MAX_DIM}"),
+    (_DET + ["--z", "1,0", "--p", "0"], "p must be a positive integer, got 0"),
+    (_DET + ["--grid", "0,1,0,1,8", "--p", "0"], "p must be a positive integer, got 0"),
+    (["converge", "--kernel", "green", "--scheme", "ngl", "--n-sweep", "8:64:geometric",
+      "--ref", "none", "--p", "0"], "p must be a positive integer, got 0"),
+    (_EIGS + ["--region", "0,0,1", "--p", "0"], "p must be a positive integer, got 0"),
 ], ids=["grid_steps_past_cap", "grid_steps_zero", "identity_n_zero", "identity_n_past_max_dim",
-        "sweep_past_max_dim"])
+        "sweep_past_max_dim", "det_z_p_zero", "det_grid_p_zero", "converge_p_zero",
+        "eigs_p_zero"])
 def test_sizes_out_of_range_exit_one_before_allocating(argv, msg, monkeypatch, capsys):
-    # neither the matrix nor the random draws may be made before the check
+    # neither the matrix nor the random draws may be made before the check; a bad
+    # --p too is refused before anything is assembled
     monkeypatch.setattr(fredet.cli, "assemble", _never)
     monkeypatch.setattr(np.random, "default_rng", _never)
     assert main(argv) == 1

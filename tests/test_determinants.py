@@ -28,7 +28,7 @@ def test_det_p_rejects_bad_p():
         with pytest.raises(ValueError):
             det_p(np.eye(2), p, 1.0)
         with pytest.raises(ValueError):
-            prepare(np.eye(2), p)
+            prepare(np.eye(2)).values(p, [0.5])
 
 
 def test_det_p_diagonal_closed_forms():
@@ -153,8 +153,8 @@ def test_every_route_refuses_a_non_finite_z(z):
     a = 0.5 * np.diag([1.0, -0.5, 0.25])
     routes = {
         "det_p": lambda: det_p(a, 2, z),
-        "values": lambda: prepare(a, 2).values([0.5, z]),
-        "logdet": lambda: prepare(a, 2).logdet([0.5, z]),
+        "values": lambda: prepare(a).values(2, [0.5, z]),
+        "logdet": lambda: prepare(a).logdet([0.5, z]),
         "det_series_eval": lambda: det_series_eval(plemelj_coeffs(a, 2, 3), z),
         "det_from_eigs": lambda: det_from_eigs(np.diag(a), 2, z),
         "identity_residuals": lambda: identity_residuals(a, z),
@@ -324,7 +324,7 @@ EX3_GRID = [complex(re, im) for re in np.linspace(-1.0, 1.0, 9) for im in np.lin
 def test_prepared_values_match_eigenvalue_route_on_example3_grid():
     op = assemble_nystrom(registry("sign"), rectangle(200, -1.0, 1.0), zero_diag=True)
     lam = eigenvalues(op.matrix)
-    got = prepare(op, 2).values([-z for z in EX3_GRID])
+    got = prepare(op).values(2, [-z for z in EX3_GRID])
     assert got.shape == (81,)
     for z, v in zip(EX3_GRID, got):
         want = det_from_eigs(lam, 2, -z).value
@@ -333,18 +333,18 @@ def test_prepared_values_match_eigenvalue_route_on_example3_grid():
 
 def test_prepared_values_keep_det_p_semantics():
     for p in (1, 2, 3):
-        prep = prepare(np.diag([2.0, 0.5]), p)
-        zero, one = prep.values([-0.5, 0.0])
+        prep = prepare(np.diag([2.0, 0.5]))
+        zero, one = prep.values(p, [-0.5, 0.0])
         assert zero == 0.0          # I + zA is exactly singular
         assert one == 1.0 + 0.0j
         assert det_p(prep, p, -0.5).value == 0.0
     big = np.diag(np.full(100, 1e4))  # |det(I + A)| ~ 1e400
     with pytest.raises(DetOverflowError):
-        prepare(big, 1).values([0.5, 1.0])
+        prepare(big).values(1, [0.5, 1.0])
     with pytest.raises(DetOverflowError):
         det_p(big, 1, 1.0)
     with pytest.raises(ValueError):
-        prepare(np.eye(2), 0)
+        prepare(np.eye(2)).values(0, [0.5])
 
 
 def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
@@ -353,7 +353,7 @@ def test_prepare_reduces_on_every_call_and_stands_for_its_operator(monkeypatch):
     monkeypatch.setattr(fredet.determinants, "_reduce",
                         lambda m, w: calls.append(1) or reduce(m, w))
     op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
-    first, second = prepare(op, 1), prepare(op, 3)
+    first, second = prepare(op), prepare(op)
     assert len(calls) == 2
     assert all(np.array_equal(u, v) for u, v in zip(first.hess, second.hess))
     assert np.array_equal(first.matrix, op.matrix)
@@ -364,18 +364,25 @@ def _never(*args):
     raise AssertionError("called on a PreparedDet")
 
 
+# where the prepared values of abs_pow singular at N = 64 are compared with det_p
+_WEAKLY_SINGULAR_ZS = [r * np.exp(1j * t) for r in (0.3, 0.9, 1.4) for t in np.linspace(0.1, 6.0, 7)]
+
+
 def test_prepare_keeps_a_prepared_reduction(monkeypatch):
-    op = assemble_nystrom(registry("green"), gauss_legendre(16, 0.0, 1.0))
-    prep = prepare(op, 1)
-    assert prepare(prep, prep.p) is prep
-    # another p validates and reduces nothing again: it adds only the traces of that p
+    op = assemble_singular(registry("abs_pow"), 64)
+    prep = prepare(op)
+    assert prepare(prep) is prep
+    want = {p: [det_p(op, p, z).value for z in _WEAKLY_SINGULAR_ZS] for p in (1, 2, 3, 4)}
+    # one reduction serves every p: nothing is validated or reduced again
     monkeypatch.setattr(fredet.determinants, "as_complex_matrix", _never)
     monkeypatch.setattr(fredet.determinants, "_reduce", _never)
-    third = prepare(prep, 3)
-    assert third.p == 3 and third.matrix is prep.matrix and third.hess is prep.hess
-    assert np.array_equal(third.traces, trace_powers(op.matrix, 2))
-    with pytest.raises(ValueError):
-        prepare(prep, 0)
+    for p, dets in want.items():
+        for z, v, w in zip(_WEAKLY_SINGULAR_ZS, prep.values(p, _WEAKLY_SINGULAR_ZS), dets):
+            assert abs(v - w) <= 1e-13 * abs(w), (p, z)
+    # a p that is not a positive integer is refused before any elimination
+    monkeypatch.setattr(fredet.determinants, "hessenberg_logdet", _never)
+    with pytest.raises(ValueError, match="p must be a positive integer, got 0"):
+        prep.values(0, _WEAKLY_SINGULAR_ZS)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -399,9 +406,8 @@ def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
 @pytest.mark.parametrize("p", [3, 4])
 def test_prepared_values_match_det_p_on_weakly_singular_matrix(p):
     op = assemble_singular(registry("abs_pow"), 64)
-    zs = [r * np.exp(1j * t) for r in (0.3, 0.9, 1.4) for t in np.linspace(0.1, 6.0, 7)]
-    got = prepare(op, p).values(zs)
-    for z, v in zip(zs, got):
+    got = prepare(op).values(p, _WEAKLY_SINGULAR_ZS)
+    for z, v in zip(_WEAKLY_SINGULAR_ZS, got):
         want = det_p(op, p, z).value
         assert abs(v - want) <= 1e-13 * abs(want), z
 
@@ -448,9 +454,9 @@ def test_prepared_values_agree_on_a_real_k_and_its_complex_copy(name, scheme):
     zs = [r * radius * np.exp(1j * t) for r in (0.25, 0.5, 0.9) for t in np.linspace(0.1, 6.0, 7)]
     traces = trace_powers(c, 2)
     for p in (1, 2, 3):
-        prep = prepare(k, p)
+        prep = prepare(k)
         assert prep.hess.dtype == np.float64
-        got, want = prep.values(zs), prepare(c, p).values(zs)
+        got, want = prep.values(p, zs), prepare(c).values(p, zs)
         for z, u, v in zip(zs, got, want):
             tol = 1e-14 * (1.0 + _correction_size(traces[:p - 1], z))
             assert abs(u - v) <= tol * abs(v), (p, z)
@@ -475,16 +481,15 @@ def test_symmetric_and_skew_nystrom_operators_prepare_a_tridiagonal_form(case):
     spec, scheme, zero_diag = _SYMMETRIC_OR_SKEW[case]
     op = assemble(spec, scheme, 48, zero_diag)
     assert op.weights is not None and np.all(op.weights > 0)
-    prep = prepare(op, 2)
+    prep = prepare(op)
     assert isinstance(prep.hess, tuple)
-    # matrix and traces stay those of K; only the reduction is of W^(1/2) K W^(-1/2)
+    # matrix stays K; only the reduction is of W^(1/2) K W^(-1/2)
     assert prep.matrix is op.matrix
-    assert np.array_equal(prep.traces, trace_powers(op.matrix, 1))
     # the values at 50 z, on and off the axes, are det_2 by its own LU to rounding
     rng = np.random.default_rng(5)
     zs = np.concatenate((rng.uniform(-30, 30, 20), 1j * rng.uniform(-30, 30, 10),
                          rng.uniform(-30, 30, 20) + 1j * rng.uniform(-30, 30, 20)))
-    got = prep.values(zs)
+    got = prep.values(2, zs)
     want = np.array([det_p(op, 2, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -496,12 +501,12 @@ def test_iterated_kernel_operators_prepare_a_tridiagonal_form(scheme, n):
     # zero_diag W^(1/2) K W^(-1/2) is symmetric to the scaling's rounding.  N = 1024
     # is reduced in panels, and checked at eight z to keep its LUs few
     op = assemble(registry("abs_pow_iter2"), scheme, n, True)
-    prep = prepare(op, 2)
+    prep = prepare(op)
     assert isinstance(prep.hess, tuple)
     rng = np.random.default_rng(n)
     zs = (np.linspace(-3.0, 3.0, 8) + 0.5j if n == 1024
           else rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20))
-    got = prep.values(zs)
+    got = prep.values(2, zs)
     want = np.array([det_p(op, 2, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -516,7 +521,7 @@ def test_tridiagonal_form_keeps_the_eigenvalues_of_s(monkeypatch, name, scheme, 
     assert 200 < fredet.linalg._TRIDIAGONAL_CROSSOVER <= 400
     monkeypatch.setattr(fredet.determinants, "hessenberg", _never)
     op = assemble(registry(name), scheme, n, skew)
-    prep = prepare(op, 1)
+    prep = prepare(op)
     assert isinstance(prep.hess, tuple)
     t = _dense(prep.hess)
     root = np.sqrt(op.weights)
@@ -562,7 +567,7 @@ def test_prepared_tridiagonal_form_has_the_determinants_of_k(monkeypatch, case):
     for module in (fredet.determinants, fredet.linalg):
         monkeypatch.setattr(module, "as_complex_matrix",
                             lambda a: validated.append(a) or checked(a))
-    t = prepare(op, 1).hess
+    t = prepare(op).hess
     assert len(validated) == 1
     assert isinstance(t, tuple) and all(b.dtype == op.matrix.dtype for b in t)
     h = _dense(t)
@@ -595,12 +600,12 @@ def test_complex_weighted_operators_keep_the_full_form(monkeypatch, case):
     op = make()
     calls, reduce = [], fredet.determinants.hessenberg
     monkeypatch.setattr(fredet.determinants, "hessenberg", lambda a: calls.append(a) or reduce(a))
-    prep = prepare(op, 1)
+    prep = prepare(op)
     assert len(calls) == 1 and isinstance(prep.hess, np.ndarray)
     n = op.matrix.shape[0]
     zs = np.array([0.4 + 0.3j, -0.3 + 0.4j, 0.5j, -0.5])
     want = np.array([np.linalg.det(np.eye(n) + z * op.matrix) for z in zs])
-    assert np.all(np.abs(prep.values(zs) - want) <= 1e-13 * np.abs(want))
+    assert np.all(np.abs(prep.values(1, zs) - want) <= 1e-13 * np.abs(want))
     got = locate_eigs(op, 1, centre, radius)
     raw = locate_eigs(op.matrix, 1, centre, radius)
     assert len(got) == len(raw) > 0
@@ -608,7 +613,7 @@ def test_complex_weighted_operators_keep_the_full_form(monkeypatch, case):
 
 
 def test_x_y_kernel_form_skips_its_zero_row():
-    diag, sup, sub = prepare(_TRIDIAGONAL_CASES["x y ncc"](), 1).hess
+    diag, sup, sub = prepare(_TRIDIAGONAL_CASES["x y ncc"]()).hess
     assert diag[0] == sup[0] == sub[0] == 0.0
 
 
@@ -616,7 +621,7 @@ def test_skew_forms_come_out_exact():
     # sign with zero_diag: W^(1/2) K W^(-1/2) is skew, and its prepared form is exactly
     # the form of a skew matrix: zero diagonal, couplings b_k and -b_k bit for bit
     for n in (64, 200):
-        diag, sup, sub = prepare(assemble(registry("sign"), "rect", n, True), 2).hess
+        diag, sup, sub = prepare(assemble(registry("sign"), "rect", n, True)).hess
         assert diag.dtype == sup.dtype == np.float64
         assert not diag.any()
         assert np.array_equal(sub, -sup)
@@ -644,7 +649,7 @@ def test_prepare_builds_each_form_once(case, n):
     op = assemble(registry(name), scheme, n, zero_diag)
     tracemalloc.start()
     try:
-        prep = prepare(op, 1)
+        prep = prepare(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -662,7 +667,7 @@ def test_prepare_keeps_o_n_floats_for_a_tridiagonal_form(case, n):
     op = assemble(registry(name), scheme, n, zero_diag)
     tracemalloc.start()
     try:
-        prep = prepare(op, 2)
+        prep = prepare(op)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -687,27 +692,27 @@ def test_prepare_keeps_o_n_floats_for_a_tridiagonal_form(case, n):
 def test_operators_near_the_ends_of_the_double_range_are_reduced_scaled(op, zs):
     # K is reduced as 2^-e K and its values read at z 2^e, e a power of two that
     # keeps the reduction's products normal: finite values, det_p's to rounding
-    prep = prepare(op, 1)
+    prep = prepare(op)
     assert prep.log2_scale != 0
-    got = prep.values(zs)
+    got = prep.values(1, zs)
     want = np.array([det_p(op, 1, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_a_z_whose_scaled_value_leaves_the_double_range_overflows():
     # z 2^e = 2^1024 leaves the double range, and with it z K
-    prep = prepare(np.full((4, 4), 2e307) + 1e308 * np.eye(4), 1)
+    prep = prepare(np.full((4, 4), 2e307) + 1e308 * np.eye(4))
     with pytest.raises(DetOverflowError, match="out of double range"):
-        prep.values([1e-309, np.ldexp(1.0, 1024 - prep.log2_scale)])
+        prep.values(1, [1e-309, np.ldexp(1.0, 1024 - prep.log2_scale)])
 
 
 def test_a_tridiagonal_form_at_a_z_whose_square_overflows():
     # z^2 overflows, but z T's couplings and their product do not
     op = np.array([[1e-80, 1e-300], [1e-300, 1e-80]])
-    prep = prepare(op, 1)
+    prep = prepare(op)
     assert prep.log2_scale == 0 and isinstance(prep.hess, tuple)
     zs = [1e160, 1e200, -1e180j]
-    got = prep.values(zs)
+    got = prep.values(1, zs)
     want = np.array([det_p(op, 1, z).value for z in zs])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -717,13 +722,13 @@ def test_an_elimination_that_overflows_raises_instead_of_giving_nan():
     op = DiscreteOperator(np.array([[1e308, 2e307], [2e307, 1e308]]), np.array([0.0, 1.0]),
                           np.array([1.0, 1.0]))
     with pytest.raises(DetOverflowError, match="double range"):
-        prepare(op, 1).values([1e-309, 1e-100])
+        prepare(op).values(1, [1e-309, 1e-100])
 
 
 def test_operators_of_moderate_size_are_reduced_as_they_are():
     for op in (assemble(registry("green"), "ngl", 400), assemble(registry("green"), "ncc", 64),
                1e100 * np.ones((8, 8)), 1e-70 * np.ones((8, 8)), np.zeros((3, 3))):
-        prep = prepare(op, 1)
+        prep = prepare(op)
         assert prep.log2_scale == 0
         m = getattr(op, "matrix", op)
         if isinstance(prep.hess, np.ndarray):
@@ -739,12 +744,12 @@ def test_weights_that_are_not_finite_keep_the_full_form(bad):
     weights = op.weights.copy()
     weights[:2] = (5e-324, 1e300) if bad == "ratio" else (bad, 1.0)
     op = DiscreteOperator(op.matrix, op.nodes, weights)
-    prep = prepare(op, 2)
+    prep = prepare(op)
     assert isinstance(prep.hess, np.ndarray)
     assert np.array_equal(prep.hess, hessenberg(op.matrix))
     zs = np.array([3.0, -2.5, 1.0 + 4.0j])
     want = np.array([det_p(op, 2, z).value for z in zs])
-    assert np.all(np.abs(prep.values(zs) - want) <= 1e-12 * np.abs(want))
+    assert np.all(np.abs(prep.values(2, zs) - want) <= 1e-12 * np.abs(want))
 
 
 def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_form():
@@ -757,7 +762,7 @@ def test_weighted_operators_that_are_neither_symmetric_nor_skew_keep_the_full_fo
     assert ops[0].weights is not None
     assert ops[1].weights is None and ops[2].weights is None
     for op in ops + [raw]:
-        prep = prepare(op, 1)
+        prep = prepare(op)
         m = getattr(op, "matrix", op)
         assert np.array_equal(prep.hess, hessenberg(m))
         assert np.triu(prep.hess, 2).any()

@@ -297,7 +297,7 @@ def test_hessenberg_after_an_already_reduced_column():
     h = hessenberg(a)
     _assert_hessenberg_det_matches(a, h)
     assert det_p(a, 1, 0.5).value == 1.0
-    assert prepare(a, 1).values([0.5])[0] == 1.0
+    assert prepare(a).values(1, [0.5])[0] == 1.0
 
 
 @_PROPERTY
@@ -466,11 +466,11 @@ def test_hessenberg_logdet_picks_the_elimination_by_the_form_s_type(monkeypatch)
     assert abs(np.exp(got[0] - got[1]) - 1.0) <= 1e-14 and got[1] == got[2]
     # prepare reads the structure once from the reduced form and keeps a tridiagonal one
     # as its diagonals: one entry above the band, however small, keeps the full form
-    bands = prepare(t, 1).hess
+    bands = prepare(t).hess
     assert isinstance(bands, tuple)
     assert all(np.array_equal(b, want) for b, want in zip(bands, _bands(hessenberg(t))))
     t[0, 2] = 1e-300
-    assert isinstance(prepare(t, 1).hess, np.ndarray)
+    assert isinstance(prepare(t).hess, np.ndarray)
 
 
 def test_tridiagonal_logdet_through_a_vanishing_leading_minor():
@@ -638,7 +638,7 @@ def test_panels_run_only_from_the_crossover_on(monkeypatch):
     monkeypatch.setattr(fredet.linalg, "_tridiagonal_panel", spy)
     for skew in (False, True):
         _tridiagonalize(_symmetric(_CROSSOVER - 1, 3, skew), skew)
-    prepare(assemble_nystrom(registry("green"), gauss_legendre(_CROSSOVER - 1, 0.0, 1.0)), 1)
+    prepare(assemble_nystrom(registry("green"), gauss_legendre(_CROSSOVER - 1, 0.0, 1.0)))
     assert panels == []
     _tridiagonalize(_symmetric(_CROSSOVER, 3, False), False)
     # panels while the part left has the crossover's order; the rest one at a time

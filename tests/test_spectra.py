@@ -299,7 +299,7 @@ def test_locate_eigs_rejects_bad_p_on_any_disc(p, center, radius):
     # p is checked first, also for a PreparedDet, which skips prepare's check,
     # and on a disc without zeros, where no residual is ever computed
     k = np.diag([0.5])
-    for op in (k, prepare(k, 1)):
+    for op in (k, prepare(k)):
         with pytest.raises(ValueError, match="p must be a positive integer"):
             locate_eigs(op, p, center, radius)
 
@@ -307,16 +307,16 @@ def test_locate_eigs_rejects_bad_p_on_any_disc(p, center, radius):
 def test_locate_eigs_validates_k_and_computes_its_traces_once(monkeypatch):
     op = assemble_nystrom(registry("green"), gauss_legendre(64, 0.0, 1.0))
     checks, traces = [], []
-    check, trace_powers = fredet.determinants.as_complex_matrix, fredet.determinants._trace_powers
+    check, trace_powers = fredet.determinants.as_complex_matrix, fredet.spectra._trace_powers
     monkeypatch.setattr(fredet.determinants, "as_complex_matrix",
                         lambda m: checks.append(m.shape) or check(m))
-    monkeypatch.setattr(fredet.determinants, "_trace_powers",
+    monkeypatch.setattr(fredet.spectra, "_trace_powers",
                         lambda m, j: traces.append(j) or trace_powers(m, j))
     # z = (k pi)^2 for k = 1..12 lie in 720 +- 719; (13 pi)^2 ~ 1668 does not
     ests = locate_eigs(op, 2, 720.0, 719.0)
     assert len(ests) == 12 and checks == [(64, 64)] and traces == [1]
-    # a PreparedDet of another p is not validated again; its traces are computed once
-    prep = prepare(op, 1)
+    # a PreparedDet is not validated again; the search computes its traces once
+    prep = prepare(op)
     del checks[:], traces[:]
     assert locate_eigs(prep, 2, 720.0, 719.0) == ests
     assert checks == [] and traces == [1]
@@ -502,7 +502,7 @@ def test_locate_eigs_reuses_a_prepared_reduction(monkeypatch):
     for a, b in zip(first, second):
         assert abs(a.z_root - b.z_root) <= 1e-12 * abs(b.z_root)
     # a PreparedDet is searched on its own reduction, on either sign
-    prep = prepare(op, 2)
+    prep = prepare(op)
     assert [e.z_root for e in locate_eigs(prep, 1, 50.0, 49.0)] == [e.z_root for e in first]
     assert len(locate_eigs(prep, 2, -50.0, 49.0, sign=1)) == 3
     assert len(calls) == 3
@@ -568,7 +568,7 @@ def test_search_makes_no_matrix_sized_copies():
     # no N x N array is made, neither a signed copy of K or H, nor an identity,
     # nor a complex copy of the real K
     n = 256
-    prep = prepare(assemble_nystrom(registry("green"), gauss_legendre(n, 0.0, 1.0)), 1)
+    prep = prepare(assemble_nystrom(registry("green"), gauss_legendre(n, 0.0, 1.0)))
     tracemalloc.start()
     try:
         ests = locate_eigs(prep, 1, 50.0, 49.0)
@@ -742,7 +742,7 @@ def test_tridiagonal_searches_never_rescan_the_form(monkeypatch, name):
 
     monkeypatch.setattr(np, "triu", triu)
     assert locate_eigs(op, p, center, radius)
-    assert np.all(np.isfinite(prepare(op, p).values([0.5, 0.3j])))
+    assert np.all(np.isfinite(prepare(op).values(p, [0.5, 0.3j])))
 
 
 @pytest.mark.parametrize("name", ["sign-rect", "abs_pow-singular", "green-ncc", "diagonal"])
@@ -771,7 +771,7 @@ def test_near_double_real_zeros_are_one_estimate(center, radius):
     # 11 on the second, each within 1e-11 of as many zeros as it counts
     w = _wilkinson_w21()
     zeros = 1.0 / np.linalg.eigvalsh(w)
-    assert prepare(w, 1).real_zeros
+    assert prepare(w).real_zeros
     ests = locate_eigs(w, 1, center, radius)
     inside = zeros[np.abs(zeros - center) < radius]
     assert [e.mult_estimate for e in ests] == [2, 2] + [1] * (inside.size - 4)

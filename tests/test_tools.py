@@ -1,5 +1,5 @@
-"""tools/compare.py: its stage-timing script runs on this tree, and its pair
-summary counts wins in each metric's direction."""
+"""tools/compare.py: its examples and stage-timing scripts run on this tree, and its
+pair summary counts wins in each metric's direction."""
 
 import importlib.util
 import os
@@ -45,6 +45,13 @@ def test_locate_script_times_each_stage_of_a_search_on_this_tree(compare):
     assert len(got) == len(expected) > 0
     for a, b in zip(got, expected):
         assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_examples_script_times_an_example_on_this_tree(compare):
+    # a timed first run and one repeat of example 2
+    out = compare.in_tree(compare.ROOT, compare._EXAMPLES, [[2], 1])
+    assert list(out) == ["2"]
+    assert len(out["2"]) == 2 and all(t > 0 for t in out["2"])
 
 
 def test_summarize_counts_wins_in_each_metric_direction(compare):
