@@ -45,9 +45,11 @@ def _finish(p: int, z, phase, logdet, traces):
     or an array of them, from a factored det(I + zK) = phase exp(logdet): slogdet's,
     or phase 1 and hessenberg_logdet's complex log.  Exactly 0 where logdet is -inf
     (I + zK singular); DetOverflowError when a value leaves the double range, or
-    is nan: finite K and z give nan only where a step of the elimination overflowed.
+    is nan: finite K and z give nan only where a step of the elimination, or a
+    power trace, overflowed.
     """
-    w = logdet + sum(((-z) ** j * traces[j - 1] / j for j in range(1, p)), 0j)
+    with np.errstate(over="ignore", invalid="ignore"):  # traces that overflowed give nan
+        w = logdet + sum(((-z) ** j * traces[j - 1] / j for j in range(1, p)), 0j)
     top = np.max(np.real(w), initial=-np.inf)
     if np.isnan(top):
         raise DetOverflowError(f"det_{p} overflowed the double range as it was formed")
@@ -265,8 +267,10 @@ def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
 
     Newton's identities (_newton_identities) on nu_j = tr(K^j) for j >= p and
     nu_j = 0 for j < p: zeroing the traces below p is what removes the first
-    p-1 Taylor terms of log det.  For an N x N matrix the coefficients vanish
-    beyond n = N.
+    p-1 Taylor terms of log det.  For an N x N matrix and p = 1 the
+    coefficients vanish beyond n = N; for p > 1 the series of the exponential
+    factor does not end.  DetOverflowError where a coefficient leaves the
+    double range.
     """
     m = _matrix_of(op)
     _check_p(p)
@@ -274,20 +278,29 @@ def plemelj_coeffs(op, p: int, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be nonnegative")
     nu = np.array(_trace_powers(m, n_max), dtype=np.complex128)
     nu[: p - 1] = 0.0
-    return _newton_identities(nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _newton_identities(nu)
+    if not np.all(np.isfinite(coeffs)):
+        raise DetOverflowError(f"a Taylor coefficient of det_{p} is out of double range")
+    return coeffs
 
 
 def det_series_eval(coeffs, z) -> DetValue:
-    """sum_n coeffs[n] z^n by Horner's scheme, for the array plemelj_coeffs returns."""
+    """sum_n coeffs[n] z^n by Horner's scheme, for the array plemelj_coeffs returns.
+    DetOverflowError where the sum leaves the double range."""
     z = _finite(complex(z))
     acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return DetValue(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in coeffs[::-1]:
+            acc = acc * z + c
+    if not np.isfinite(acc):
+        raise DetOverflowError(f"the series at z = {z} is out of double range")
+    return DetValue(complex(acc))
 
 
 def det_from_eigs(eigs, p: int, z) -> DetValue:
-    """det_p as the eigenvalue product prod_k (1 + z l_k) exp(sum_{j<p} (-z l_k)^j / j)."""
+    """det_p as the eigenvalue product prod_k (1 + z l_k) exp(sum_{j<p} (-z l_k)^j / j).
+    DetOverflowError where it leaves the double range, or a term of its sum does."""
     _check_p(p)
     lam = np.asarray(eigs, dtype=np.complex128).ravel()
     z = _finite(complex(z))
@@ -295,9 +308,12 @@ def det_from_eigs(eigs, p: int, z) -> DetValue:
     if np.any(factors == 0):
         return DetValue(0.0 + 0.0j)
     w = np.log(factors)
-    for j in range(1, p):
-        w = w + (-z * lam) ** j / j
-    total = np.sum(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, p):
+            w = w + (-z * lam) ** j / j
+        total = np.sum(w)
+    if np.isnan(total):
+        raise DetOverflowError(f"det_{p} overflowed the double range as it was formed")
     if total.real > _LOG_HUGE:
         raise DetOverflowError(f"|det_{p}| ~ exp({total.real:.4g}) is out of double range")
     return DetValue(complex(np.exp(total)))

@@ -70,12 +70,14 @@ def trace_powers(a, jmax: int) -> np.ndarray:
     elementwise sum, tr(BC) = sum(B * C^T), so the highest power is never
     formed: jmax = 2 needs no matrix product at all, jmax = 3 one.  The traces
     have the matrix's dtype: a real matrix's powers and traces stay float64.
+    A power or trace that leaves the double range is inf or nan, with no warning.
     """
     if jmax < 1:
         raise ValueError("jmax must be at least 1")
     return _trace_powers(as_complex_matrix(a), jmax)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # det_p's routes refuse the inf or nan
 def _trace_powers(m: np.ndarray, jmax: int) -> np.ndarray:
     """trace_powers of a matrix that as_complex_matrix has already validated.
 

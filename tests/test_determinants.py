@@ -102,6 +102,19 @@ def test_det_p_overflow_raises():
     # surfaces, under the suite's error filter for RuntimeWarning too
     with pytest.raises(DetOverflowError, match="overflowed the double range"):
         det_p([[0.0, 1e308], [0.0, 0.0]], 1, 1e10)
+    # the eigenvalue product's correction sums 3^j / j and (-2)^j / j past the range
+    with pytest.raises(DetOverflowError, match="overflowed the double range"):
+        det_from_eigs([2.0, -3.0], 2000, 1.0)
+    with pytest.raises(DetOverflowError, match="out of double range"):
+        det_series_eval(plemelj_coeffs(np.diag([0.5, 0.25]), 1, 2), 1e300)
+    # K's power traces leave the range long before j = 100000, or 2000
+    op = assemble(registry("abs_pow"), "singular", 8)
+    for det in (lambda: det_p(op, 100000, 1.0), lambda: prepare(op).values(100000, [1.0]),
+                lambda: locate_eigs(op, 100000, 0.0, 1.1)):
+        with pytest.raises(DetOverflowError, match="overflowed the double range"):
+            det()
+    with pytest.raises(DetOverflowError, match="Taylor coefficient"):
+        plemelj_coeffs(op, 1, 2000)
 
 
 def test_plemelj_coeffs_are_elementary_symmetric():
@@ -171,7 +184,8 @@ def test_plemelj_coeffs_validation():
 
 
 def test_det_series_eval_horner():
-    assert det_series_eval(np.array([1.0, 2.0, 3.0], dtype=complex), 2.0).value == 17.0 + 0.0j
+    value = det_series_eval(np.array([1.0, 2.0, 3.0], dtype=complex), 2.0).value
+    assert value == 17.0 + 0.0j and type(value) is complex
 
 
 def test_det_from_eigs_basics():

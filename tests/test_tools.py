@@ -1,7 +1,9 @@
-"""tools/compare.py: its examples and stage-timing scripts run on this tree, and its
-pair summary counts wins in each metric's direction."""
+"""tools/compare.py: its examples and stage-timing scripts run on this tree, its pairs
+alternate, and its reports summarize every timing alike and count wins in each
+metric's direction, on synthetic results with no process started."""
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -9,8 +11,8 @@ import pytest
 
 from fredet import discretize, kernels, spectra
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "compare.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOL = os.path.join(ROOT, "tools", "compare.py")
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +56,84 @@ def test_examples_script_times_an_example_on_this_tree(compare):
     assert len(out["2"]) == 2 and all(t > 0 for t in out["2"])
 
 
-def test_summarize_counts_wins_in_each_metric_direction(compare):
-    parent = {"setup_s": 1.0, "wall_s": 1.0, "err_digits": 14.0, "peak_rss_mb": 80.0}
-    change = dict(parent, wall_s=1.1, err_digits=14.5)
-    summary = compare.summarize([{"parent": parent, "change": change}] * 2)
-    assert summary["err_digits"]["change_won"] == "2/2"
-    assert summary["wall_s"]["change_won"] == "0/2"
-    assert summary["setup_s"]["change_won"] == "0/2"  # a tie is no win
-    assert summary["wall_s"]["change"]["median"] == 1.1
+def test_alternate_runs_the_first_tree_first_in_even_pairs(compare):
+    order = []
+    results = compare.alternate([("parent", "P"), ("change", "C")],
+                                lambda tree, k: order.append((tree, k)) or 10 * k, 3)
+    assert order == [("P", 0), ("C", 0), ("C", 1), ("P", 1), ("P", 2), ("C", 2)]
+    assert results == {"parent": [0, 10, 20], "change": [0, 10, 20]}
+
+
+def test_summary_counts_wins_in_each_metric_direction(compare):
+    values = {"parent": [1.0, 2.0, 4.0, 8.0], "change": [0.5, 2.0, 5.0, 16.0]}
+    lower, higher = compare.summary(values, "lower"), compare.summary(values, "higher")
+    assert lower["change_won"] == "1/4" and higher["change_won"] == "2/4"  # a tie is no win
+    assert lower["ratio_median"] == higher["ratio_median"] == 1.125
+    assert lower["change"] == {"median": 3.5, "quartiles": [0.875, 3.5, 13.25],
+                               "per_process": values["change"]}
+    assert set(compare.summary({"change": [1.0, 2.0]}, "lower")) == {"change"}
+
+
+def _contract():
+    """The end-to-end metrics of this tree's BENCHMARK.json and their directions."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def _synthetic(compare, tags):
+    """Per-process results of the examples and locate scripts and of bench runs, as the
+    tool reads them, for each tree in tags; the change's values are 0.9 times the
+    parent's and its roots move by 1e-12."""
+    scale = {"parent": 1.0, "change": 0.9}
+    procs = range(4)
+    examples = {tag: [{str(i): [scale[tag] * (i + k + 1.0) for k in range(3)]
+                       for i in compare.EXAMPLE_IDS} for _ in procs] for tag in tags}
+    locate = {case: {tag: [{"mallopt": None, "samples": 128,
+                            "roots": [[1.0 + (tag == "change") * 1e-12, 0.0]],
+                            "runs": [{s: scale[tag] * (j + 1.0) for s in compare.LOCATE_STAGES}
+                                     for j in range(2)]} for _ in procs] for tag in tags}
+              for case in compare.LOCATE_CASES}
+    bench = {tag: [{"seed": 401 + k, "correct": True, "failed": 0,
+                    **{m: scale[tag] * (k + 1.0) for m in _contract()}} for k in procs]
+             for tag in tags}
+    return (compare.example_report(examples), compare.locate_report(locate),
+            compare.bench_report(bench, _contract()))
+
+
+@pytest.mark.parametrize("tags", [("change",), ("parent", "change")], ids=["one", "two"])
+def test_every_timing_of_the_reports_has_the_same_keys(compare, tags):
+    examples, locate, bench = _synthetic(compare, tags)
+    assert list(examples) == [str(i) for i in compare.EXAMPLE_IDS]
+    assert list(bench) == list(_contract())
+    entries = [e for per_example in examples.values() for e in per_example.values()]
+    entries += [locate[case][s] for case in compare.LOCATE_CASES for s in compare.LOCATE_STAGES]
+    entries += list(bench.values())
+    keys = set(tags) | ({"ratio_median", "change_won"} if len(tags) == 2 else set())
+    for entry in entries:
+        assert set(entry) == keys
+        for tag in tags:
+            assert set(entry[tag]) == {"median", "quartiles", "per_process"}
+            assert len(entry[tag]["per_process"]) == 4
+    # example 1's runs read 2, 3 and 4 times the tree's scale; each stage's runs 1 and 2
+    assert examples["1"]["first_run"]["change"]["median"] == pytest.approx(0.9 * 2.0)
+    assert examples["1"]["repeat_min"]["change"]["median"] == pytest.approx(0.9 * 3.0)
+    assert locate["mallopt"] == {tag: None for tag in tags}
+    for case in compare.LOCATE_CASES:
+        assert locate[case]["reduction_s"]["change"]["median"] == pytest.approx(0.9)
+        assert all(locate[case][tag] == {"samples": 128, "roots": 1} for tag in tags)
+        if len(tags) == 2:
+            assert locate[case]["roots_max_rel"] == pytest.approx(1e-12, rel=1e-3)
+        else:
+            assert "roots_max_rel" not in locate[case]
+    if len(tags) == 2:
+        assert all(e["ratio_median"] == pytest.approx(0.9) for e in entries)
+
+
+def test_the_bench_summary_counts_wins_in_the_contract_direction(compare):
+    # the change is 0.9 times the parent on every metric: a win where lower is better,
+    # a loss where higher is
+    _, _, bench = _synthetic(compare, ("parent", "change"))
+    contract = _contract()
+    assert "higher" in contract.values() and "lower" in contract.values()
+    for name, better in contract.items():
+        assert bench[name]["change_won"] == ("4/4" if better == "lower" else "0/4"), name

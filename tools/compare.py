@@ -4,20 +4,24 @@ Usage, from the repository root:
 
     python3 tools/compare.py [--parent DIR] [--pairs K] [--seed N] [--out FILE]
 
-Every timing script runs in a fresh process per tree, with single-threaded
-BLAS, in PAIRS process pairs, the tree that goes first alternating, so a
-pair compares two processes that ran back to back.  For each timing the
-report gives each tree's per-process values and their median, and with two
-trees the median over the pairs of the ratio change / parent and the pairs
-the change won.
-Each examples process runs every packaged example once as a timed warm-up
-(the first example-4 run fills its cached N = 512 reference; reported as
-first_runs) and EXAMPLE_REPEATS more times, and keeps the min of those
-repeats.  Each locate process times locate_eigs on one of LOCATE_CASES, the
-many-root and large-N searches that no benchmark workload covers (green ngl
-and sign rect at N = 400 and 1500 on a tridiagonal form, abs_pow singular on
-the full Hessenberg one), so no search runs on a heap that another search
-left: one warm-up search, then LOCATE_REPEATS timed ones, each split into
+Every timing script and bench run goes in a fresh process per tree, with
+single-threaded BLAS, in process pairs, the tree that goes first alternating
+(alternate), so a pair compares two processes that ran back to back.  Every
+timing and bench metric of the report is one summary: each tree's
+per-process values, their median and quartiles, and with two trees the
+median over the pairs of the ratio change / parent and the pairs the change
+won in the metric's direction, a tie counting for neither side.  Timings are
+better lower; the bench metrics and their directions are the end_to_end list
+of the parent's BENCHMARK.json.
+Each examples process (PAIRS pairs) runs every packaged example once as a
+timed warm-up (the first example-4 run fills its cached N = 512 reference;
+reported as first_run) and EXAMPLE_REPEATS more times, and keeps the min of
+those repeats (repeat_min).  Each locate process (PAIRS pairs per case)
+times locate_eigs on one of LOCATE_CASES, the many-root and large-N searches
+that no benchmark workload covers (green ngl and sign rect at N = 400 and
+1500 on a tridiagonal form, abs_pow singular and green ncc at N = 400 on the
+full Hessenberg one), so no search runs on a heap that another search left:
+one warm-up search, then LOCATE_REPEATS timed ones, each split into
 reduction (determinants.prepare), sampling (hessenberg_logdet) and polish
 (_polish) as seen through the names locate_eigs calls them by; the rest of a
 search is its residuals and bookkeeping.  The process keeps each stage's min
@@ -59,14 +63,13 @@ LOCATE_CASES = {
     "green_ngl_400": ("green", "ngl", 400, False, 1, 1500.0, 1499.0),
     "sign_rect_400": ("sign", "rect", 400, True, 2, 0.0, 1.2),
     "abs_pow_singular_400": ("abs_pow", "singular", 400, False, 3, 0.0, 1.5),
+    "green_ncc_400": ("green", "ncc", 400, False, 1, 1500.0, 1499.0),
     "green_ngl_1500": ("green", "ngl", 1500, False, 1, 50.0, 49.0),
     "sign_rect_1500": ("sign", "rect", 1500, True, 2, 0.0, 1.2),
 }
 # glibc mallopt parameter numbers (malloc.h) and the values the locate processes set
 LOCATE_MALLOPT = {"M_TRIM_THRESHOLD": (-1, 64 << 20), "M_MMAP_THRESHOLD": (-3, 32 << 20)}
 LOCATE_STAGES = ("reduction_s", "sampling_s", "polish_s", "total_s")
-END_TO_END = {"setup_s": "lower", "wall_s": "lower", "err_digits": "higher",
-              "peak_rss_mb": "lower"}
 
 # The scripts below run in the tree under test, so they call only names that the
 # trees compared share.
@@ -175,51 +178,53 @@ def in_tree(tree, script, payload):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def alternate(trees, script, payload):
-    """Per tree tag, the results of script in each of PAIRS process pairs, the tree that
-    goes first alternating."""
+def alternate(trees, run, pairs):
+    """Per tree tag, the results of run(tree, k) for each pair k = 0 .. pairs - 1, the
+    tree that runs first alternating: the first of trees when k is even."""
     results = {tag: [] for tag, _ in trees}
-    for r in range(PAIRS):
-        for tag, tree in (trees if r % 2 == 0 else trees[::-1]):
-            results[tag].append(in_tree(tree, script, payload))
+    for k in range(pairs):
+        for tag, tree in (trees if k % 2 == 0 else trees[::-1]):
+            results[tag].append(run(tree, k))
     return results
 
 
-def paired(values):
-    """Per tree, its per-process values and their median; with two trees, the median
-    over the pairs of the ratio change / parent and the pairs the change won."""
-    entry = {tag: {"median": statistics.median(v), "per_process": v} for tag, v in values.items()}
+def summary(values, better):
+    """Per tree, its per-process values, their median and their quartiles; with two trees,
+    the median over the pairs of the ratio change / parent, and the pairs the change won
+    in the direction better ("lower" or "higher"), a tie counting for neither side."""
+    entry = {tag: {"median": statistics.median(v), "quartiles": statistics.quantiles(v, n=4),
+                   "per_process": v} for tag, v in values.items()}
     if len(values) == 2:
-        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
-        entry["ratio_median"] = statistics.median(ratios)
-        entry["change_won"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
+        pairs = list(zip(values["parent"], values["change"]))
+        won = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+        entry["ratio_median"] = statistics.median(c / p for p, c in pairs)
+        entry["change_won"] = f"{won}/{len(pairs)}"
     return entry
 
 
+def summary_of(by_tag, value, better="lower"):
+    """The summary of value(result) over each tree's results."""
+    return summary({tag: [value(res) for res in results] for tag, results in by_tag.items()},
+                   better)
+
+
 def example_report(by_tag):
-    """Per example: the min of each process's repeats, paired across the trees, and
-    each tree's first runs."""
-    report = {}
-    for i in map(str, EXAMPLE_IDS):
-        entry = paired({tag: [min(res[i][1:]) for res in results]
-                        for tag, results in by_tag.items()})
-        for tag, results in by_tag.items():
-            entry[tag]["first_runs"] = [res[i][0] for res in results]
-        report[i] = entry
-    return report
+    """Per example: the min of each process's repeats, and each process's first run."""
+    return {i: {"repeat_min": summary_of(by_tag, lambda res: min(res[i][1:])),
+                "first_run": summary_of(by_tag, lambda res: res[i][0])}
+            for i in map(str, EXAMPLE_IDS)}
 
 
 def locate_report(by_case):
-    """Per case and stage: each process's min over its runs, paired across the trees;
-    each tree's sample and root counts, and, with two trees, the largest relative
-    distance between their roots.  Under "mallopt", each tree's heap settings, or
-    None where a process could not set them."""
+    """Per case and stage: each process's min over its runs; each tree's sample and root
+    counts, and, with two trees, the largest relative distance between their roots.
+    Under "mallopt", each tree's heap settings, or None where a process could not set
+    them."""
     first = next(iter(by_case.values()))
     report = {"mallopt": {tag: results[-1]["mallopt"] for tag, results in first.items()}}
     for case, by_tag in by_case.items():
         last = {tag: results[-1] for tag, results in by_tag.items()}
-        entry = {s: paired({tag: [min(r[s] for r in res["runs"]) for res in results]
-                            for tag, results in by_tag.items()})
+        entry = {s: summary_of(by_tag, lambda res: min(r[s] for r in res["runs"]))
                  for s in LOCATE_STAGES}
         entry.update({tag: {"samples": res["samples"], "roots": len(res["roots"])}
                       for tag, res in last.items()})
@@ -231,51 +236,43 @@ def locate_report(by_case):
     return report
 
 
-def bench_run(tree, workload, seed, seconds):
+def bench_run(tree, workload, seed, seconds, metrics):
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, env=_env(tree), cwd=tree, capture_output=True, text=True,
                           check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
-            **{k: result["metrics"][k]["value"] for k in END_TO_END}}
+            **{k: result["metrics"][k]["value"] for k in metrics}}
 
 
-def summarize(pairs):
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
-    out = {}
-    for key, better in END_TO_END.items():
-        sides = {tag: [p[tag][key] for p in pairs] for tag in ("parent", "change")}
-        won = sum((c < p) if better == "lower" else (c > p)
-                  for p, c in zip(sides["parent"], sides["change"]))
-        out[key] = {tag: {"median": statistics.median(v),
-                          "quartiles": statistics.quantiles(v, n=4)}
-                    for tag, v in sides.items()}
-        out[key]["change_won"] = f"{won}/{len(pairs)}"
-    return out
+def bench_report(runs, metrics):
+    """Per end-to-end metric of the contract, the summary of the runs in its direction."""
+    return {key: summary_of(runs, lambda r: r[key], better) for key, better in metrics.items()}
 
 
 def measure(trees, args):
     """The report: examples, locate stages and, for each workload of the parent's
-    BENCHMARK.json, its bench pairs and their summary.  It imports bench/run.py
+    BENCHMARK.json, its bench runs and their summary.  It imports bench/run.py
     here, not at the tool's import, since that module sets BLAS thread variables."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from run import _environment  # the benchmark's record of numpy, BLAS and threads
     report = {"machine": _environment(args.seed)}
-    report["run_example_s"] = example_report(
-        alternate(trees, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]))
+    report["run_example_s"] = example_report(alternate(
+        trees, lambda tree, k: in_tree(tree, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]), PAIRS))
     report["locate_stages"] = locate_report(
-        {case: alternate(trees, _LOCATE, [spec, LOCATE_REPEATS, LOCATE_MALLOPT])
+        {case: alternate(trees, lambda tree, k: in_tree(
+            tree, _LOCATE, [spec, LOCATE_REPEATS, LOCATE_MALLOPT]), PAIRS)
          for case, spec in LOCATE_CASES.items()})
     if args.pairs:
         with open(os.path.join(dict(trees)["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
             contract = json.load(fh)
+        metrics = {m["name"]: m["better"] for m in contract["end_to_end"]}
         for w in (workload["name"] for workload in contract["workloads"]):
-            pairs = [{tag: bench_run(tree, w, args.seed + k, contract["run_seconds"])
-                      for tag, tree in (trees if k % 2 == 0 else trees[::-1])}
-                     for k in range(args.pairs)]
-            report[f"{w}_pairs"] = pairs
-            report[f"{w}_summary"] = summarize(pairs)
+            runs = alternate(trees, lambda tree, k: bench_run(
+                tree, w, args.seed + k, contract["run_seconds"], metrics), args.pairs)
+            report[f"{w}_runs"] = runs
+            report[f"{w}_summary"] = bench_report(runs, metrics)
     return report
 
 
