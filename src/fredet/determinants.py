@@ -43,13 +43,18 @@ def _finite(z):
 def _finish(p: int, z, phase, logdet, traces):
     """det_p(I + zK) = phase exp(logdet + sum_{j<p} (-z)^j traces[j-1] / j), for one z
     or an array of them, from a factored det(I + zK) = phase exp(logdet): slogdet's,
-    or phase 1 and hessenberg_logdet's complex log.  Exactly 0 where logdet is -inf
-    (I + zK singular); DetOverflowError when a value leaves the double range, or
-    is nan: finite K and z give nan only where a step of the elimination, or a
-    power trace, overflowed.
+    lu_slogdet's, or phase 1 and hessenberg_logdet's complex log.  The sum is taken
+    by Horner's rule in -z from 0j, (...(traces[p-2]/(p-1) (-z) + traces[p-3]/(p-2))
+    (-z) + ... + traces[0]) (-z), so no power of z is formed and a large p whose
+    det_p is in range gives it.  Exactly 0 where logdet is -inf (I + zK singular);
+    DetOverflowError when a value leaves the double range, or is nan: finite K and
+    z give nan only where a step of the elimination, or a power trace, overflowed.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # traces that overflowed give nan
-        w = logdet + sum(((-z) ** j * traces[j - 1] / j for j in range(1, p)), 0j)
+        tail = 0j
+        for j in range(p - 1, 0, -1):
+            tail = (tail + traces[j - 1] / j) * -z
+        w = logdet + tail
     top = np.max(np.real(w), initial=-np.inf)
     if np.isnan(top):
         raise DetOverflowError(f"det_{p} overflowed the double range as it was formed")
@@ -80,8 +85,10 @@ def det_p(op, p: int, z) -> DetValue:
 
     Computed from an LU determinant and explicit low-order traces, with the
     magnitude carried in log space; the plain determinant is the p = 1 case.
-    A real K at a real z is factored in real arithmetic; a non-real z, or a
-    complex K, takes the complex LU.
+    The trace correction is summed by Horner's rule in -z (_finish), so any
+    p >= 1 whose det_p is in the double range gives it, however large p and
+    |z|^p are; DetOverflowError otherwise.  A real K at a real z is factored
+    in real arithmetic; a non-real z, or a complex K, takes the complex LU.
     """
     m = _matrix_of(op)
     _check_p(p)
@@ -104,7 +111,7 @@ class PreparedDet:
     does.  It can stand for K wherever an operator is taken: det_p reads
     matrix, and locate_eigs samples logdet instead of reducing K again,
     polishes with lu_slogdet, asks real_zeros whether its zeros are real, and
-    finishes its residuals on matrix.
+    finishes its residuals from one more lu_slogdet call.
     """
 
     matrix: np.ndarray
@@ -131,12 +138,13 @@ class PreparedDet:
         return logs
 
     def lu_slogdet(self, ws):
-        """(phases, log-moduli) of det(I + wK) for every w of the array ws, each from
-        one LU of I + wK itself (_lu_slogdet), matrix read unscaled: float64 where K
-        and w are both real.  A singular I + wK gives phase 0 and log-modulus -inf."""
+        """The phases and the log-moduli of det(I + wK) for every w of the array ws, as
+        the two rows of one complex128 array (log-moduli with imaginary part 0), each
+        from one LU of I + wK itself (_lu_slogdet), matrix read unscaled: in float64
+        where K and w are both real.  A singular I + wK gives phase 0 and log-modulus
+        -inf.  The rows unpack as _finish's phase and logdet."""
         # reshaped so that no w still gives two columns
-        out = np.array([_lu_slogdet(self.matrix, w) for w in ws], np.complex128).reshape(-1, 2)
-        return out[:, 0], out[:, 1].real
+        return np.array([_lu_slogdet(self.matrix, w) for w in ws], np.complex128).reshape(-1, 2).T
 
     @property
     def real_zeros(self) -> bool:
@@ -153,10 +161,10 @@ class PreparedDet:
         return isinstance(h, tuple) and not np.iscomplexobj(h[0]) and bool((h[1] * h[2] > 0).all())
 
     def values(self, p: int, zs) -> np.ndarray:
-        """det_p(I + zK) for every z in zs, finished as det_p is (_finish) with the p-1
-        traces of matrix: exactly 0 where I + zK is singular, DetOverflowError past the
-        double range, ValueError at a z not finite, or for a p that is not a positive
-        integer, before any elimination."""
+        """det_p(I + zK) for every z in zs, finished as det_p is (_finish, one Horner
+        sum in -z for all of zs) with the p-1 traces of matrix: exactly 0 where I + zK
+        is singular, DetOverflowError past the double range, ValueError at a z not
+        finite, or for a p that is not a positive integer, before any elimination."""
         _check_p(p)
         zs = np.asarray(zs, dtype=np.complex128).ravel()
         return _finish(p, zs, 1.0, self.logdet(zs), _trace_powers(self.matrix, p - 1))

@@ -5,7 +5,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .determinants import _check_p, _lu_dets, _newton_identities, _trace_powers, prepare
+from .determinants import _check_p, _finish, _newton_identities, _trace_powers, prepare
 
 MAX_CONTOUR_SAMPLES = 2**16
 MOMENT_TOL = 1e-10        # settled contour: moment coefficients agree between two levels
@@ -371,13 +371,16 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     mult_estimate is the cluster size; pi is above the (m - 1) sin(pi / m)
     last steps that separate the iterates of an m-fold zero, which the
     polish leaves on a regular m-gon.  Zeros it resolved stay apart,
-    however close.  residual is |det_p| there, one LU finished with the p-1
-    traces of K_N that the search takes once, and step the largest last
-    polish step |dz| / (1 + |z|) among the cluster's zeros, at most
-    _STEP_TOL since the polish converged.  It does not certify a defective
-    multiple zero: J_3(0.5) under the orthogonal similarities of seeds
-    0..39, disc 2±1, gives three simple roots 1.2e-5 to 2.2e-5 from z = 2
-    with step <= 1e-12 for 3 seeds and RefinementError for 37.  Estimates
+    however close.  residual is |det_p| there, all of them in one batch:
+    the cluster centres go through one PreparedDet.lu_slogdet call, one LU
+    each, as the polish steps do, and one _finish with the p-1 traces of
+    K_N, as det_p finishes its LU, so each residual is det_p's value at its
+    root to rounding.  step is the largest last polish step |dz| / (1 + |z|)
+    among the cluster's zeros, at most _STEP_TOL since the polish converged.
+    It does not certify a defective multiple zero: J_3(0.5) under the
+    orthogonal similarities of seeds 0..39, disc 2±1, gives three simple
+    roots 1.2e-5 to 2.2e-5 from z = 2 with step <= 1e-12 for 3 seeds and
+    RefinementError for 37.  Estimates
     come by |z_root|, ties within _STEP_TOL by imaginary, then real part.
     With the default sign = -1 the reported eigenvalue is lam = 1/z_root.  A
     p that is not a positive integer, a center or radius that is not finite,
@@ -390,7 +393,6 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
     center = _disc(center, radius)
 
     prep = prepare(op)
-    traces = _trace_powers(prep.matrix, p - 1)  # for the residuals
     for bump in _BUMPS:
         contour = radius * bump
         try:
@@ -425,13 +427,12 @@ def locate_eigs(op, p: int, center, radius: float, sign: int = -1) -> list:
 
     inside = np.abs(zeros - center) <= radius * (1.0 + 1e-9)
     zeros, steps = zeros[inside], steps[inside]
-    ests = []
-    for group in _clusters(zeros, steps):
-        z = complex(np.mean(zeros[group]))
-        # I + s z K is singular at z = -1/(s lam), so lam = -s / z
-        residual = abs(_lu_dets(prep.matrix, sign * z, traces, (p,))[0])
-        ests.append(EigenEstimate(z, -sign / z, residual, len(group), float(steps[group].max())))
-    return _ordered(ests)
+    groups = _clusters(zeros, steps)
+    zs = np.array([np.mean(zeros[g]) for g in groups], np.complex128)
+    dets = _finish(p, sign * zs, *prep.lu_slogdet(sign * zs), _trace_powers(prep.matrix, p - 1))
+    # I + s z K is singular at z = -1/(s lam), so lam = -s / z
+    return _ordered([EigenEstimate(z, -sign / z, abs(d), len(g), float(steps[g].max()))
+                     for z, d, g in zip(map(complex, zs), dets.tolist(), groups)])
 
 
 def _ordered(ests) -> list:

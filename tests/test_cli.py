@@ -51,6 +51,18 @@ def test_det_matches_analytic_value(capsys):
     assert abs(float(row[3])) < 1e-12
 
 
+def test_det_at_a_large_p_prints_its_value(capsys):
+    # sum_{j<2000} (-z)^j tr(K^j) / j at z = -2 is summed with no power of z formed
+    code, out, err = run(["det", "--kernel", "green", "--scheme", "ngl", "--n", "8",
+                          "--z", "2,0", "--p", "2000"], capsys)
+    assert code == 0 and err == ""
+    header, row = out.strip().splitlines()
+    value = complex(*map(float, row.split(",")[2:4]))
+    lam = eigenvalues(fredet.assemble(registry("green"), "ngl", 8).matrix)
+    want = det_from_eigs(lam, 2000, -2.0).value
+    assert abs(value - want) <= 1e-14 * abs(want)
+
+
 def test_det_grid_json(capsys):
     code, out, _ = run(["det", "--kernel", "sign", "--scheme", "rect", "--n", "30",
                         "--p", "2", "--zero-diag", "--grid=-1,1,-1,1,3",

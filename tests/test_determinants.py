@@ -117,6 +117,16 @@ def test_det_p_overflow_raises():
         plemelj_coeffs(op, 1, 2000)
 
 
+def test_large_p_stays_finite():
+    # det_2000(I + 2K) = 1 for K = 0.1 I, though (-2)^j alone leaves the double range
+    # past j = 1023: the correction is summed by Horner's rule, with no power of z
+    k = 0.1 * np.eye(2)
+    assert abs(det_p(k, 2000, 2.0).value - 1.0) <= 1e-14
+    (v,) = prepare(k).values(2000, [2.0])
+    assert abs(v - 1.0) <= 1e-14
+    assert abs(det_from_eigs([0.1, 0.1], 2000, 2.0).value - 1.0) <= 1e-14
+
+
 def test_plemelj_coeffs_are_elementary_symmetric():
     d = np.array([0.5, -0.25, 0.125, 1.0])
     coeffs = plemelj_coeffs(np.diag(d), 1, 6)
@@ -402,8 +412,9 @@ def test_prepare_keeps_a_prepared_reduction(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
     # det_p(I + zK) at one z factors I + zK itself: no Hessenberg reduction,
-    # and the same bits as slogdet plus the explicit trace correction; the real
-    # K at the real z = -1 is factored in float64, the non-real z in complex128
+    # and the same bits as slogdet plus the trace correction summed by Horner's
+    # rule in -z from 0j; the real K at the real z = -1 is factored in float64,
+    # the non-real z in complex128
     monkeypatch.setattr(fredet.determinants, "hessenberg", None)
     op = assemble_nystrom(registry("sign"), rectangle(40, -1.0, 1.0), zero_diag=True)
     m = op.matrix
@@ -413,7 +424,9 @@ def test_single_z_det_p_is_the_slogdet_expression(monkeypatch, p):
         shifted = np.eye(40) + z * m
         assert shifted.dtype == dtype
         phase, logabs = np.linalg.slogdet(shifted)
-        corr = sum(((-z) ** j * nu[j - 1] / j for j in range(1, p)), 0j)
+        corr = 0j
+        for j in range(p - 1, 0, -1):
+            corr = (corr + nu[j - 1] / j) * -z
         assert det_p(op, p, z).value == complex(phase * np.exp(logabs + corr))
 
 

@@ -325,6 +325,42 @@ def test_locate_eigs_validates_k_and_computes_its_traces_once(monkeypatch):
     assert all(e.residual == abs(det_p(op, 2, -e.z_root).value) for e in ests)
 
 
+def test_residuals_finish_like_det_p_in_one_lu_call(monkeypatch):
+    # after the polish, one PreparedDet.lu_slogdet call takes every cluster centre,
+    # and one _finish turns it into det_p: each residual is a det_p call's value there
+    calls, polished_at = [], []
+    lu_slogdet, polish = fredet.determinants.PreparedDet.lu_slogdet, fredet.spectra._polish
+    monkeypatch.setattr(fredet.determinants.PreparedDet, "lu_slogdet",
+                        lambda prep, ws: calls.append(np.array(ws)) or lu_slogdet(prep, ws))
+
+    def polished(*args):
+        out = polish(*args)
+        polished_at.append(len(calls))
+        return out
+
+    monkeypatch.setattr(fredet.spectra, "_polish", polished)
+
+    def op(name, scheme, zero_diag=False):
+        return assemble(registry(name), scheme, 64, zero_diag=zero_diag)
+
+    # the three bench discs, example 4's K_64 search, and a search on sign = +1
+    searches = [(op("green", "ngl"), 1, 50.0, 49.0, -1, 3),
+                (op("bernoulli", "ngl"), 1, 4.0 * np.pi**2, 10.0, -1, 2),
+                (op("sign", "rect", zero_diag=True), 2, 0.0, 1.2, -1, 2),
+                (prepare(op("abs_pow", "singular")), 3, 0.0, 1.1, -1, 5),
+                (op("green", "ngl"), 2, -50.0, 49.0, 1, 3)]
+    key = lambda w: (w.real, w.imag)
+    for k, p, center, radius, sign, roots in searches:
+        calls.clear()
+        ests = locate_eigs(k, p, center, radius, sign=sign)
+        assert len(ests) == roots
+        (finish,) = calls[polished_at[-1]:]
+        assert sorted(finish, key=key) == sorted((sign * e.z_root for e in ests), key=key)
+        for e in ests:
+            want = abs(det_p(k, p, sign * e.z_root).value)
+            assert abs(e.residual - want) <= 1e-14 * want, (p, e)
+
+
 def test_locate_eigs_samples_contours_without_slogdet(monkeypatch):
     # the contours are sampled on the Hessenberg form; the slogdet calls are the
     # polish, one LU per root and step, and the residual of each reported estimate:

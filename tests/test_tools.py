@@ -1,6 +1,6 @@
-"""tools/compare.py: its examples and stage-timing scripts run on this tree, its pairs
-alternate, and its reports summarize every timing alike and count wins in each
-metric's direction, on synthetic results with no process started."""
+"""tools/compare.py: its examples and stage-timing scripts and its bench runs go through
+one runner, its pairs alternate, and its reports summarize every timing alike and count
+wins in each metric's direction, on synthetic results with no process started."""
 
 import importlib.util
 import json
@@ -35,7 +35,8 @@ def compare():
 
 def test_locate_script_times_each_stage_of_a_search_on_this_tree(compare):
     case = ("green", "ngl", 64, False, 1, 50.0, 49.0)
-    out = compare.in_tree(compare.ROOT, compare._LOCATE, [case, 1, compare.LOCATE_MALLOPT])
+    out = compare.in_tree(compare.ROOT, "-c", compare._LOCATE,
+                          json.dumps([case, 1, compare.LOCATE_MALLOPT]))
     (run,) = out["runs"]
     for stage in compare.LOCATE_STAGES:
         assert run[stage] > 0, stage
@@ -51,9 +52,26 @@ def test_locate_script_times_each_stage_of_a_search_on_this_tree(compare):
 
 def test_examples_script_times_an_example_on_this_tree(compare):
     # a timed first run and one repeat of example 2
-    out = compare.in_tree(compare.ROOT, compare._EXAMPLES, [[2], 1])
+    out = compare.in_tree(compare.ROOT, "-c", compare._EXAMPLES, json.dumps([[2], 1]))
     assert list(out) == ["2"]
     assert len(out["2"]) == 2 and all(t > 0 for t in out["2"])
+
+
+def test_in_tree_reads_the_last_json_line_and_lets_stderr_through(compare, capfd):
+    code = "import sys; print('a line'); print('a note', file=sys.stderr); print('[1]')"
+    assert compare.in_tree(compare.ROOT, "-c", code) == [1]
+    assert capfd.readouterr().err == "a note\n"
+
+
+def test_a_bench_run_goes_through_the_same_runner(compare, monkeypatch):
+    seen = []
+    metrics = {name: {"value": 1.5} for name in _contract()}
+    result = {"correct": True, "failed": 0, "metrics": dict(metrics, other={"value": 0})}
+    monkeypatch.setattr(compare, "in_tree", lambda tree, *args: seen.append((tree, args)) or result)
+    assert compare.bench_run("T", "grid", 7, 25, _contract()) == {
+        "seed": 7, "correct": True, "failed": 0, **{name: 1.5 for name in _contract()}}
+    assert seen == [("T", (os.path.join("T", "bench", "run.py"), "--workload", "grid",
+                           "--seed", "7", "--seconds", "25", "--trace", "0"))]
 
 
 def test_alternate_runs_the_first_tree_first_in_even_pairs(compare):

@@ -169,12 +169,12 @@ def _env(tree):
     return env
 
 
-def in_tree(tree, script, payload):
-    """Run script in a fresh process on tree's src/, payload as its JSON argument,
-    and return the JSON of its last output line.  Its stderr, a traceback where it
-    fails, passes through."""
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(payload)], env=_env(tree),
-                          cwd=tree, stdout=subprocess.PIPE, text=True, check=True)
+def in_tree(tree, *args):
+    """Run the interpreter with args in a fresh process, from tree and on its src/, and
+    return the JSON of its last output line.  Its stderr, a traceback where it fails,
+    passes through."""
+    done = subprocess.run([sys.executable, *args], env=_env(tree), cwd=tree,
+                          stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -237,11 +237,8 @@ def locate_report(by_case):
 
 
 def bench_run(tree, workload, seed, seconds, metrics):
-    cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, env=_env(tree), cwd=tree, capture_output=True, text=True,
-                          check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = in_tree(tree, os.path.join(tree, "bench", "run.py"), "--workload", workload,
+                     "--seed", str(seed), "--seconds", str(seconds), "--trace", "0")
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
             **{k: result["metrics"][k]["value"] for k in metrics}}
 
@@ -258,11 +255,12 @@ def measure(trees, args):
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from run import _environment  # the benchmark's record of numpy, BLAS and threads
     report = {"machine": _environment(args.seed)}
+    examples = json.dumps([EXAMPLE_IDS, EXAMPLE_REPEATS])
     report["run_example_s"] = example_report(alternate(
-        trees, lambda tree, k: in_tree(tree, _EXAMPLES, [EXAMPLE_IDS, EXAMPLE_REPEATS]), PAIRS))
+        trees, lambda tree, k: in_tree(tree, "-c", _EXAMPLES, examples), PAIRS))
     report["locate_stages"] = locate_report(
         {case: alternate(trees, lambda tree, k: in_tree(
-            tree, _LOCATE, [spec, LOCATE_REPEATS, LOCATE_MALLOPT]), PAIRS)
+            tree, "-c", _LOCATE, json.dumps([spec, LOCATE_REPEATS, LOCATE_MALLOPT])), PAIRS)
          for case, spec in LOCATE_CASES.items()})
     if args.pairs:
         with open(os.path.join(dict(trees)["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
